@@ -29,6 +29,8 @@ from .correlation import (
     CorrelationSeries,
     blink_factor,
     eval_curve,
+    g2,
+    g2_mod,
     g_total,
     log_grid,
     p_ll,
@@ -42,8 +44,8 @@ from .errors import (
     InsufficientDataError,
     ReducibleChainError,
 )
-from .fileio import atomic_write_text, format_float
-from .fitting import FitConfig, FitResult, fit_full, fit_slow
+from .fileio import atomic_write_text, format_float, read_key_values
+from .fitting import STAGE_KEYS, FitConfig, FitStage, fit_full, fit_slow
 from .liouville import perturbative_rates
 from .markov import g_general, read_chain, three_state_chain
 from .params import (
@@ -227,86 +229,70 @@ def _load_fit_config(path: str | None) -> FitConfig:
         "lambda0": float,
         "free_amplitude": _parse_bool,
     }
-    values: dict[str, object] = {}
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, text = line.partition("=")
-            key = key.strip()
-            if key not in fields:
-                raise ValueError(f"{path}:{lineno}: unknown fit option {key!r}")
-            try:
-                values[key] = fields[key](text.strip())
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad value for {key!r}") from exc
-    return FitConfig(**values)
+    return FitConfig(**read_key_values(path, fields))
 
 
-_REPORT_KEYS = (
-    "A31",
-    "Omega31",
-    "I_sc",
-    "A32_1",
-    "A32_2",
-    "A21_1",
-    "A21_2",
-    "T_L",
-    "T_D1",
-    "T_D2",
-    "p1",
-)
+def _fit_report(
+    stages: dict[str, FitStage],
+    values: dict[str, float],
+    sigma: dict[str, float],
+    diagnostics: dict[str, float] | None,
+    n_points: int,
+    split_tau: float,
+) -> tuple[str, dict]:
+    """Text and JSON report of the stages that ran.
 
-
-def _full_report(result: FitResult, n_points: int) -> tuple[str, dict]:
-    flat = result.params.as_dict()
-    flat.update(
-        T_L=result.stats.T_L,
-        T_D1=result.stats.T_D[0],
-        T_D2=result.stats.T_D[1],
-        p1=result.stats.p1,
-    )
+    ``values`` and ``sigma`` carry the reported parameters of those
+    stages; ``values`` also carries ``P_L``, whose sigma comes from the
+    slow stage. ``diagnostics`` is ``None`` for a slow-only fit.
+    """
+    keys = [key for name, names in STAGE_KEYS.items() if name in stages for key in names]
+    p_l = (values["P_L"], stages["slow"].sigma["P_L"])
+    partial = diagnostics is None
     lines = [
-        "# three-stage correlation fit",
-        f"# points = {n_points}, split_tau = {result.config.split_tau:g}",
+        "# three-stage correlation fit" + (" (partial)" if partial else ""),
+        f"# points = {n_points}, split_tau = {split_tau:g}",
     ]
-    for name, stage in result.stages.items():
-        lines.append(
-            f"# stage {name}: cost = {stage.cost:.6g}, "
-            f"iterations = {stage.iterations}, points = {stage.n_points}"
-        )
-    if result.diagnostics.get("bootstrap_resamples", 0.0) > 0:
-        lines.append(
-            "# uncertainties: residual bootstrap, "
-            f"{result.diagnostics['bootstrap_resamples']:.0f} resamples"
-        )
+    if partial:
+        lines.append("# fast stage: skipped, no delays below split_tau")
+        lines.append("# isc stage: skipped, needs the fast-stage rates")
     else:
-        lines.append("# uncertainties: per-stage Jacobian estimates")
-    for key in _REPORT_KEYS:
-        lines.append(f"{key} = {flat[key]:.9g} ± {result.sigma[key]:.4g}")
-    lines.append(f"P_L = {result.stats.P_L:.9g} ± {result.stages['slow'].sigma['P_L']:.4g}")
+        for name, stage in stages.items():
+            lines.append(
+                f"# stage {name}: cost = {stage.cost:.6g}, "
+                f"iterations = {stage.iterations}, points = {stage.n_points}"
+            )
+        if diagnostics["bootstrap_resamples"] > 0:
+            lines.append(
+                "# uncertainties: residual bootstrap, "
+                f"{diagnostics['bootstrap_resamples']:.0f} resamples "
+                f"({diagnostics['bootstrap_failures']:.0f} failed)"
+            )
+        else:
+            lines.append("# uncertainties: per-stage Jacobian estimates")
+    for key in keys:
+        lines.append(f"{key} = {values[key]:.9g} ± {sigma[key]:.4g}")
+    lines.append(f"P_L = {p_l[0]:.9g} ± {p_l[1]:.4g}")
 
     doc = {
-        "values": {key: flat[key] for key in _REPORT_KEYS},
-        "sigma": {key: result.sigma[key] for key in _REPORT_KEYS},
-        "derived": {
-            "P_L": result.stats.P_L,
-            "P_L_sigma": result.stages["slow"].sigma["P_L"],
-        },
-        "stages": {
+        "values": {key: values[key] for key in keys},
+        "sigma": {key: sigma[key] for key in keys},
+    }
+    if partial:
+        doc["partial"] = True
+        doc["values"]["P_L"], doc["sigma"]["P_L"] = p_l
+    else:
+        doc["derived"] = {"P_L": p_l[0], "P_L_sigma": p_l[1]}
+        doc["stages"] = {
             name: {
                 "cost": stage.cost,
                 "iterations": stage.iterations,
                 "converged": stage.converged,
                 "n_points": stage.n_points,
             }
-            for name, stage in result.stages.items()
-        },
-        "diagnostics": result.diagnostics,
-    }
+            for name, stage in stages.items()
+        }
+        doc["diagnostics"] = diagnostics
     return "\n".join(lines) + "\n", doc
 
 
@@ -315,49 +301,42 @@ def _cmd_fit(args: argparse.Namespace, argv: list[str]) -> int:
     cfg = _load_fit_config(args.config)
     inputs = [args.data] + ([args.config] if args.config else [])
 
-    if not np.any(series.tau < cfg.split_tau):
+    if np.any(series.tau < cfg.split_tau):
+        result = fit_full(series, cfg)
+        values = {
+            **result.params.as_dict(),
+            "T_L": result.stats.T_L,
+            "T_D1": result.stats.T_D[0],
+            "T_D2": result.stats.T_D[1],
+            "p1": result.stats.p1,
+            "P_L": result.stats.P_L,
+        }
+        text, doc = _fit_report(
+            result.stages, values, result.sigma, result.diagnostics, len(series), cfg.split_tau
+        )
+        snapshot, seed = result.params.as_dict(), cfg.bootstrap_seed
+    else:
         # Nothing resolves the antibunching region: report the blinking
         # stage alone and say so instead of failing outright.
         slow = fit_slow(series, cfg)
-        lines = [
-            "# three-stage correlation fit (partial)",
-            f"# points = {len(series)}, split_tau = {cfg.split_tau:g}",
-            f"# fast stage: skipped, no delays below split_tau",
-            f"# isc stage: skipped, needs the fast-stage rates",
-        ]
-        for key in ("T_L", "T_D1", "T_D2", "p1", "P_L"):
-            lines.append(f"{key} = {slow.values[key]:.9g} ± {slow.sigma[key]:.4g}")
-        text = "\n".join(lines) + "\n"
-        atomic_write_text(args.out, text)
-        outputs = [args.out]
-        if args.json_out is not None:
-            doc = {
-                "partial": True,
-                "values": {k: slow.values[k] for k in ("T_L", "T_D1", "T_D2", "p1", "P_L")},
-                "sigma": {k: slow.sigma[k] for k in ("T_L", "T_D1", "T_D2", "p1", "P_L")},
-            }
-            atomic_write_text(args.json_out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-            outputs.append(args.json_out)
-        if args.curve_out is not None:
-            print("note: skipping --curve-out, partial fit has no fast parameters", file=sys.stderr)
-        _write_manifests("fit", argv, inputs, outputs)
-        print(text, end="")
-        return 0
+        text, doc = _fit_report(
+            {"slow": slow}, slow.values, slow.sigma, None, len(series), cfg.split_tau
+        )
+        result = snapshot = seed = None
 
-    result = fit_full(series, cfg)
-    text, doc = _full_report(result, len(series))
     atomic_write_text(args.out, text)
     outputs = [args.out]
     if args.json_out is not None:
         atomic_write_text(args.json_out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
         outputs.append(args.json_out)
     if args.curve_out is not None:
-        grid = log_grid(float(series.tau[0]), float(series.tau[-1]), 60)
-        write_series(eval_curve(result.params, grid), args.curve_out)
-        outputs.append(args.curve_out)
-    _write_manifests(
-        "fit", argv, inputs, outputs, result.params.as_dict(), cfg.bootstrap_seed
-    )
+        if result is None:
+            print("note: skipping --curve-out, partial fit has no fast parameters", file=sys.stderr)
+        else:
+            grid = log_grid(float(series.tau[0]), float(series.tau[-1]), 60)
+            write_series(eval_curve(result.params, grid), args.curve_out)
+            outputs.append(args.curve_out)
+    _write_manifests("fit", argv, inputs, outputs, snapshot, seed)
     print(text, end="")
     return 0
 
@@ -370,8 +349,8 @@ def _selftest_checks(rng: np.random.Generator):
     stats = statistics_from_params(params)
     tau = log_grid(1e-10, 1.0, 40)
 
-    explicit = g_total(tau, params, form="explicit")
-    product = g_total(tau, params, form="product")
+    explicit = g_total(tau, params)
+    product = g2_mod(tau, params.A31, params.Omega31, params.I_sc) * (p_ll(tau, stats) / stats.P_L)
     yield (
         "explicit vs factored curve",
         float(np.max(np.abs(explicit - product) / np.abs(product))),
@@ -401,8 +380,6 @@ def _selftest_checks(rng: np.random.Generator):
         A31=3.3e8, Omega31=2.9e8, A32=(34.0, 249.0), A21=(430.0, 2400.0)
     )
     chain = three_state_chain(stats, light_intensity(bare.A31, bare.Omega31))
-    from .correlation import g2
-
     def light_g(t):
         return g2(t, bare.A31, bare.Omega31)
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .fileio import atomic_write_text, format_float
+from .markov import _DEGENERATE_GAP, build_rate_matrix, propagator, three_state_chain
 from .params import (
     PeriodStatistics,
     PhotoPhysicalParams,
@@ -38,10 +39,6 @@ __all__ = [
     "read_series",
     "write_series",
 ]
-
-# Relative eigenvalue gap below which the two-exponential closed forms
-# switch to the matrix-exponential route.
-_DEGENERATE_GAP = 1e-9
 
 
 def _as_delay_array(tau) -> np.ndarray:
@@ -113,11 +110,12 @@ def g2_mod(tau, A31: float, Omega31: float, I_sc: float) -> np.ndarray:
     return (base + ratio) / (1.0 + ratio)
 
 
-def _three_state_pll_expm(tau: np.ndarray, stats: PeriodStatistics) -> np.ndarray:
-    # Fallback route through the period rate matrix; import here to keep
-    # the module dependency one-way at import time.
-    from .markov import build_rate_matrix, propagator, three_state_chain
+def _is_degenerate(stats: PeriodStatistics) -> bool:
+    # The two-exponential closed forms divide by the eigenvalue splitting.
+    return stats.mu1 - stats.mu2 <= _DEGENERATE_GAP * abs(stats.mu2)
 
+
+def _three_state_pll_expm(tau: np.ndarray, stats: PeriodStatistics) -> np.ndarray:
     chain = three_state_chain(stats, 1.0)
     prop = propagator(build_rate_matrix(chain), tau)
     return prop[..., 0, 0]
@@ -133,12 +131,12 @@ def p_ll(tau, stats: PeriodStatistics) -> np.ndarray:
     closed two-exponential form.
     """
     tau = _as_delay_array(tau)
-    mu1, mu2 = stats.mu1, stats.mu2
-    if (mu1 - mu2) <= _DEGENERATE_GAP * abs(mu2):
+    if _is_degenerate(stats):
         return _three_state_pll_expm(tau, stats)
 
     ld1, ld2 = stats.p_LD
     dl1, dl2 = stats.p_DL
+    mu1, mu2 = stats.mu1, stats.mu2
     split = mu1 - mu2
 
     def weight(mu: float) -> float:
@@ -157,14 +155,13 @@ def blink_factor(tau, stats: PeriodStatistics) -> np.ndarray:
     which never blink (infinite ``T_L``) evaluate to exactly one.
     """
     tau = _as_delay_array(tau)
+    if _is_degenerate(stats):
+        return _three_state_pll_expm(tau, stats) / stats.P_L
+
     ld1, ld2 = stats.p_LD
     dl1, dl2 = stats.p_DL
     mu1, mu2 = stats.mu1, stats.mu2
     gamma = stats.Gamma
-
-    if 2.0 * gamma <= _DEGENERATE_GAP * abs(mu2):
-        return _three_state_pll_expm(tau, stats) / stats.P_L
-
     sigma_l = ld1 + ld2
     alpha = ld1 / dl1 + ld2 / dl2
     beta = (
@@ -178,24 +175,17 @@ def blink_factor(tau, stats: PeriodStatistics) -> np.ndarray:
     return 1.0 + c_plus * np.exp(mu1 * tau) + c_minus * np.exp(mu2 * tau)
 
 
-def g_total(tau, params: PhotoPhysicalParams, form: str = "explicit") -> np.ndarray:
+def g_total(tau, params: PhotoPhysicalParams) -> np.ndarray:
     """Full normalized intensity correlation of the blinking emitter.
 
-    ``form="explicit"`` multiplies the background-diluted two-level
-    correlation by the closed-form bunching factor. ``form="product"``
-    assembles the same quantity as ``g2_mod * p_ll / P_L``; the two routes
-    share no exponential bookkeeping and serve as mutual checks.
+    Multiplies the background-diluted two-level correlation by the
+    closed-form bunching factor. The same quantity assembled as
+    ``g2_mod * (p_ll / P_L)`` shares no exponential bookkeeping with it
+    and serves as an independent check.
     """
     tau = _as_delay_array(tau)
     stats = statistics_from_params(params)
-    fast = g2_mod(tau, params.A31, params.Omega31, params.I_sc)
-    if form == "explicit":
-        slow = blink_factor(tau, stats)
-    elif form == "product":
-        slow = p_ll(tau, stats) / stats.P_L
-    else:
-        raise ValueError(f"unknown form {form!r}, expected 'explicit' or 'product'")
-    return fast * slow
+    return g2_mod(tau, params.A31, params.Omega31, params.I_sc) * blink_factor(tau, stats)
 
 
 def log_grid(tau_min: float, tau_max: float, points_per_decade: int = 60) -> np.ndarray:

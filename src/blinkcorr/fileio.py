@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from typing import Callable
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -29,3 +30,33 @@ def atomic_write_text(path: str, text: str) -> None:
 def format_float(value: float) -> str:
     """Render a float with enough digits to round-trip exactly."""
     return format(float(value), ".17g")
+
+
+def read_key_values(path: str, fields: dict[str, Callable[[str], object]]) -> dict[str, object]:
+    """Read a ``key = value`` file into a dict in file order.
+
+    ``fields`` maps each accepted key to the converter of its value text.
+    ``#`` starts a comment and blank lines are ignored; a line without
+    ``=``, an unknown or repeated key and a value its converter rejects
+    raise :class:`ValueError` naming ``path:lineno``. Keys absent from
+    the file are absent from the result.
+    """
+    values: dict[str, object] = {}
+    with open(path) as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            key, _, text = line.partition("=")
+            key = key.strip()
+            if key not in fields:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+            try:
+                values[key] = fields[key](text.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for {key!r}") from exc
+    return values

@@ -54,27 +54,21 @@ __all__ = [
     "fit_fast",
     "fit_isc",
     "fit_full",
+    "STAGE_KEYS",
 ]
 
+# Reported parameters by the stage that fits them, in report order.
+STAGE_KEYS = {
+    "fast": ("A31", "Omega31", "I_sc"),
+    "isc": ("A32_1", "A32_2", "A21_1", "A21_2"),
+    "slow": ("T_L", "T_D1", "T_D2", "p1"),
+}
 
 # Keys accepted in FitConfig.initial_guess and FitConfig.bounds. The
 # background rate is fit through the background-to-signal intensity
 # ratio, whose box moves with A31/Omega31, so I_sc takes no static bound.
 _GUESS_KEYS = frozenset(
-    (
-        "T_L",
-        "T_D1",
-        "T_D2",
-        "p1",
-        "A31",
-        "Omega31",
-        "I_sc",
-        "A32_1",
-        "A32_2",
-        "A21_1",
-        "A21_2",
-        "amplitude",
-    )
+    [key for keys in STAGE_KEYS.values() for key in keys] + ["amplitude"]
 )
 _BOUND_KEYS = _GUESS_KEYS - {"I_sc"}
 
@@ -650,19 +644,14 @@ def fit_isc(
     )
 
 
-_RESULT_KEYS = (
-    "A31",
-    "Omega31",
-    "I_sc",
-    "A32_1",
-    "A32_2",
-    "A21_1",
-    "A21_2",
-    "T_L",
-    "T_D1",
-    "T_D2",
-    "p1",
-)
+def _flatten(stages: dict[str, FitStage], attr: str) -> dict[str, float]:
+    """Reported ``values`` or ``sigma`` of the stages that ran, in report order."""
+    return {
+        key: getattr(stages[name], attr)[key]
+        for name, keys in STAGE_KEYS.items()
+        if name in stages
+        for key in keys
+    }
 
 
 def _pipeline(
@@ -690,15 +679,7 @@ def _pipeline(
         amplitude=amp,
     )
     stages = {"slow": slow, "fast": fast, "isc": isc}
-    flat = {
-        key: stage.values[key]
-        for stage, keys in (
-            (slow, ("T_L", "T_D1", "T_D2", "p1")),
-            (fast, ("A31", "Omega31", "I_sc")),
-            (isc, ("A32_1", "A32_2", "A21_1", "A21_2")),
-        )
-        for key in keys
-    }
+    flat = _flatten(stages, "values")
     if cfg.free_amplitude:
         flat["amplitude"] = amp
     return stages, flat
@@ -729,21 +710,7 @@ def fit_full(
         *rates_from_statistics(flat["T_L"], (flat["T_D1"], flat["T_D2"]), flat["p1"])
     )
 
-    sigma = {}
-    for name, stage_key in (
-        ("T_L", "slow"),
-        ("T_D1", "slow"),
-        ("T_D2", "slow"),
-        ("p1", "slow"),
-        ("A31", "fast"),
-        ("Omega31", "fast"),
-        ("I_sc", "fast"),
-        ("A32_1", "isc"),
-        ("A32_2", "isc"),
-        ("A21_1", "isc"),
-        ("A21_2", "isc"),
-    ):
-        sigma[name] = stages[stage_key].sigma[name]
+    sigma = _flatten(stages, "sigma")
     diagnostics: dict[str, float] = {"bootstrap_resamples": 0.0}
     if cfg.free_amplitude:
         diagnostics["amplitude"] = flat["amplitude"]
@@ -756,7 +723,9 @@ def fit_full(
             np.random.Philox(key=[int(cfg.bootstrap_seed), 3])
         )
         inner = replace(cfg, bootstrap_resamples=0)
-        samples: dict[str, list[float]] = {k: [] for k in _RESULT_KEYS}
+        samples: dict[str, list[float]] = {
+            key: [] for keys in STAGE_KEYS.values() for key in keys
+        }
         failures = 0
         npts = len(series)
         for _ in range(cfg.bootstrap_resamples):
@@ -769,14 +738,14 @@ def fit_full(
             except (FitConvergenceError, DegenerateFitError, ValueError):
                 failures += 1
                 continue
-            for key in _RESULT_KEYS:
-                samples[key].append(flat_b[key])
+            for key, draws in samples.items():
+                draws.append(flat_b[key])
         n_ok = cfg.bootstrap_resamples - failures
         diagnostics["bootstrap_resamples"] = float(n_ok)
         diagnostics["bootstrap_failures"] = float(failures)
         if n_ok >= 2:
-            for key in _RESULT_KEYS:
-                sigma[key] = float(np.std(samples[key], ddof=1))
+            for key, draws in samples.items():
+                sigma[key] = float(np.std(draws, ddof=1))
         else:
             raise FitConvergenceError(
                 "bootstrap produced fewer than two successful refits"

@@ -200,9 +200,9 @@ def _kernel_projector(fast: np.ndarray) -> tuple[np.ndarray, int]:
     null = svals < tol
     dim = int(np.sum(null))
     if dim == 0:
-        raise RuntimeError("fast generator has no kernel; generator is not trace preserving")
+        raise HierarchyError("fast generator has no kernel; generator is not trace preserving")
     if np.any((svals >= tol) & (svals < svals[0] * 1e-6)):
-        raise RuntimeError("fast generator kernel is not cleanly separated")
+        raise HierarchyError("fast generator kernel is not cleanly separated")
     right = vh.conj().T[:, null]
     left = u[:, null]
     proj = right @ np.linalg.solve(left.conj().T @ right, left.conj().T)

@@ -31,6 +31,9 @@ __all__ = [
     "write_chain",
 ]
 
+# Relative eigenvalue gap below which the spectral propagator and the
+# two-exponential closed forms in ``correlation`` give way to the
+# matrix exponential.
 _DEGENERATE_GAP = 1e-8
 
 
@@ -117,14 +120,13 @@ def stationary(b: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-def propagator(b: np.ndarray, tau, return_info: bool = False):
+def propagator(b: np.ndarray, tau):
     """Transition probabilities ``P(tau) = expm(B * tau)``.
 
-    Uses the spectral decomposition when the eigenvalues are well
-    separated and falls back to the scaling-and-squaring matrix
-    exponential otherwise. ``tau`` may be a scalar (returns ``(n, n)``)
-    or a vector (returns ``(m, n, n)``). With ``return_info`` a dict with
-    the route taken is returned as second element.
+    Uses the spectral decomposition ``V diag(exp(lambda tau)) V^-1`` when
+    the eigenvalues are well separated and falls back to the
+    scaling-and-squaring matrix exponential otherwise. ``tau`` may be a
+    scalar (returns ``(n, n)``) or a vector (returns ``(m, n, n)``).
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
@@ -134,45 +136,28 @@ def propagator(b: np.ndarray, tau, return_info: bool = False):
     if np.any(tau_arr < 0.0) or not np.all(np.isfinite(tau_arr)):
         raise ValueError("delays must be finite and non-negative")
 
-    eigvals = np.linalg.eigvals(b)
-    scale = float(np.max(np.abs(eigvals))) if n > 1 else 0.0
-    gap = np.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = min(gap, abs(eigvals[i] - eigvals[j]))
+    eigvals, vecs = np.linalg.eig(b)
+    scale = np.max(np.abs(eigvals))
+    gaps = np.abs(np.subtract.outer(eigvals, eigvals))
+    gap = np.min(gaps[~np.eye(n, dtype=bool)], initial=np.inf)
 
-    if scale == 0.0:
-        out = np.broadcast_to(np.eye(n), (tau_arr.size, n, n)).copy()
-        method = "identity"
-    elif gap < _DEGENERATE_GAP * scale:
-        out = np.stack([scipy.linalg.expm(b * t) for t in tau_arr])
-        method = "expm"
-    else:
-        # First-order spectral projectors; exact for simple spectra.
-        proj = []
-        for i in range(n):
-            m = np.eye(n, dtype=complex)
-            for j in range(n):
-                if j != i:
-                    m = m @ (b - eigvals[j] * np.eye(n)) / (eigvals[i] - eigvals[j])
-            proj.append(m)
+    out = None
+    if gap >= _DEGENERATE_GAP * scale:
         phases = np.exp(np.outer(tau_arr, eigvals))
-        out_c = np.einsum("ti,inm->tnm", phases, np.array(proj))
-        if np.max(np.abs(out_c.imag)) > 1e-10:
-            out = np.stack([scipy.linalg.expm(b * t) for t in tau_arr])
-            method = "expm"
-        else:
+        out_c = (vecs * phases[:, None, :]) @ np.linalg.inv(vecs)
+        if np.max(np.abs(out_c.imag)) <= 1e-10:
             out = out_c.real
-            method = "spectral"
+    if out is None:
+        out = np.stack([scipy.linalg.expm(b * t) for t in tau_arr])
 
     row_err = np.max(np.abs(out.sum(axis=2) - 1.0))
     if row_err > 1e-9:
-        raise RuntimeError(f"propagator rows deviate from unit sum by {row_err:.3e}")
+        raise DegenerateInputError(
+            f"propagator rows deviate from unit sum by {row_err:.3e}"
+        )
 
     if np.ndim(tau) == 0:
-        out = out[0]
-    if return_info:
-        return out, {"method": method, "eigenvalues": eigvals, "row_error": row_err}
+        return out[0]
     return out
 
 

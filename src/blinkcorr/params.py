@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import HierarchyWarning
-from .fileio import atomic_write_text, format_float
+from .fileio import atomic_write_text, format_float, read_key_values
 
 __all__ = [
     "PhotoPhysicalParams",
@@ -319,24 +319,7 @@ def read_params(path: str) -> PhotoPhysicalParams:
     one ``key = value`` pair per line. ``#`` starts a comment, blank
     lines are ignored, repeated keys are an error.
     """
-    data: dict[str, float] = {}
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, text = line.partition("=")
-            key = key.strip()
-            if key not in PARAM_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown parameter {key!r}")
-            if key in data:
-                raise ValueError(f"{path}:{lineno}: duplicate parameter {key!r}")
-            try:
-                data[key] = float(text.strip())
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad number for {key!r}") from exc
+    data = read_key_values(path, dict.fromkeys(PARAM_KEYS, float))
     missing = [k for k in PARAM_KEYS if k not in data]
     if missing:
         raise ValueError(f"{path}: missing parameters {missing}")

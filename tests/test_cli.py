@@ -157,6 +157,20 @@ def test_rates_finite_dt_without_hierarchy(tmp_path):
     assert code == 1
 
 
+def test_rates_resolvent_outside_hierarchy(tmp_path, capsys):
+    # A weak drive leaves no clean gap in the fast generator's spectrum:
+    # the resolvent route fails with a numerical error, the finite-dt
+    # route still returns rates.
+    path = tmp_path / "weak.txt"
+    path.write_text(
+        "A31 = 3.3e8\nOmega31 = 4.2e5\nA32_1 = 34\nA32_2 = 249\n"
+        "A21_1 = 430\nA21_2 = 2400\nI_sc = 0\n"
+    )
+    assert main(["rates", "--params", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["rates", "--params", str(path), "--method", "finite-dt"]) == 0
+
+
 def test_simulate_deterministic(tmp_path, slow_params_file):
     out_a = str(tmp_path / "a.txt")
     out_b = str(tmp_path / "b.txt")
@@ -250,6 +264,23 @@ def test_fit_full_report(tmp_path, params_file, reference_params):
     assert set(doc["outputs"]) == {out, json_out, curve_out}
 
 
+def test_fit_report_counts_bootstrap_failures(tmp_path, params_file):
+    data = str(tmp_path / "data.csv")
+    assert main(["eval", "--params", params_file, "--grid", "1e-10:1:20",
+                 "--out", data]) == 0
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text("bootstrap_resamples = 3\n")
+    out = str(tmp_path / "report.txt")
+    json_out = str(tmp_path / "report.json")
+    assert main(["fit", "--data", data, "--config", str(cfg), "--out", out,
+                 "--json-out", json_out]) == 0
+    diagnostics = json.load(open(json_out))["diagnostics"]
+    ok, failed = diagnostics["bootstrap_resamples"], diagnostics["bootstrap_failures"]
+    assert ok + failed == 3
+    line = f"# uncertainties: residual bootstrap, {ok:.0f} resamples ({failed:.0f} failed)\n"
+    assert line in open(out).read()
+
+
 def test_fit_partial_slow_only(tmp_path, params_file, capsys):
     full = str(tmp_path / "full.csv")
     assert main(["eval", "--params", params_file, "--grid", "1e-6:1:20",
@@ -279,6 +310,8 @@ def test_fit_config_errors(tmp_path, params_file):
     cfg.write_text("free_amplitude = maybe\n")
     assert main(["fit", "--data", data, "--config", str(cfg), "--out", out]) == 2
     cfg.write_text("split_tau\n")
+    assert main(["fit", "--data", data, "--config", str(cfg), "--out", out]) == 2
+    cfg.write_text("split_tau = 1e-7\nsplit_tau = 1e-6\n")
     assert main(["fit", "--data", data, "--config", str(cfg), "--out", out]) == 2
 
 

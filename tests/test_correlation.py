@@ -149,10 +149,16 @@ def test_blink_factor_proportional_to_survival(reference_stats):
     assert np.max(np.abs(blink_factor(tau, st) - expected)) < 1e-12
 
 
+def product_form(tau, p):
+    # g2_mod * p_ll / P_L shares no exponential bookkeeping with g_total.
+    st = statistics_from_params(p)
+    return g2_mod(tau, p.A31, p.Omega31, p.I_sc) * (p_ll(tau, st) / st.P_L)
+
+
 def test_g_total_forms_agree(reference_params):
     tau = log_grid(1e-10, 1.0, 60)
-    explicit = g_total(tau, reference_params, form="explicit")
-    product = g_total(tau, reference_params, form="product")
+    explicit = g_total(tau, reference_params)
+    product = product_form(tau, reference_params)
     assert np.max(np.abs(explicit - product) / np.abs(product)) < 1e-10
 
 
@@ -166,8 +172,8 @@ def test_g_total_forms_agree_random_rates(rng):
             A21=tuple(10.0 ** rng.uniform(1.5, 4.0, 2)),
             I_sc=10.0 ** rng.uniform(5.0, 8.0),
         )
-        explicit = g_total(tau, p, form="explicit")
-        product = g_total(tau, p, form="product")
+        explicit = g_total(tau, p)
+        product = product_form(tau, p)
         assert np.max(np.abs(explicit - product) / np.abs(product)) < 1e-10
 
 
@@ -192,11 +198,6 @@ def test_g_total_dark_label_exchange(reference_params):
     a = g_total(tau, reference_params)
     b = g_total(tau, swapped)
     assert np.max(np.abs(a - b)) < 1e-12
-
-
-def test_g_total_rejects_unknown_form(reference_params):
-    with pytest.raises(ValueError):
-        g_total(1e-6, reference_params, form="mystery")
 
 
 def test_log_grid_shape():

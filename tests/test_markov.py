@@ -93,6 +93,9 @@ def test_propagator_identity_at_zero(rng):
     chain = random_chain(rng, 3)
     b = build_rate_matrix(chain)
     assert np.max(np.abs(propagator(b, 0.0) - np.eye(3))) < 1e-12
+    # A chain without switching stays put at every delay.
+    for n in (1, 3):
+        assert np.array_equal(propagator(np.zeros((n, n)), 7.0), np.eye(n))
 
 
 def test_propagator_semigroup(rng):
@@ -105,24 +108,40 @@ def test_propagator_semigroup(rng):
     assert np.max(np.abs(p1 @ p2 - p12)) < 1e-10
 
 
-def test_propagator_routes_agree(rng):
+def count_expm_calls(monkeypatch):
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return expm(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    return calls
+
+
+def test_propagator_routes_agree(rng, monkeypatch):
     # Well-separated spectrum takes the spectral route; it must agree
     # with the direct matrix exponential.
     chain = random_chain(rng, 3)
     b = build_rate_matrix(chain)
     tau = np.geomspace(1e-5, 1.0, 40)
-    out, info = propagator(b, tau, return_info=True)
-    assert info["method"] == "spectral"
     direct = np.stack([scipy.linalg.expm(b * t) for t in tau])
+    calls = count_expm_calls(monkeypatch)
+    out = propagator(b, tau)
+    assert len(calls) == 0
     assert np.max(np.abs(out - direct)) < 1e-10
 
 
-def test_propagator_degenerate_spectrum_falls_back():
+def test_propagator_degenerate_spectrum_falls_back(monkeypatch):
     # Unidirectional cascade with equal rates has a repeated eigenvalue.
     b = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, 0.0]])
-    out, info = propagator(b, 0.5, return_info=True)
-    assert info["method"] == "expm"
-    assert np.max(np.abs(out - scipy.linalg.expm(0.5 * b))) < 1e-12
+    tau = np.array([0.1, 0.5, 2.0])
+    direct = np.stack([scipy.linalg.expm(b * t) for t in tau])
+    calls = count_expm_calls(monkeypatch)
+    out = propagator(b, tau)
+    assert len(calls) == tau.size
+    assert np.max(np.abs(out - direct)) < 1e-12
 
 
 def test_propagator_shapes(rng):
