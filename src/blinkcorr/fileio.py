@@ -2,22 +2,26 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
-from typing import Callable
+from typing import Callable, Iterator, TextIO
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` so readers never see a partial file.
+@contextlib.contextmanager
+def _atomic_open(path: str) -> Iterator[TextIO]:
+    """Open ``path`` for writing text so readers never see a partial file.
 
     The content goes to a temporary file in the destination directory and
-    is moved into place with :func:`os.replace`, which is atomic on POSIX.
+    is moved into place with :func:`os.replace`, which is atomic on POSIX,
+    when the block ends; if the block raises, the temporary file is
+    removed and ``path`` is left as it was.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -25,6 +29,12 @@ def atomic_write_text(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through :func:`_atomic_open`."""
+    with _atomic_open(path) as handle:
+        handle.write(text)
 
 
 def format_float(value: float) -> str:

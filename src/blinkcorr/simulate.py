@@ -19,7 +19,7 @@ import numpy as np
 
 from .correlation import CorrelationSeries, log_grid
 from .errors import InsufficientDataError
-from .fileio import atomic_write_text, format_float
+from .fileio import _atomic_open, format_float
 from .params import PeriodStatistics, PhotoPhysicalParams
 
 __all__ = [
@@ -41,6 +41,13 @@ _STREAM_BACKGROUND = 2
 # and the largest coincidence count vector the binned stage may allocate.
 _PAIR_BUDGET = 1.5e8
 _MAX_VECTOR = 25_000_000
+# Elements per block of the temporaries of estimate_g (sources of the exact
+# stage, photons and cells of the lattice stage) and of write_trajectory,
+# and the mantissa bits of the exact stage's delay table.
+_BLOCK = 1 << 16
+_TABLE_BITS = 8
+# Bytes per block read from a trajectory file.
+_READ_BYTES = 1 << 22
 
 
 def _stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -280,10 +287,25 @@ def estimate_g(
 
     Counts ordered photon pairs per delay bin and normalizes by the pair
     density of a Poisson process with the record's mean rate, so a flat
-    stream estimates one. Short-delay bins enumerate pairs exactly;
-    longer bins correlate coarse coincidence counts at a lag resolution
-    of a twentieth of a decade, which quantizes those bins onto the lag
-    lattice. Bins beyond a tenth of the record length are dropped.
+    stream estimates one. Bins beyond a tenth of the record length are
+    dropped.
+
+    Short-delay bins count pairs exactly on the arrival times: a pair
+    ``i < j`` is counted when ``t_i + edges[0] <= t_j < t_i + edges[m]``
+    (both sums rounded to float64, ``m`` the last exact edge) and falls
+    into the bin whose left edge is the largest one not above
+    ``t_j - t_i``. Pairs are enumerated by neighbour offset ``j - i``
+    until no source has a partner left inside the window.
+
+    Longer bins correlate coincidence counts on a lattice of a twentieth
+    of the bin's decade: each bin becomes the window of whole lattice
+    steps ``[ceil(a / w), ceil(b / w))`` and counts the pairs whose cells
+    lie that many steps apart, from cumulative sums of the lattice. A
+    bin narrower than one lattice step can hold no step; it is merged
+    into the next bin, whose window starts on or after the step it
+    rounds to, and only a last such bin is widened to one step. So the
+    series can hold fewer points than the grid has bins, and the lattice
+    windows, not the requested edges, are what those bins cover.
 
     The per-bin standard error combines the pair shot noise with the
     uncertainty of the squared-rate normalization; the latter is
@@ -317,13 +339,13 @@ def estimate_g(
 
     rate = n / t_total
     nbins = edges.size - 1
+    widths = [10.0 ** math.floor(math.log10(e)) / 20.0 for e in edges[:-1]]
 
     # Split point between exact pair enumeration and lattice correlation.
     t_switch = _PAIR_BUDGET / (rate * n)
     n_exact = 0
     for i in range(nbins):
-        width = 10.0 ** math.floor(math.log10(edges[i])) / 20.0
-        viable = t_total / width <= _MAX_VECTOR
+        viable = t_total / widths[i] <= _MAX_VECTOR
         if edges[i + 1] <= t_switch or not viable:
             n_exact = i + 1
         else:
@@ -332,53 +354,39 @@ def estimate_g(
     counts = np.zeros(nbins)
     windows = np.empty((nbins, 2))
     denom = np.empty(nbins)
+    keep = np.ones(nbins, dtype=bool)
 
     if n_exact:
-        lo_delay = edges[0]
-        hi_delay = edges[n_exact]
-        exact_edges = edges[: n_exact + 1]
-        per_chunk = max(1, int(1.5e7 / max(rate * hi_delay, 1.0)))
-        for a in range(0, n, per_chunk):
-            sources = times[a : a + per_chunk]
-            lo = np.searchsorted(times, sources + lo_delay, side="left")
-            hi = np.searchsorted(times, sources + hi_delay, side="left")
-            pair_counts = hi - lo
-            total = int(pair_counts.sum())
-            if total == 0:
-                continue
-            flat = np.repeat(lo - np.cumsum(pair_counts) + pair_counts, pair_counts)
-            flat += np.arange(total)
-            delays = times[flat] - np.repeat(sources, pair_counts)
-            which = np.searchsorted(exact_edges, delays, side="right") - 1
-            good = (which >= 0) & (which < n_exact)
-            counts[:n_exact] += np.bincount(which[good], minlength=n_exact)
+        counts[:n_exact] = _exact_counts(times, edges[: n_exact + 1])
         for i in range(n_exact):
             a_e, b_e = edges[i], edges[i + 1]
             windows[i] = (a_e, b_e)
             denom[i] = rate * rate * (b_e - a_e) * (t_total - 0.5 * (a_e + b_e))
 
-    lattice: dict[float, np.ndarray] = {}
+    # Lattice bins as (bin, ka, kb), grouped by lattice width in delay order.
+    lattices: dict[float, list[tuple[int, int, int]]] = {}
     for i in range(n_exact, nbins):
-        width = 10.0 ** math.floor(math.log10(edges[i])) / 20.0
+        width = widths[i]
         ka = int(math.ceil(edges[i] / width - 1e-9))
         kb = int(math.ceil(edges[i + 1] / width - 1e-9))
         if kb <= ka:
+            if i + 1 < nbins:
+                keep[i] = False
+                continue
             kb = ka + 1
-        if width not in lattice:
-            # Bins come in delay order, so a new width means the previous
-            # (finer) lattice is finished; keep only the current one.
-            idx = (times * (1.0 / width)).astype(np.int64)
-            lattice = {width: np.bincount(idx).astype(np.float64)}
-        vec = lattice[width]
-        total = 0.0
+        lattices.setdefault(width, []).append((i, ka, kb))
         norm = 0.0
         for k in range(ka, kb):
-            total += float(np.dot(vec[: vec.size - k], vec[k:]))
             norm += width * (t_total - k * width)
-        counts[i] = total
         denom[i] = rate * rate * norm
         windows[i] = (ka * width, kb * width)
+    for width, bins in lattices.items():
+        bounds = sorted({k for _, ka, kb in bins for k in (ka, kb)})
+        sums = dict(zip(bounds, _lattice_sums(times, width, bounds)))
+        for i, ka, kb in bins:
+            counts[i] = sums[kb] - sums[ka]
 
+    counts, windows, denom = counts[keep], windows[keep], denom[keep]
     g = counts / denom
     shot = np.maximum(np.sqrt(counts), 1.0) / denom
 
@@ -400,44 +408,203 @@ def estimate_g(
     return series
 
 
+def _exact_counts(times: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Pair counts of the exact stage of :func:`estimate_g` per bin of
+    ``edges``, with its inclusion rule.
+
+    Every source ``i`` meets its neighbours ``j = i + 1, i + 2, ...`` in
+    turn, all sources of a block at once, and leaves the block's active
+    set once ``t_j - t_i`` reaches the last edge, since later neighbours
+    are only farther away. A delay ``d`` is binned without a search: a
+    table over the exponent and the top mantissa bits of ``d`` gives the
+    number of edges below its cell, and one comparison per edge inside
+    the cell corrects it. The two window bounds are tested on the
+    arrival times only for delays within a few ulps of the outer edges,
+    the only place where they can disagree with the binned delay.
+    """
+    nb = edges.size - 1
+    n = times.size
+    # Codes: the number of edges at or below the delay, so 1..nb are the
+    # bins, 0 lies below the grid and `above` past it; `check` marks the
+    # cells next to the outer edges.
+    above, check = nb + 1, nb + 2
+    shift = 52 - _TABLE_BITS
+    lo_e, hi_e = float(edges[0]), float(edges[-1])
+
+    # One cell per key, the bits of the delay above the top mantissa bits;
+    # keys grow with the delay, which is at most the record's span.
+    top = (np.array(times[-1] - times[0]).view(np.int64) >> shift) + 1
+    lower = (np.arange(top, dtype=np.int64) << shift).view(np.float64)
+    table = np.searchsorted(edges, lower, side="right")
+    slack = 2.0 * (np.spacing(times[-1] + hi_e) + np.spacing(hi_e))
+    for a, b in ((lo_e, lo_e + slack), (max(hi_e - slack, 0.0), hi_e)):
+        ka, kb = np.array([a, b]).view(np.int64) >> shift
+        table[ka : kb + 1] = check
+    # Edges strictly inside a cell, each worth one correcting comparison.
+    bits = edges.view(np.int64)
+    inside = bits >> shift
+    inside = inside[(inside < top) & (inside << shift != bits)]
+    inside = inside[table[inside] != check]
+    passes = int(np.bincount(inside).max()) if inside.size else 0
+    following = np.concatenate([edges, [np.inf, np.inf]])
+
+    counts = np.zeros(nb + 3, dtype=np.int64)
+    for start in range(0, n - 1, _BLOCK):
+        source = times[start : start + _BLOCK]
+        partner = np.arange(start, start + source.size)
+        while source.size:
+            partner += 1
+            if partner[-1] >= n:
+                live = int(np.searchsorted(partner, n))
+                source, partner = source[:live], partner[:live]
+                if not live:
+                    break
+            t_j = times[partner]
+            d = t_j - source
+            code = table[d.view(np.int64) >> shift]
+            for _ in range(passes):
+                code += d >= following[code]
+            hist = np.bincount(code, minlength=nb + 3)
+            counts += hist
+            if hist[check]:
+                pick = np.flatnonzero(code == check)
+                t_i, t_p = source[pick], t_j[pick]
+                held = (t_i + lo_e <= t_p) & (t_p < t_i + hi_e)
+                exact = np.searchsorted(edges, d[pick][held], side="right")
+                counts += np.bincount(exact, minlength=nb + 3)
+            if 4 * hist[above] >= source.size:
+                near = code != above
+                source, partner = source[near], partner[near]
+    return counts[1 : nb + 1].astype(np.float64)
+
+
+def _lattice_sums(times: np.ndarray, width: float, lags: list[int]) -> np.ndarray:
+    """Boundary sums of the lattice stage of :func:`estimate_g`.
+
+    With ``c[j]`` photons in cell ``j`` of the lattice of ``width`` and
+    ``S[x]`` photons in the cells below ``x``, returns for each lag ``k``
+    of ``lags`` (ascending, all positive) the sum over cells of
+    ``c[j] * S[j + k]`` less a term that does not depend on ``k``, so the
+    difference of two entries ``ka < kb`` counts the pairs whose cells lie
+    ``ka`` to ``kb - 1`` steps apart. The lattice is kept as counts and
+    worked through in blocks of cells, each with its own running sum, so
+    every partial sum is an integer-valued float64 no larger than the
+    photon count times the photons of one block and its reach; below
+    2**53 the sums are exact in any order.
+    """
+    inv = 1.0 / width
+    m = int(times[-1] * inv) + 1
+    cells = np.zeros(m, dtype=np.min_scalar_type(times.size))
+    for start in range(0, times.size, _BLOCK):
+        index = (times[start : start + _BLOCK] * inv).astype(np.int64)
+        first = np.flatnonzero(np.diff(index, prepend=-1))
+        cells[index[first]] += np.diff(first, append=index.size).astype(cells.dtype)
+
+    reach = lags[-1] - 1
+    sums = np.zeros(len(lags))
+    running = np.empty(_BLOCK + reach)
+    for a in range(0, m, _BLOCK):
+        b = min(a + _BLOCK, m)
+        weights = cells[a:b].astype(np.float64)
+        # running[x] = photons in cells a .. a + x, held at the record's
+        # end, so S[j + k] - S[a] = running[j - a + k - 1].
+        filled = min(b + reach, m) - a
+        np.cumsum(cells[a : a + filled], dtype=np.float64, out=running[:filled])
+        running[filled : b - a + reach] = running[filled - 1]
+        for slot, k in enumerate(lags):
+            sums[slot] += np.dot(weights, running[k - 1 : k - 1 + b - a])
+    return sums
+
+
 def write_trajectory(trajectory: Trajectory, path: str) -> None:
-    """Write arrival times as text, one per line, after a short header."""
-    lines = [f"# duration = {format_float(trajectory.duration)}"]
+    """Write arrival times as text, one per line, after a short header.
+
+    Each time is written with 17 significant digits, so it reads back bit
+    for bit. The text goes to the file block by block and is never held
+    whole in memory.
+    """
+    header = f"# duration = {format_float(trajectory.duration)}\n"
     if trajectory.seed is not None:
-        lines.append(f"# seed = {trajectory.seed}")
-    lines.extend(format_float(t) for t in trajectory.times)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        header += f"# seed = {trajectory.seed}\n"
+    times = trajectory.times
+    with _atomic_open(path) as handle:
+        handle.write(header)
+        for start in range(0, times.size, _BLOCK):
+            block = times[start : start + _BLOCK].tolist()
+            # The same digits as format_float, one line per value.
+            handle.write(("%.17g\n" * len(block)) % tuple(block))
 
 
 def read_trajectory(path: str) -> Trajectory:
     """Read a trajectory written by :func:`write_trajectory`.
 
-    The period record is not serialized, so it comes back as ``None``.
+    Blank lines are skipped, and ``# key = value`` lines may stand
+    anywhere; of them only ``duration``, which is required, and ``seed``
+    are read. A line that is not a number raises :class:`ValueError`
+    naming ``path:lineno``. The period record is not serialized, so it
+    comes back as ``None``.
     """
-    duration = None
-    seed = None
-    values: list[float] = []
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, text = body.partition("=")
-                    key = key.strip()
-                    if key == "duration":
-                        duration = float(text.strip())
-                    elif key == "seed":
-                        seed = int(text.strip())
-                continue
+    header: dict[str, float | int] = {}
+    with open(path, "rb") as handle:
+        # A first pass counts the lines, so the times fill one array and
+        # are never held a second time as blocks.
+        blocks = iter(lambda: handle.read(_READ_BYTES), b"")
+        times = np.empty(sum(data.count(b"\n") for data in blocks) + 1)
+        handle.seek(0)
+        filled = lineno = 0
+        tail = b""
+        while True:
+            data = handle.read(_READ_BYTES)
+            text = tail + data
+            if data:
+                cut = text.rfind(b"\n") + 1
+                text, tail = text[:cut], text[cut:]
+                lines = text.split(b"\n")[:-1]
+            else:
+                lines = [text] if text else []
             try:
-                values.append(float(line))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad arrival time") from exc
-    if duration is None:
+                block = np.array(lines, dtype=np.float64)
+            except ValueError:
+                # Only a block with a header, a blank or a bad line gets here.
+                block = _parse_lines(lines, lineno, path, header)
+            times[filled : filled + block.size] = block
+            filled += block.size
+            lineno += len(lines)
+            if not data:
+                break
+    if "duration" not in header:
         raise ValueError(f"{path}: missing '# duration = ...' header")
     return Trajectory(
-        times=np.array(values), duration=duration, seed=seed, periods=None
+        times=times[:filled],
+        duration=header["duration"],
+        seed=header.get("seed"),
+        periods=None,
     )
+
+
+def _parse_lines(
+    lines: list[bytes], skipped: int, path: str, header: dict[str, float | int]
+) -> np.ndarray:
+    """Arrival times of trajectory lines that follow the first ``skipped``
+    lines of the file, one line at a time; ``duration`` and ``seed`` lines
+    go to ``header``."""
+    parsed: list[float] = []
+    for lineno, raw in enumerate(lines, start=skipped + 1):
+        line = raw.decode().strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" in body:
+                key, _, text = body.partition("=")
+                key = key.strip()
+                if key == "duration":
+                    header["duration"] = float(text.strip())
+                elif key == "seed":
+                    header["seed"] = int(text.strip())
+            continue
+        try:
+            parsed.append(float(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad arrival time") from exc
+    return np.array(parsed)

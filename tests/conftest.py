@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from blinkcorr import PhotoPhysicalParams, statistics_from_params
+
+# Property tests draw the same examples on every run, with no replay of
+# examples saved by earlier runs, so a slow or loaded machine can neither
+# fail them on a deadline nor draw a new failure.
+settings.register_profile(
+    "blinkcorr", derandomize=True, database=None, max_examples=60, deadline=None
+)
+settings.load_profile("blinkcorr")
 
 # One status line per acceptance criterion, filled by test_acceptance.py
 # and echoed after the run so the verdicts survive output capturing.

@@ -1,8 +1,14 @@
 import math
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from blinkcorr import simulate
 from blinkcorr import (
     PhotoPhysicalParams,
     Trajectory,
@@ -249,6 +255,152 @@ def test_estimate_g_drops_long_bins():
     assert series.tau[-1] <= 0.2
 
 
+def test_estimate_g_merges_bins_finer_than_the_lattice(monkeypatch):
+    # At 100 bins per decade the bins of [1e-2, 1e-1) are narrower than
+    # that decade's lattice step of 5e-4 s; those holding no lattice step
+    # used to share their window with the next bin and end in an opaque
+    # "tau must be positive and strictly increasing".
+    monkeypatch.setattr(simulate, "_PAIR_BUDGET", 1e6)
+    traj = poisson_trajectory(2e4, 2.0, 12)
+    edges = log_edges(1e-9, 1e-1, 100)
+    series, windows = estimate_g(traj, edges, with_windows=True)
+    assert series.tau.size < edges.size - 1
+    assert np.all(windows[:, 1] > windows[:, 0])
+    assert np.all(windows[1:, 0] >= windows[:-1, 1])
+    steps = windows[series.tau > 1e-2] / 5e-4
+    assert np.allclose(steps, np.round(steps), rtol=0.0, atol=1e-6)
+    z = (series.g - 1.0) / series.sigma
+    assert np.max(np.abs(z[series.tau > 1e-3])) < 5.0
+
+
+def test_estimate_g_lags_past_the_last_photon(monkeypatch):
+    # The emitter goes dark for good after 20 ms of a 1 s record, so most
+    # lattice lags reach past its last photon; they count no pairs. Such
+    # lags used to end in numpy's "shapes (40,) and (0,) not aligned".
+    monkeypatch.setattr(simulate, "_PAIR_BUDGET", 0.0)
+    traj = Trajectory(times=np.linspace(0.0, 0.02, 400), duration=1.0)
+    series = estimate_g(traj, log_edges(1e-3, 1e-1, 10))
+    assert series.tau.size == 20
+    assert np.all(series.g[series.tau > 0.03] == 0.0)
+    assert np.all(series.g[series.tau < 0.01] > 0.0)
+
+
+_DYADIC = 2.0**-20
+
+
+@st.composite
+def photon_records(draw):
+    """Sorted times in [0, 1 s] with repeated times, bursts and times on
+    a dyadic grid, whose differences hit power-of-two edges exactly."""
+    base = draw(
+        st.lists(
+            st.one_of(
+                st.floats(0.0, 1.0),
+                st.integers(0, 2**20).map(lambda k: k * _DYADIC),
+            ),
+            min_size=2,
+            max_size=80,
+        )
+    )
+    bursts = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(base),
+                st.integers(1, 8),
+                st.sampled_from([0.0, _DYADIC, 2.0**-14, 7e-6]),
+            ),
+            max_size=5,
+        )
+    )
+    times = list(base)
+    for start, count, step in bursts:
+        times += [min(start + j * step, 1.0) for j in range(1, count + 1)]
+    return Trajectory(times=np.sort(times), duration=1.0)
+
+
+@st.composite
+def delay_edges(draw, smallest):
+    """Bin edges between ``smallest`` and 0.1 s: powers of two, a log
+    grid, or arbitrary increasing values."""
+    kind = draw(st.sampled_from(["dyadic", "log", "free"]))
+    low = math.ceil(math.log2(smallest))
+    if kind == "dyadic":
+        a = draw(st.integers(low, -5))
+        b = draw(st.integers(a + 1, -4))
+        return 2.0 ** np.arange(a, b + 1)
+    if kind == "log":
+        lo = draw(st.floats(smallest, 1e-2))
+        hi = draw(st.floats(lo * 1.01, 0.1))
+        return log_edges(lo, hi, draw(st.integers(1, 120)))
+    values = draw(st.lists(st.floats(smallest, 0.1), min_size=2, max_size=30, unique=True))
+    return np.array(sorted(values))
+
+
+def brute_force_pairs(times, edges):
+    """Pair counts per bin by the exact stage's rule, over all n^2 pairs."""
+    t_i, t_j = times[:, None], times[None, :]
+    held = (t_i + edges[0] <= t_j) & (t_j < t_i + edges[-1])
+    which = np.searchsorted(edges, (t_j - t_i)[held], side="right") - 1
+    which = which[(which >= 0) & (which < edges.size - 1)]
+    return np.bincount(which, minlength=edges.size - 1)
+
+
+def lattice_reference(times, duration, edges):
+    """Quantized windows and pair counts by one np.dot per lattice lag."""
+    bins = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        width = 10.0 ** math.floor(math.log10(lo)) / 20.0
+        bins.append((width, math.ceil(lo / width - 1e-9), math.ceil(hi / width - 1e-9)))
+    windows, counts, norms = [], [], []
+    for i, (width, ka, kb) in enumerate(bins):
+        if kb <= ka:
+            if i + 1 < len(bins):
+                continue
+            kb = ka + 1
+        vec = np.bincount((times * (1.0 / width)).astype(np.int64)).astype(float)
+        counts.append(sum(float(np.dot(vec[: max(vec.size - k, 0)], vec[k:])) for k in range(ka, kb)))
+        norms.append(sum(width * (duration - k * width) for k in range(ka, kb)))
+        windows.append((ka * width, kb * width))
+    return np.array(windows), np.array(counts), np.array(norms)
+
+
+@given(traj=photon_records(), edges=delay_edges(smallest=1e-9))
+# t_j - t_i rounds below the last edge, while t_j reaches t_i + edges[-1]
+# rounded: the window excludes the pair although its delay is in range.
+@example(
+    traj=Trajectory(times=np.array([0.3 * 2.0**-56, 2.0**-4]), duration=1.0),
+    edges=2.0 ** np.arange(-6, -3),
+)
+# A delay equal to an edge between two others falls into the bin above.
+@example(
+    traj=Trajectory(times=np.array([0.0, log_edges(1e-3, 1e-2, 5)[2]]), duration=1.0),
+    edges=log_edges(1e-3, 1e-2, 5),
+)
+def test_estimate_g_exact_stage_counts_every_pair(traj, edges):
+    times, t_total = traj.times, traj.duration
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_PAIR_BUDGET", math.inf)
+        series, windows = estimate_g(traj, edges, with_windows=True)
+    rate = times.size / t_total
+    a, b = edges[:-1], edges[1:]
+    expected = brute_force_pairs(times, edges) / (rate * rate * (b - a) * (t_total - 0.5 * (a + b)))
+    assert np.array_equal(windows, np.column_stack([a, b]))
+    np.testing.assert_allclose(series.g, expected, rtol=1e-12, atol=0.0)
+
+
+@given(traj=photon_records(), edges=delay_edges(smallest=2.0**-12))
+def test_estimate_g_lattice_stage_matches_per_lag_dots(traj, edges):
+    times, t_total = traj.times, traj.duration
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_PAIR_BUDGET", 0.0)
+        mp.setattr(simulate, "_MAX_VECTOR", math.inf)
+        series, windows = estimate_g(traj, edges, with_windows=True)
+    rate = times.size / t_total
+    want_windows, counts, norms = lattice_reference(times, t_total, edges)
+    assert np.array_equal(windows, want_windows)
+    np.testing.assert_allclose(series.g, counts / (rate * rate * norms), rtol=1e-12, atol=0.0)
+
+
 def test_log_edges_matches_log_grid():
     assert np.array_equal(log_edges(1e-6, 1e-2, 7), log_grid(1e-6, 1e-2, 7))
 
@@ -268,11 +420,57 @@ def test_trajectory_file_round_trip(tmp_path, reference_stats):
     assert again.periods is None
 
 
-def test_read_trajectory_rejects_malformed(tmp_path):
+@given(
+    times=st.lists(st.floats(0.0, 50.0), max_size=300).map(sorted),
+    seed=st.none() | st.integers(0, 2**63 - 1),
+)
+def test_trajectory_file_round_trip_is_bit_exact(times, seed):
+    traj = Trajectory(times=np.array(times), duration=50.0, seed=seed)
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_BLOCK", 7)
+        mp.setattr(simulate, "_READ_BYTES", 64)
+        path = os.path.join(directory, "traj.txt")
+        write_trajectory(traj, path)
+        again = read_trajectory(path)
+    assert np.array_equal(again.times.view(np.int64), traj.times.view(np.int64))
+    assert (again.duration, again.seed) == (traj.duration, traj.seed)
+
+
+def test_read_trajectory_across_blocks(tmp_path, monkeypatch):
+    # Blocks of 16 bytes split lines, comments and blank lines anywhere.
+    monkeypatch.setattr(simulate, "_READ_BYTES", 16)
+    values = [k / 7.0 for k in range(40)]
+    lines = ["# written by hand", "# duration = 6.5"] + [repr(v) for v in values]
+    lines[10:10] = ["", "# seed = 17", "   "]
+    path = tmp_path / "traj.txt"
+    path.write_text("\n".join(lines))
+    traj = read_trajectory(str(path))
+    assert np.array_equal(traj.times, values)
+    assert (traj.duration, traj.seed) == (6.5, 17)
+
+
+def test_read_trajectory_header_only(tmp_path):
+    path = tmp_path / "traj.txt"
+    path.write_text("# duration = 2.5\n# seed = 4\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = read_trajectory(str(path))
+    assert len(traj) == 0
+    assert (traj.duration, traj.seed) == (2.5, 4)
+
+
+def test_read_trajectory_rejects_malformed(tmp_path, monkeypatch):
     path = tmp_path / "traj.txt"
     path.write_text("0.1\n0.2\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="missing '# duration = ...' header"):
         read_trajectory(str(path))
     path.write_text("# duration = 1.0\n0.1\nnope\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"traj\.txt:3: bad arrival time"):
+        read_trajectory(str(path))
+    # Two values on one line, in a later block than the first.
+    monkeypatch.setattr(simulate, "_READ_BYTES", 64)
+    lines = ["# duration = 1.0"] + [f"{k / 100:.17g}" for k in range(30)]
+    lines[25] = "0.5 0.6"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"traj\.txt:26: bad arrival time"):
         read_trajectory(str(path))
