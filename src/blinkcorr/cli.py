@@ -260,7 +260,8 @@ def _fit_report(
         for name, stage in stages.items():
             lines.append(
                 f"# stage {name}: cost = {stage.cost:.6g}, "
-                f"iterations = {stage.iterations}, points = {stage.n_points}"
+                f"iterations = {stage.iterations}, points = {stage.n_points}, "
+                f"stop = {stage.message}"
             )
         if diagnostics["bootstrap_resamples"] > 0:
             lines.append(
@@ -288,6 +289,7 @@ def _fit_report(
                 "cost": stage.cost,
                 "iterations": stage.iterations,
                 "converged": stage.converged,
+                "message": stage.message,
                 "n_points": stage.n_points,
             }
             for name, stage in stages.items()

@@ -19,7 +19,11 @@ runs three stages:
 residual bootstrap for uncertainties. The optimizer is a small damped
 least-squares routine with box bounds and forward-difference Jacobians;
 it is deliberately self-contained so its behaviour is fully pinned by the
-tests in this package.
+tests in this package. A coordinate that sits on its bound while the
+gradient pushes it outward takes no step (the active-set rule of
+bounded-variable least squares, Stark & Parker, Comput. Stat. 10, 129
+(1995)), so a background ratio that fits to zero stops there instead of
+crawling along its bound.
 """
 
 from __future__ import annotations
@@ -150,14 +154,18 @@ def least_squares(
     """Damped least squares with box bounds.
 
     ``residual`` maps a parameter vector to a residual vector; the cost
-    is its squared norm. Iterates solve the damped normal equations,
-    candidates are clipped into the bounds, the damping shrinks on
-    accepted steps and grows on rejected ones. Convergence requires both
-    the relative step and the relative cost change to drop below
-    ``rel_tol``; a state where no damping produces any improvement also
-    counts as converged (the iterate cannot be bettered in float
-    arithmetic). The covariance estimate is ``pinv(J^T J)`` scaled by the
-    reduced chi square.
+    is its squared norm. Each iteration pins every coordinate that sits on
+    its bound while the gradient points out of the box; pinned coordinates
+    take no step, and the damped normal equations are solved over the
+    free ones. Candidates are clipped into the bounds, the damping shrinks
+    on accepted steps and grows on rejected ones. Convergence requires
+    both the relative step and the relative cost change to drop below
+    ``rel_tol``; a state where no damping produces any improvement, or
+    where every coordinate is pinned, also counts as converged (the
+    iterate cannot be bettered in float arithmetic, or within the box).
+    ``message`` names the reason the loop stopped. The covariance estimate
+    is ``pinv(J^T J)`` over all coordinates, scaled by the reduced chi
+    square.
 
     Parameters are never evaluated outside the bounds; the finite
     difference step flips direction at the upper bound.
@@ -181,6 +189,7 @@ def least_squares(
     # coordinates (a relative step off zero underflows to a null step).
     scale = np.abs(x)
     scale[scale == 0.0] = 1.0
+    lo_list, hi_list = lo.tolist(), hi.tolist()
 
     def eval_residual(xv: np.ndarray) -> np.ndarray:
         r = np.asarray(residual(xv), dtype=float)
@@ -207,14 +216,33 @@ def least_squares(
 
     for iterations in range(1, max_iterations + 1):
         jac = jacobian(x, r)
-        jtj = jac.T @ jac
         grad = jac.T @ r
+        # A coordinate on its bound whose gradient points out of the box
+        # is pinned: it takes no step, and the others are solved without
+        # it. The test runs on Python floats, which for a handful of
+        # coordinates costs a fraction of the numpy calls it replaces.
+        pinned = [
+            (xj <= a and gj > 0.0) or (xj >= b and gj < 0.0)
+            for xj, gj, a, b in zip(x.tolist(), grad.tolist(), lo_list, hi_list)
+        ]
+        if not any(pinned):
+            free = slice(None)
+            jtj, rhs = jac.T @ jac, -grad
+        elif all(pinned):
+            converged = True
+            message = "every coordinate pinned at a bound"
+            break
+        else:
+            free = ~np.array(pinned)
+            jac_free = jac[:, free]
+            jtj, rhs = jac_free.T @ jac_free, -grad[free]
         diag = np.maximum(np.diag(jtj), 1e-300)
+        delta = np.zeros(npar)
 
         accepted = False
         while lam <= 1e12:
             try:
-                delta = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
+                delta[free] = np.linalg.solve(jtj + lam * np.diag(diag), rhs)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -264,6 +292,7 @@ class FitStage:
     cost: float
     iterations: int
     converged: bool
+    message: str
     n_points: int
 
 
@@ -463,6 +492,7 @@ def fit_slow(
         cost=best.cost,
         iterations=best.iterations,
         converged=best.converged,
+        message=best.message,
         n_points=len(sub),
     )
 
@@ -553,6 +583,7 @@ def fit_fast(
         cost=best.cost,
         iterations=best.iterations,
         converged=best.converged,
+        message=best.message,
         n_points=len(sub),
     )
 
@@ -640,6 +671,7 @@ def fit_isc(
         cost=best.cost,
         iterations=best.iterations,
         converged=best.converged,
+        message=best.message,
         n_points=len(sub),
     )
 

@@ -84,7 +84,7 @@ class Trajectory:
         if times.size:
             if not np.all(np.isfinite(times)):
                 raise ValueError("arrival times must be finite")
-            if np.any(np.diff(times) < 0.0):
+            if np.any(times[1:] < times[:-1]):
                 raise ValueError("arrival times must be sorted")
             if times[0] < 0.0 or times[-1] > duration:
                 raise ValueError("arrival times must lie within [0, duration]")
@@ -486,7 +486,8 @@ def _lattice_sums(times: np.ndarray, width: float, lags: list[int]) -> np.ndarra
     of ``lags`` (ascending, all positive) the sum over cells of
     ``c[j] * S[j + k]`` less a term that does not depend on ``k``, so the
     difference of two entries ``ka < kb`` counts the pairs whose cells lie
-    ``ka`` to ``kb - 1`` steps apart. The lattice is kept as counts and
+    ``ka`` to ``kb - 1`` steps apart. The lattice is kept as counts, one
+    byte per cell until a cell holds more than 255 photons, and
     worked through in blocks of cells, each with its own running sum, so
     every partial sum is an integer-valued float64 no larger than the
     photon count times the photons of one block and its reach; below
@@ -494,11 +495,15 @@ def _lattice_sums(times: np.ndarray, width: float, lags: list[int]) -> np.ndarra
     """
     inv = 1.0 / width
     m = int(times[-1] * inv) + 1
-    cells = np.zeros(m, dtype=np.min_scalar_type(times.size))
+    cells = np.zeros(m, dtype=np.uint8)
     for start in range(0, times.size, _BLOCK):
         index = (times[start : start + _BLOCK] * inv).astype(np.int64)
         first = np.flatnonzero(np.diff(index, prepend=-1))
-        cells[index[first]] += np.diff(first, append=index.size).astype(cells.dtype)
+        occupied = index[first]
+        total = cells[occupied] + np.diff(first, append=index.size)
+        if total.max() > np.iinfo(cells.dtype).max:
+            cells = cells.astype(np.min_scalar_type(times.size))
+        cells[occupied] = total
 
     reach = lags[-1] - 1
     sums = np.zeros(len(lags))

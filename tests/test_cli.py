@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -254,6 +257,19 @@ def test_fit_full_report(tmp_path, params_file, reference_params):
     assert doc["values"]["A31"] == pytest.approx(reference_params.A31, rel=1e-4)
     assert doc["values"]["T_L"] == pytest.approx(8.107e-3, rel=1e-3)
     assert doc["stages"]["slow"]["converged"] is True
+    # Each stage states why its optimizer stopped, in both reports.
+    for name, stage in doc["stages"].items():
+        assert stage["message"] in (
+            "step and cost change below tolerance",
+            "no damping produced further improvement",
+            "every coordinate pinned at a bound",
+        )
+        line = (
+            f"# stage {name}: cost = {stage['cost']:.6g}, "
+            f"iterations = {stage['iterations']}, points = {stage['n_points']}, "
+            f"stop = {stage['message']}\n"
+        )
+        assert line in text
 
     curve = read_series(curve_out)
     assert curve.tau[0] == pytest.approx(1e-10, rel=1e-9)
@@ -262,6 +278,21 @@ def test_fit_full_report(tmp_path, params_file, reference_params):
     doc = read_manifest(out)
     assert set(doc["inputs"]) == {data, str(cfg)}
     assert set(doc["outputs"]) == {out, json_out, curve_out}
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about 0.25 s and 15 MB at import; the package
+    # and its command line must not pull it in.
+    src = os.path.dirname(os.path.dirname(blinkcorr.__file__))
+    code = (
+        "import sys, blinkcorr, blinkcorr.cli; "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_fit_report_counts_bootstrap_failures(tmp_path, params_file):
@@ -295,8 +326,6 @@ def test_fit_partial_slow_only(tmp_path, params_file, capsys):
     assert "fast stage: skipped" in text
     assert "T_L = " in text and "A31" not in text
     assert "skipping --curve-out" in captured.err
-    import os
-
     assert not os.path.exists(curve_out)
 
 

@@ -1,7 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import lsq_linear
 
 from blinkcorr import (
     CorrelationSeries,
@@ -126,6 +131,66 @@ def test_least_squares_respects_bounds():
     )
     assert res.x[0] == pytest.approx(1.0, abs=1e-12)
     assert all(0.0 <= x[0] <= 1.0 for x in seen)
+
+
+def test_least_squares_pins_coordinate_on_its_bound():
+    # The unbounded optimum has x0 < 0. Once x0 sits on its zero bound
+    # with the gradient pushing it outward, x1 must be solved as the
+    # one-column problem; steps solved for both columns and then clipped
+    # drift towards 0.0053 without meeting the tolerance.
+    a = np.array([[1.0, 0.99], [0.99, 1.0], [0.3, -0.1]])
+    b = np.array([-1.0, 1.0, 0.0])
+    res = least_squares(
+        lambda x: a @ x - b,
+        np.array([0.5, 0.5]),
+        bounds=(np.array([0.0, -10.0]), np.array([10.0, 10.0])),
+    )
+    column = a[:, 1] @ b / (a[:, 1] @ a[:, 1])
+    assert res.converged
+    assert res.iterations <= 10
+    assert res.x[0] == 0.0
+    assert abs(res.x[1] - column) < 1e-10
+
+
+def test_least_squares_stops_when_every_coordinate_is_pinned():
+    res = least_squares(
+        lambda x: x - 2.0,
+        np.array([1.0, 1.0]),
+        bounds=(np.zeros(2), np.ones(2)),
+    )
+    assert res.converged
+    assert res.message == "every coordinate pinned at a bound"
+    assert res.iterations == 1
+    assert np.all(res.x == 1.0)
+
+
+# Box corners and starts on a grid of eighths, so a start is exactly zero
+# or at least 1/64 from it. A start within about 1e-10 of zero is a fault
+# of its own: its finite-difference step is lost against the residual.
+@st.composite
+def bounded_linear_problems(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(n, 8))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    a = draw(arrays(float, (m, n), elements=unit))
+    # A unique optimum to compare at 1e-6: no near-null direction.
+    assume(np.linalg.svd(a, compute_uv=False)[-1] > 0.05)
+    b = 2.0 * draw(arrays(float, m, elements=unit))
+    lo = np.array(draw(st.lists(st.integers(-16, 8), min_size=n, max_size=n))) / 8.0
+    width = np.array(draw(st.lists(st.integers(1, 24), min_size=n, max_size=n))) / 8.0
+    frac = np.array(draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))) / 8.0
+    return a, b, lo, lo + width, lo + frac * width
+
+
+@given(bounded_linear_problems())
+def test_least_squares_matches_bvls(problem):
+    # Only the point is compared: on about 1 in 600 of these problems the
+    # iterate reaches the optimum but keeps moving by the finite-difference
+    # noise, above the 1e-10 step test, until the iteration cap.
+    a, b, lo, hi, x0 = problem
+    res = least_squares(lambda x: a @ x - b, x0, bounds=(lo, hi))
+    expected = lsq_linear(a, b, bounds=(lo, hi), method="bvls").x
+    assert np.max(np.abs(res.x - expected)) < 1e-6
 
 
 def test_least_squares_validation():
@@ -387,3 +452,20 @@ def test_reported_sigmas_non_negative():
     res = fit_full(data, FitConfig(bootstrap_resamples=0))
     assert all(v >= 0.0 for v in res.sigma.values())
     assert set(RESULT_KEYS) <= set(res.sigma)
+
+
+def test_zero_background_fits_converge(reference_params):
+    # With no background the fast stage's ratio fits to its zero bound or
+    # just inside it; either way every fit must converge quickly.
+    params = replace(reference_params, I_sc=0.0)
+    at_bound = 0
+    for seed in range(30):
+        result = fit_full(
+            noisy_series(params, 0.01, seed), FitConfig(bootstrap_resamples=0)
+        )
+        fast = result.stages["fast"]
+        assert fast.converged
+        assert fast.iterations <= 30
+        assert 0.0 <= fast.values["ratio"] < 1e-4
+        at_bound += fast.values["ratio"] == 0.0
+    assert at_bound >= 10

@@ -401,6 +401,21 @@ def test_estimate_g_lattice_stage_matches_per_lag_dots(traj, edges):
     np.testing.assert_allclose(series.g, counts / (rate * rate * norms), rtol=1e-12, atol=0.0)
 
 
+def test_estimate_g_lattice_counts_outgrow_one_byte(monkeypatch):
+    # 300 photons share one lattice cell, more than a one-byte count
+    # holds, and blocks of 7 times split that cell over many blocks.
+    monkeypatch.setattr(simulate, "_PAIR_BUDGET", 0.0)
+    monkeypatch.setattr(simulate, "_MAX_VECTOR", math.inf)
+    monkeypatch.setattr(simulate, "_BLOCK", 7)
+    times = np.sort(np.concatenate([np.full(300, 0.25), np.linspace(0.0, 1.0, 50)]))
+    edges = log_edges(1e-3, 1e-1, 5)
+    series, windows = estimate_g(Trajectory(times=times, duration=1.0), edges, with_windows=True)
+    rate = times.size / 1.0
+    want_windows, counts, norms = lattice_reference(times, 1.0, edges)
+    assert np.array_equal(windows, want_windows)
+    np.testing.assert_allclose(series.g, counts / (rate * rate * norms), rtol=1e-12, atol=0.0)
+
+
 def test_log_edges_matches_log_grid():
     assert np.array_equal(log_edges(1e-6, 1e-2, 7), log_grid(1e-6, 1e-2, 7))
 
