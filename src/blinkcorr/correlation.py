@@ -23,7 +23,9 @@ from .markov import _DEGENERATE_GAP, build_rate_matrix, propagator, three_state_
 from .params import (
     PeriodStatistics,
     PhotoPhysicalParams,
+    _relaxation,
     light_intensity,
+    period_statistics,
     statistics_from_params,
 )
 
@@ -64,7 +66,11 @@ def g2(tau, A31: float, Omega31: float) -> np.ndarray:
         raise ValueError("A31 must be positive")
     if W < 0.0:
         raise ValueError("Omega31 must be non-negative")
+    return _g2(tau, A, W)
 
+
+def _g2(tau: np.ndarray, A: float, W: float) -> np.ndarray:
+    """:func:`g2` on checked delays and rates (``A > 0``, ``W >= 0``)."""
     r = 0.75 * A
     disc = 16.0 * W * W - A * A
     scale = 16.0 * W * W + A * A
@@ -110,9 +116,9 @@ def g2_mod(tau, A31: float, Omega31: float, I_sc: float) -> np.ndarray:
     return (base + ratio) / (1.0 + ratio)
 
 
-def _is_degenerate(stats: PeriodStatistics) -> bool:
+def _is_degenerate(mu1: float, mu2: float) -> bool:
     # The two-exponential closed forms divide by the eigenvalue splitting.
-    return stats.mu1 - stats.mu2 <= _DEGENERATE_GAP * abs(stats.mu2)
+    return mu1 - mu2 <= _DEGENERATE_GAP * abs(mu2)
 
 
 def _three_state_pll_expm(tau: np.ndarray, stats: PeriodStatistics) -> np.ndarray:
@@ -131,7 +137,7 @@ def p_ll(tau, stats: PeriodStatistics) -> np.ndarray:
     closed two-exponential form.
     """
     tau = _as_delay_array(tau)
-    if _is_degenerate(stats):
+    if _is_degenerate(stats.mu1, stats.mu2):
         return _three_state_pll_expm(tau, stats)
 
     ld1, ld2 = stats.p_LD
@@ -154,14 +160,20 @@ def blink_factor(tau, stats: PeriodStatistics) -> np.ndarray:
     delay. Written directly in the switching rates so that molecules
     which never blink (infinite ``T_L``) evaluate to exactly one.
     """
-    tau = _as_delay_array(tau)
-    if _is_degenerate(stats):
-        return _three_state_pll_expm(tau, stats) / stats.P_L
+    return _blink_factor(_as_delay_array(tau), *stats.p_LD, *stats.p_DL)
 
-    ld1, ld2 = stats.p_LD
-    dl1, dl2 = stats.p_DL
-    mu1, mu2 = stats.mu1, stats.mu2
-    gamma = stats.Gamma
+
+def _blink_factor(
+    tau: np.ndarray, ld1: float, ld2: float, dl1: float, dl2: float
+) -> np.ndarray:
+    """:func:`blink_factor` on checked delays, straight from the four
+    switching rates (finite, ``ld_i >= 0``, ``dl_i > 0``)."""
+    mu1, mu2, p_l = _relaxation(ld1, ld2, dl1, dl2)
+    if _is_degenerate(mu1, mu2):
+        stats = period_statistics((ld1, ld2), (dl1, dl2))
+        return _three_state_pll_expm(tau, stats) / p_l
+
+    gamma = 0.5 * (mu1 - mu2)
     sigma_l = ld1 + ld2
     alpha = ld1 / dl1 + ld2 / dl2
     beta = (

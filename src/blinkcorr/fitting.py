@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .correlation import CorrelationSeries, blink_factor, g2, g_total
+from .correlation import CorrelationSeries, _blink_factor, _g2, blink_factor, g_total
 from .errors import (
     DegenerateFitError,
     FitConvergenceError,
@@ -42,6 +42,7 @@ from .errors import (
 from .params import (
     PeriodStatistics,
     PhotoPhysicalParams,
+    _switching_rates,
     light_intensity,
     period_statistics,
     rates_from_statistics,
@@ -168,7 +169,8 @@ def least_squares(
     square.
 
     Parameters are never evaluated outside the bounds; the finite
-    difference step flips direction at the upper bound.
+    difference step flips direction at the upper bound, and a null column
+    from a step below unit scale is taken again at unit scale.
     """
     x = np.asarray(x0, dtype=float).copy()
     npar = x.size
@@ -189,7 +191,7 @@ def least_squares(
     # coordinates (a relative step off zero underflows to a null step).
     scale = np.abs(x)
     scale[scale == 0.0] = 1.0
-    lo_list, hi_list = lo.tolist(), hi.tolist()
+    lo_list, hi_list, scale_list = lo.tolist(), hi.tolist(), scale.tolist()
 
     def eval_residual(xv: np.ndarray) -> np.ndarray:
         r = np.asarray(residual(xv), dtype=float)
@@ -199,12 +201,22 @@ def least_squares(
 
     def jacobian(xv: np.ndarray, rv: np.ndarray) -> np.ndarray:
         jac = np.empty((rv.size, npar))
-        for j in range(npar):
-            h = 1e-6 * max(abs(xv[j]), scale[j])
-            step = h if xv[j] + h <= hi[j] else -h
+        x_list = xv.tolist()
+
+        def column(j: int, h: float) -> None:
+            step = h if x_list[j] + h <= hi_list[j] else -h
             xp = xv.copy()
             xp[j] += step
             jac[:, j] = (eval_residual(xp) - rv) / step
+
+        for j, (xj, sj) in enumerate(zip(x_list, scale_list)):
+            size = max(abs(xj), sj)
+            column(j, 1e-6 * size)
+            # From a start within about 1e-10 of zero the step is lost against
+            # the residual. A null column at unit scale or above is flat: a
+            # smaller retry there would only sample rounding noise.
+            if size < 1.0 and not np.count_nonzero(jac[:, j]):
+                column(j, 1e-6)
         return jac
 
     r = eval_residual(x)
@@ -242,7 +254,9 @@ def least_squares(
         accepted = False
         while lam <= 1e12:
             try:
-                delta[free] = np.linalg.solve(jtj + lam * np.diag(diag), rhs)
+                damped = jtj.copy()
+                damped.flat[:: rhs.size + 1] += lam * diag
+                delta[free] = np.linalg.solve(damped, rhs)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -386,10 +400,14 @@ def _patch_starts(starts, positions: dict[str, int], guess: dict[str, float], lo
     return patched
 
 
+def _slow_rates(theta: np.ndarray) -> tuple[tuple[float, float], tuple[float, float]]:
+    # Stage coordinates inside their box always map to valid rates.
+    log_tl, log_td1, log_td2, p1 = theta.tolist()[:4]
+    return _switching_rates(10.0 ** log_tl, 10.0 ** log_td1, 10.0 ** log_td2, p1)
+
+
 def _slow_stats(theta: np.ndarray) -> PeriodStatistics:
-    t_l = 10.0 ** theta[0]
-    t_d = (10.0 ** theta[1], 10.0 ** theta[2])
-    return period_statistics(*rates_from_statistics(t_l, t_d, theta[3]))
+    return period_statistics(*_slow_rates(theta))
 
 
 def fit_slow(
@@ -414,7 +432,8 @@ def fit_slow(
 
     def residual(theta: np.ndarray) -> np.ndarray:
         amp = theta[4] if free_amp else 1.0
-        return w * (amp * blink_factor(tau, _slow_stats(theta)) - y)
+        (ld1, ld2), (dl1, dl2) = _slow_rates(theta)
+        return w * (amp * _blink_factor(tau, ld1, ld2, dl1, dl2) - y)
 
     boxes = [
         _box(cfg, "T_L", -8.0, 5.0, log=True),
@@ -525,14 +544,10 @@ def fit_fast(
     else:
         envelope = plateau * slow_stats.P_L * blink_factor(tau, slow_stats)
 
-    def model(theta: np.ndarray) -> np.ndarray:
-        a = 10.0 ** theta[0]
-        omega = 10.0 ** theta[1]
-        ratio = theta[2]
-        return envelope * (g2(tau, a, omega) + ratio) / (1.0 + ratio)
-
     def residual(theta: np.ndarray) -> np.ndarray:
-        return w * (model(theta) - y)
+        log_a, log_omega, ratio = theta.tolist()
+        model = _g2(tau, 10.0 ** log_a, 10.0 ** log_omega)
+        return w * (envelope * (model + ratio) / (1.0 + ratio) - y)
 
     boxes = [
         _box(cfg, "A31", 2.0, 14.0, log=True),
@@ -614,13 +629,11 @@ def fit_isc(
     w = _weights(sub)
     sat = saturation_factor(A31, Omega31)
 
-    def stats_of(theta: np.ndarray) -> PeriodStatistics:
-        p_ld = (theta[0] * sat, theta[1] * sat)
-        p_dl = (10.0 ** theta[2], 10.0 ** theta[3])
-        return period_statistics(p_ld, p_dl)
-
     def residual(theta: np.ndarray) -> np.ndarray:
-        return w * (amplitude * blink_factor(tau, stats_of(theta)) - y)
+        a32_1, a32_2, log_a21_1, log_a21_2 = theta.tolist()
+        ld1, ld2 = a32_1 * sat, a32_2 * sat
+        factor = _blink_factor(tau, ld1, ld2, 10.0 ** log_a21_1, 10.0 ** log_a21_2)
+        return w * (amplitude * factor - y)
 
     x0 = np.array(
         [

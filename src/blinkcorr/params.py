@@ -227,6 +227,24 @@ class PeriodStatistics:
     Gamma: float
 
 
+def _relaxation(
+    ld1: float, ld2: float, dl1: float, dl2: float
+) -> tuple[float, float, float]:
+    """``(mu1, mu2, P_L)`` of four switching rates, unchecked: the caller
+    guarantees finite rates, ``ld_i >= 0`` and ``dl_i > 0``."""
+    # Characteristic polynomial of the reduced two-by-two block:
+    # mu^2 + s*mu + q with both roots real and non-positive. The smaller
+    # root comes from the stable quadratic branch, the other from the
+    # product, which avoids cancellation when the roots are far apart.
+    s = dl1 + ld1 + ld2 + dl2
+    d = dl1 + ld1 - ld2 - dl2
+    disc = d * d + 4.0 * ld1 * ld2
+    root = math.sqrt(disc)
+    q = ld1 * dl2 + dl1 * ld2 + dl1 * dl2
+    mu2 = -0.5 * (s + root)
+    return q / mu2, mu2, dl1 * dl2 / q
+
+
 def period_statistics(
     p_LD: tuple[float, float], p_DL: tuple[float, float]
 ) -> PeriodStatistics:
@@ -251,19 +269,7 @@ def period_statistics(
         p1 = 0.0
         p2 = 0.0
 
-    # Characteristic polynomial of the reduced two-by-two block:
-    # mu^2 + s*mu + q with both roots real and non-positive. The smaller
-    # root comes from the stable quadratic branch, the other from the
-    # product, which avoids cancellation when the roots are far apart.
-    s = dl1 + ld1 + ld2 + dl2
-    d = dl1 + ld1 - ld2 - dl2
-    disc = d * d + 4.0 * ld1 * ld2
-    root = math.sqrt(disc)
-    q = ld1 * dl2 + dl1 * ld2 + dl1 * dl2
-    mu2 = -0.5 * (s + root)
-    mu1 = q / mu2
-
-    p_l = dl1 * dl2 / q
+    mu1, mu2, p_l = _relaxation(ld1, ld2, dl1, dl2)
 
     return PeriodStatistics(
         p_LD=(ld1, ld2),
@@ -300,6 +306,13 @@ def rates_from_statistics(
         raise ValueError("mean period durations must be positive")
     if not 0.0 <= p1 <= 1.0:
         raise ValueError("p1 must lie in [0, 1]")
+    return _switching_rates(T_L, td1, td2, p1)
+
+
+def _switching_rates(
+    T_L: float, td1: float, td2: float, p1: float
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """:func:`rates_from_statistics` without its checks."""
     sigma_l = 1.0 / T_L
     return (p1 * sigma_l, (1.0 - p1) * sigma_l), (1.0 / td1, 1.0 / td2)
 

@@ -1,7 +1,9 @@
 import math
 
+import hypothesis.strategies as hs
 import numpy as np
 import pytest
+from hypothesis import example, given
 
 from blinkcorr import (
     CorrelationSeries,
@@ -19,6 +21,7 @@ from blinkcorr import (
     statistics_from_params,
     write_series,
 )
+from blinkcorr.correlation import _blink_factor, _g2, _is_degenerate
 from blinkcorr.errors import DegenerateInputError
 
 # Frozen two-level correlation values from a direct high-accuracy
@@ -147,6 +150,65 @@ def test_blink_factor_proportional_to_survival(reference_stats):
     st = reference_stats
     expected = p_ll(tau, st) / st.P_L
     assert np.max(np.abs(blink_factor(tau, st) - expected)) < 1e-12
+
+
+# Log-uniform rates in 1/s; a zero light-to-dark rate removes a dark level.
+LOG_RATES = hs.floats(-3.0, 4.0).map(lambda e: 10.0**e)
+KERNEL_TAU = np.concatenate(([0.0], np.geomspace(1e-7, 10.0, 80)))
+
+
+@given(
+    ld=hs.tuples(LOG_RATES | hs.just(0.0), LOG_RATES | hs.just(0.0)),
+    dl=hs.tuples(LOG_RATES, LOG_RATES),
+)
+@example(ld=(1.0, 0.0), dl=(2.0, 3.0))  # mu1 == mu2: the expm route
+@example(ld=(0.0, 0.0), dl=(430.0, 2400.0))  # never dark: P_L == 1
+@example(ld=(34.0, 249.0), dl=(430.0, 2400.0))
+def test_blink_kernel_matches_public_route(ld, dl):
+    # The fit's residuals call the kernel on plain rates; the public route
+    # checks its inputs first and must give the same bits.
+    expected = blink_factor(KERNEL_TAU, period_statistics(ld, dl))
+    assert np.array_equal(_blink_factor(KERNEL_TAU, *ld, *dl), expected)
+
+
+def test_blink_kernel_examples_reach_both_special_cases():
+    degenerate = period_statistics((1.0, 0.0), (2.0, 3.0))
+    assert _is_degenerate(degenerate.mu1, degenerate.mu2)
+    assert period_statistics((0.0, 0.0), (430.0, 2400.0)).P_L == 1.0
+
+
+@given(
+    A=hs.floats(5.0, 10.0).map(lambda e: 10.0**e),
+    W=hs.floats(4.0, 11.0).map(lambda e: 10.0**e),
+)
+@example(A=3.3e8, W=2.9e8)  # under-damped: 16 W^2 > A^2
+@example(A=1e9, W=1e6)  # over-damped
+@example(A=4e8, W=1e8)  # critical: 16 W^2 == A^2
+def test_g2_kernel_matches_public_route(A, W):
+    tau = np.geomspace(1e-12, 1e-3, 120)
+    assert np.array_equal(_g2(tau, A, W), g2(tau, A, W))
+
+
+@pytest.mark.parametrize("bad", [-1e-9, math.nan, math.inf])
+def test_public_evaluators_reject_bad_delays(bad, reference_stats):
+    tau = np.array([0.0, 1e-6, bad])
+    with pytest.raises(ValueError, match="delays must be finite and non-negative"):
+        g2(tau, 3.3e8, 2.9e8)
+    with pytest.raises(ValueError, match="delays must be finite and non-negative"):
+        blink_factor(tau, reference_stats)
+
+
+def test_public_evaluators_reject_bad_rates():
+    with pytest.raises(ValueError, match="A31 must be positive"):
+        g2(1e-9, 0.0, 2.9e8)
+    with pytest.raises(ValueError, match="Omega31 must be non-negative"):
+        g2(1e-9, 3.3e8, -1.0)
+    with pytest.raises(ValueError, match="p_LD_1 must be finite"):
+        period_statistics((math.nan, 1.0), (1.0, 1.0))
+    with pytest.raises(ValueError, match="light-to-dark rates must be non-negative"):
+        period_statistics((-1.0, 1.0), (1.0, 1.0))
+    with pytest.raises(ValueError, match="dark-to-light rates must be positive"):
+        period_statistics((1.0, 1.0), (1.0, 0.0))
 
 
 def product_form(tau, p):

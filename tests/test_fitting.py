@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -162,6 +163,29 @@ def test_least_squares_stops_when_every_coordinate_is_pinned():
     assert res.message == "every coordinate pinned at a bound"
     assert res.iterations == 1
     assert np.all(res.x == 1.0)
+
+
+def test_least_squares_retries_null_column_near_zero():
+    # From 1e-12 the step sized from the start is lost against the
+    # residual, which once left a null column and "converged" at the start.
+    res = least_squares(
+        lambda x: np.array([x[0] - 1.0, x[0] - 1.0]),
+        np.array([1e-12]),
+        bounds=(np.array([-1.0]), np.array([2.0])),
+    )
+    assert res.converged
+    assert res.x[0] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_least_squares_leaves_flat_coordinate_alone():
+    # A column that stays null at unit scale is flat: no step moves it.
+    for flat in (2.5, 1e-12):
+        res = least_squares(
+            lambda x: np.array([x[0] - 1.0, x[0] + 1.0]), np.array([0.5, flat])
+        )
+        assert res.converged
+        assert res.x[1] == flat
+        assert res.x[0] == pytest.approx(0.0, abs=1e-9)
 
 
 # Box corners and starts on a grid of eighths, so a start is exactly zero
@@ -469,3 +493,45 @@ def test_zero_background_fits_converge(reference_params):
         assert 0.0 <= fast.values["ratio"] < 1e-4
         at_bound += fast.values["ratio"] == 0.0
     assert at_bound >= 10
+
+
+def test_fit_residuals_skip_public_checks(reference_params, monkeypatch):
+    # Inputs are checked once at the public boundary: the stages' residuals
+    # call the model's private kernels. When they went through the public
+    # evaluators, this fit made 603 period_statistics, 597 blink_factor,
+    # 177 g2 and 774 delay-check calls.
+    from blinkcorr import correlation, params
+
+    # Criterion 7's curve, noise seed 0, without the bootstrap.
+    clean = eval_curve(reference_params, np.geomspace(1e-10, 1.0, 300))
+    sigma = 0.01 * clean.g
+    rng = np.random.Generator(np.random.Philox(key=[0, 2]))
+    noisy = clean.g + sigma * rng.standard_normal(clean.g.size)
+    data = CorrelationSeries(clean.tau, noisy, sigma)
+
+    counts = {}
+    for owner, name in (
+        (params, "period_statistics"),
+        (correlation, "blink_factor"),
+        (correlation, "g2"),
+        (correlation, "_as_delay_array"),
+    ):
+        original = getattr(owner, name)
+        counts[name] = 0
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] != "blinkcorr":
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+
+    fit_full(data, FitConfig(bootstrap_resamples=0))
+    assert 0 < counts["period_statistics"] <= 10
+    assert 0 < counts["blink_factor"] <= 4
+    assert counts["g2"] <= 4
+    assert counts["_as_delay_array"] <= 4
