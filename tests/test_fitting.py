@@ -167,7 +167,8 @@ def test_least_squares_stops_when_every_coordinate_is_pinned():
 
 def test_least_squares_retries_null_column_near_zero():
     # From 1e-12 the step sized from the start is lost against the
-    # residual, which once left a null column and "converged" at the start.
+    # residual; without the unit-scale retry the column is null and the
+    # solver "converges" at its start.
     res = least_squares(
         lambda x: np.array([x[0] - 1.0, x[0] - 1.0]),
         np.array([1e-12]),
@@ -189,8 +190,8 @@ def test_least_squares_leaves_flat_coordinate_alone():
 
 
 # Box corners and starts on a grid of eighths, so a start is exactly zero
-# or at least 1/64 from it. A start within about 1e-10 of zero is a fault
-# of its own: its finite-difference step is lost against the residual.
+# or at least 1/64 from it. A start within about 1e-10 of zero has its
+# own test, test_least_squares_retries_null_column_near_zero.
 @st.composite
 def bounded_linear_problems(draw):
     n = draw(st.integers(1, 3))
