@@ -19,7 +19,7 @@ import numpy as np
 
 from .correlation import CorrelationSeries, log_grid
 from .errors import InsufficientDataError
-from .fileio import _atomic_open, format_float
+from .fileio import _atomic_open, _format_times, format_float
 from .params import PeriodStatistics, PhotoPhysicalParams
 
 __all__ = [
@@ -48,6 +48,8 @@ _BLOCK = 1 << 16
 _TABLE_BITS = 8
 # Bytes per block read from a trajectory file.
 _READ_BYTES = 1 << 22
+# Header keys a trajectory file sets, with the converters of their values.
+_HEADER_FIELDS = {"duration": float, "seed": int}
 
 
 def _stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -524,20 +526,18 @@ def _lattice_sums(times: np.ndarray, width: float, lags: list[int]) -> np.ndarra
 def write_trajectory(trajectory: Trajectory, path: str) -> None:
     """Write arrival times as text, one per line, after a short header.
 
-    Each time is written with 17 significant digits, so it reads back bit
-    for bit. The text goes to the file block by block and is never held
-    whole in memory.
+    Each time is written as ``'%.17g'`` gives it, so it reads back bit for
+    bit. The text goes to the file block by block and is never held whole
+    in memory.
     """
     header = f"# duration = {format_float(trajectory.duration)}\n"
     if trajectory.seed is not None:
         header += f"# seed = {trajectory.seed}\n"
     times = trajectory.times
     with _atomic_open(path) as handle:
-        handle.write(header)
+        handle.write(header.encode())
         for start in range(0, times.size, _BLOCK):
-            block = times[start : start + _BLOCK].tolist()
-            # The same digits as format_float, one line per value.
-            handle.write(("%.17g\n" * len(block)) % tuple(block))
+            handle.write(_format_times(times[start : start + _BLOCK]))
 
 
 def read_trajectory(path: str) -> Trajectory:
@@ -592,24 +592,22 @@ def _parse_lines(
 ) -> np.ndarray:
     """Arrival times of trajectory lines that follow the first ``skipped``
     lines of the file, one line at a time; ``duration`` and ``seed`` lines
-    go to ``header``."""
+    go to ``header``. A line that is not UTF-8 text, a bad header value or
+    a bad arrival time raises :class:`ValueError` naming ``path:lineno``."""
     parsed: list[float] = []
     for lineno, raw in enumerate(lines, start=skipped + 1):
-        line = raw.decode().strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, text = body.partition("=")
-                key = key.strip()
-                if key == "duration":
-                    header["duration"] = float(text.strip())
-                elif key == "seed":
-                    header["seed"] = int(text.strip())
-            continue
+        what = "text (not UTF-8)"
         try:
-            parsed.append(float(line))
+            line = raw.decode().strip()
+            if line.startswith("#"):
+                key, equals, text = line[1:].partition("=")
+                key = key.strip()
+                if equals and key in _HEADER_FIELDS:
+                    what = f"value for {key!r}"
+                    header[key] = _HEADER_FIELDS[key](text.strip())
+            elif line:
+                what = "arrival time"
+                parsed.append(float(line))
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad arrival time") from exc
+            raise ValueError(f"{path}:{lineno}: bad {what}") from exc
     return np.array(parsed)

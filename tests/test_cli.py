@@ -217,6 +217,41 @@ def test_simulate_with_estimate(tmp_path, slow_params_file, capsys):
     assert set(doc["outputs"]) == {out, g_out}
 
 
+def test_written_files_get_the_mode_open_gives(tmp_path, slow_params_file):
+    # New files get 0o666 less the umask, as with open(); mkstemp alone
+    # would leave them owner-only (0o600).
+    out = str(tmp_path / "traj.txt")
+    g_out = str(tmp_path / "est.csv")
+    args = ["simulate", "--params", slow_params_file, "--duration", "0.5",
+            "--seed", "3", "--out", out, "--g-out", g_out, "--grid", "1e-4:1e-1:4"]
+    written = [out, g_out, out + ".manifest.json", g_out + ".manifest.json"]
+    old = os.umask(0o022)
+    try:
+        assert main(args) == 0
+        assert [os.stat(path).st_mode & 0o777 for path in written] == [0o644] * 4
+        os.umask(0o077)
+        assert main(args) == 0
+        assert [os.stat(path).st_mode & 0o777 for path in written] == [0o644] * 4
+    finally:
+        os.umask(old)
+
+
+def test_replaced_files_keep_their_mode(tmp_path, slow_params_file):
+    out = str(tmp_path / "traj.txt")
+    args = ["simulate", "--params", slow_params_file, "--duration", "0.5",
+            "--seed", "3", "--out", out]
+    old = os.umask(0o022)
+    try:
+        assert main(args) == 0
+        os.chmod(out, 0o640)
+        os.chmod(out + ".manifest.json", 0o604)
+        assert main(args) == 0
+    finally:
+        os.umask(old)
+    assert os.stat(out).st_mode & 0o777 == 0o640
+    assert os.stat(out + ".manifest.json").st_mode & 0o777 == 0o604
+
+
 def test_estimate_g_from_file(tmp_path, slow_params_file):
     traj_path = str(tmp_path / "traj.txt")
     assert main(["simulate", "--params", slow_params_file, "--duration", "2",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from blinkcorr import simulate
+from blinkcorr import fileio, simulate
 from blinkcorr import (
     PhotoPhysicalParams,
     Trajectory,
@@ -451,6 +451,54 @@ def test_trajectory_file_round_trip_is_bit_exact(times, seed):
     assert (again.duration, again.seed) == (traj.duration, traj.seed)
 
 
+_LARGEST = float(np.finfo(float).max)
+_PINNED_TIMES = sorted(
+    [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 9.9999999999999995e-05, 0.5, 100.0, 1e-4]
+    # Exact ties at the 18th digit, kept by an even 17th and raised from an odd one.
+    + [1.0 + 2.0**-17, 1.0 + 3 * 2.0**-17]
+    # The largest double below 1e-14 prints as 1e-14: its 17 digits carry.
+    + [np.nextafter(1e-14, 0.0)]
+    + [float(2**53), _LARGEST]
+    + [v for e in range(-12, 18) for p in [10.0**e] for v in (np.nextafter(p, 0.0), p, np.nextafter(p, np.inf))]
+)
+
+
+@given(times=st.lists(st.floats(min_value=0.0, max_value=_LARGEST), max_size=100).map(sorted))
+@example(times=_PINNED_TIMES)
+def test_trajectory_file_is_percent_17g_text(times):
+    # Byte for byte what '%.17g' gives, not only text that reads back:
+    # zero, subnormals, powers of ten and their neighbours (the carry of
+    # 9.9999999999999995e-05 into 0.0001), stripped zeros, and the values
+    # left to the per-value route.
+    traj = Trajectory(times=np.array(times), duration=_LARGEST)
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_BLOCK", 7)
+        path = os.path.join(directory, "traj.txt")
+        write_trajectory(traj, path)
+        with open(path, "rb") as handle:
+            lines = handle.read().split(b"\n")
+    assert lines[0] == b"# duration = %.17g" % _LARGEST
+    assert lines[1:] == [b"%.17g" % t for t in times] + [b""]
+
+
+def test_write_trajectory_never_formats_ordinary_times_one_by_one(tmp_path, monkeypatch):
+    # A kernel fault that sent every block to the per-value route would
+    # keep the bytes and lose the speed; ordinary times must not get there.
+    def refuse(values):
+        raise AssertionError(f"per-value formatting of {values[:3]}")
+
+    monkeypatch.setattr(fileio, "_format_each", refuse)
+    rng = np.random.Generator(np.random.Philox(key=[8, 0]))
+    times = np.sort(rng.uniform(0.0, 100.0, 1 << 16))
+    # Nor do the neighbours of the powers of ten, where log10 can be one off.
+    near = [t for t in _PINNED_TIMES if 1e-10 <= t <= 1e15]
+    for values in (times, near):
+        path = tmp_path / "traj.txt"
+        write_trajectory(Trajectory(times=values, duration=1e15), str(path))
+        body = path.read_bytes().split(b"\n", 1)[1]
+        assert body == b"".join(b"%.17g\n" % t for t in np.asarray(values).tolist())
+
+
 def test_read_trajectory_across_blocks(tmp_path, monkeypatch):
     # Blocks of 16 bytes split lines, comments and blank lines anywhere.
     monkeypatch.setattr(simulate, "_READ_BYTES", 16)
@@ -488,4 +536,20 @@ def test_read_trajectory_rejects_malformed(tmp_path, monkeypatch):
     lines[25] = "0.5 0.6"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=r"traj\.txt:26: bad arrival time"):
+        read_trajectory(str(path))
+
+
+@pytest.mark.parametrize(
+    "lines, where",
+    [
+        ([b"# duration = 1.0", b"0.1", b"\xff0.2"], r"traj\.txt:3: bad text \(not UTF-8\)"),
+        ([b"# duration = nope", b"0.1"], r"traj\.txt:1: bad value for 'duration'"),
+        ([b"# duration = 1.0", b"# seed = 1.5", b"0.1"], r"traj\.txt:2: bad value for 'seed'"),
+    ],
+    ids=["undecodable", "duration", "seed"],
+)
+def test_read_trajectory_names_the_bad_line(tmp_path, lines, where):
+    path = tmp_path / "traj.txt"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ValueError, match=where):
         read_trajectory(str(path))
