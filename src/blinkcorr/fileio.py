@@ -54,10 +54,11 @@ def format_float(value: float) -> str:
 
 
 _POW5 = np.array([5**i for i in range(28)], dtype=np.uint64)
-_SCALES = np.array([1000, 100, 10, 1])
-# The four ASCII digits of 0 to 9999 as one word each, and their trailing '0's.
-_GROUPS = (np.arange(10_000)[:, None] // _SCALES % 10 + ord("0")).astype(np.uint8).view(np.uint32)[:, 0]
-_TRAILING_ZEROS = (np.arange(10_000)[:, None] % (10 * _SCALES) == 0).sum(axis=1)
+# The four ASCII digits of 0 to 9999 as one word each, and their trailing
+# '0's; 16-bit temporaries keep the import from growing the heap.
+_SCALES, _TO_9999 = np.array([1000, 100, 10, 1], np.int16), np.arange(10_000, dtype=np.int16)[:, None]
+_GROUPS = (_TO_9999 // _SCALES % 10 + ord("0")).astype(np.uint8).view(np.uint32)[:, 0]
+_TRAILING_ZEROS = (_TO_9999 % (10 * _SCALES) == 0).sum(axis=1)
 _COLS = np.arange(32)
 # Row ``j`` of _BEFORE is 0xFF in the columns left of ``j``; row
 # ``32 * a + b`` of _SPAN marks the columns ``a`` to ``b``.
@@ -70,7 +71,7 @@ def _format_each(values: np.ndarray) -> list[bytes]:
     return [b"%.17g" % value for value in values.tolist()]
 
 
-def _scaled(m: np.ndarray, e2: np.ndarray, k: np.ndarray):
+def _scaled(m: np.ndarray, e2: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
     """``m * 2**e2 * 10**(16 - k)`` truncated, whether it rounds up (half to
     even), and where ``m * 5**(16 - k) >> 1..63`` in 128 bits is exact."""
     s = 16 - k

@@ -229,6 +229,7 @@ def test_written_files_get_the_mode_open_gives(tmp_path, slow_params_file):
     try:
         assert main(args) == 0
         assert [os.stat(path).st_mode & 0o777 for path in written] == [0o644] * 4
+        # Written again under another umask, the files keep their mode.
         os.umask(0o077)
         assert main(args) == 0
         assert [os.stat(path).st_mode & 0o777 for path in written] == [0o644] * 4

@@ -453,6 +453,8 @@ def test_trajectory_file_round_trip_is_bit_exact(times, seed):
 
 _LARGEST = float(np.finfo(float).max)
 _PINNED_TIMES = sorted(
+    # 9.9999999999999995e-05 is the double below 1e-4 and prints as
+    # 9.9999999999999991e-05; no double next to 1e-4 carries.
     [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 9.9999999999999995e-05, 0.5, 100.0, 1e-4]
     # Exact ties at the 18th digit, kept by an even 17th and raised from an odd one.
     + [1.0 + 2.0**-17, 1.0 + 3 * 2.0**-17]
@@ -467,9 +469,8 @@ _PINNED_TIMES = sorted(
 @example(times=_PINNED_TIMES)
 def test_trajectory_file_is_percent_17g_text(times):
     # Byte for byte what '%.17g' gives, not only text that reads back:
-    # zero, subnormals, powers of ten and their neighbours (the carry of
-    # 9.9999999999999995e-05 into 0.0001), stripped zeros, and the values
-    # left to the per-value route.
+    # zero, subnormals, powers of ten and their neighbours, a carry, exact
+    # ties, stripped zeros, and the values left to the per-value route.
     traj = Trajectory(times=np.array(times), duration=_LARGEST)
     with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "_BLOCK", 7)
