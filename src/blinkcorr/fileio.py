@@ -126,7 +126,7 @@ def _format_times(times: np.ndarray) -> bytes:
     zeros = np.take(_TRAILING_ZEROS, groups[0])
     for group in groups[1:]:
         zeros = np.where(group == 0, zeros + 4, np.take(_TRAILING_ZEROS, group))
-    # k <= 16 in the domain, so exponent notation means k < -4.
+    # k <= 15 in the domain, so exponent notation means k < -4.
     sci = k < -4
     point = np.where(sci, 0, k)
     dot = 8 + point
