@@ -77,6 +77,39 @@ _GUESS_KEYS = frozenset(
 )
 _BOUND_KEYS = _GUESS_KEYS - {"I_sc"}
 
+# Each stage's coordinates in optimizer order: (name, fit in log10 of the
+# value?, built-in lo, built-in hi), the box in coordinate units. A bound
+# in FitConfig replaces the box of its name. ``ratio`` is the background-
+# to-signal intensity ratio, which no guess or bound names.
+_SLOW = (
+    ("T_L", True, -8.0, 5.0),
+    ("T_D1", True, -8.0, 5.0),
+    ("T_D2", True, -8.0, 5.0),
+    ("p1", False, 1e-4, 1.0 - 1e-4),
+)
+_AMPLITUDE = (("amplitude", False, 0.1, 10.0),)
+_FAST = (
+    ("A31", True, 2.0, 14.0),
+    ("Omega31", True, 2.0, 14.0),
+    ("ratio", False, 0.0, 1e3),
+)
+_ISC = (
+    ("A32_1", False, 0.0, 1e10),
+    ("A32_2", False, 0.0, 1e10),
+    ("A21_1", True, -6.0, 10.0),
+    ("A21_2", True, -6.0, 10.0),
+)
+
+# Largest damping factor least_squares tries before it gives up a step.
+_MAX_DAMPING = 1e12
+
+
+def _check_solver(rel_tol: float, lambda0: float) -> None:
+    if not 0.0 < rel_tol < math.inf:
+        raise ValueError("convergence tolerance must be finite and positive")
+    if not 0.0 < lambda0 <= _MAX_DAMPING:
+        raise ValueError(f"lambda0 must lie in (0, {_MAX_DAMPING:g}]")
+
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -90,7 +123,9 @@ class FitConfig:
     log-parameterized rate keeps the built-in floor). ``free_amplitude``
     adds one overall scale factor to absorb data normalization.
     ``bootstrap_resamples`` of zero disables the bootstrap and falls back
-    to Jacobian uncertainties.
+    to Jacobian uncertainties. ``split_tau`` and ``convergence_tol`` must
+    be finite and positive, ``lambda0`` must lie in (0, 1e12], and
+    ``bootstrap_seed`` must be an integer in [0, 2**63).
     """
 
     split_tau: float = 1e-7
@@ -104,14 +139,18 @@ class FitConfig:
     lambda0: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.split_tau <= 0.0:
-            raise ValueError("split_tau must be positive")
+        if not 0.0 < self.split_tau < math.inf:
+            raise ValueError("split_tau must be finite and positive")
         if self.bootstrap_resamples < 0:
             raise ValueError("bootstrap_resamples must be non-negative")
+        seed = self.bootstrap_seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+            raise ValueError("bootstrap_seed must be an integer")
+        if not 0 <= seed < 2**63:
+            raise ValueError("bootstrap_seed must lie in [0, 2**63)")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.convergence_tol <= 0.0 or self.lambda0 <= 0.0:
-            raise ValueError("convergence_tol and lambda0 must be positive")
+        _check_solver(self.convergence_tol, self.lambda0)
         if self.initial_guess is not None:
             for key, value in self.initial_guess.items():
                 if key not in _GUESS_KEYS:
@@ -166,12 +205,14 @@ def least_squares(
     iterate cannot be bettered in float arithmetic, or within the box).
     ``message`` names the reason the loop stopped. The covariance estimate
     is ``pinv(J^T J)`` over all coordinates, scaled by the reduced chi
-    square.
+    square. ``rel_tol`` must be finite and positive, and ``lambda0`` must
+    lie in (0, 1e12], the largest damping tried.
 
     Parameters are never evaluated outside the bounds; the finite
     difference step flips direction at the upper bound, and a null column
     from a step below unit scale is taken again at unit scale.
     """
+    _check_solver(rel_tol, lambda0)
     x = np.asarray(x0, dtype=float).copy()
     npar = x.size
     if npar == 0:
@@ -252,7 +293,7 @@ def least_squares(
         delta = np.zeros(npar)
 
         accepted = False
-        while lam <= 1e12:
+        while lam <= _MAX_DAMPING:
             try:
                 damped = jtj.copy()
                 damped.flat[:: rhs.size + 1] += lam * diag
@@ -365,39 +406,63 @@ def _best_start(residual, starts, bounds, cfg: FitConfig) -> LeastSquaresResult:
     return best
 
 
-def _box(cfg: FitConfig, key: str, lo: float, hi: float, log: bool) -> tuple[float, float]:
-    """Stage-coordinate bounds for ``key``, honoring any user override."""
-    if cfg.bounds is None or key not in cfg.bounds:
-        return lo, hi
-    user_lo, user_hi = cfg.bounds[key]
-    if not log:
-        return user_lo, user_hi
-    return (math.log10(user_lo) if user_lo > 0.0 else lo), math.log10(user_hi)
+def _bounds(table, cfg: FitConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Boxes of the stage coordinates ``table`` declares, with the user's
+    bounds in their place (a zero lower bound on a log coordinate keeps
+    the built-in floor)."""
+    lo, hi = [], []
+    for name, log, a, b in table:
+        if cfg.bounds is not None and name in cfg.bounds:
+            user_lo, user_hi = cfg.bounds[name]
+            if not log:
+                a, b = user_lo, user_hi
+            else:
+                a = math.log10(user_lo) if user_lo > 0.0 else a
+                b = math.log10(user_hi)
+        lo.append(a)
+        hi.append(b)
+    return np.array(lo), np.array(hi)
 
 
-def _merged_guess(
-    cfg: FitConfig, init: dict[str, float] | None
-) -> dict[str, float]:
-    merged = dict(cfg.initial_guess or {})
-    merged.update(init or {})
-    return merged
-
-
-def _patch_starts(starts, positions: dict[str, int], guess: dict[str, float], log_keys):
-    """Overwrite start coordinates named in ``guess``; collapse to a
-    single start when every coordinate is pinned."""
+def _patch_starts(table, starts, cfg: FitConfig, init: dict[str, float] | None):
+    """Copies of ``starts`` with every guessable coordinate of ``table``
+    that ``init`` or ``cfg.initial_guess`` names set to its guess (``init``
+    wins), and that merged guess. One start is kept when every guessable
+    coordinate is given."""
+    guess = {**(cfg.initial_guess or {}), **(init or {})}
+    guessable = [
+        (pos, name, log) for pos, (name, log, _, _) in enumerate(table) if name in _GUESS_KEYS
+    ]
+    given = {
+        pos: math.log10(guess[name]) if log else guess[name]
+        for pos, name, log in guessable
+        if name in guess
+    }
     patched = []
-    pinned = sum(key in guess for key in positions)
-    for x0 in starts:
+    for x0 in starts[:1] if len(given) == len(guessable) else starts:
         x = x0.copy()
-        for key, pos in positions.items():
-            if key in guess:
-                value = guess[key]
-                x[pos] = math.log10(value) if key in log_keys else value
+        for pos, value in given.items():
+            x[pos] = value
         patched.append(x)
-        if pinned == len(positions):
-            break
-    return patched
+    return patched, guess
+
+
+def _stage(
+    table, best: LeastSquaresResult, values: dict[str, float], n_points: int, **propagated
+) -> FitStage:
+    """The stage's outcome. Sigmas are in value units: ``value * ln10 * sd``
+    for a log coordinate, ``sd`` for a linear one, plus the delta-method
+    sigma of each ``propagated`` function of the coordinates."""
+    ln10 = math.log(10.0)
+    sigma = {}
+    for pos, (name, log, _, _) in enumerate(table):
+        sd = math.sqrt(max(best.cov[pos, pos], 0.0))
+        sigma[name] = values[name] * ln10 * sd if log else sd
+    for name, func in propagated.items():
+        sigma[name] = _propagated_sigma(func, best.x, best.cov)
+    return FitStage(
+        values, sigma, best.cost, best.iterations, best.converged, best.message, n_points
+    )
 
 
 def _slow_rates(theta: np.ndarray) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -435,16 +500,6 @@ def fit_slow(
         (ld1, ld2), (dl1, dl2) = _slow_rates(theta)
         return w * (amp * _blink_factor(tau, ld1, ld2, dl1, dl2) - y)
 
-    boxes = [
-        _box(cfg, "T_L", -8.0, 5.0, log=True),
-        _box(cfg, "T_D1", -8.0, 5.0, log=True),
-        _box(cfg, "T_D2", -8.0, 5.0, log=True),
-        _box(cfg, "p1", 1e-4, 1.0 - 1e-4, log=False),
-    ]
-    if free_amp:
-        boxes.append(_box(cfg, "amplitude", 0.1, 10.0, log=False))
-    bounds = (np.array([b[0] for b in boxes]), np.array([b[1] for b in boxes]))
-
     head = max(3, len(sub) // 20)
     amp = max(float(np.mean(y[:head])) - 1.0, 1e-8)
     target = 1.0 + amp / math.e
@@ -460,14 +515,9 @@ def fit_slow(
             x0.append(1.0)
         starts.append(np.array(x0))
 
-    positions = {"T_L": 0, "T_D1": 1, "T_D2": 2, "p1": 3}
-    if free_amp:
-        positions["amplitude"] = 4
-    starts = _patch_starts(
-        starts, positions, _merged_guess(cfg, init), ("T_L", "T_D1", "T_D2")
-    )
-
-    best = _best_start(residual, starts, bounds, cfg)
+    table = _SLOW + _AMPLITUDE if free_amp else _SLOW
+    starts, _ = _patch_starts(table, starts, cfg, init)
+    best = _best_start(residual, starts, _bounds(table, cfg), cfg)
     stats = _slow_stats(best.x)
 
     amp_fit = float(best.x[4]) if free_amp else 1.0
@@ -488,32 +538,15 @@ def fit_slow(
         "p1": stats.p1,
         "P_L": stats.P_L,
     }
-    ln10 = math.log(10.0)
-    sigma = {
-        "T_L": stats.T_L * ln10 * math.sqrt(max(best.cov[0, 0], 0.0)),
-        "T_D1": stats.T_D[0] * ln10 * math.sqrt(max(best.cov[1, 1], 0.0)),
-        "T_D2": stats.T_D[1] * ln10 * math.sqrt(max(best.cov[2, 2], 0.0)),
-        "p1": math.sqrt(max(best.cov[3, 3], 0.0)),
-        "P_L": _propagated_sigma(lambda t: _slow_stats(t).P_L, best.x, best.cov),
-    }
     if free_amp:
         values["amplitude"] = amp_fit
-        sigma["amplitude"] = math.sqrt(max(best.cov[4, 4], 0.0))
-
+    stage = _stage(table, best, values, len(sub), P_L=lambda t: _slow_stats(t).P_L)
+    sigma = stage.sigma
     if values["T_D1"] < values["T_D2"]:
         values["T_D1"], values["T_D2"] = values["T_D2"], values["T_D1"]
         sigma["T_D1"], sigma["T_D2"] = sigma["T_D2"], sigma["T_D1"]
         values["p1"] = 1.0 - values["p1"]
-
-    return FitStage(
-        values=values,
-        sigma=sigma,
-        cost=best.cost,
-        iterations=best.iterations,
-        converged=best.converged,
-        message=best.message,
-        n_points=len(sub),
-    )
+    return stage
 
 
 def fit_fast(
@@ -549,13 +582,6 @@ def fit_fast(
         model = _g2(tau, 10.0 ** log_a, 10.0 ** log_omega)
         return w * (envelope * (model + ratio) / (1.0 + ratio) - y)
 
-    boxes = [
-        _box(cfg, "A31", 2.0, 14.0, log=True),
-        _box(cfg, "Omega31", 2.0, 14.0, log=True),
-        (0.0, 1e3),
-    ]
-    bounds = (np.array([b[0] for b in boxes]), np.array([b[1] for b in boxes]))
-
     v0 = min(max(float(y[0]) / plateau, 1e-4), 0.98)
     ratio0 = v0 / (1.0 - v0)
     level = plateau * (v0 + (1.0 - v0) * (1.0 - 1.0 / math.e))
@@ -568,14 +594,13 @@ def fit_fast(
     ]
     starts.append(np.array([math.log10(3.0 * a0), math.log10(a0), ratio0]))
 
-    guess = _merged_guess(cfg, init)
-    starts = _patch_starts(starts, {"A31": 0, "Omega31": 1}, guess, ("A31", "Omega31"))
+    starts, guess = _patch_starts(_FAST, starts, cfg, init)
     if "I_sc" in guess:
         # The ratio coordinate depends on the start's own fast rates.
         for x0 in starts:
             x0[2] = guess["I_sc"] / light_intensity(10.0 ** x0[0], 10.0 ** x0[1])
 
-    best = _best_start(residual, starts, bounds, cfg)
+    best = _best_start(residual, starts, _bounds(_FAST, cfg), cfg)
     a31 = 10.0 ** best.x[0]
     omega31 = 10.0 ** best.x[1]
     ratio = float(best.x[2])
@@ -584,23 +609,8 @@ def fit_fast(
     def isc_of(theta: np.ndarray) -> float:
         return theta[2] * light_intensity(10.0 ** theta[0], 10.0 ** theta[1])
 
-    ln10 = math.log(10.0)
     values = {"A31": a31, "Omega31": omega31, "I_sc": i_sc, "ratio": ratio}
-    sigma = {
-        "A31": a31 * ln10 * math.sqrt(max(best.cov[0, 0], 0.0)),
-        "Omega31": omega31 * ln10 * math.sqrt(max(best.cov[1, 1], 0.0)),
-        "I_sc": _propagated_sigma(isc_of, best.x, best.cov),
-        "ratio": math.sqrt(max(best.cov[2, 2], 0.0)),
-    }
-    return FitStage(
-        values=values,
-        sigma=sigma,
-        cost=best.cost,
-        iterations=best.iterations,
-        converged=best.converged,
-        message=best.message,
-        n_points=len(sub),
-    )
+    return _stage(_FAST, best, values, len(sub), I_sc=isc_of)
 
 
 def fit_isc(
@@ -643,50 +653,23 @@ def fit_isc(
             math.log10(stats_init.p_DL[1]),
         ]
     )
-    positions = {"A32_1": 0, "A32_2": 1, "A21_1": 2, "A21_2": 3}
-    starts = _patch_starts(
-        [x0], positions, _merged_guess(cfg, init), ("A21_1", "A21_2")
-    )
-    boxes = [
-        _box(cfg, "A32_1", 0.0, 1e10, log=False),
-        _box(cfg, "A32_2", 0.0, 1e10, log=False),
-        _box(cfg, "A21_1", -6.0, 10.0, log=True),
-        _box(cfg, "A21_2", -6.0, 10.0, log=True),
-    ]
-    bounds = (np.array([b[0] for b in boxes]), np.array([b[1] for b in boxes]))
-    best = _best_start(residual, starts, bounds, cfg)
+    starts, _ = _patch_starts(_ISC, [x0], cfg, init)
+    best = _best_start(residual, starts, _bounds(_ISC, cfg), cfg)
 
-    ln10 = math.log(10.0)
-    a21_1 = 10.0 ** best.x[2]
-    a21_2 = 10.0 ** best.x[3]
     values = {
         "A32_1": float(best.x[0]),
         "A32_2": float(best.x[1]),
-        "A21_1": a21_1,
-        "A21_2": a21_2,
+        "A21_1": 10.0 ** best.x[2],
+        "A21_2": 10.0 ** best.x[3],
     }
-    sigma = {
-        "A32_1": math.sqrt(max(best.cov[0, 0], 0.0)),
-        "A32_2": math.sqrt(max(best.cov[1, 1], 0.0)),
-        "A21_1": a21_1 * ln10 * math.sqrt(max(best.cov[2, 2], 0.0)),
-        "A21_2": a21_2 * ln10 * math.sqrt(max(best.cov[3, 3], 0.0)),
-    }
-
+    stage = _stage(_ISC, best, values, len(sub))
+    sigma = stage.sigma
     if 1.0 / values["A21_1"] < 1.0 / values["A21_2"]:
         values["A32_1"], values["A32_2"] = values["A32_2"], values["A32_1"]
         values["A21_1"], values["A21_2"] = values["A21_2"], values["A21_1"]
         sigma["A32_1"], sigma["A32_2"] = sigma["A32_2"], sigma["A32_1"]
         sigma["A21_1"], sigma["A21_2"] = sigma["A21_2"], sigma["A21_1"]
-
-    return FitStage(
-        values=values,
-        sigma=sigma,
-        cost=best.cost,
-        iterations=best.iterations,
-        converged=best.converged,
-        message=best.message,
-        n_points=len(sub),
-    )
+    return stage
 
 
 def _flatten(stages: dict[str, FitStage], attr: str) -> dict[str, float]:
@@ -701,7 +684,7 @@ def _flatten(stages: dict[str, FitStage], attr: str) -> dict[str, float]:
 
 def _pipeline(
     series: CorrelationSeries, cfg: FitConfig, init: dict[str, float] | None = None
-) -> tuple[dict[str, FitStage], dict[str, float]]:
+) -> tuple[dict[str, FitStage], dict[str, float], PeriodStatistics]:
     slow = fit_slow(series, cfg, init=init)
     amp = slow.values.get("amplitude", 1.0)
     stats_init = period_statistics(
@@ -727,7 +710,7 @@ def _pipeline(
     flat = _flatten(stages, "values")
     if cfg.free_amplitude:
         flat["amplitude"] = amp
-    return stages, flat
+    return stages, flat, stats_init
 
 
 def fit_full(
@@ -742,17 +725,9 @@ def fit_full(
     ``bootstrap_seed``.
     """
     cfg = config or FitConfig()
-    stages, flat = _pipeline(series, cfg)
-
-    params = PhotoPhysicalParams(
-        A31=flat["A31"],
-        Omega31=flat["Omega31"],
-        A32=(flat["A32_1"], flat["A32_2"]),
-        A21=(flat["A21_1"], flat["A21_2"]),
-        I_sc=flat["I_sc"],
-    )
-    stats = period_statistics(
-        *rates_from_statistics(flat["T_L"], (flat["T_D1"], flat["T_D2"]), flat["p1"])
+    stages, flat, stats = _pipeline(series, cfg)
+    params = PhotoPhysicalParams.from_dict(
+        {key: flat[key] for name in ("fast", "isc") for key in STAGE_KEYS[name]}
     )
 
     sigma = _flatten(stages, "sigma")
@@ -779,7 +754,7 @@ def fit_full(
                 resampled = CorrelationSeries(
                     series.tau, model + draw, series.sigma
                 )
-                _, flat_b = _pipeline(resampled, inner, init=flat)
+                _, flat_b, _ = _pipeline(resampled, inner, init=flat)
             except (FitConvergenceError, DegenerateFitError, ValueError):
                 failures += 1
                 continue

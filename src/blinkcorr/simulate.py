@@ -545,9 +545,9 @@ def read_trajectory(path: str) -> Trajectory:
 
     Blank lines are skipped, and ``# key = value`` lines may stand
     anywhere; of them only ``duration``, which is required, and ``seed``
-    are read. A line that is not a number raises :class:`ValueError`
-    naming ``path:lineno``. The period record is not serialized, so it
-    comes back as ``None``.
+    are read. A line that is not a finite number, or that holds a ``_``,
+    raises :class:`ValueError` naming ``path:lineno``. The period record
+    is not serialized, so it comes back as ``None``.
     """
     header: dict[str, float | int] = {}
     with open(path, "rb") as handle:
@@ -569,6 +569,10 @@ def read_trajectory(path: str) -> Trajectory:
                 lines = [text] if text else []
             try:
                 block = np.array(lines, dtype=np.float64)
+                # float() also reads '1_0', 'inf' and 'nan'; the line-wise
+                # parse names such a line.
+                if b"_" in text or not np.isfinite(block).all():
+                    raise ValueError
             except ValueError:
                 # Only a block with a header, a blank or a bad line gets here.
                 block = _parse_lines(lines, lineno, path, header)
@@ -593,7 +597,8 @@ def _parse_lines(
     """Arrival times of trajectory lines that follow the first ``skipped``
     lines of the file, one line at a time; ``duration`` and ``seed`` lines
     go to ``header``. A line that is not UTF-8 text, a bad header value or
-    a bad arrival time raises :class:`ValueError` naming ``path:lineno``."""
+    a bad arrival time (one with a ``_`` or not finite) raises
+    :class:`ValueError` naming ``path:lineno``."""
     parsed: list[float] = []
     for lineno, raw in enumerate(lines, start=skipped + 1):
         what = "text (not UTF-8)"
@@ -607,7 +612,10 @@ def _parse_lines(
                     header[key] = _HEADER_FIELDS[key](text.strip())
             elif line:
                 what = "arrival time"
-                parsed.append(float(line))
+                value = float(line)
+                if "_" in line or not math.isfinite(value):
+                    raise ValueError(line)
+                parsed.append(value)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad {what}") from exc
     return np.array(parsed)

@@ -378,6 +378,20 @@ def test_fit_config_errors(tmp_path, params_file):
     assert main(["fit", "--data", data, "--config", str(cfg), "--out", out]) == 2
     cfg.write_text("split_tau = 1e-7\nsplit_tau = 1e-6\n")
     assert main(["fit", "--data", data, "--config", str(cfg), "--out", out]) == 2
+    # Values the key reader takes but the fit cannot use: no damping step
+    # would be tried, the tolerance never met, no point left in a window,
+    # or a seed the bootstrap generator would refuse.
+    for text in (
+        "lambda0 = 1e13",
+        "lambda0 = inf",
+        "convergence_tol = nan",
+        "split_tau = nan",
+        "split_tau = inf",
+        "bootstrap_seed = 18446744073709551616",
+    ):
+        cfg.write_text(text + "\n")
+        assert main(["fit", "--data", data, "--config", str(cfg), "--out", out]) == 2
+    assert not os.path.exists(out)
 
 
 def test_selftest_passes(capsys):

@@ -13,6 +13,8 @@ from blinkcorr import (
     CorrelationSeries,
     PhotoPhysicalParams,
     eval_curve,
+    fitting,
+    light_intensity,
     log_grid,
     statistics_from_params,
 )
@@ -227,6 +229,20 @@ def test_least_squares_validation():
         )
     with pytest.raises(ValueError):
         least_squares(lambda x: np.zeros((2, 2)), np.zeros(2))
+    # A damping above the largest one tried, or none at all, would stop the
+    # solver at its start; a tolerance that is not a positive number would
+    # run it to the iteration cap.
+    for knobs in (
+        {"lambda0": 1e13},
+        {"lambda0": math.inf},
+        {"lambda0": math.nan},
+        {"lambda0": 0.0},
+        {"rel_tol": math.nan},
+        {"rel_tol": math.inf},
+        {"rel_tol": 0.0},
+    ):
+        with pytest.raises(ValueError):
+            least_squares(lambda x: x - 1.0, np.zeros(2), **knobs)
 
 
 def test_least_squares_covariance_linear():
@@ -469,6 +485,25 @@ def test_fit_config_validation():
         FitConfig(bounds={"A31": (1e9, 1e8)})
     with pytest.raises(ValueError):
         FitConfig(bounds={"A31": (-1.0, 1e8)})
+    for knobs in (
+        {"split_tau": math.nan},
+        {"split_tau": math.inf},
+        {"convergence_tol": math.nan},
+        {"convergence_tol": math.inf},
+        {"lambda0": 1e13},
+        {"lambda0": math.inf},
+        {"lambda0": math.nan},
+        {"bootstrap_seed": 2**63},
+        {"bootstrap_seed": 2**64},
+        {"bootstrap_seed": -1},
+        {"bootstrap_seed": 1.0},
+        {"bootstrap_seed": True},
+    ):
+        with pytest.raises(ValueError):
+            FitConfig(**knobs)
+    # The edges of the accepted ranges.
+    FitConfig(lambda0=1e12, bootstrap_seed=2**63 - 1)
+    FitConfig(bootstrap_seed=np.uint64(2**63 - 1))
 
 
 def test_reported_sigmas_non_negative():
@@ -536,3 +571,92 @@ def test_fit_residuals_skip_public_checks(reference_params, monkeypatch):
     assert 0 < counts["blink_factor"] <= 4
     assert counts["g2"] <= 4
     assert counts["_as_delay_array"] <= 4
+
+
+def record_starts(monkeypatch):
+    """Start and bounds of every least_squares call the stages make."""
+    calls = []
+
+    def recording(residual, x0, bounds=None, **kwargs):
+        calls.append((np.array(x0), bounds))
+        return least_squares(residual, x0, bounds, **kwargs)
+
+    monkeypatch.setattr(fitting, "least_squares", recording)
+    return calls
+
+
+def test_stages_try_their_starts(reference_params, monkeypatch):
+    # Slow and fast stage try four heuristic starts, the isc stage one.
+    series = eval_curve(reference_params, log_grid(1e-10, 1.0, 30))
+    calls = record_starts(monkeypatch)
+    fit_full(series, FitConfig(bootstrap_resamples=0))
+    assert [x0.size for x0, _ in calls] == [4] * 4 + [3] * 4 + [4]
+
+
+def test_guessing_every_coordinate_leaves_one_start(reference_params, monkeypatch):
+    series = eval_curve(reference_params, log_grid(1e-10, 1.0, 30))
+    stats = statistics_from_params(reference_params)
+    truth = truth_of(reference_params)
+    calls = record_starts(monkeypatch)
+    fit_full(series, FitConfig(bootstrap_resamples=0, initial_guess=truth))
+    assert [x0.size for x0, _ in calls] == [4, 3, 4]
+    log10 = math.log10
+    assert calls[0][0].tolist() == [
+        log10(truth["T_L"]), log10(truth["T_D1"]), log10(truth["T_D2"]), truth["p1"]
+    ]
+    assert calls[1][0][:2].tolist() == [log10(truth["A31"]), log10(truth["Omega31"])]
+    assert calls[2][0].tolist() == [
+        truth["A32_1"], truth["A32_2"], log10(truth["A21_1"]), log10(truth["A21_2"])
+    ]
+
+    # The background ratio is never guessed: A31 and Omega31 are enough,
+    # so every bootstrap refit of the fast stage runs once.
+    calls.clear()
+    cfg = FitConfig(bootstrap_resamples=0)
+    guess = {"A31": 3e8, "Omega31": 2.5e8}
+    fit_fast(series, 1.0 / stats.P_L, cfg, init=guess, slow_stats=stats)
+    assert len(calls) == 1
+
+    # A free amplitude is a guessable coordinate of the slow stage.
+    slow_guess = {key: truth[key] for key in ("T_L", "T_D1", "T_D2", "p1")}
+    free = FitConfig(bootstrap_resamples=0, free_amplitude=True)
+    for init, starts in ((slow_guess, 4), ({**slow_guess, "amplitude": 1.25}, 1)):
+        calls.clear()
+        fit_slow(series, free, init=init)
+        assert len(calls) == starts
+        assert calls[0][0][4] == init.get("amplitude", 1.0)
+
+
+def test_background_guess_sets_each_ratio_start(reference_params, monkeypatch):
+    # The ratio start follows from the guessed I_sc and each start's own
+    # rates, after A31 has been overwritten by its guess.
+    series = eval_curve(reference_params, log_grid(1e-10, 1.0, 30))
+    stats = statistics_from_params(reference_params)
+    calls = record_starts(monkeypatch)
+    cfg = FitConfig(bootstrap_resamples=0, initial_guess={"A31": 2e8})
+    fit_fast(series, 1.0 / stats.P_L, cfg, init={"I_sc": 5e7}, slow_stats=stats)
+    assert len(calls) == 4
+    assert len({x0[2] for x0, _ in calls}) > 1
+    for x0, _ in calls:
+        assert x0[0] == math.log10(2e8)
+        assert x0[2] == 5e7 / light_intensity(10.0 ** x0[0], 10.0 ** x0[1])
+
+
+def test_bounds_apply_to_stage_coordinates(reference_params, monkeypatch):
+    series = eval_curve(reference_params, log_grid(1e-10, 1.0, 30))
+    calls = record_starts(monkeypatch)
+    bounds = {"amplitude": (0.5, 2.0), "A31": (1e8, 1e9), "A21_1": (0.0, 1e5)}
+    fit_full(
+        series,
+        FitConfig(bootstrap_resamples=0, free_amplitude=True, bounds=bounds),
+    )
+    (lo, hi), (lo_fast, hi_fast), (lo_isc, hi_isc) = (calls[k][1] for k in (0, 4, 8))
+    # A linear box passes through as given.
+    assert lo.tolist() == [-8.0, -8.0, -8.0, 1e-4, 0.5]
+    assert hi.tolist() == [5.0, 5.0, 5.0, 1.0 - 1e-4, 2.0]
+    # A log box in log10 of the value, and the ratio's own box.
+    assert lo_fast.tolist() == [8.0, 2.0, 0.0]
+    assert hi_fast.tolist() == [9.0, 14.0, 1e3]
+    # A zero lower bound on a log coordinate keeps the built-in floor.
+    assert lo_isc.tolist() == [0.0, 0.0, -6.0, -6.0]
+    assert hi_isc.tolist() == [1e10, 1e10, 5.0, 10.0]

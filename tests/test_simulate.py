@@ -554,3 +554,16 @@ def test_read_trajectory_names_the_bad_line(tmp_path, lines, where):
     path.write_bytes(b"\n".join(lines) + b"\n")
     with pytest.raises(ValueError, match=where):
         read_trajectory(str(path))
+
+
+@pytest.mark.parametrize("bad", [b"1_0", b"inf", b" nan", b"-inf"])
+def test_read_trajectory_refuses_what_float_alone_accepts(tmp_path, monkeypatch, bad):
+    # float() reads these lines; as arrival times they are bad, whether
+    # they sit in the header's block or in a later block of plain times.
+    monkeypatch.setattr(simulate, "_READ_BYTES", 64)
+    lines = [b"# duration = 1.0"] + [b"%.17g" % (k / 100) for k in range(30)]
+    path = tmp_path / "traj.txt"
+    for lineno in (3, 26):
+        path.write_bytes(b"\n".join(lines[: lineno - 1] + [bad] + lines[lineno:]) + b"\n")
+        with pytest.raises(ValueError, match=rf"traj\.txt:{lineno}: bad arrival time"):
+            read_trajectory(str(path))
