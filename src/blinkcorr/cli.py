@@ -424,6 +424,11 @@ def _selftest_checks(rng: np.random.Generator):
         abs(grid_mean - sampler.mean_wait) / sampler.mean_wait,
         1e-6,
     )
+    # In grid steps of the survival table, on a fixed grid of uniforms
+    # that does not line up with the lookup's cells.
+    u = np.linspace(0.0, 1.0, 1_000_003)
+    gap = np.max(np.abs(sampler.waits(u) - sampler.table_waits(u)))
+    yield ("wait lookup vs survival table", float(gap) / sampler.grid_step, 1.0)
 
     import os
 

@@ -36,6 +36,7 @@ import numpy as np
 from .correlation import CorrelationSeries, _blink_factor, _g2, blink_factor, g_total
 from .errors import (
     DegenerateFitError,
+    DegenerateInputError,
     FitConvergenceError,
     InsufficientDataError,
 )
@@ -100,6 +101,10 @@ _ISC = (
     ("A21_2", True, -6.0, 10.0),
 )
 
+# Names of the coordinates fit in log10 of their value; their guesses
+# must be positive.
+_LOG_KEYS = frozenset(name for name, log, _, _ in _SLOW + _FAST + _ISC if log)
+
 # Largest damping factor least_squares tries before it gives up a step.
 _MAX_DAMPING = 1e12
 
@@ -123,7 +128,9 @@ class FitConfig:
     log-parameterized rate keeps the built-in floor). ``free_amplitude``
     adds one overall scale factor to absorb data normalization.
     ``bootstrap_resamples`` of zero disables the bootstrap and falls back
-    to Jacobian uncertainties. ``split_tau`` and ``convergence_tol`` must
+    to Jacobian uncertainties. A guess for a coordinate fit in log10
+    (``T_L``, ``T_D1``, ``T_D2``, ``A31``, ``Omega31``, ``A21_1``,
+    ``A21_2``) must be positive. ``split_tau`` and ``convergence_tol`` must
     be finite and positive, ``lambda0`` must lie in (0, 1e12], and
     ``bootstrap_seed`` must be an integer in [0, 2**63).
     """
@@ -157,6 +164,8 @@ class FitConfig:
                     raise ValueError(f"unknown initial_guess key {key!r}")
                 if not math.isfinite(value):
                     raise ValueError(f"initial_guess[{key!r}] must be finite")
+                if key in _LOG_KEYS and value <= 0.0:
+                    raise ValueError(f"initial_guess[{key!r}] must be positive")
         if self.bounds is not None:
             for key, box in self.bounds.items():
                 if key not in _BOUND_KEYS:
@@ -198,11 +207,13 @@ def least_squares(
     its bound while the gradient points out of the box; pinned coordinates
     take no step, and the damped normal equations are solved over the
     free ones. Candidates are clipped into the bounds, the damping shrinks
-    on accepted steps and grows on rejected ones. Convergence requires
-    both the relative step and the relative cost change to drop below
-    ``rel_tol``; a state where no damping produces any improvement, or
-    where every coordinate is pinned, also counts as converged (the
-    iterate cannot be bettered in float arithmetic, or within the box).
+    on accepted steps and grows on rejected ones; a candidate whose
+    residual raises :class:`DegenerateInputError` is rejected like one
+    that raises the cost. Convergence requires both the relative step
+    and the relative cost change to drop below ``rel_tol``; a state where
+    no damping produces any improvement, or where every coordinate is
+    pinned, also counts as converged (the iterate cannot be bettered in
+    float arithmetic, or within the box).
     ``message`` names the reason the loop stopped. The covariance estimate
     is ``pinv(J^T J)`` over all coordinates, scaled by the reduced chi
     square. ``rel_tol`` must be finite and positive, and ``lambda0`` must
@@ -302,7 +313,11 @@ def least_squares(
                 lam *= 10.0
                 continue
             x_new = np.clip(x + delta, lo, hi)
-            r_new = eval_residual(x_new)
+            try:
+                r_new = eval_residual(x_new)
+            except DegenerateInputError:
+                lam *= 10.0
+                continue
             cost_new = float(r_new @ r_new)
             if math.isfinite(cost_new) and cost_new <= cost:
                 accepted = True

@@ -42,8 +42,9 @@ _STREAM_BACKGROUND = 2
 _PAIR_BUDGET = 1.5e8
 _MAX_VECTOR = 25_000_000
 # Elements per block of the temporaries of estimate_g (sources of the exact
-# stage, photons and cells of the lattice stage) and of write_trajectory,
-# and the mantissa bits of the exact stage's delay table.
+# stage, photons and cells of the lattice stage), of write_trajectory and
+# of the waits simulate_photons draws, and the mantissa bits of the exact
+# stage's delay table.
 _BLOCK = 1 << 16
 _TABLE_BITS = 8
 # Bytes per block read from a trajectory file.
@@ -102,10 +103,18 @@ class _EmissionSampler:
     Between photon emissions the two-level amplitude evolves under the
     damped drive; the survival probability is the squared norm of that
     conditional state and decreases monotonically. It is tabulated once
-    on a dense grid and inverted by interpolation.
+    on a dense grid, and interpolating that table inverts it
+    (:meth:`table_waits`); this defines the sampler. Draws go through a
+    coarse inverse table of the wait at ``u = b / _CELLS``, one index and
+    one linear step per draw (the table-lookup inversion of Devroye,
+    *Non-Uniform Random Variate Generation* (1986), III.2-3). Cells where
+    that step departs from the dense table by more than one grid step
+    (the tail and sharp knees of the curve) are served by the dense
+    table, so every draw lies within one grid step of it.
     """
 
     _POINTS = 1 << 19
+    _CELLS = 1 << 16
     _TAIL = 1e-26
 
     def __init__(self, A31: float, Omega31: float) -> None:
@@ -122,11 +131,23 @@ class _EmissionSampler:
             if t_max > 1e9 * self.mean_wait:  # pragma: no cover
                 break
         grid = np.linspace(0.0, t_max, self._POINTS)
+        self.grid_step = float(grid[1])
         surv = self._survival(grid)
         surv = np.minimum.accumulate(surv)
         # Reverse so the abscissa is increasing for interpolation.
         self._surv_rev = surv[::-1].copy()
         self._grid_rev = grid[::-1].copy()
+
+        coarse = self.table_waits(np.arange(self._CELLS + 1) / self._CELLS)
+        self._base = coarse[:-1]
+        self._slope = np.diff(coarse)
+        # Both inversions are piecewise linear and meet at the cell edges,
+        # so inside a cell they lie furthest apart at a dense node. With no
+        # cell flagged yet, waits() is the coarse table alone.
+        self._flagged = np.zeros(self._CELLS, dtype=bool)
+        far = np.abs(self.waits(self._surv_rev) - self._grid_rev) > self.grid_step
+        cell = (self._surv_rev[far] * self._CELLS).astype(np.intp)
+        self._flagged[np.minimum(cell, self._CELLS - 1)] = True
 
     def _survival(self, t: np.ndarray) -> np.ndarray:
         a, w = self.A31, self.Omega31
@@ -152,9 +173,24 @@ class _EmissionSampler:
         c3_sq = decay**2 * (0.5 * w * t) ** 2
         return c1 * c1 + c3_sq
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        u = rng.random(n)
+    def table_waits(self, u: np.ndarray) -> np.ndarray:
+        """Waits of the uniforms ``u`` by interpolation in the dense
+        survival table."""
         return np.interp(u, self._surv_rev, self._grid_rev)
+
+    def waits(self, u: np.ndarray) -> np.ndarray:
+        """Waits of the uniforms ``u`` in [0, 1] from the coarse inverse
+        table, each within one grid step of :meth:`table_waits`."""
+        x = u * self._CELLS
+        cell = np.minimum(x.astype(np.intp), self._CELLS - 1)
+        t = self._base[cell] + (x - cell) * self._slope[cell]
+        slow = np.flatnonzero(self._flagged[cell])
+        if slow.size:
+            t[slow] = self.table_waits(u[slow])
+        return t
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self.waits(rng.random(n))
 
 
 def _sinc(x: np.ndarray) -> np.ndarray:
@@ -230,9 +266,10 @@ def simulate_photons(
 
     Light periods produce molecule photons as a renewal sequence of
     two-level waiting times starting fresh at each dark-to-light
-    transition; dark periods are silent. Background photons arrive as a
-    homogeneous Poisson process at ``params.I_sc`` over the whole record
-    and are merged in.
+    transition; the wait that overruns a light period is lost, and dark
+    periods are silent. Background photons arrive as a homogeneous
+    Poisson process at ``params.I_sc`` over the whole record and are
+    merged in.
     """
     periods = np.asarray(periods, dtype=float)
     if periods.ndim != 2 or periods.shape[1] != 3 or periods.shape[0] == 0:
@@ -243,35 +280,50 @@ def simulate_photons(
     rng_bg = _stream_rng(seed, _STREAM_BACKGROUND)
 
     sampler = _EmissionSampler(params.A31, params.Omega31)
-    mean = sampler.mean_wait
+    light = periods[(periods[:, 0] == 0.0) & (periods[:, 2] > periods[:, 1])]
+    starts = light[:, 1]
+    spans = light[:, 2] - starts
 
+    # Waits come in chunks, one running sum per chunk. A light period
+    # keeps the waits whose running sum from its own start stays below
+    # its span, drops the wait that crosses it, and the next period
+    # starts on the wait after; a period that outlasts the chunk carries
+    # the time it has run into the next one.
     pieces: list[np.ndarray] = []
-    for state, start, end in periods:
-        if state != 0.0:
-            continue
-        span = end - start
-        if span <= 0.0:
-            continue
-        offset = 0.0
-        while True:
-            expect = (span - offset) / mean
-            block = int(expect + 4.0 * math.sqrt(expect + 1.0) + 16.0)
-            arrivals = offset + np.cumsum(sampler.sample(rng_mol, block))
-            inside = arrivals[arrivals < span]
-            if inside.size:
-                pieces.append(start + inside)
-            if arrivals[-1] >= span:
-                break
-            offset = arrivals[-1]
+    k = 0
+    elapsed = 0.0
+    while k < spans.size:
+        total = np.cumsum(sampler.sample(rng_mol, _BLOCK))
+        # Per period met in this chunk: its kept waits [first, stop) and
+        # the running sum its arrivals count from.
+        first, stop, origin, owner = [], [], [], []
+        p = 0
+        while k < spans.size and p < total.size:
+            base = (total[p - 1] if p else 0.0) - elapsed
+            q = int(total.searchsorted(base + spans[k]))
+            first.append(p)
+            stop.append(q)
+            origin.append(base)
+            owner.append(k)
+            if q == total.size:
+                elapsed = total[-1] - base
+            else:
+                elapsed = 0.0
+                k += 1
+            p = q + 1
+        counts = np.subtract(stop, first)
+        index = np.repeat(np.subtract(first, np.cumsum(counts) - counts), counts)
+        index += np.arange(index.size)
+        pieces.append(
+            np.repeat(starts[owner], counts) + (total[index] - np.repeat(origin, counts))
+        )
 
     n_bg = rng_bg.poisson(params.I_sc * duration) if params.I_sc > 0.0 else 0
     if n_bg:
         pieces.append(rng_bg.uniform(0.0, duration, n_bg))
 
-    if pieces:
-        times = np.sort(np.concatenate(pieces))
-    else:
-        times = np.empty(0)
+    times = np.concatenate(pieces) if pieces else np.empty(0)
+    times.sort()
     return Trajectory(times=times, duration=duration, seed=int(seed), periods=periods)
 
 

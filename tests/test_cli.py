@@ -380,8 +380,10 @@ def test_fit_config_errors(tmp_path, params_file):
     assert main(["fit", "--data", data, "--config", str(cfg), "--out", out]) == 2
     # Values the key reader takes but the fit cannot use: no damping step
     # would be tried, the tolerance never met, no point left in a window,
-    # or a seed the bootstrap generator would refuse.
+    # or a seed the bootstrap generator would refuse. Starting guesses,
+    # such as a zero T_L, are the library's: the file refuses their keys.
     for text in (
+        "T_L = 0",
         "lambda0 = 1e13",
         "lambda0 = inf",
         "convergence_tol = nan",
@@ -397,7 +399,7 @@ def test_fit_config_errors(tmp_path, params_file):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     stdout = capsys.readouterr().out
-    assert "8/8 checks passed" in stdout
+    assert "9/9 checks passed" in stdout
 
 
 def test_selftest_tolerance_scale_forces_failure(capsys):

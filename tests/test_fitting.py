@@ -20,7 +20,9 @@ from blinkcorr import (
 )
 from blinkcorr.errors import (
     DegenerateFitError,
+    DegenerateInputError,
     FitConvergenceError,
+    FitError,
     InsufficientDataError,
 )
 from blinkcorr.fitting import (
@@ -243,6 +245,43 @@ def test_least_squares_validation():
     ):
         with pytest.raises(ValueError):
             least_squares(lambda x: x - 1.0, np.zeros(2), **knobs)
+
+
+def test_least_squares_rejects_trial_point_the_residual_refuses():
+    # The Gauss-Newton step from 0.5 lands on 4.25, where the residual
+    # refuses to evaluate; more damping shortens the step below 3.
+    refused = []
+
+    def residual(x):
+        if x[0] > 3.0:
+            refused.append(float(x[0]))
+            raise DegenerateInputError("refused")
+        return np.array([x[0] ** 2 - 4.0])
+
+    res = least_squares(residual, np.array([0.5]))
+    assert refused and refused[0] == pytest.approx(4.25, rel=1e-3)
+    assert res.converged
+    assert res.x[0] == pytest.approx(2.0, rel=1e-8)
+
+
+def test_fit_slow_survives_degenerate_trial_step():
+    # On this curve a damped trial step of the slow stage is clipped onto
+    # the corner T_D1 = T_D2 = 1e-8 s, where the two dark rates coincide
+    # and the propagator refuses them; the fit must end in a result or a
+    # FitError, not in that input error.
+    clean = eval_curve(
+        PhotoPhysicalParams(
+            A31=3.3e8, Omega31=2.9e8, A32=(34.0, 249.0), A21=(430.0, 2400.0), I_sc=7.7e7
+        ),
+        np.geomspace(1e-10, 1.0, 300),
+    )
+    sigma = 0.01 * clean.g
+    noise = np.random.Generator(np.random.Philox(key=[5, 2])).standard_normal(clean.g.size)
+    series = CorrelationSeries(clean.tau, 0.9 * (clean.g + sigma * noise), 0.9 * sigma)
+    try:
+        fit_full(series, FitConfig(bootstrap_resamples=0, free_amplitude=True))
+    except FitError:
+        pass
 
 
 def test_least_squares_covariance_linear():
@@ -504,6 +543,16 @@ def test_fit_config_validation():
     # The edges of the accepted ranges.
     FitConfig(lambda0=1e12, bootstrap_seed=2**63 - 1)
     FitConfig(bootstrap_seed=np.uint64(2**63 - 1))
+
+
+@pytest.mark.parametrize("key", ["T_L", "T_D1", "T_D2", "A31", "Omega31", "A21_1", "A21_2"])
+def test_log_coordinate_guess_must_be_positive(reference_params, key):
+    series = eval_curve(reference_params, log_grid(1e-10, 1.0, 30))
+    for value in (0.0, -1.0):
+        with pytest.raises(ValueError, match=rf"initial_guess\['{key}'\] must be positive"):
+            fit_full(series, FitConfig(bootstrap_resamples=0, initial_guess={key: value}))
+    # Linear coordinates may start at zero.
+    FitConfig(initial_guess={"A32_1": 0.0, "A32_2": 0.0, "I_sc": 0.0})
 
 
 def test_reported_sigmas_non_negative():

@@ -17,6 +17,7 @@ from blinkcorr import (
     light_fraction,
     log_edges,
     log_grid,
+    period_statistics,
     read_trajectory,
     simulate_periods,
     simulate_photons,
@@ -102,8 +103,6 @@ def test_light_fraction_converges(reference_stats):
 
 
 def test_non_blinking_record_is_one_period():
-    from blinkcorr import period_statistics
-
     st = period_statistics((0.0, 0.0), (430.0, 2400.0))
     rec = simulate_periods(st, 3.0, seed=5)
     assert rec.shape == (1, 3)
@@ -134,6 +133,105 @@ def test_emission_sampler_antibunching():
     frac_short = np.mean(draws < cut)
     poisson_frac = 1.0 - math.exp(-cut / sampler.mean_wait)
     assert frac_short < 0.2 * poisson_frac
+
+
+# Drives of the sampler tests: the benchmark emitter, overdamped,
+# strongly underdamped and critical (the polynomial branch).
+_DRIVES = [(3.3e5, 2.9e5), (1e6, 1e5), (1e5, 1e7), (2.0, 1.0)]
+
+
+@pytest.mark.parametrize("a, w", _DRIVES)
+def test_emission_sampler_waits_within_one_grid_step_of_table(a, w):
+    sampler = _EmissionSampler(a, w)
+    edge = 2.0**-16
+    u = np.concatenate(
+        [
+            [0.0, 5e-324, np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)],
+            [0.5, 1.0 - 2.0**-53],
+            np.random.Generator(np.random.Philox(key=[44, 0])).random(200_000),
+        ]
+    )
+    gap = np.abs(sampler.waits(u) - sampler.table_waits(u))
+    assert gap.max() <= sampler.grid_step
+
+
+def test_emission_sampler_rarely_falls_back_to_table(monkeypatch):
+    # Only the flagged cells (the tail and the knees of the curve) may
+    # interpolate in the dense table; a lookup fault that flagged every
+    # cell would keep the waits and lose the speed.
+    sampler = _EmissionSampler(3.3e5, 2.9e5)
+    served = []
+    table_waits = sampler.table_waits
+
+    def counted(u):
+        served.append(u.size)
+        return table_waits(u)
+
+    monkeypatch.setattr(sampler, "table_waits", counted)
+    rng = np.random.Generator(np.random.Philox(key=[45, 0]))
+    sampler.sample(rng, 1 << 20)
+    assert sum(served) < 0.01 * (1 << 20)
+
+
+@pytest.mark.parametrize("switching", [1.0, 100.0])
+def test_photons_across_chunk_boundaries(reference_stats, monkeypatch, switching):
+    # Chunks of 7 waits: periods end inside a chunk, several share one
+    # (about ten photons per light period when switching 100 times
+    # faster), and long ones run over many. The reference takes the same
+    # waits one period at a time.
+    p = PhotoPhysicalParams(
+        A31=3.3e5, Omega31=2.9e5, A32=(34.0, 249.0), A21=(430.0, 2400.0)
+    )
+    stats = period_statistics(
+        tuple(switching * r for r in reference_stats.p_LD),
+        tuple(switching * r for r in reference_stats.p_DL),
+    )
+    drawn = []
+    sample = _EmissionSampler.sample
+
+    def recorded(self, rng, n):
+        drawn.append(sample(self, rng, n))
+        return drawn[-1]
+
+    monkeypatch.setattr(simulate, "_BLOCK", 7)
+    monkeypatch.setattr(_EmissionSampler, "sample", recorded)
+    rec = simulate_periods(stats, 0.2, seed=12)
+    traj = simulate_photons(rec, p, seed=12)
+
+    waits = iter(np.concatenate(drawn).tolist())
+    light = rec[(rec[:, 0] == 0.0) & (rec[:, 2] > rec[:, 1])]
+    expected = []
+    for start, end in light[:, 1:].tolist():
+        elapsed = next(waits)
+        while elapsed < end - start:
+            expected.append(start + elapsed)
+            elapsed += next(waits)
+    assert len(traj) == len(expected) > 100
+    assert np.max(np.abs(traj.times - expected)) < 1e-12
+    assert np.all(np.diff(traj.times) >= 0.0)
+    idx = np.searchsorted(light[:, 1], traj.times, side="right") - 1
+    assert np.all(idx >= 0)
+    assert np.all(traj.times < light[idx, 2])
+
+
+def test_photons_draw_waits_by_the_chunk(reference_stats, monkeypatch):
+    # One batch of waits per chunk, not one per light period.
+    p = PhotoPhysicalParams(
+        A31=3.3e5, Omega31=2.9e5, A32=(34.0, 249.0), A21=(430.0, 2400.0)
+    )
+    calls = []
+    sample = _EmissionSampler.sample
+
+    def counted(self, rng, n):
+        calls.append(n)
+        return sample(self, rng, n)
+
+    monkeypatch.setattr(_EmissionSampler, "sample", counted)
+    rec = simulate_periods(reference_stats, 2.0, seed=13)
+    traj = simulate_photons(rec, p, seed=13)
+    n_light = int(np.sum(rec[:, 0] == 0.0))
+    assert n_light > 100
+    assert len(calls) <= (len(traj) + n_light) // simulate._BLOCK + 1
 
 
 def test_photons_only_in_light_periods(reference_params, reference_stats):
