@@ -135,12 +135,9 @@ def test_emission_sampler_antibunching():
     assert frac_short < 0.2 * poisson_frac
 
 
-# Drives of the sampler tests: the benchmark emitter, overdamped,
-# strongly underdamped and critical (the polynomial branch).
-_DRIVES = [(3.3e5, 2.9e5), (1e6, 1e5), (1e5, 1e7), (2.0, 1.0)]
-
-
-@pytest.mark.parametrize("a, w", _DRIVES)
+# The benchmark emitter, overdamped, strongly underdamped and critical
+# (the polynomial branch).
+@pytest.mark.parametrize("a, w", [(3.3e5, 2.9e5), (1e6, 1e5), (1e5, 1e7), (2.0, 1.0)])
 def test_emission_sampler_waits_within_one_grid_step_of_table(a, w):
     sampler = _EmissionSampler(a, w)
     edge = 2.0**-16
