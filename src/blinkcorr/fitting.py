@@ -11,9 +11,9 @@ runs three stages:
 2. :func:`fit_fast` fits the two-level shape below the split, with the
    plateau pinned by stage one, and yields ``A31``, ``Omega31`` and the
    background rate.
-3. :func:`fit_isc` refits the slow side parameterized directly in the
-   shelving and deshelving coefficients, with ``A31`` and ``Omega31``
-   pinned by stage two.
+3. :func:`fit_isc` maps the period statistics of stage one one to one
+   onto the shelving and deshelving coefficients, with ``A31`` and
+   ``Omega31`` from stage two; it fits nothing.
 
 :func:`fit_full` chains the stages and optionally wraps them in a
 residual bootstrap for uncertainties. The optimizer is a small damped
@@ -70,14 +70,6 @@ STAGE_KEYS = {
     "slow": ("T_L", "T_D1", "T_D2", "p1"),
 }
 
-# Keys accepted in FitConfig.initial_guess and FitConfig.bounds. The
-# background rate is fit through the background-to-signal intensity
-# ratio, whose box moves with A31/Omega31, so I_sc takes no static bound.
-_GUESS_KEYS = frozenset(
-    [key for keys in STAGE_KEYS.values() for key in keys] + ["amplitude"]
-)
-_BOUND_KEYS = _GUESS_KEYS - {"I_sc"}
-
 # Each stage's coordinates in optimizer order: (name, fit in log10 of the
 # value?, built-in lo, built-in hi), the box in coordinate units. A bound
 # in FitConfig replaces the box of its name. ``ratio`` is the background-
@@ -94,16 +86,18 @@ _FAST = (
     ("Omega31", True, 2.0, 14.0),
     ("ratio", False, 0.0, 1e3),
 )
-_ISC = (
-    ("A32_1", False, 0.0, 1e10),
-    ("A32_2", False, 0.0, 1e10),
-    ("A21_1", True, -6.0, 10.0),
-    ("A21_2", True, -6.0, 10.0),
-)
+
+# Keys accepted in FitConfig.bounds and FitConfig.initial_guess. The
+# background rate is fit through the background-to-signal intensity
+# ratio, whose box moves with A31/Omega31, so I_sc takes a guess but no
+# static bound.
+_BOUND_KEYS = frozenset(name for name, _, _, _ in _SLOW + _AMPLITUDE + _FAST) - {"ratio"}
+_GUESS_KEYS = _BOUND_KEYS | {"I_sc"}
+_DERIVED = "is not a fit coordinate: it is derived from the slow and fast stages"
 
 # Names of the coordinates fit in log10 of their value; their guesses
 # must be positive.
-_LOG_KEYS = frozenset(name for name, log, _, _ in _SLOW + _FAST + _ISC if log)
+_LOG_KEYS = frozenset(name for name, log, _, _ in _SLOW + _FAST if log)
 
 # Largest damping factor least_squares tries before it gives up a step.
 _MAX_DAMPING = 1e12
@@ -121,18 +115,19 @@ class FitConfig:
     """Knobs of the fitting protocol.
 
     ``split_tau`` separates the fast and slow fitting windows.
-    ``initial_guess`` may carry any subset of the reported parameter
-    names; present values replace the corresponding heuristic start
-    coordinates. ``bounds`` maps parameter names to ``[lo, hi]`` boxes
-    that replace the built-in ones (a zero lower bound on a
-    log-parameterized rate keeps the built-in floor). ``free_amplitude``
-    adds one overall scale factor to absorb data normalization.
-    ``bootstrap_resamples`` of zero disables the bootstrap and falls back
-    to Jacobian uncertainties. A guess for a coordinate fit in log10
-    (``T_L``, ``T_D1``, ``T_D2``, ``A31``, ``Omega31``, ``A21_1``,
-    ``A21_2``) must be positive. ``split_tau`` and ``convergence_tol`` must
-    be finite and positive, ``lambda0`` must lie in (0, 1e12], and
-    ``bootstrap_seed`` must be an integer in [0, 2**63).
+    ``initial_guess`` may carry any subset of the slow and fast stages'
+    parameter names and ``amplitude``; present values replace the
+    corresponding heuristic start coordinates. ``bounds`` maps the same
+    names but ``I_sc`` to ``[lo, hi]`` boxes that replace the built-in
+    ones (a zero lower bound on a log-parameterized rate keeps the
+    built-in floor). ``A32_*`` and ``A21_*`` are derived from those
+    stages and take neither. ``free_amplitude`` adds one overall scale
+    factor to absorb data normalization. ``bootstrap_resamples`` of zero
+    disables the bootstrap and falls back to Jacobian uncertainties. A
+    guess for a coordinate fit in log10 (``T_L``, ``T_D1``, ``T_D2``,
+    ``A31``, ``Omega31``) must be positive. ``split_tau`` and
+    ``convergence_tol`` must be finite and positive, ``lambda0`` must lie
+    in (0, 1e12], and ``bootstrap_seed`` must be an integer in [0, 2**63).
     """
 
     split_tau: float = 1e-7
@@ -160,6 +155,8 @@ class FitConfig:
         _check_solver(self.convergence_tol, self.lambda0)
         if self.initial_guess is not None:
             for key, value in self.initial_guess.items():
+                if key in STAGE_KEYS["isc"]:
+                    raise ValueError(f"initial_guess[{key!r}] {_DERIVED}")
                 if key not in _GUESS_KEYS:
                     raise ValueError(f"unknown initial_guess key {key!r}")
                 if not math.isfinite(value):
@@ -168,6 +165,8 @@ class FitConfig:
                     raise ValueError(f"initial_guess[{key!r}] must be positive")
         if self.bounds is not None:
             for key, box in self.bounds.items():
+                if key in STAGE_KEYS["isc"]:
+                    raise ValueError(f"bounds[{key!r}] {_DERIVED}")
                 if key not in _BOUND_KEYS:
                     raise ValueError(f"bounds not supported for {key!r}")
                 lo, hi = box
@@ -388,14 +387,13 @@ def _weights(sub: CorrelationSeries) -> np.ndarray:
 
 
 def _propagated_sigma(func, theta: np.ndarray, cov: np.ndarray) -> float:
-    # Delta method with a forward-difference gradient.
-    base = func(theta)
+    # Delta method with a central-difference gradient; a forward one errs
+    # by a relative amount of the order of its step.
     grad = np.empty(theta.size)
     for j in range(theta.size):
-        h = 1e-6 * max(abs(theta[j]), 1e-12)
-        tp = theta.copy()
-        tp[j] += h
-        grad[j] = (func(tp) - base) / h
+        step = np.zeros(theta.size)
+        step[j] = 1e-6 * max(abs(theta[j]), 1e-12)
+        grad[j] = (func(theta + step) - func(theta - step)) / (2.0 * step[j])
     var = float(grad @ cov @ grad)
     return math.sqrt(max(var, 0.0))
 
@@ -499,8 +497,10 @@ def fit_slow(
 
     Returns mean period durations ``T_L``, ``T_D1``, ``T_D2``, branching
     fraction ``p1`` and the implied ``P_L``, ordered so that ``T_D1`` is
-    the longer dark period. Raises :class:`DegenerateFitError` when the
-    data show no bunching to fit.
+    the longer dark period. The sigmas also carry the four switching
+    rates ``p_LD_i`` and ``p_DL_i`` in the same order, which
+    :func:`fit_isc` turns into its own. Raises
+    :class:`DegenerateFitError` when the data show no bunching to fit.
     """
     cfg = config or FitConfig()
     sub = series.restrict(tau_min=cfg.split_tau)
@@ -555,12 +555,23 @@ def fit_slow(
     }
     if free_amp:
         values["amplitude"] = amp_fit
-    stage = _stage(table, best, values, len(sub), P_L=lambda t: _slow_stats(t).P_L)
+    stage = _stage(
+        table,
+        best,
+        values,
+        len(sub),
+        P_L=lambda t: _slow_stats(t).P_L,
+        p_LD_1=lambda t: _slow_rates(t)[0][0],
+        p_LD_2=lambda t: _slow_rates(t)[0][1],
+        p_DL_1=lambda t: _slow_rates(t)[1][0],
+        p_DL_2=lambda t: _slow_rates(t)[1][1],
+    )
     sigma = stage.sigma
     if values["T_D1"] < values["T_D2"]:
         values["T_D1"], values["T_D2"] = values["T_D2"], values["T_D1"]
-        sigma["T_D1"], sigma["T_D2"] = sigma["T_D2"], sigma["T_D1"]
         values["p1"] = 1.0 - values["p1"]
+        for first, second in (("T_D1", "T_D2"), ("p_LD_1", "p_LD_2"), ("p_DL_1", "p_DL_2")):
+            sigma[first], sigma[second] = sigma[second], sigma[first]
     return stage
 
 
@@ -628,63 +639,27 @@ def fit_fast(
     return _stage(_FAST, best, values, len(sub), I_sc=isc_of)
 
 
-def fit_isc(
-    series: CorrelationSeries,
-    A31: float,
-    Omega31: float,
-    stats_init: PeriodStatistics,
-    config: FitConfig | None = None,
-    init: dict[str, float] | None = None,
-    amplitude: float = 1.0,
-) -> FitStage:
-    """Refit the slow side in shelving/deshelving coefficients.
+def fit_isc(slow: FitStage, fast: FitStage) -> FitStage:
+    """Shelving and deshelving coefficients of the slow and fast stages.
 
-    ``A31`` and ``Omega31`` stay pinned at the fast-stage values, as is
-    the overall ``amplitude`` when the protocol frees one; the slow-stage
-    statistics provide the starting point through the exact parameter
-    map, so this stage mostly converts units and sharpens the covariance
-    in rate space. Shelving coefficients may converge to zero, which
-    reduces the model to a single dark level.
+    Runs no optimizer: ``A21_i = p_DL_i`` and ``A32_i = p_LD_i /
+    saturation_factor(A31, Omega31)``, with the switching rates of the
+    slow stage's statistics (longer dark period first) and their sigmas,
+    and the fast stage's ``A31`` and ``Omega31``.
     """
-    cfg = config or FitConfig()
-    sub = series.restrict(tau_min=cfg.split_tau)
-    if len(sub) < 8:
-        raise InsufficientDataError("need at least 8 points above the split delay")
-    tau, y = sub.tau, sub.g
-    w = _weights(sub)
-    sat = saturation_factor(A31, Omega31)
-
-    def residual(theta: np.ndarray) -> np.ndarray:
-        a32_1, a32_2, log_a21_1, log_a21_2 = theta.tolist()
-        ld1, ld2 = a32_1 * sat, a32_2 * sat
-        factor = _blink_factor(tau, ld1, ld2, 10.0 ** log_a21_1, 10.0 ** log_a21_2)
-        return w * (amplitude * factor - y)
-
-    x0 = np.array(
-        [
-            stats_init.p_LD[0] / sat,
-            stats_init.p_LD[1] / sat,
-            math.log10(stats_init.p_DL[0]),
-            math.log10(stats_init.p_DL[1]),
-        ]
-    )
-    starts, _ = _patch_starts(_ISC, [x0], cfg, init)
-    best = _best_start(residual, starts, _bounds(_ISC, cfg), cfg)
-
-    values = {
-        "A32_1": float(best.x[0]),
-        "A32_2": float(best.x[1]),
-        "A21_1": 10.0 ** best.x[2],
-        "A21_2": 10.0 ** best.x[3],
+    v, s = slow.values, slow.sigma
+    (ld1, ld2), (dl1, dl2) = rates_from_statistics(v["T_L"], (v["T_D1"], v["T_D2"]), v["p1"])
+    sat = saturation_factor(fast.values["A31"], fast.values["Omega31"])
+    values = {"A32_1": ld1 / sat, "A32_2": ld2 / sat, "A21_1": dl1, "A21_2": dl2}
+    sigma = {
+        "A32_1": s["p_LD_1"] / sat,
+        "A32_2": s["p_LD_2"] / sat,
+        "A21_1": s["p_DL_1"],
+        "A21_2": s["p_DL_2"],
     }
-    stage = _stage(_ISC, best, values, len(sub))
-    sigma = stage.sigma
-    if 1.0 / values["A21_1"] < 1.0 / values["A21_2"]:
-        values["A32_1"], values["A32_2"] = values["A32_2"], values["A32_1"]
-        values["A21_1"], values["A21_2"] = values["A21_2"], values["A21_1"]
-        sigma["A32_1"], sigma["A32_2"] = sigma["A32_2"], sigma["A32_1"]
-        sigma["A21_1"], sigma["A21_2"] = sigma["A21_2"], sigma["A21_1"]
-    return stage
+    return FitStage(
+        values, sigma, slow.cost, 0, True, "derived from the slow and fast stages", slow.n_points
+    )
 
 
 def _flatten(stages: dict[str, FitStage], attr: str) -> dict[str, float]:
@@ -701,31 +676,16 @@ def _pipeline(
     series: CorrelationSeries, cfg: FitConfig, init: dict[str, float] | None = None
 ) -> tuple[dict[str, FitStage], dict[str, float], PeriodStatistics]:
     slow = fit_slow(series, cfg, init=init)
-    amp = slow.values.get("amplitude", 1.0)
-    stats_init = period_statistics(
-        *rates_from_statistics(
-            slow.values["T_L"],
-            (slow.values["T_D1"], slow.values["T_D2"]),
-            slow.values["p1"],
-        )
-    )
-    fast = fit_fast(
-        series, amp / slow.values["P_L"], cfg, init=init, slow_stats=stats_init
-    )
-    isc = fit_isc(
-        series,
-        fast.values["A31"],
-        fast.values["Omega31"],
-        stats_init,
-        cfg,
-        init=init,
-        amplitude=amp,
-    )
+    v = slow.values
+    amp = v.get("amplitude", 1.0)
+    stats = period_statistics(*rates_from_statistics(v["T_L"], (v["T_D1"], v["T_D2"]), v["p1"]))
+    fast = fit_fast(series, amp / v["P_L"], cfg, init=init, slow_stats=stats)
+    isc = fit_isc(slow, fast)
     stages = {"slow": slow, "fast": fast, "isc": isc}
     flat = _flatten(stages, "values")
     if cfg.free_amplitude:
         flat["amplitude"] = amp
-    return stages, flat, stats_init
+    return stages, flat, stats
 
 
 def fit_full(

@@ -165,8 +165,9 @@ class _EmissionSampler:
         if h_sq < -((1e-6 * a) ** 2):
             g = math.sqrt(-h_sq)
             x = 0.5 * g * t
-            c1 = decay * (np.cos(x) + (0.25 * a * t) * _sinc(x))
-            c3_sq = decay**2 * (0.5 * w * t) ** 2 * _sinc(x) ** 2
+            sinc = _sinc(x)
+            c1 = decay * (np.cos(x) + (0.25 * a * t) * sinc)
+            c3_sq = decay**2 * (0.5 * w * t) ** 2 * sinc**2
             return c1 * c1 + c3_sq
         # Near the critical drive both branches collapse onto polynomials.
         c1 = decay * (1.0 + 0.25 * a * t)

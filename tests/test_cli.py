@@ -299,6 +299,7 @@ def test_fit_full_report(tmp_path, params_file, reference_params):
             "step and cost change below tolerance",
             "no damping produced further improvement",
             "every coordinate pinned at a bound",
+            "derived from the slow and fast stages",
         )
         line = (
             f"# stage {name}: cost = {stage['cost']:.6g}, "

@@ -16,6 +16,7 @@ from blinkcorr import (
     fitting,
     light_intensity,
     log_grid,
+    saturation_factor,
     statistics_from_params,
 )
 from blinkcorr.errors import (
@@ -323,14 +324,7 @@ def test_noiseless_stage_recovery(reference_params):
     for key in ("A31", "Omega31", "I_sc"):
         assert fast.values[key] == pytest.approx(truth[key], rel=1e-6), key
 
-    isc = fit_isc(
-        series,
-        reference_params.A31,
-        reference_params.Omega31,
-        stats,
-        cfg,
-        init=guess,
-    )
+    isc = fit_isc(slow, fast)
     for key in ("A32_1", "A32_2", "A21_1", "A21_2"):
         assert isc.values[key] == pytest.approx(truth[key], rel=1e-6), key
 
@@ -345,6 +339,58 @@ def test_noiseless_full_recovery(reference_params):
     assert res.stages["slow"].converged
     assert res.stages["fast"].converged
     assert res.stages["isc"].converged
+
+
+def criterion7_curve(params, seed):
+    """Criterion 7's noisy curve: 300 log-spaced delays, 1% noise."""
+    clean = eval_curve(params, np.geomspace(1e-10, 1.0, 300))
+    sigma = 0.01 * clean.g
+    rng = np.random.Generator(np.random.Philox(key=[seed, 2]))
+    return CorrelationSeries(clean.tau, clean.g + sigma * rng.standard_normal(clean.g.size), sigma)
+
+
+def test_isc_block_is_the_map_of_the_statistics(reference_params):
+    # A32_i = p_LD_i / saturation_factor(A31, Omega31) and A21_i = p_DL_i of
+    # the reported statistics, on every criterion-7 curve. The branching
+    # fraction stays inside its box, so no shelving rate is exactly zero.
+    for seed in range(20):
+        res = fit_full(criterion7_curve(reference_params, seed), FitConfig(bootstrap_resamples=0))
+        p, stats = res.params, res.stats
+        sat = saturation_factor(p.A31, p.Omega31)
+        for i in range(2):
+            assert p.A32[i] == pytest.approx(stats.p_LD[i] / sat, rel=1e-12), seed
+            assert p.A21[i] == pytest.approx(stats.p_DL[i], rel=1e-12), seed
+            assert p.A32[i] > 0.0, seed
+        isc = res.stages["isc"]
+        assert (isc.iterations, isc.converged) == (0, True)
+        assert isc.message == "derived from the slow and fast stages"
+        assert (isc.cost, isc.n_points) == (res.stages["slow"].cost, res.stages["slow"].n_points)
+
+
+def test_isc_sigmas_follow_the_dark_periods(reference_params):
+    # A21_i = 1 / T_D_i, so its Jacobian sigma is sigma(T_D_i) / T_D_i**2.
+    # Noise seed 13 fits two nearly equal dark rates, so the slow stage's
+    # covariance is near-singular.
+    res = fit_full(criterion7_curve(reference_params, 13), FitConfig(bootstrap_resamples=0))
+    slow = res.stages["slow"]
+    for i in (1, 2):
+        t_d, sigma_t_d = slow.values[f"T_D{i}"], slow.sigma[f"T_D{i}"]
+        assert res.sigma[f"A21_{i}"] == pytest.approx(sigma_t_d / t_d**2, rel=1e-6)
+
+
+def test_isc_block_follows_the_dark_level_order(reference_params):
+    # Started on the mirrored optimum (shorter dark period first), the slow
+    # stage ends there and reorders its levels; the isc values and sigmas
+    # must match those of the fit that never reordered.
+    data = criterion7_curve(reference_params, 0)
+    res = fit_full(data, FitConfig(bootstrap_resamples=0))
+    st = res.stats
+    mirrored = {"T_L": st.T_L, "T_D1": st.T_D[1], "T_D2": st.T_D[0], "p1": 1.0 - st.p1}
+    mir = fit_full(data, FitConfig(bootstrap_resamples=0, initial_guess=mirrored))
+    assert mir.params.A32 == pytest.approx(res.params.A32, rel=1e-6)
+    assert mir.params.A21 == pytest.approx(res.params.A21, rel=1e-6)
+    for key in fitting.STAGE_KEYS["isc"]:
+        assert mir.sigma[key] == pytest.approx(res.sigma[key], rel=1e-4), key
 
 
 def test_monotone_noise_response():
@@ -545,14 +591,29 @@ def test_fit_config_validation():
     FitConfig(bootstrap_seed=np.uint64(2**63 - 1))
 
 
-@pytest.mark.parametrize("key", ["T_L", "T_D1", "T_D2", "A31", "Omega31", "A21_1", "A21_2"])
+@pytest.mark.parametrize("key", ["T_L", "T_D1", "T_D2", "A31", "Omega31"])
 def test_log_coordinate_guess_must_be_positive(reference_params, key):
     series = eval_curve(reference_params, log_grid(1e-10, 1.0, 30))
     for value in (0.0, -1.0):
         with pytest.raises(ValueError, match=rf"initial_guess\['{key}'\] must be positive"):
             fit_full(series, FitConfig(bootstrap_resamples=0, initial_guess={key: value}))
     # Linear coordinates may start at zero.
-    FitConfig(initial_guess={"A32_1": 0.0, "A32_2": 0.0, "I_sc": 0.0})
+    FitConfig(initial_guess={"p1": 0.0, "I_sc": 0.0})
+
+
+@pytest.mark.parametrize("key", ["A32_1", "A32_2", "A21_1", "A21_2"])
+def test_isc_key_takes_no_guess_or_bound(reference_params, key):
+    # The isc coefficients are derived from the slow and fast stages, so
+    # no stage is left for a guess or a box of theirs to act on.
+    series = eval_curve(reference_params, log_grid(1e-10, 1.0, 30))
+    derived = "is not a fit coordinate: it is derived from the slow and fast stages"
+    for field, knob in (
+        ("initial_guess", {key: 0.0}),
+        ("initial_guess", {key: 100.0}),
+        ("bounds", {key: (0.0, 1e5)}),
+    ):
+        with pytest.raises(ValueError, match=rf"{field}\['{key}'\] {derived}"):
+            fit_full(series, FitConfig(bootstrap_resamples=0, **{field: knob}))
 
 
 def test_reported_sigmas_non_negative():
@@ -635,11 +696,12 @@ def record_starts(monkeypatch):
 
 
 def test_stages_try_their_starts(reference_params, monkeypatch):
-    # Slow and fast stage try four heuristic starts, the isc stage one.
+    # Slow and fast stage try four heuristic starts; the isc stage runs no
+    # optimizer.
     series = eval_curve(reference_params, log_grid(1e-10, 1.0, 30))
     calls = record_starts(monkeypatch)
     fit_full(series, FitConfig(bootstrap_resamples=0))
-    assert [x0.size for x0, _ in calls] == [4] * 4 + [3] * 4 + [4]
+    assert [x0.size for x0, _ in calls] == [4] * 4 + [3] * 4
 
 
 def test_guessing_every_coordinate_leaves_one_start(reference_params, monkeypatch):
@@ -647,16 +709,14 @@ def test_guessing_every_coordinate_leaves_one_start(reference_params, monkeypatc
     stats = statistics_from_params(reference_params)
     truth = truth_of(reference_params)
     calls = record_starts(monkeypatch)
-    fit_full(series, FitConfig(bootstrap_resamples=0, initial_guess=truth))
-    assert [x0.size for x0, _ in calls] == [4, 3, 4]
+    guess = {key: value for key, value in truth.items() if key not in fitting.STAGE_KEYS["isc"]}
+    fit_full(series, FitConfig(bootstrap_resamples=0, initial_guess=guess))
+    assert [x0.size for x0, _ in calls] == [4, 3]
     log10 = math.log10
     assert calls[0][0].tolist() == [
         log10(truth["T_L"]), log10(truth["T_D1"]), log10(truth["T_D2"]), truth["p1"]
     ]
     assert calls[1][0][:2].tolist() == [log10(truth["A31"]), log10(truth["Omega31"])]
-    assert calls[2][0].tolist() == [
-        truth["A32_1"], truth["A32_2"], log10(truth["A21_1"]), log10(truth["A21_2"])
-    ]
 
     # The background ratio is never guessed: A31 and Omega31 are enough,
     # so every bootstrap refit of the fast stage runs once.
@@ -674,6 +734,16 @@ def test_guessing_every_coordinate_leaves_one_start(reference_params, monkeypatc
         fit_slow(series, free, init=init)
         assert len(calls) == starts
         assert calls[0][0][4] == init.get("amplitude", 1.0)
+
+
+def test_bootstrap_refits_only_the_slow_and_fast_stages(reference_params, monkeypatch):
+    # Each refit starts both stages from the original fit's values, one start
+    # each, and derives the isc block without an optimizer.
+    data = criterion7_curve(reference_params, seed=0)
+    calls = record_starts(monkeypatch)
+    res = fit_full(data, FitConfig(bootstrap_resamples=3))
+    assert res.diagnostics["bootstrap_failures"] == 0
+    assert [x0.size for x0, _ in calls] == [4] * 4 + [3] * 4 + [4, 3] * 3
 
 
 def test_background_guess_sets_each_ratio_start(reference_params, monkeypatch):
@@ -694,18 +764,16 @@ def test_background_guess_sets_each_ratio_start(reference_params, monkeypatch):
 def test_bounds_apply_to_stage_coordinates(reference_params, monkeypatch):
     series = eval_curve(reference_params, log_grid(1e-10, 1.0, 30))
     calls = record_starts(monkeypatch)
-    bounds = {"amplitude": (0.5, 2.0), "A31": (1e8, 1e9), "A21_1": (0.0, 1e5)}
+    bounds = {"amplitude": (0.5, 2.0), "A31": (1e8, 1e9), "T_D1": (0.0, 1e3)}
     fit_full(
         series,
         FitConfig(bootstrap_resamples=0, free_amplitude=True, bounds=bounds),
     )
-    (lo, hi), (lo_fast, hi_fast), (lo_isc, hi_isc) = (calls[k][1] for k in (0, 4, 8))
-    # A linear box passes through as given.
+    (lo, hi), (lo_fast, hi_fast) = (calls[k][1] for k in (0, 4))
+    # A linear box passes through as given, and a zero lower bound on a
+    # log coordinate keeps the built-in floor.
     assert lo.tolist() == [-8.0, -8.0, -8.0, 1e-4, 0.5]
-    assert hi.tolist() == [5.0, 5.0, 5.0, 1.0 - 1e-4, 2.0]
+    assert hi.tolist() == [5.0, 3.0, 5.0, 1.0 - 1e-4, 2.0]
     # A log box in log10 of the value, and the ratio's own box.
     assert lo_fast.tolist() == [8.0, 2.0, 0.0]
     assert hi_fast.tolist() == [9.0, 14.0, 1e3]
-    # A zero lower bound on a log coordinate keeps the built-in floor.
-    assert lo_isc.tolist() == [0.0, 0.0, -6.0, -6.0]
-    assert hi_isc.tolist() == [1e10, 1e10, 5.0, 10.0]
