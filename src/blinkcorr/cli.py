@@ -56,6 +56,8 @@ from .params import (
     transition_rates,
 )
 from .simulate import (
+    Trajectory,
+    _exact_limit,
     estimate_g,
     light_fraction,
     log_edges,
@@ -180,31 +182,36 @@ def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
     periods = simulate_periods(stats, args.duration, args.seed)
     trajectory = simulate_photons(periods, params, args.seed)
     write_trajectory(trajectory, args.out)
-    outputs = [args.out]
-    if args.g_out is not None:
-        edges = log_edges(*_parse_grid(args.grid))
-        series = estimate_g(trajectory, edges)
-        write_series(series, args.g_out)
-        outputs.append(args.g_out)
-    _write_manifests(
-        "simulate", argv, [args.params], outputs, params.as_dict(), args.seed
-    )
     print(
         f"simulated {len(trajectory)} photons over {trajectory.duration:g} s "
         f"({len(periods)} periods, light fraction {light_fraction(periods):.4f})"
     )
+    outputs = [args.out]
+    if args.g_out is not None:
+        _estimate(trajectory, args.grid, args.g_out)
+        outputs.append(args.g_out)
+    _write_manifests(
+        "simulate", argv, [args.params], outputs, params.as_dict(), args.seed
+    )
     return 0
+
+
+def _estimate(trajectory: Trajectory, grid: str, out: str) -> None:
+    edges = log_edges(*_parse_grid(grid))
+    series = estimate_g(trajectory, edges)
+    write_series(series, out)
+    print(
+        f"estimated {len(series)} bins from {len(trajectory)} arrivals, "
+        f"pairs counted exactly below {_exact_limit(trajectory, edges):g} s"
+    )
 
 
 def _cmd_estimate_g(args: argparse.Namespace, argv: list[str]) -> int:
     trajectory = read_trajectory(args.traj)
-    edges = log_edges(*_parse_grid(args.grid))
-    series = estimate_g(trajectory, edges)
-    write_series(series, args.out)
+    _estimate(trajectory, args.grid, args.out)
     _write_manifests(
         "estimate-g", argv, [args.traj], [args.out], seed=trajectory.seed
     )
-    print(f"estimated {len(series)} bins from {len(trajectory)} arrivals")
     return 0
 
 

@@ -272,15 +272,9 @@ class CorrelationSeries:
 
 def write_series(series: CorrelationSeries, path: str) -> None:
     """Write a series as CSV with header ``tau_s,g`` or ``tau_s,g,sigma``."""
-    rows = []
-    if series.sigma is None:
-        rows.append("tau_s,g")
-        for t, g in zip(series.tau, series.g):
-            rows.append(f"{format_float(t)},{format_float(g)}")
-    else:
-        rows.append("tau_s,g,sigma")
-        for t, g, s in zip(series.tau, series.g, series.sigma):
-            rows.append(f"{format_float(t)},{format_float(g)},{format_float(s)}")
+    columns = [series.tau, series.g] + ([] if series.sigma is None else [series.sigma])
+    rows = [",".join(["tau_s", "g", "sigma"][: len(columns)])]
+    rows += [",".join(map(format_float, row)) for row in zip(*columns)]
     atomic_write_text(path, "\n".join(rows) + "\n")
 
 
@@ -288,15 +282,12 @@ def read_series(path: str) -> CorrelationSeries:
     """Read a CSV written by :func:`write_series`."""
     with open(path) as handle:
         header = handle.readline().strip()
-        if header == "tau_s,g":
-            ncols = 2
-        elif header == "tau_s,g,sigma":
-            ncols = 3
-        else:
+        if header not in ("tau_s,g", "tau_s,g,sigma"):
             raise ValueError(
                 f"{path}: header must be 'tau_s,g' or 'tau_s,g,sigma', got {header!r}"
             )
-        tau, g, sigma = [], [], []
+        ncols = header.count(",") + 1
+        rows = []
         for lineno, raw in enumerate(handle, start=2):
             line = raw.strip()
             if not line:
@@ -305,15 +296,8 @@ def read_series(path: str) -> CorrelationSeries:
             if len(parts) != ncols:
                 raise ValueError(f"{path}:{lineno}: expected {ncols} columns")
             try:
-                values = [float(p) for p in parts]
+                rows.append([float(p) for p in parts])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad number") from exc
-            tau.append(values[0])
-            g.append(values[1])
-            if ncols == 3:
-                sigma.append(values[2])
-    return CorrelationSeries(
-        tau=np.array(tau),
-        g=np.array(g),
-        sigma=np.array(sigma) if ncols == 3 else None,
-    )
+    # Columns tau, g and, when written, sigma.
+    return CorrelationSeries(*np.array(rows).reshape(-1, ncols).T.copy())

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.csgraph
 
 from .errors import DegenerateInputError, ReducibleChainError
 from .fileio import atomic_write_text, format_float
@@ -81,14 +79,6 @@ def build_rate_matrix(chain: PeriodChain) -> np.ndarray:
     np.fill_diagonal(b, 0.0)
     np.fill_diagonal(b, -b.sum(axis=1))
     return b
-
-
-def _is_strongly_connected(rates: np.ndarray) -> bool:
-    if rates.shape[0] == 1:
-        return True
-    graph = scipy.sparse.csr_matrix((rates > 0.0).astype(np.int8))
-    ncomp, _ = scipy.sparse.csgraph.connected_components(graph, connection="strong")
-    return ncomp == 1
 
 
 def stationary(b: np.ndarray) -> np.ndarray:

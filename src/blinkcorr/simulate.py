@@ -37,10 +37,11 @@ _STREAM_PERIODS = 0
 _STREAM_MOLECULE = 1
 _STREAM_BACKGROUND = 2
 
-# estimate_g tuning: target number of explicitly enumerated photon pairs,
-# and the largest coincidence count vector the binned stage may allocate.
-_PAIR_BUDGET = 1.5e8
-_MAX_VECTOR = 25_000_000
+# estimate_g splits its bins where the two stages' estimated work is least,
+# counted in lattice cells visited for one lag; an exact-stage pair, or a
+# photon binned onto a lattice, costs this many (17 ns against 0.6 ns on a
+# 2-core x86-64 VM).
+_PAIR_COST = 30.0
 # Elements per block of the temporaries of estimate_g (sources of the exact
 # stage, photons and cells of the lattice stage), of write_trajectory and
 # of the waits simulate_photons draws, and the mantissa bits of the exact
@@ -345,7 +346,8 @@ def estimate_g(
     stream estimates one. Bins beyond a tenth of the record length are
     dropped.
 
-    Short-delay bins count pairs exactly on the arrival times: a pair
+    Short-delay bins count pairs exactly on the arrival times, up to the
+    split of least estimated work (1e-4 s at 9e4 photons per second): a pair
     ``i < j`` is counted when ``t_i + edges[0] <= t_j < t_i + edges[m]``
     (both sums rounded to float64, ``m`` the last exact edge) and falls
     into the bin whose left edge is the largest one not above
@@ -394,34 +396,19 @@ def estimate_g(
 
     rate = n / t_total
     nbins = edges.size - 1
-    widths = [10.0 ** math.floor(math.log10(e)) / 20.0 for e in edges[:-1]]
-
-    # Split point between exact pair enumeration and lattice correlation.
-    t_switch = _PAIR_BUDGET / (rate * n)
-    n_exact = 0
-    for i in range(nbins):
-        viable = t_total / widths[i] <= _MAX_VECTOR
-        if edges[i + 1] <= t_switch or not viable:
-            n_exact = i + 1
-        else:
-            break
+    n_exact = _exact_bins(n, t_total, edges)
 
     counts = np.zeros(nbins)
-    windows = np.empty((nbins, 2))
-    denom = np.empty(nbins)
+    windows = np.column_stack([edges[:-1], edges[1:]])
+    steps = np.zeros(nbins)
     keep = np.ones(nbins, dtype=bool)
-
     if n_exact:
         counts[:n_exact] = _exact_counts(times, edges[: n_exact + 1])
-        for i in range(n_exact):
-            a_e, b_e = edges[i], edges[i + 1]
-            windows[i] = (a_e, b_e)
-            denom[i] = rate * rate * (b_e - a_e) * (t_total - 0.5 * (a_e + b_e))
 
     # Lattice bins as (bin, ka, kb), grouped by lattice width in delay order.
     lattices: dict[float, list[tuple[int, int, int]]] = {}
     for i in range(n_exact, nbins):
-        width = widths[i]
+        width = _lattice_width(edges[i])
         ka = int(math.ceil(edges[i] / width - 1e-9))
         kb = int(math.ceil(edges[i + 1] / width - 1e-9))
         if kb <= ka:
@@ -430,18 +417,20 @@ def estimate_g(
                 continue
             kb = ka + 1
         lattices.setdefault(width, []).append((i, ka, kb))
-        norm = 0.0
-        for k in range(ka, kb):
-            norm += width * (t_total - k * width)
-        denom[i] = rate * rate * norm
         windows[i] = (ka * width, kb * width)
+        steps[i] = width
     for width, bins in lattices.items():
         bounds = sorted({k for _, ka, kb in bins for k in (ka, kb)})
         sums = dict(zip(bounds, _lattice_sums(times, width, bounds)))
         for i, ka, kb in bins:
             counts[i] = sums[kb] - sums[ka]
 
-    counts, windows, denom = counts[keep], windows[keep], denom[keep]
+    # Pairs a Poisson stream of the record's rate puts into each window: a
+    # lattice window [ka w, kb w) sums w (T - k w) over its lags k, which is
+    # the exact window's (b - a) (T - (a + b) / 2) with a + b less one w.
+    counts, windows, steps = counts[keep], windows[keep], steps[keep]
+    lo, hi = windows.T
+    denom = rate * rate * (hi - lo) * (t_total - 0.5 * (lo + hi - steps))
     g = counts / denom
     shot = np.maximum(np.sqrt(counts), 1.0) / denom
 
@@ -461,6 +450,35 @@ def estimate_g(
     if with_windows:
         return series, windows
     return series
+
+
+def _lattice_width(delay: float) -> float:
+    return 10.0 ** math.floor(math.log10(delay)) / 20.0
+
+
+def _exact_bins(n: int, t_total: float, edges: np.ndarray) -> int:
+    """Leading bins of ``edges`` that :func:`estimate_g` counts exactly for
+    ``n`` photons over ``t_total``: the split of least estimated work. The
+    exact stage visits each photon and its ``rate * edges[m]`` partners;
+    each lattice width passes once over the photons and over its cells once
+    per boundary lag. Counting the bins of its finest width exactly would
+    cost less than a lattice of more than ``sqrt(_PAIR_COST * e / (2 *
+    width))`` cells per photon, ``e`` their last edge, so none is chosen."""
+    # cost[m] prices the split after m bins. A width's photon pass and
+    # running sums are paid while its last bin is on a lattice; ties go to
+    # the exact stage.
+    cells = t_total / np.array([_lattice_width(e) for e in edges[:-1]])
+    last = np.append(cells[1:] != cells[:-1], True)
+    lattice = np.cumsum((cells + last * (_PAIR_COST * n + cells))[::-1])[::-1]
+    cost = _PAIR_COST * n * (n / t_total * edges + 1.0) + np.append(lattice, 0.0)
+    cost[0] = lattice[0]
+    return int(np.flatnonzero(cost == cost.min())[-1])
+
+
+def _exact_limit(trajectory: Trajectory, edges: np.ndarray) -> float:
+    """Delay where :func:`estimate_g`'s exact stage stops on valid ``edges``."""
+    edges = edges[edges <= 0.1 * trajectory.duration]
+    return float(edges[_exact_bins(len(trajectory), trajectory.duration, edges)])
 
 
 def _exact_counts(times: np.ndarray, edges: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from blinkcorr import (
     transition_rates,
     write_trajectory,
 )
+from blinkcorr import simulate
 from blinkcorr.cli import main
 
 PARAMS_TEXT = """\
@@ -202,7 +203,27 @@ def test_simulate_rejects_bad_duration(tmp_path, slow_params_file):
                  "--seed", "1", "--out", out]) == 2
 
 
-def test_simulate_with_estimate(tmp_path, slow_params_file, capsys):
+def record_exact_limits(monkeypatch):
+    """Last edge of each exact-stage call of estimate_g, as the CLI prints it."""
+    limits = []
+    exact_counts = simulate._exact_counts
+
+    def recorded(times, edges):
+        limits.append(f"{edges[-1]:g}")
+        return exact_counts(times, edges)
+
+    monkeypatch.setattr(simulate, "_exact_counts", recorded)
+    return limits
+
+
+def estimate_line(bins, photons, limits, first_edge):
+    # With no exact-stage call the exact stage stops at the first edge.
+    limit = limits.pop() if limits else first_edge
+    return f"estimated {bins} bins from {photons} arrivals, pairs counted exactly below {limit} s"
+
+
+def test_simulate_with_estimate(tmp_path, slow_params_file, capsys, monkeypatch):
+    limits = record_exact_limits(monkeypatch)
     out = str(tmp_path / "traj.txt")
     g_out = str(tmp_path / "est.csv")
     assert main(["simulate", "--params", slow_params_file, "--duration", "2",
@@ -211,6 +232,9 @@ def test_simulate_with_estimate(tmp_path, slow_params_file, capsys):
     stdout = capsys.readouterr().out
     assert "photons" in stdout and "light fraction" in stdout
     series = read_series(g_out)
+    assert stdout.splitlines()[-1] == estimate_line(
+        len(series), simulated_photons(stdout), limits, "1e-05"
+    )
     assert series.sigma is not None
     assert len(series) > 10
     doc = read_manifest(g_out)
@@ -253,17 +277,30 @@ def test_replaced_files_keep_their_mode(tmp_path, slow_params_file):
     assert os.stat(out + ".manifest.json").st_mode & 0o777 == 0o604
 
 
-def test_estimate_g_from_file(tmp_path, slow_params_file):
+def simulated_photons(stdout):
+    return int(stdout.split("simulated ")[1].split()[0])
+
+
+def test_estimate_g_from_file(tmp_path, slow_params_file, capsys, monkeypatch):
     traj_path = str(tmp_path / "traj.txt")
     assert main(["simulate", "--params", slow_params_file, "--duration", "2",
                  "--seed", "12", "--out", traj_path]) == 0
+    photons = simulated_photons(capsys.readouterr().out)
+    limits = record_exact_limits(monkeypatch)
     out = str(tmp_path / "g.csv")
     assert main(["estimate-g", "--traj", traj_path, "--grid", "1e-5:1e-1:8",
                  "--out", out]) == 0
     series = read_series(out)
     assert np.all(series.sigma > 0.0)
+    assert capsys.readouterr().out == estimate_line(len(series), photons, limits, "1e-05") + "\n"
     doc = read_manifest(out)
     assert doc["seed"] == 12  # carried through the trajectory header
+    # A grid from 1e-7 s starts below the split, so both stages run.
+    assert main(["estimate-g", "--traj", traj_path, "--grid", "1e-7:1e-1:8",
+                 "--out", out]) == 0
+    assert len(limits) == 1
+    line = estimate_line(len(read_series(out)), photons, limits, "1e-07")
+    assert capsys.readouterr().out == line + "\n"
 
 
 def test_estimate_g_insufficient_data(tmp_path):

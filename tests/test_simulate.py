@@ -350,12 +350,23 @@ def test_estimate_g_drops_long_bins():
     assert series.tau[-1] <= 0.2
 
 
+def all_exact(n, t_total, edges):
+    return edges.size - 1
+
+
+def all_lattice(n, t_total, edges):
+    return 0
+
+
 def test_estimate_g_merges_bins_finer_than_the_lattice(monkeypatch):
     # At 100 bins per decade the bins of [1e-2, 1e-1) are narrower than
     # that decade's lattice step of 5e-4 s; those holding no lattice step
     # used to share their window with the next bin and end in an opaque
     # "tau must be positive and strictly increasing".
-    monkeypatch.setattr(simulate, "_PAIR_BUDGET", 1e6)
+    def exact_below_1_25_ms(n, t_total, edges):
+        return int(np.searchsorted(edges, 1.25e-3, side="right")) - 1
+
+    monkeypatch.setattr(simulate, "_exact_bins", exact_below_1_25_ms)
     traj = poisson_trajectory(2e4, 2.0, 12)
     edges = log_edges(1e-9, 1e-1, 100)
     series, windows = estimate_g(traj, edges, with_windows=True)
@@ -372,12 +383,53 @@ def test_estimate_g_lags_past_the_last_photon(monkeypatch):
     # The emitter goes dark for good after 20 ms of a 1 s record, so most
     # lattice lags reach past its last photon; they count no pairs. Such
     # lags used to end in numpy's "shapes (40,) and (0,) not aligned".
-    monkeypatch.setattr(simulate, "_PAIR_BUDGET", 0.0)
+    monkeypatch.setattr(simulate, "_exact_bins", all_lattice)
     traj = Trajectory(times=np.linspace(0.0, 0.02, 400), duration=1.0)
     series = estimate_g(traj, log_edges(1e-3, 1e-1, 10))
     assert series.tau.size == 20
     assert np.all(series.g[series.tau > 0.03] == 0.0)
     assert np.all(series.g[series.tau < 0.01] > 0.0)
+
+
+def test_estimate_g_split_follows_the_rate_not_the_length(monkeypatch):
+    # Per photon, the exact stage's work grows with the rate times its last
+    # edge and a lattice's with its cells per photon, 1 / (rate * step), so
+    # records of one rate split at one delay whatever their length. A fixed
+    # pair budget split these two at 1.4e-2 and 1.4e-3 s.
+    limits = []
+    exact_counts = simulate._exact_counts
+
+    def recorded(times, edges):
+        limits.append(edges[-1])
+        return exact_counts(times, edges)
+
+    monkeypatch.setattr(simulate, "_exact_counts", recorded)
+    edges = log_edges(1e-9, 1e-1, 20)
+    for duration in (1.0, 10.0):
+        series = estimate_g(poisson_trajectory(1e5, duration, 21), edges)
+        assert series.tau[-1] > limits[-1]
+    assert limits[0] == limits[1]
+
+
+@pytest.mark.parametrize("bins_per_decade", [20, 100])
+def test_estimate_g_lattice_cells_per_photon_are_bounded(bins_per_decade):
+    # On a grid of 20 or more bins per decade the bins on the finest lattice
+    # step w end below 200 w * 10**(1/20). A lattice of more than
+    # sqrt(_PAIR_COST * 112.2) = 58 cells per photon would then cost more
+    # than counting those bins exactly, at 30 cell visits per pair.
+    grid = log_edges(1e-9, 1e-1, bins_per_decade)
+    worst = 0.0
+    for duration in (0.1, 1.0, 10.0, 100.0, 1e3, 1e4):
+        edges = grid[grid <= 0.1 * duration]
+        for rate in np.geomspace(1.0, 1e7, 57):
+            n = int(rate * duration)
+            if n < 2:
+                continue
+            m = simulate._exact_bins(n, duration, edges)
+            if m < edges.size - 1:
+                cells = duration / simulate._lattice_width(edges[m])
+                worst = max(worst, cells / n)
+    assert 0.0 < worst <= 58.0
 
 
 _DYADIC = 2.0**-20
@@ -474,7 +526,7 @@ def lattice_reference(times, duration, edges):
 def test_estimate_g_exact_stage_counts_every_pair(traj, edges):
     times, t_total = traj.times, traj.duration
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "_PAIR_BUDGET", math.inf)
+        mp.setattr(simulate, "_exact_bins", all_exact)
         series, windows = estimate_g(traj, edges, with_windows=True)
     rate = times.size / t_total
     a, b = edges[:-1], edges[1:]
@@ -487,8 +539,7 @@ def test_estimate_g_exact_stage_counts_every_pair(traj, edges):
 def test_estimate_g_lattice_stage_matches_per_lag_dots(traj, edges):
     times, t_total = traj.times, traj.duration
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "_PAIR_BUDGET", 0.0)
-        mp.setattr(simulate, "_MAX_VECTOR", math.inf)
+        mp.setattr(simulate, "_exact_bins", all_lattice)
         series, windows = estimate_g(traj, edges, with_windows=True)
     rate = times.size / t_total
     want_windows, counts, norms = lattice_reference(times, t_total, edges)
@@ -499,8 +550,7 @@ def test_estimate_g_lattice_stage_matches_per_lag_dots(traj, edges):
 def test_estimate_g_lattice_counts_outgrow_one_byte(monkeypatch):
     # 300 photons share one lattice cell, more than a one-byte count
     # holds, and blocks of 7 times split that cell over many blocks.
-    monkeypatch.setattr(simulate, "_PAIR_BUDGET", 0.0)
-    monkeypatch.setattr(simulate, "_MAX_VECTOR", math.inf)
+    monkeypatch.setattr(simulate, "_exact_bins", all_lattice)
     monkeypatch.setattr(simulate, "_BLOCK", 7)
     times = np.sort(np.concatenate([np.full(300, 0.25), np.linspace(0.0, 1.0, 50)]))
     edges = log_edges(1e-3, 1e-1, 5)
