@@ -300,4 +300,7 @@ def read_series(path: str) -> CorrelationSeries:
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad number") from exc
     # Columns tau, g and, when written, sigma.
-    return CorrelationSeries(*np.array(rows).reshape(-1, ncols).T.copy())
+    try:
+        return CorrelationSeries(*np.array(rows).reshape(-1, ncols).T.copy())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

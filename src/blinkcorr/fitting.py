@@ -99,15 +99,12 @@ _DERIVED = "is not a fit coordinate: it is derived from the slow and fast stages
 # must be positive.
 _LOG_KEYS = frozenset(name for name, log, _, _ in _SLOW + _FAST if log)
 
-# Largest damping factor least_squares tries before it gives up a step.
+# least_squares' starting damping factor, the largest one it tries before
+# it gives up a step, and the relative step and cost change below which
+# it stops.
+_START_DAMPING = 1e-3
 _MAX_DAMPING = 1e12
-
-
-def _check_solver(rel_tol: float, lambda0: float) -> None:
-    if not 0.0 < rel_tol < math.inf:
-        raise ValueError("convergence tolerance must be finite and positive")
-    if not 0.0 < lambda0 <= _MAX_DAMPING:
-        raise ValueError(f"lambda0 must lie in (0, {_MAX_DAMPING:g}]")
+_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -125,9 +122,8 @@ class FitConfig:
     factor to absorb data normalization. ``bootstrap_resamples`` of zero
     disables the bootstrap and falls back to Jacobian uncertainties. A
     guess for a coordinate fit in log10 (``T_L``, ``T_D1``, ``T_D2``,
-    ``A31``, ``Omega31``) must be positive. ``split_tau`` and
-    ``convergence_tol`` must be finite and positive, ``lambda0`` must lie
-    in (0, 1e12], and ``bootstrap_seed`` must be an integer in [0, 2**63).
+    ``A31``, ``Omega31``) must be positive. ``split_tau`` must be finite
+    and positive, and ``bootstrap_seed`` must be an integer in [0, 2**63).
     """
 
     split_tau: float = 1e-7
@@ -137,8 +133,6 @@ class FitConfig:
     bootstrap_resamples: int = 200
     bootstrap_seed: int = 0
     max_iterations: int = 200
-    convergence_tol: float = 1e-10
-    lambda0: float = 1e-3
 
     def __post_init__(self) -> None:
         if not 0.0 < self.split_tau < math.inf:
@@ -152,7 +146,6 @@ class FitConfig:
             raise ValueError("bootstrap_seed must lie in [0, 2**63)")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        _check_solver(self.convergence_tol, self.lambda0)
         if self.initial_guess is not None:
             for key, value in self.initial_guess.items():
                 if key in STAGE_KEYS["isc"]:
@@ -196,8 +189,6 @@ def least_squares(
     bounds=None,
     *,
     max_iterations: int = 200,
-    rel_tol: float = 1e-10,
-    lambda0: float = 1e-3,
 ) -> LeastSquaresResult:
     """Damped least squares with box bounds.
 
@@ -209,20 +200,18 @@ def least_squares(
     on accepted steps and grows on rejected ones; a candidate whose
     residual raises :class:`DegenerateInputError` is rejected like one
     that raises the cost. Convergence requires both the relative step
-    and the relative cost change to drop below ``rel_tol``; a state where
+    and the relative cost change to drop below 1e-10; a state where
     no damping produces any improvement, or where every coordinate is
     pinned, also counts as converged (the iterate cannot be bettered in
     float arithmetic, or within the box).
     ``message`` names the reason the loop stopped. The covariance estimate
     is ``pinv(J^T J)`` over all coordinates, scaled by the reduced chi
-    square. ``rel_tol`` must be finite and positive, and ``lambda0`` must
-    lie in (0, 1e12], the largest damping tried.
+    square.
 
     Parameters are never evaluated outside the bounds; the finite
     difference step flips direction at the upper bound, and a null column
     from a step below unit scale is taken again at unit scale.
     """
-    _check_solver(rel_tol, lambda0)
     x = np.asarray(x0, dtype=float).copy()
     npar = x.size
     if npar == 0:
@@ -272,7 +261,7 @@ def least_squares(
 
     r = eval_residual(x)
     cost = float(r @ r)
-    lam = lambda0
+    lam = _START_DAMPING
     converged = False
     message = "maximum iterations reached"
     iterations = 0
@@ -332,7 +321,7 @@ def least_squares(
         cost_rel = (cost - cost_new) / max(cost, 1e-300)
         x, r, cost = x_new, r_new, cost_new
         lam = max(lam / 3.0, 1e-12)
-        if step_rel < rel_tol and cost_rel < rel_tol:
+        if step_rel < _REL_TOL and cost_rel < _REL_TOL:
             converged = True
             message = "step and cost change below tolerance"
             break
@@ -401,14 +390,7 @@ def _propagated_sigma(func, theta: np.ndarray, cov: np.ndarray) -> float:
 def _best_start(residual, starts, bounds, cfg: FitConfig) -> LeastSquaresResult:
     best = None
     for x0 in starts:
-        res = least_squares(
-            residual,
-            x0,
-            bounds,
-            max_iterations=cfg.max_iterations,
-            rel_tol=cfg.convergence_tol,
-            lambda0=cfg.lambda0,
-        )
+        res = least_squares(residual, x0, bounds, max_iterations=cfg.max_iterations)
         if best is None or res.cost < best.cost:
             best = res
     if not best.converged:

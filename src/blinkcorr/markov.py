@@ -225,7 +225,7 @@ def read_chain(path: str) -> PeriodChain:
                 raise ValueError(f"{path}:{lineno}: bad number") from exc
     if not rows:
         raise ValueError(f"{path}: empty chain file")
-    if len(rows[0]) != 1 or rows[0][0] != int(rows[0][0]):
+    if len(rows[0]) != 1 or not rows[0][0].is_integer():
         raise ValueError(f"{path}: first entry must be the period count")
     n = int(rows[0][0])
     if n < 1:

@@ -617,8 +617,9 @@ def read_trajectory(path: str) -> Trajectory:
     Blank lines are skipped, and ``# key = value`` lines may stand
     anywhere; of them only ``duration``, which is required, and ``seed``
     are read. A line that is not a finite number, or that holds a ``_``,
-    raises :class:`ValueError` naming ``path:lineno``. The period record
-    is not serialized, so it comes back as ``None``.
+    raises :class:`ValueError` naming ``path:lineno``, and times or a
+    duration that :class:`Trajectory` refuses raise it naming ``path``.
+    The period record is not serialized, so it comes back as ``None``.
     """
     header: dict[str, float | int] = {}
     with open(path, "rb") as handle:
@@ -654,12 +655,15 @@ def read_trajectory(path: str) -> Trajectory:
                 break
     if "duration" not in header:
         raise ValueError(f"{path}: missing '# duration = ...' header")
-    return Trajectory(
-        times=times[:filled],
-        duration=header["duration"],
-        seed=header.get("seed"),
-        periods=None,
-    )
+    try:
+        return Trajectory(
+            times=times[:filled],
+            duration=header["duration"],
+            seed=header.get("seed"),
+            periods=None,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _parse_lines(

@@ -8,6 +8,7 @@ import pytest
 
 import blinkcorr
 from blinkcorr import (
+    FitConfig,
     Trajectory,
     eval_curve,
     log_grid,
@@ -15,7 +16,7 @@ from blinkcorr import (
     transition_rates,
     write_trajectory,
 )
-from blinkcorr import simulate
+from blinkcorr import cli, simulate
 from blinkcorr.cli import main
 
 PARAMS_TEXT = """\
@@ -87,6 +88,15 @@ def test_eval_chain(tmp_path):
     pi_on = 143.0 / 180.0
     expected = 1.0 + (1.0 - pi_on) / pi_on * np.exp(-180.0 * series.tau)
     assert np.max(np.abs(series.g - expected)) < 1e-10
+
+
+@pytest.mark.parametrize("count", ["inf", "1e400", "nan", "2.5"])
+def test_eval_chain_count_must_be_an_integer(tmp_path, capsys, count):
+    chain_path = tmp_path / "chain.txt"
+    chain_path.write_text(f"{count}\n1e5 0.0\n0.0 37.0\n143.0 0.0\n")
+    out = str(tmp_path / "chain_curve.csv")
+    assert main(["eval", "--chain", str(chain_path), "--out", out]) == 2
+    assert f"{chain_path}: first entry must be the period count" in capsys.readouterr().err
 
 
 def test_eval_requires_exactly_one_source(tmp_path, params_file):
@@ -403,6 +413,39 @@ def test_fit_partial_slow_only(tmp_path, params_file, capsys):
     assert not os.path.exists(curve_out)
 
 
+@pytest.mark.parametrize(
+    "command, text, refusal",
+    [
+        ("estimate-g", "# duration = 1\n0.5\n0.25\n", "arrival times must be sorted"),
+        ("estimate-g", "# duration = 1\n1.5\n", "arrival times must lie within [0, duration]"),
+        ("estimate-g", "# duration = 0\n", "duration must be positive and finite"),
+        ("fit", "tau_s,g\n", "series must hold at least one point"),
+    ],
+)
+def test_refused_input_names_its_file(tmp_path, capsys, command, text, refusal):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    source = "--traj" if command == "estimate-g" else "--data"
+    out = str(tmp_path / "out.csv")
+    assert main([command, source, str(path), "--out", out]) == 2
+    assert f"error: {path}: {refusal}" in capsys.readouterr().err
+
+
+def test_fit_config_file_sets_every_scalar_field(tmp_path):
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text(
+        "split_tau = 1e-6\nfree_amplitude = yes\nbootstrap_resamples = 7\n"
+        "bootstrap_seed = 11\nmax_iterations = 50\n"
+    )
+    assert cli._load_fit_config(str(cfg)) == FitConfig(
+        split_tau=1e-6,
+        free_amplitude=True,
+        bootstrap_resamples=7,
+        bootstrap_seed=11,
+        max_iterations=50,
+    )
+
+
 def test_fit_config_errors(tmp_path, params_file):
     data = str(tmp_path / "data.csv")
     assert main(["eval", "--params", params_file, "--out", data]) == 0
@@ -416,10 +459,10 @@ def test_fit_config_errors(tmp_path, params_file):
     assert main(["fit", "--data", data, "--config", str(cfg), "--out", out]) == 2
     cfg.write_text("split_tau = 1e-7\nsplit_tau = 1e-6\n")
     assert main(["fit", "--data", data, "--config", str(cfg), "--out", out]) == 2
-    # Values the key reader takes but the fit cannot use: no damping step
-    # would be tried, the tolerance never met, no point left in a window,
-    # or a seed the bootstrap generator would refuse. Starting guesses,
-    # such as a zero T_L, are the library's: the file refuses their keys.
+    # Values the key reader takes but the fit cannot use: no point left in
+    # a window, or a seed the bootstrap generator would refuse. Starting
+    # guesses, such as a zero T_L, are the library's, and the solver's
+    # damping and tolerance are constants: the file refuses their keys.
     for text in (
         "T_L = 0",
         "lambda0 = 1e13",
@@ -440,10 +483,15 @@ def test_selftest_passes(capsys):
     assert "9/9 checks passed" in stdout
 
 
-def test_selftest_tolerance_scale_forces_failure(capsys):
-    assert main(["selftest", "--tolerance-scale", "1e-12"]) == 1
+def test_selftest_failing_check_exits_one(monkeypatch, capsys):
+    def one_failing_check(rng):
+        yield ("a check past its tolerance", 2.0, 1.0)
+
+    monkeypatch.setattr(cli, "_selftest_checks", one_failing_check)
+    assert main(["selftest"]) == 1
     stdout = capsys.readouterr().out
     assert "FAIL" in stdout
+    assert "selftest: 0/1 checks passed" in stdout
 
 
 def test_version_flag(capsys):

@@ -232,20 +232,6 @@ def test_least_squares_validation():
         )
     with pytest.raises(ValueError):
         least_squares(lambda x: np.zeros((2, 2)), np.zeros(2))
-    # A damping above the largest one tried, or none at all, would stop the
-    # solver at its start; a tolerance that is not a positive number would
-    # run it to the iteration cap.
-    for knobs in (
-        {"lambda0": 1e13},
-        {"lambda0": math.inf},
-        {"lambda0": math.nan},
-        {"lambda0": 0.0},
-        {"rel_tol": math.nan},
-        {"rel_tol": math.inf},
-        {"rel_tol": 0.0},
-    ):
-        with pytest.raises(ValueError):
-            least_squares(lambda x: x - 1.0, np.zeros(2), **knobs)
 
 
 def test_least_squares_rejects_trial_point_the_residual_refuses():
@@ -559,8 +545,6 @@ def test_fit_config_validation():
     with pytest.raises(ValueError):
         FitConfig(max_iterations=0)
     with pytest.raises(ValueError):
-        FitConfig(convergence_tol=0.0)
-    with pytest.raises(ValueError):
         FitConfig(initial_guess={"mystery": 1.0})
     with pytest.raises(ValueError):
         FitConfig(initial_guess={"A31": math.nan})
@@ -573,11 +557,6 @@ def test_fit_config_validation():
     for knobs in (
         {"split_tau": math.nan},
         {"split_tau": math.inf},
-        {"convergence_tol": math.nan},
-        {"convergence_tol": math.inf},
-        {"lambda0": 1e13},
-        {"lambda0": math.inf},
-        {"lambda0": math.nan},
         {"bootstrap_seed": 2**63},
         {"bootstrap_seed": 2**64},
         {"bootstrap_seed": -1},
@@ -586,8 +565,8 @@ def test_fit_config_validation():
     ):
         with pytest.raises(ValueError):
             FitConfig(**knobs)
-    # The edges of the accepted ranges.
-    FitConfig(lambda0=1e12, bootstrap_seed=2**63 - 1)
+    # The edge of the accepted range.
+    FitConfig(bootstrap_seed=2**63 - 1)
     FitConfig(bootstrap_seed=np.uint64(2**63 - 1))
 
 
