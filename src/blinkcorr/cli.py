@@ -279,6 +279,10 @@ def _fit_report(
                 f"{diagnostics['bootstrap_resamples']:.0f} resamples "
                 f"({diagnostics['bootstrap_failures']:.0f} failed)"
             )
+            lines.append(
+                "# bootstrap refits with a slow-stage coordinate on its bound: "
+                f"{diagnostics['bootstrap_on_bound']:.0f}"
+            )
         else:
             lines.append("# uncertainties: per-stage Jacobian estimates")
     for key in keys:

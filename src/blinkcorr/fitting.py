@@ -100,11 +100,13 @@ _DERIVED = "is not a fit coordinate: it is derived from the slow and fast stages
 _LOG_KEYS = frozenset(name for name, log, _, _ in _SLOW + _FAST if log)
 
 # least_squares' starting damping factor, the largest one it tries before
-# it gives up a step, and the relative step and cost change below which
-# it stops.
+# it gives up a step, the relative step and cost change below which it
+# stops, and the Gauss-Newton step, in standard errors, below which a
+# refit stops.
 _START_DAMPING = 1e-3
 _MAX_DAMPING = 1e12
 _REL_TOL = 1e-10
+_REFIT_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -173,11 +175,11 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class LeastSquaresResult:
-    """Outcome of :func:`least_squares`."""
+    """Outcome of :func:`least_squares`; ``cov`` is ``None`` for a refit."""
 
     x: np.ndarray
     cost: float
-    cov: np.ndarray
+    cov: np.ndarray | None
     iterations: int
     converged: bool
     message: str
@@ -189,6 +191,7 @@ def least_squares(
     bounds=None,
     *,
     max_iterations: int = 200,
+    refit: bool = False,
 ) -> LeastSquaresResult:
     """Damped least squares with box bounds.
 
@@ -206,7 +209,16 @@ def least_squares(
     float arithmetic, or within the box).
     ``message`` names the reason the loop stopped. The covariance estimate
     is ``pinv(J^T J)`` over all coordinates, scaled by the reduced chi
-    square.
+    square ``s^2 = cost / dof``.
+
+    ``refit`` is for bootstrap refits, whose spread is the uncertainty
+    and whose own covariance is not used. Before each damped step the
+    undamped Gauss-Newton step ``delta`` over the free coordinates is
+    solved, and the loop stops with "step below 1e-3 standard errors"
+    once ``delta^T J^T J delta < (1e-3)^2 s^2``, the distance to the
+    minimum that MINUIT estimates (James & Roos, Comput. Phys. Commun.
+    10, 343 (1975)); a singular system or a zero cost skips the test.
+    The final Jacobian is not taken and ``cov`` is ``None``.
 
     Parameters are never evaluated outside the bounds; the finite
     difference step flips direction at the upper bound, and a null column
@@ -226,7 +238,7 @@ def least_squares(
             raise ValueError("bounds must match the parameter vector")
         if np.any(lo >= hi):
             raise ValueError("lower bounds must lie below upper bounds")
-        x = np.clip(x, lo, hi)
+        x = np.minimum(np.maximum(x, lo), hi)
     # Finite-difference scale: relative to the start, unit for exact-zero
     # coordinates (a relative step off zero underflows to a null step).
     scale = np.abs(x)
@@ -241,26 +253,24 @@ def least_squares(
 
     def jacobian(xv: np.ndarray, rv: np.ndarray) -> np.ndarray:
         jac = np.empty((rv.size, npar))
-        x_list = xv.tolist()
-
-        def column(j: int, h: float) -> None:
-            step = h if x_list[j] + h <= hi_list[j] else -h
-            xp = xv.copy()
-            xp[j] += step
-            jac[:, j] = (eval_residual(xp) - rv) / step
-
-        for j, (xj, sj) in enumerate(zip(x_list, scale_list)):
+        for j, (xj, sj, b) in enumerate(zip(xv.tolist(), scale_list, hi_list)):
             size = max(abs(xj), sj)
-            column(j, 1e-6 * size)
             # From a start within about 1e-10 of zero the step is lost against
-            # the residual. A null column at unit scale or above is flat: a
-            # smaller retry there would only sample rounding noise.
-            if size < 1.0 and not np.count_nonzero(jac[:, j]):
-                column(j, 1e-6)
+            # the residual, so a null column is taken again at unit scale. A
+            # null column at unit scale or above is flat: a smaller retry
+            # there would only sample rounding noise.
+            for h in (1e-6 * size, 1e-6):
+                step = h if xj + h <= b else -h
+                xp = xv.copy()
+                xp[j] += step
+                jac[:, j] = (eval_residual(xp) - rv) / step
+                if size >= 1.0 or np.count_nonzero(jac[:, j]):
+                    break
         return jac
 
     r = eval_residual(x)
     cost = float(r @ r)
+    dof = max(r.size - npar, 1)
     lam = _START_DAMPING
     converged = False
     message = "maximum iterations reached"
@@ -288,7 +298,18 @@ def least_squares(
             free = ~np.array(pinned)
             jac_free = jac[:, free]
             jtj, rhs = jac_free.T @ jac_free, -grad[free]
-        diag = np.maximum(np.diag(jtj), 1e-300)
+        if refit and cost > 0.0:
+            try:
+                distance = float(rhs @ np.linalg.solve(jtj, rhs))
+            except np.linalg.LinAlgError:
+                distance = math.inf
+            # J^T J is positive semidefinite: a negative distance is the
+            # rounding of a near-singular system, which skips the test too.
+            if 0.0 <= distance < _REFIT_TOL**2 * cost / dof:
+                converged = True
+                message = "step below 1e-3 standard errors"
+                break
+        diag = np.maximum(jtj.diagonal(), 1e-300)
         delta = np.zeros(npar)
 
         accepted = False
@@ -300,7 +321,7 @@ def least_squares(
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            x_new = np.clip(x + delta, lo, hi)
+            x_new = np.minimum(np.maximum(x + delta, lo), hi)
             try:
                 r_new = eval_residual(x_new)
             except DegenerateInputError:
@@ -326,10 +347,10 @@ def least_squares(
             message = "step and cost change below tolerance"
             break
 
-    jac = jacobian(x, r)
-    jtj = jac.T @ jac
-    dof = max(r.size - npar, 1)
-    cov = np.linalg.pinv(jtj) * (cost / dof)
+    cov = None
+    if not refit:
+        jac = jacobian(x, r)
+        cov = np.linalg.pinv(jac.T @ jac) * (cost / dof)
     return LeastSquaresResult(
         x=x,
         cost=cost,
@@ -343,7 +364,8 @@ def least_squares(
 @dataclass(frozen=True)
 class FitStage:
     """One stage of the protocol: point values, uncertainties, optimizer
-    diagnostics."""
+    diagnostics. ``sigma`` is empty for a bootstrap refit, and
+    ``on_bound`` tells whether a coordinate ended exactly on its box edge."""
 
     values: dict[str, float]
     sigma: dict[str, float]
@@ -352,6 +374,7 @@ class FitStage:
     converged: bool
     message: str
     n_points: int
+    on_bound: bool = False
 
 
 @dataclass(frozen=True)
@@ -387,10 +410,12 @@ def _propagated_sigma(func, theta: np.ndarray, cov: np.ndarray) -> float:
     return math.sqrt(max(var, 0.0))
 
 
-def _best_start(residual, starts, bounds, cfg: FitConfig) -> LeastSquaresResult:
+def _best_start(residual, starts, bounds, cfg: FitConfig, refit: bool) -> LeastSquaresResult:
     best = None
     for x0 in starts:
-        res = least_squares(residual, x0, bounds, max_iterations=cfg.max_iterations)
+        res = least_squares(
+            residual, x0, bounds, max_iterations=cfg.max_iterations, refit=refit
+        )
         if best is None or res.cost < best.cost:
             best = res
     if not best.converged:
@@ -443,20 +468,29 @@ def _patch_starts(table, starts, cfg: FitConfig, init: dict[str, float] | None):
 
 
 def _stage(
-    table, best: LeastSquaresResult, values: dict[str, float], n_points: int, **propagated
+    table,
+    best: LeastSquaresResult,
+    bounds: tuple[np.ndarray, np.ndarray],
+    values: dict[str, float],
+    n_points: int,
+    **propagated,
 ) -> FitStage:
     """The stage's outcome. Sigmas are in value units: ``value * ln10 * sd``
     for a log coordinate, ``sd`` for a linear one, plus the delta-method
-    sigma of each ``propagated`` function of the coordinates."""
-    ln10 = math.log(10.0)
+    sigma of each ``propagated`` function of the coordinates; a refit,
+    which has no covariance, gets none."""
+    lo, hi = bounds
+    on_bound = bool(np.any((best.x == lo) | (best.x == hi)))
     sigma = {}
-    for pos, (name, log, _, _) in enumerate(table):
-        sd = math.sqrt(max(best.cov[pos, pos], 0.0))
-        sigma[name] = values[name] * ln10 * sd if log else sd
-    for name, func in propagated.items():
-        sigma[name] = _propagated_sigma(func, best.x, best.cov)
+    if best.cov is not None:
+        ln10 = math.log(10.0)
+        for pos, (name, log, _, _) in enumerate(table):
+            sd = math.sqrt(max(best.cov[pos, pos], 0.0))
+            sigma[name] = values[name] * ln10 * sd if log else sd
+        for name, func in propagated.items():
+            sigma[name] = _propagated_sigma(func, best.x, best.cov)
     return FitStage(
-        values, sigma, best.cost, best.iterations, best.converged, best.message, n_points
+        values, sigma, best.cost, best.iterations, best.converged, best.message, n_points, on_bound
     )
 
 
@@ -474,6 +508,7 @@ def fit_slow(
     series: CorrelationSeries,
     config: FitConfig | None = None,
     init: dict[str, float] | None = None,
+    refit: bool = False,
 ) -> FitStage:
     """Fit the bunching factor above the split delay.
 
@@ -483,6 +518,8 @@ def fit_slow(
     rates ``p_LD_i`` and ``p_DL_i`` in the same order, which
     :func:`fit_isc` turns into its own. Raises
     :class:`DegenerateFitError` when the data show no bunching to fit.
+    ``refit`` marks a bootstrap refit (see :func:`least_squares`): the
+    stage stops within 1e-3 standard errors and carries no sigmas.
     """
     cfg = config or FitConfig()
     sub = series.restrict(tau_min=cfg.split_tau)
@@ -514,7 +551,8 @@ def fit_slow(
 
     table = _SLOW + _AMPLITUDE if free_amp else _SLOW
     starts, _ = _patch_starts(table, starts, cfg, init)
-    best = _best_start(residual, starts, _bounds(table, cfg), cfg)
+    bounds = _bounds(table, cfg)
+    best = _best_start(residual, starts, bounds, cfg, refit)
     stats = _slow_stats(best.x)
 
     amp_fit = float(best.x[4]) if free_amp else 1.0
@@ -540,6 +578,7 @@ def fit_slow(
     stage = _stage(
         table,
         best,
+        bounds,
         values,
         len(sub),
         P_L=lambda t: _slow_stats(t).P_L,
@@ -552,8 +591,9 @@ def fit_slow(
     if values["T_D1"] < values["T_D2"]:
         values["T_D1"], values["T_D2"] = values["T_D2"], values["T_D1"]
         values["p1"] = 1.0 - values["p1"]
-        for first, second in (("T_D1", "T_D2"), ("p_LD_1", "p_LD_2"), ("p_DL_1", "p_DL_2")):
-            sigma[first], sigma[second] = sigma[second], sigma[first]
+        if sigma:
+            for first, second in (("T_D1", "T_D2"), ("p_LD_1", "p_LD_2"), ("p_DL_1", "p_DL_2")):
+                sigma[first], sigma[second] = sigma[second], sigma[first]
     return stage
 
 
@@ -563,6 +603,7 @@ def fit_fast(
     config: FitConfig | None = None,
     init: dict[str, float] | None = None,
     slow_stats: PeriodStatistics | None = None,
+    refit: bool = False,
 ) -> FitStage:
     """Fit the two-level structure below the split delay.
 
@@ -571,6 +612,7 @@ def fit_fast(
     slow-factor shape, which removes the small residual slope the factor
     still has below the split; the full protocol always passes it.
     Returns ``A31``, ``Omega31`` and the background rate ``I_sc``.
+    ``refit`` marks a bootstrap refit, as for :func:`fit_slow`.
     """
     cfg = config or FitConfig()
     if not (plateau >= 1.0 and math.isfinite(plateau)):
@@ -608,7 +650,8 @@ def fit_fast(
         for x0 in starts:
             x0[2] = guess["I_sc"] / light_intensity(10.0 ** x0[0], 10.0 ** x0[1])
 
-    best = _best_start(residual, starts, _bounds(_FAST, cfg), cfg)
+    bounds = _bounds(_FAST, cfg)
+    best = _best_start(residual, starts, bounds, cfg, refit)
     a31 = 10.0 ** best.x[0]
     omega31 = 10.0 ** best.x[1]
     ratio = float(best.x[2])
@@ -618,7 +661,7 @@ def fit_fast(
         return theta[2] * light_intensity(10.0 ** theta[0], 10.0 ** theta[1])
 
     values = {"A31": a31, "Omega31": omega31, "I_sc": i_sc, "ratio": ratio}
-    return _stage(_FAST, best, values, len(sub), I_sc=isc_of)
+    return _stage(_FAST, best, bounds, values, len(sub), I_sc=isc_of)
 
 
 def fit_isc(slow: FitStage, fast: FitStage) -> FitStage:
@@ -627,18 +670,21 @@ def fit_isc(slow: FitStage, fast: FitStage) -> FitStage:
     Runs no optimizer: ``A21_i = p_DL_i`` and ``A32_i = p_LD_i /
     saturation_factor(A31, Omega31)``, with the switching rates of the
     slow stage's statistics (longer dark period first) and their sigmas,
-    and the fast stage's ``A31`` and ``Omega31``.
+    and the fast stage's ``A31`` and ``Omega31``. A bootstrap refit's
+    slow stage carries no sigmas, and then neither does this one.
     """
     v, s = slow.values, slow.sigma
     (ld1, ld2), (dl1, dl2) = rates_from_statistics(v["T_L"], (v["T_D1"], v["T_D2"]), v["p1"])
     sat = saturation_factor(fast.values["A31"], fast.values["Omega31"])
     values = {"A32_1": ld1 / sat, "A32_2": ld2 / sat, "A21_1": dl1, "A21_2": dl2}
-    sigma = {
-        "A32_1": s["p_LD_1"] / sat,
-        "A32_2": s["p_LD_2"] / sat,
-        "A21_1": s["p_DL_1"],
-        "A21_2": s["p_DL_2"],
-    }
+    sigma = {}
+    if s:
+        sigma = {
+            "A32_1": s["p_LD_1"] / sat,
+            "A32_2": s["p_LD_2"] / sat,
+            "A21_1": s["p_DL_1"],
+            "A21_2": s["p_DL_2"],
+        }
     return FitStage(
         values, sigma, slow.cost, 0, True, "derived from the slow and fast stages", slow.n_points
     )
@@ -655,13 +701,16 @@ def _flatten(stages: dict[str, FitStage], attr: str) -> dict[str, float]:
 
 
 def _pipeline(
-    series: CorrelationSeries, cfg: FitConfig, init: dict[str, float] | None = None
+    series: CorrelationSeries,
+    cfg: FitConfig,
+    init: dict[str, float] | None = None,
+    refit: bool = False,
 ) -> tuple[dict[str, FitStage], dict[str, float], PeriodStatistics]:
-    slow = fit_slow(series, cfg, init=init)
+    slow = fit_slow(series, cfg, init=init, refit=refit)
     v = slow.values
     amp = v.get("amplitude", 1.0)
     stats = period_statistics(*rates_from_statistics(v["T_L"], (v["T_D1"], v["T_D2"]), v["p1"]))
-    fast = fit_fast(series, amp / v["P_L"], cfg, init=init, slow_stats=stats)
+    fast = fit_fast(series, amp / v["P_L"], cfg, init=init, slow_stats=stats, refit=refit)
     isc = fit_isc(slow, fast)
     stages = {"slow": slow, "fast": fast, "isc": isc}
     flat = _flatten(stages, "values")
@@ -679,7 +728,10 @@ def fit_full(
     residuals onto the fitted curve and refitting) when
     ``config.bootstrap_resamples`` is positive, otherwise from the
     per-stage Jacobians. The bootstrap is deterministic for a fixed
-    ``bootstrap_seed``.
+    ``bootstrap_seed``. Its refits stop within 1e-3 standard errors (see
+    :func:`least_squares`); ``diagnostics["bootstrap_on_bound"]`` counts
+    the successful refits whose slow stage ended with a coordinate on its
+    box edge.
     """
     cfg = config or FitConfig()
     stages, flat, stats = _pipeline(series, cfg)
@@ -703,7 +755,7 @@ def fit_full(
         samples: dict[str, list[float]] = {
             key: [] for keys in STAGE_KEYS.values() for key in keys
         }
-        failures = 0
+        failures = on_bound = 0
         npts = len(series)
         for _ in range(cfg.bootstrap_resamples):
             draw = resid[rng.integers(0, npts, npts)]
@@ -711,15 +763,17 @@ def fit_full(
                 resampled = CorrelationSeries(
                     series.tau, model + draw, series.sigma
                 )
-                _, flat_b, _ = _pipeline(resampled, inner, init=flat)
+                stages_b, flat_b, _ = _pipeline(resampled, inner, init=flat, refit=True)
             except (FitConvergenceError, DegenerateFitError, ValueError):
                 failures += 1
                 continue
+            on_bound += stages_b["slow"].on_bound
             for key, draws in samples.items():
                 draws.append(flat_b[key])
         n_ok = cfg.bootstrap_resamples - failures
         diagnostics["bootstrap_resamples"] = float(n_ok)
         diagnostics["bootstrap_failures"] = float(failures)
+        diagnostics["bootstrap_on_bound"] = float(on_bound)
         if n_ok >= 2:
             for key, draws in samples.items():
                 sigma[key] = float(np.std(draws, ddof=1))

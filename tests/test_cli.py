@@ -396,6 +396,22 @@ def test_fit_report_counts_bootstrap_failures(tmp_path, params_file):
     assert line in open(out).read()
 
 
+def test_fit_report_counts_refits_on_a_bound(tmp_path, params_file):
+    data = str(tmp_path / "data.csv")
+    assert main(["eval", "--params", params_file, "--grid", "1e-10:1:20",
+                 "--out", data]) == 0
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text("bootstrap_resamples = 3\n")
+    out = str(tmp_path / "report.txt")
+    json_out = str(tmp_path / "report.json")
+    assert main(["fit", "--data", data, "--config", str(cfg), "--out", out,
+                 "--json-out", json_out]) == 0
+    on_bound = json.load(open(json_out))["diagnostics"]["bootstrap_on_bound"]
+    line = f"# bootstrap refits with a slow-stage coordinate on its bound: {on_bound:.0f}\n"
+    lines = open(out).read().splitlines(keepends=True)
+    assert lines[lines.index(line) - 1].startswith("# uncertainties: residual bootstrap, ")
+
+
 def test_fit_partial_slow_only(tmp_path, params_file, capsys):
     full = str(tmp_path / "full.csv")
     assert main(["eval", "--params", params_file, "--grid", "1e-6:1:20",

@@ -223,6 +223,46 @@ def test_least_squares_matches_bvls(problem):
     assert np.max(np.abs(res.x - expected)) < 1e-6
 
 
+def _mahalanobis(x, y, cov):
+    d = x - y
+    return math.sqrt(d @ np.linalg.solve(cov, d)) if np.any(d) else 0.0
+
+
+@given(bounded_linear_problems())
+def test_refit_stops_within_a_thousandth_of_a_standard_error(problem):
+    # The refit's end point lies within 1e-3 standard errors, under the
+    # full run's covariance, of the full run's optimum, and the refit
+    # takes no more iterations.
+    a, b, lo, hi, x0 = problem
+    full = least_squares(lambda x: a @ x - b, x0, bounds=(lo, hi))
+    refit = least_squares(lambda x: a @ x - b, x0, bounds=(lo, hi), refit=True)
+    assert refit.converged and refit.cov is None
+    assert refit.iterations <= full.iterations
+    if np.any(refit.x != full.x):
+        assert _mahalanobis(refit.x, full.x, full.cov) < 1e-3
+
+
+# Starts on a grid of eighths, as for the linear problems above.
+@given(
+    arrays(float, 4, elements=st.floats(-0.5, 0.5)),
+    st.lists(st.integers(-16, 16), min_size=2, max_size=2),
+)
+def test_refit_stops_near_rosenbrock_optimum(offsets, eighths):
+    # Two noisy copies of the Rosenbrock residuals: the optimum keeps a
+    # residual, so the standard error is not zero.
+    x0 = np.array(eighths) / 8.0
+
+    def residual(x):
+        u, v = 1.0 - x[0], 10.0 * (x[1] - x[0] ** 2)
+        return np.array([u, v, u, v]) + offsets
+
+    full = least_squares(residual, x0)
+    refit = least_squares(residual, x0, refit=True)
+    assert full.converged and refit.converged
+    assert refit.iterations <= full.iterations
+    assert _mahalanobis(refit.x, full.x, full.cov) < 1e-3
+
+
 def test_least_squares_validation():
     with pytest.raises(ValueError):
         least_squares(lambda x: x, np.empty(0))
@@ -663,11 +703,12 @@ def test_fit_residuals_skip_public_checks(reference_params, monkeypatch):
 
 
 def record_starts(monkeypatch):
-    """Start and bounds of every least_squares call the stages make."""
+    """Start, bounds and refit flag of every least_squares call the stages
+    make."""
     calls = []
 
     def recording(residual, x0, bounds=None, **kwargs):
-        calls.append((np.array(x0), bounds))
+        calls.append((np.array(x0), bounds, kwargs.get("refit", False)))
         return least_squares(residual, x0, bounds, **kwargs)
 
     monkeypatch.setattr(fitting, "least_squares", recording)
@@ -680,7 +721,7 @@ def test_stages_try_their_starts(reference_params, monkeypatch):
     series = eval_curve(reference_params, log_grid(1e-10, 1.0, 30))
     calls = record_starts(monkeypatch)
     fit_full(series, FitConfig(bootstrap_resamples=0))
-    assert [x0.size for x0, _ in calls] == [4] * 4 + [3] * 4
+    assert [x0.size for x0, *_ in calls] == [4] * 4 + [3] * 4
 
 
 def test_guessing_every_coordinate_leaves_one_start(reference_params, monkeypatch):
@@ -690,7 +731,7 @@ def test_guessing_every_coordinate_leaves_one_start(reference_params, monkeypatc
     calls = record_starts(monkeypatch)
     guess = {key: value for key, value in truth.items() if key not in fitting.STAGE_KEYS["isc"]}
     fit_full(series, FitConfig(bootstrap_resamples=0, initial_guess=guess))
-    assert [x0.size for x0, _ in calls] == [4, 3]
+    assert [x0.size for x0, *_ in calls] == [4, 3]
     log10 = math.log10
     assert calls[0][0].tolist() == [
         log10(truth["T_L"]), log10(truth["T_D1"]), log10(truth["T_D2"]), truth["p1"]
@@ -722,7 +763,56 @@ def test_bootstrap_refits_only_the_slow_and_fast_stages(reference_params, monkey
     calls = record_starts(monkeypatch)
     res = fit_full(data, FitConfig(bootstrap_resamples=3))
     assert res.diagnostics["bootstrap_failures"] == 0
-    assert [x0.size for x0, _ in calls] == [4] * 4 + [3] * 4 + [4, 3] * 3
+    assert [x0.size for x0, *_ in calls] == [4] * 4 + [3] * 4 + [4, 3] * 3
+
+
+def test_only_bootstrap_refits_stop_in_standard_errors(reference_params, monkeypatch):
+    # The main fit's eight calls keep the step and cost test alone; every
+    # refit call also stops within 1e-3 standard errors.
+    data = criterion7_curve(reference_params, seed=0)
+    calls = record_starts(monkeypatch)
+    res = fit_full(data, FitConfig(bootstrap_resamples=3))
+    assert [refit for *_, refit in calls] == [False] * 8 + [True] * 6
+    assert all(stage.sigma for stage in res.stages.values())
+
+
+@pytest.mark.parametrize("seed", [0, 13])
+def test_bootstrap_leaves_the_main_fit_alone(reference_params, seed):
+    data = criterion7_curve(reference_params, seed)
+    plain = fit_full(data, FitConfig(bootstrap_resamples=0))
+    boot = fit_full(data, FitConfig(bootstrap_resamples=5))
+    assert boot.params == plain.params
+    assert boot.stats == plain.stats
+    for name, stage in plain.stages.items():
+        other = boot.stages[name]
+        assert (other.values, other.sigma) == (stage.values, stage.sigma), name
+        assert (other.cost, other.iterations, other.message) == (
+            stage.cost,
+            stage.iterations,
+            stage.message,
+        ), name
+
+
+def test_bootstrap_counts_refits_on_a_bound(reference_params, monkeypatch):
+    # On criterion 7's seed 13 some refits' slow stage ends with T_D2 on
+    # its 1e-8 s floor. Each refit runs one slow-stage call; the one
+    # failed refit stops at the iteration cap in that call.
+    data = criterion7_curve(reference_params, seed=13)
+    ends = []
+    original = fitting.least_squares
+
+    def recording(residual, x0, bounds=None, **kwargs):
+        res = original(residual, x0, bounds, **kwargs)
+        if kwargs.get("refit") and len(x0) == 4:
+            ends.append((res.converged, bool(np.any((res.x == bounds[0]) | (res.x == bounds[1])))))
+        return res
+
+    monkeypatch.setattr(fitting, "least_squares", recording)
+    res = fit_full(data, FitConfig(bootstrap_resamples=50))
+    assert len(ends) == 50
+    assert res.diagnostics["bootstrap_failures"] == sum(not ok for ok, _ in ends) == 1
+    on_bound = sum(ok and edge for ok, edge in ends)
+    assert res.diagnostics["bootstrap_on_bound"] == on_bound > 0
 
 
 def test_background_guess_sets_each_ratio_start(reference_params, monkeypatch):
@@ -734,8 +824,8 @@ def test_background_guess_sets_each_ratio_start(reference_params, monkeypatch):
     cfg = FitConfig(bootstrap_resamples=0, initial_guess={"A31": 2e8})
     fit_fast(series, 1.0 / stats.P_L, cfg, init={"I_sc": 5e7}, slow_stats=stats)
     assert len(calls) == 4
-    assert len({x0[2] for x0, _ in calls}) > 1
-    for x0, _ in calls:
+    assert len({x0[2] for x0, *_ in calls}) > 1
+    for x0, *_ in calls:
         assert x0[0] == math.log10(2e8)
         assert x0[2] == 5e7 / light_intensity(10.0 ** x0[0], 10.0 ** x0[1])
 
