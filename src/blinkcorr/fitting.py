@@ -217,7 +217,8 @@ def least_squares(
     solved, and the loop stops with "step below 1e-3 standard errors"
     once ``delta^T J^T J delta < (1e-3)^2 s^2``, the distance to the
     minimum that MINUIT estimates (James & Roos, Comput. Phys. Commun.
-    10, 343 (1975)); a singular system or a zero cost skips the test.
+    10, 343 (1975)); a zero cost, a singular system or a negative
+    distance (rounding in a near-singular one) skips the test.
     The final Jacobian is not taken and ``cov`` is ``None``.
 
     Parameters are never evaluated outside the bounds; the finite
