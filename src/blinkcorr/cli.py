@@ -231,14 +231,10 @@ def _parse_bool(text: str) -> bool:
 def _load_fit_config(path: str | None) -> FitConfig:
     if path is None:
         return FitConfig()
-    # The file sets FitConfig's scalar fields. Their annotations are strings,
+    # The file sets every FitConfig field. Their annotations are strings,
     # as fitting.py postpones the evaluation of annotations.
     readers = {"float": float, "int": int, "bool": _parse_bool}
-    fields = {
-        field.name: readers[field.type]
-        for field in dataclasses.fields(FitConfig)
-        if field.type in readers
-    }
+    fields = {field.name: readers[field.type] for field in dataclasses.fields(FitConfig)}
     return FitConfig(**read_key_values(path, fields))
 
 

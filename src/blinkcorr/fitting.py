@@ -71,9 +71,8 @@ STAGE_KEYS = {
 }
 
 # Each stage's coordinates in optimizer order: (name, fit in log10 of the
-# value?, built-in lo, built-in hi), the box in coordinate units. A bound
-# in FitConfig replaces the box of its name. ``ratio`` is the background-
-# to-signal intensity ratio, which no guess or bound names.
+# value?, lo, hi), the box in coordinate units. ``ratio`` is the
+# background-to-signal intensity ratio, which a start sets from I_sc.
 _SLOW = (
     ("T_L", True, -8.0, 5.0),
     ("T_D1", True, -8.0, 5.0),
@@ -86,18 +85,6 @@ _FAST = (
     ("Omega31", True, 2.0, 14.0),
     ("ratio", False, 0.0, 1e3),
 )
-
-# Keys accepted in FitConfig.bounds and FitConfig.initial_guess. The
-# background rate is fit through the background-to-signal intensity
-# ratio, whose box moves with A31/Omega31, so I_sc takes a guess but no
-# static bound.
-_BOUND_KEYS = frozenset(name for name, _, _, _ in _SLOW + _AMPLITUDE + _FAST) - {"ratio"}
-_GUESS_KEYS = _BOUND_KEYS | {"I_sc"}
-_DERIVED = "is not a fit coordinate: it is derived from the slow and fast stages"
-
-# Names of the coordinates fit in log10 of their value; their guesses
-# must be positive.
-_LOG_KEYS = frozenset(name for name, log, _, _ in _SLOW + _FAST if log)
 
 # least_squares' starting damping factor, the largest one it tries before
 # it gives up a step, the relative step and cost change below which it
@@ -113,64 +100,37 @@ _REFIT_TOL = 1e-3
 class FitConfig:
     """Knobs of the fitting protocol.
 
-    ``split_tau`` separates the fast and slow fitting windows.
-    ``initial_guess`` may carry any subset of the slow and fast stages'
-    parameter names and ``amplitude``; present values replace the
-    corresponding heuristic start coordinates. ``bounds`` maps the same
-    names but ``I_sc`` to ``[lo, hi]`` boxes that replace the built-in
-    ones (a zero lower bound on a log-parameterized rate keeps the
-    built-in floor). ``A32_*`` and ``A21_*`` are derived from those
-    stages and take neither. ``free_amplitude`` adds one overall scale
-    factor to absorb data normalization. ``bootstrap_resamples`` of zero
-    disables the bootstrap and falls back to Jacobian uncertainties. A
-    guess for a coordinate fit in log10 (``T_L``, ``T_D1``, ``T_D2``,
-    ``A31``, ``Omega31``) must be positive. ``split_tau`` must be finite
-    and positive, and ``bootstrap_seed`` must be an integer in [0, 2**63).
+    ``split_tau`` (finite, positive) separates the fast and slow fitting
+    windows. ``free_amplitude``, a bool, adds one overall scale factor to
+    absorb data normalization. ``bootstrap_resamples`` of zero disables
+    the bootstrap and falls back to Jacobian uncertainties. It,
+    ``bootstrap_seed`` (in [0, 2**63)) and ``max_iterations`` are
+    integers, not bools. No setting moves a start or a box: a stage
+    starts from its heuristics or from the ``init`` of :func:`fit_slow`
+    and :func:`fit_fast`, which names every coordinate of the stage.
     """
 
     split_tau: float = 1e-7
-    initial_guess: dict[str, float] | None = None
-    bounds: dict[str, tuple[float, float]] | None = None
     free_amplitude: bool = False
     bootstrap_resamples: int = 200
     bootstrap_seed: int = 0
     max_iterations: int = 200
 
     def __post_init__(self) -> None:
+        if not isinstance(self.free_amplitude, (bool, np.bool_)):
+            raise ValueError("free_amplitude must be a bool")
+        for name in ("bootstrap_resamples", "bootstrap_seed", "max_iterations"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if not 0.0 < self.split_tau < math.inf:
             raise ValueError("split_tau must be finite and positive")
         if self.bootstrap_resamples < 0:
             raise ValueError("bootstrap_resamples must be non-negative")
-        seed = self.bootstrap_seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-            raise ValueError("bootstrap_seed must be an integer")
-        if not 0 <= seed < 2**63:
+        if not 0 <= self.bootstrap_seed < 2**63:
             raise ValueError("bootstrap_seed must lie in [0, 2**63)")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.initial_guess is not None:
-            for key, value in self.initial_guess.items():
-                if key in STAGE_KEYS["isc"]:
-                    raise ValueError(f"initial_guess[{key!r}] {_DERIVED}")
-                if key not in _GUESS_KEYS:
-                    raise ValueError(f"unknown initial_guess key {key!r}")
-                if not math.isfinite(value):
-                    raise ValueError(f"initial_guess[{key!r}] must be finite")
-                if key in _LOG_KEYS and value <= 0.0:
-                    raise ValueError(f"initial_guess[{key!r}] must be positive")
-        if self.bounds is not None:
-            for key, box in self.bounds.items():
-                if key in STAGE_KEYS["isc"]:
-                    raise ValueError(f"bounds[{key!r}] {_DERIVED}")
-                if key not in _BOUND_KEYS:
-                    raise ValueError(f"bounds not supported for {key!r}")
-                lo, hi = box
-                if not (math.isfinite(lo) and math.isfinite(hi)):
-                    raise ValueError(f"bounds[{key!r}] must be finite")
-                if lo < 0.0 or lo >= hi:
-                    raise ValueError(
-                        f"bounds[{key!r}] must satisfy 0 <= lo < hi"
-                    )
 
 
 @dataclass(frozen=True)
@@ -411,12 +371,10 @@ def _propagated_sigma(func, theta: np.ndarray, cov: np.ndarray) -> float:
     return math.sqrt(max(var, 0.0))
 
 
-def _best_start(residual, starts, bounds, cfg: FitConfig, refit: bool) -> LeastSquaresResult:
-    best = None
+def _best_start(residual, starts, table, cfg: FitConfig, refit: bool) -> LeastSquaresResult:
+    best, bounds = None, _bounds(table)
     for x0 in starts:
-        res = least_squares(
-            residual, x0, bounds, max_iterations=cfg.max_iterations, refit=refit
-        )
+        res = least_squares(residual, x0, bounds, max_iterations=cfg.max_iterations, refit=refit)
         if best is None or res.cost < best.cost:
             best = res
     if not best.converged:
@@ -427,51 +385,30 @@ def _best_start(residual, starts, bounds, cfg: FitConfig, refit: bool) -> LeastS
     return best
 
 
-def _bounds(table, cfg: FitConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Boxes of the stage coordinates ``table`` declares, with the user's
-    bounds in their place (a zero lower bound on a log coordinate keeps
-    the built-in floor)."""
-    lo, hi = [], []
-    for name, log, a, b in table:
-        if cfg.bounds is not None and name in cfg.bounds:
-            user_lo, user_hi = cfg.bounds[name]
-            if not log:
-                a, b = user_lo, user_hi
-            else:
-                a = math.log10(user_lo) if user_lo > 0.0 else a
-                b = math.log10(user_hi)
-        lo.append(a)
-        hi.append(b)
-    return np.array(lo), np.array(hi)
+def _bounds(table) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([a for _, _, a, _ in table]), np.array([b for _, _, _, b in table])
 
 
-def _patch_starts(table, starts, cfg: FitConfig, init: dict[str, float] | None):
-    """Copies of ``starts`` with every guessable coordinate of ``table``
-    that ``init`` or ``cfg.initial_guess`` names set to its guess (``init``
-    wins), and that merged guess. One start is kept when every guessable
-    coordinate is given."""
-    guess = {**(cfg.initial_guess or {}), **(init or {})}
-    guessable = [
-        (pos, name, log) for pos, (name, log, _, _) in enumerate(table) if name in _GUESS_KEYS
-    ]
-    given = {
-        pos: math.log10(guess[name]) if log else guess[name]
-        for pos, name, log in guessable
-        if name in guess
-    }
-    patched = []
-    for x0 in starts[:1] if len(given) == len(guessable) else starts:
-        x = x0.copy()
-        for pos, value in given.items():
-            x[pos] = value
-        patched.append(x)
-    return patched, guess
+def _init_start(init: dict[str, float], coords) -> np.ndarray:
+    """The start ``init`` gives for ``coords``, (name, log10?) pairs in
+    optimizer order. Raises :class:`ValueError` naming a missing key, a
+    value that is not finite, or a log coordinate's that is not positive."""
+    x0 = []
+    for name, log in coords:
+        if name not in init:
+            raise ValueError(f"init must name {name!r}")
+        value = init[name]
+        if not math.isfinite(value):
+            raise ValueError(f"init[{name!r}] must be finite")
+        if log and value <= 0.0:
+            raise ValueError(f"init[{name!r}] must be positive")
+        x0.append(math.log10(value) if log else value)
+    return np.array(x0, dtype=float)
 
 
 def _stage(
     table,
     best: LeastSquaresResult,
-    bounds: tuple[np.ndarray, np.ndarray],
     values: dict[str, float],
     n_points: int,
     **propagated,
@@ -480,7 +417,7 @@ def _stage(
     for a log coordinate, ``sd`` for a linear one, plus the delta-method
     sigma of each ``propagated`` function of the coordinates; a refit,
     which has no covariance, gets none."""
-    lo, hi = bounds
+    lo, hi = _bounds(table)
     on_bound = bool(np.any((best.x == lo) | (best.x == hi)))
     sigma = {}
     if best.cov is not None:
@@ -519,8 +456,12 @@ def fit_slow(
     rates ``p_LD_i`` and ``p_DL_i`` in the same order, which
     :func:`fit_isc` turns into its own. Raises
     :class:`DegenerateFitError` when the data show no bunching to fit.
-    ``refit`` marks a bootstrap refit (see :func:`least_squares`): the
-    stage stops within 1e-3 standard errors and carries no sigmas.
+    ``init`` replaces the four heuristic starts by one at its values. It
+    must name ``T_L``, ``T_D1``, ``T_D2``, ``p1``, and ``amplitude`` under
+    ``free_amplitude``, all finite and the periods positive, or
+    :class:`ValueError` names the key; other keys are ignored. ``refit``
+    marks a bootstrap refit (see :func:`least_squares`): the stage stops
+    within 1e-3 standard errors and carries no sigmas.
     """
     cfg = config or FitConfig()
     sub = series.restrict(tau_min=cfg.split_tau)
@@ -535,25 +476,26 @@ def fit_slow(
         (ld1, ld2), (dl1, dl2) = _slow_rates(theta)
         return w * (amp * _blink_factor(tau, ld1, ld2, dl1, dl2) - y)
 
-    head = max(3, len(sub) // 20)
-    amp = max(float(np.mean(y[:head])) - 1.0, 1e-8)
-    target = 1.0 + amp / math.e
-    below = np.nonzero(y < target)[0]
-    tau_e = float(tau[below[0]]) if below.size else float(np.median(tau))
-    starts = []
-    for f1, f2, p in ((1.0, 0.2, 0.3), (2.0, 0.5, 0.1), (0.5, 0.1, 0.5), (3.0, 1.0, 0.15)):
-        t_d1 = f1 * tau_e
-        t_d2 = f2 * tau_e
-        t_l = (p * t_d1 + (1.0 - p) * t_d2) / amp
-        x0 = [math.log10(t_l), math.log10(t_d1), math.log10(t_d2), p]
-        if free_amp:
-            x0.append(1.0)
-        starts.append(np.array(x0))
-
     table = _SLOW + _AMPLITUDE if free_amp else _SLOW
-    starts, _ = _patch_starts(table, starts, cfg, init)
-    bounds = _bounds(table, cfg)
-    best = _best_start(residual, starts, bounds, cfg, refit)
+    if init is not None:
+        starts = [_init_start(init, [(name, log) for name, log, _, _ in table])]
+    else:
+        head = max(3, len(sub) // 20)
+        amp = max(float(np.mean(y[:head])) - 1.0, 1e-8)
+        target = 1.0 + amp / math.e
+        below = np.nonzero(y < target)[0]
+        tau_e = float(tau[below[0]]) if below.size else float(np.median(tau))
+        starts = []
+        for f1, f2, p in ((1.0, 0.2, 0.3), (2.0, 0.5, 0.1), (0.5, 0.1, 0.5), (3.0, 1.0, 0.15)):
+            t_d1 = f1 * tau_e
+            t_d2 = f2 * tau_e
+            t_l = (p * t_d1 + (1.0 - p) * t_d2) / amp
+            x0 = [math.log10(t_l), math.log10(t_d1), math.log10(t_d2), p]
+            if free_amp:
+                x0.append(1.0)
+            starts.append(np.array(x0))
+
+    best = _best_start(residual, starts, table, cfg, refit)
     stats = _slow_stats(best.x)
 
     amp_fit = float(best.x[4]) if free_amp else 1.0
@@ -579,7 +521,6 @@ def fit_slow(
     stage = _stage(
         table,
         best,
-        bounds,
         values,
         len(sub),
         P_L=lambda t: _slow_stats(t).P_L,
@@ -613,7 +554,11 @@ def fit_fast(
     slow-factor shape, which removes the small residual slope the factor
     still has below the split; the full protocol always passes it.
     Returns ``A31``, ``Omega31`` and the background rate ``I_sc``.
-    ``refit`` marks a bootstrap refit, as for :func:`fit_slow`.
+    ``init`` replaces the four heuristic starts by one at its values. It
+    must name ``A31`` and ``Omega31``, finite and positive, and a finite
+    ``I_sc``, which sets the background ratio, or :class:`ValueError`
+    names the key; other keys are ignored. ``refit`` works as for
+    :func:`fit_slow`.
     """
     cfg = config or FitConfig()
     if not (plateau >= 1.0 and math.isfinite(plateau)):
@@ -633,26 +578,25 @@ def fit_fast(
         model = _g2(tau, 10.0 ** log_a, 10.0 ** log_omega)
         return w * (envelope * (model + ratio) / (1.0 + ratio) - y)
 
-    v0 = min(max(float(y[0]) / plateau, 1e-4), 0.98)
-    ratio0 = v0 / (1.0 - v0)
-    level = plateau * (v0 + (1.0 - v0) * (1.0 - 1.0 / math.e))
-    above = np.nonzero(y >= level)[0]
-    tau_r = float(tau[above[0]]) if above.size else float(tau[len(sub) // 2])
-    a0 = 4.0 / (3.0 * tau_r)
-    starts = [
-        np.array([math.log10(a0), math.log10(f * a0), ratio0])
-        for f in (0.5, 1.0, 2.0)
-    ]
-    starts.append(np.array([math.log10(3.0 * a0), math.log10(a0), ratio0]))
+    if init is not None:
+        x0 = _init_start(init, (("A31", True), ("Omega31", True), ("I_sc", False)))
+        # The ratio coordinate follows from I_sc and the start's own rates.
+        x0[2] = x0[2] / light_intensity(10.0 ** x0[0], 10.0 ** x0[1])
+        starts = [x0]
+    else:
+        v0 = min(max(float(y[0]) / plateau, 1e-4), 0.98)
+        ratio0 = v0 / (1.0 - v0)
+        level = plateau * (v0 + (1.0 - v0) * (1.0 - 1.0 / math.e))
+        above = np.nonzero(y >= level)[0]
+        tau_r = float(tau[above[0]]) if above.size else float(tau[len(sub) // 2])
+        a0 = 4.0 / (3.0 * tau_r)
+        starts = [
+            np.array([math.log10(a0), math.log10(f * a0), ratio0])
+            for f in (0.5, 1.0, 2.0)
+        ]
+        starts.append(np.array([math.log10(3.0 * a0), math.log10(a0), ratio0]))
 
-    starts, guess = _patch_starts(_FAST, starts, cfg, init)
-    if "I_sc" in guess:
-        # The ratio coordinate depends on the start's own fast rates.
-        for x0 in starts:
-            x0[2] = guess["I_sc"] / light_intensity(10.0 ** x0[0], 10.0 ** x0[1])
-
-    bounds = _bounds(_FAST, cfg)
-    best = _best_start(residual, starts, bounds, cfg, refit)
+    best = _best_start(residual, starts, _FAST, cfg, refit)
     a31 = 10.0 ** best.x[0]
     omega31 = 10.0 ** best.x[1]
     ratio = float(best.x[2])
@@ -662,7 +606,7 @@ def fit_fast(
         return theta[2] * light_intensity(10.0 ** theta[0], 10.0 ** theta[1])
 
     values = {"A31": a31, "Omega31": omega31, "I_sc": i_sc, "ratio": ratio}
-    return _stage(_FAST, best, bounds, values, len(sub), I_sc=isc_of)
+    return _stage(_FAST, best, values, len(sub), I_sc=isc_of)
 
 
 def fit_isc(slow: FitStage, fast: FitStage) -> FitStage:

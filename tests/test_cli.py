@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -462,6 +463,18 @@ def test_fit_config_file_sets_every_scalar_field(tmp_path):
     )
 
 
+def test_fit_file_accepts_exactly_the_fit_config_fields(tmp_path, monkeypatch):
+    accepted = {}
+
+    def reading(path, fields):
+        accepted.update(fields)
+        return {}
+
+    monkeypatch.setattr(cli, "read_key_values", reading)
+    assert cli._load_fit_config(str(tmp_path / "fit.cfg")) == FitConfig()
+    assert set(accepted) == {field.name for field in dataclasses.fields(FitConfig)}
+
+
 def test_fit_config_errors(tmp_path, params_file):
     data = str(tmp_path / "data.csv")
     assert main(["eval", "--params", params_file, "--out", data]) == 0
@@ -477,8 +490,8 @@ def test_fit_config_errors(tmp_path, params_file):
     assert main(["fit", "--data", data, "--config", str(cfg), "--out", out]) == 2
     # Values the key reader takes but the fit cannot use: no point left in
     # a window, or a seed the bootstrap generator would refuse. Starting
-    # guesses, such as a zero T_L, are the library's, and the solver's
-    # damping and tolerance are constants: the file refuses their keys.
+    # values, such as a zero T_L, are no setting, and the solver's damping
+    # and tolerance are constants: the file refuses their keys.
     for text in (
         "T_L = 0",
         "lambda0 = 1e13",

@@ -16,6 +16,8 @@ from blinkcorr import (
     fitting,
     light_intensity,
     log_grid,
+    period_statistics,
+    rates_from_statistics,
     saturation_factor,
     statistics_from_params,
 )
@@ -409,12 +411,17 @@ def test_isc_block_follows_the_dark_level_order(reference_params):
     # stage ends there and reorders its levels; the isc values and sigmas
     # must match those of the fit that never reordered.
     data = criterion7_curve(reference_params, 0)
-    res = fit_full(data, FitConfig(bootstrap_resamples=0))
+    cfg = FitConfig(bootstrap_resamples=0)
+    res = fit_full(data, cfg)
     st = res.stats
     mirrored = {"T_L": st.T_L, "T_D1": st.T_D[1], "T_D2": st.T_D[0], "p1": 1.0 - st.p1}
-    mir = fit_full(data, FitConfig(bootstrap_resamples=0, initial_guess=mirrored))
-    assert mir.params.A32 == pytest.approx(res.params.A32, rel=1e-6)
-    assert mir.params.A21 == pytest.approx(res.params.A21, rel=1e-6)
+    slow = fit_slow(data, cfg, init=mirrored)
+    v = slow.values
+    stats = period_statistics(*rates_from_statistics(v["T_L"], (v["T_D1"], v["T_D2"]), v["p1"]))
+    fast = fit_fast(data, 1.0 / v["P_L"], cfg, slow_stats=stats)
+    mir = fit_isc(slow, fast)
+    assert [mir.values["A32_1"], mir.values["A32_2"]] == pytest.approx(res.params.A32, rel=1e-6)
+    assert [mir.values["A21_1"], mir.values["A21_2"]] == pytest.approx(res.params.A21, rel=1e-6)
     for key in fitting.STAGE_KEYS["isc"]:
         assert mir.sigma[key] == pytest.approx(res.sigma[key], rel=1e-4), key
 
@@ -524,31 +531,11 @@ def test_unscaled_data_without_free_amplitude_not_silent(reference_params):
 def test_initial_guess_pins_starts(reference_params):
     series = eval_curve(reference_params, log_grid(1e-10, 1.0, 30))
     truth = truth_of(reference_params)
-    cfg = FitConfig(
-        bootstrap_resamples=0,
-        initial_guess={k: truth[k] for k in ("T_L", "T_D1", "T_D2", "p1")},
-    )
-    slow = fit_slow(series, cfg)
+    init = {k: truth[k] for k in ("T_L", "T_D1", "T_D2", "p1")}
+    slow = fit_slow(series, FitConfig(bootstrap_resamples=0), init=init)
     assert slow.values["T_L"] == pytest.approx(truth["T_L"], rel=1e-8)
     # Exact start must converge almost immediately.
     assert slow.iterations <= 25
-
-
-def test_bounds_honored(reference_params):
-    # A tight box around the truth: the fit must stay inside it and still
-    # land on the generating values.
-    series = eval_curve(reference_params, log_grid(1e-10, 1.0, 30))
-    stats = statistics_from_params(reference_params)
-    cfg = FitConfig(
-        bootstrap_resamples=0,
-        bounds={"A31": (1e8, 1e9), "Omega31": (1e8, 1e9)},
-    )
-    fast = fit_fast(series, 1.0 / stats.P_L, cfg, slow_stats=stats)
-    assert 1e8 <= fast.values["A31"] <= 1e9
-    assert fast.values["A31"] == pytest.approx(reference_params.A31, rel=1e-6)
-    assert fast.values["Omega31"] == pytest.approx(
-        reference_params.Omega31, rel=1e-6
-    )
 
 
 def test_flat_series_raises_degenerate():
@@ -584,16 +571,19 @@ def test_fit_config_validation():
         FitConfig(bootstrap_resamples=-1)
     with pytest.raises(ValueError):
         FitConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        FitConfig(initial_guess={"mystery": 1.0})
-    with pytest.raises(ValueError):
-        FitConfig(initial_guess={"A31": math.nan})
-    with pytest.raises(ValueError):
-        FitConfig(bounds={"I_sc": (0.0, 1.0)})
-    with pytest.raises(ValueError):
-        FitConfig(bounds={"A31": (1e9, 1e8)})
-    with pytest.raises(ValueError):
-        FitConfig(bounds={"A31": (-1.0, 1e8)})
+    # Types are checked at the boundary too: a float count would fail
+    # later in range(), and a truthy string would free the amplitude.
+    for field, value, kind in (
+        ("max_iterations", 2.5, "an integer"),
+        ("max_iterations", True, "an integer"),
+        ("bootstrap_resamples", 2.5, "an integer"),
+        ("bootstrap_resamples", False, "an integer"),
+        ("free_amplitude", "no", "a bool"),
+        ("free_amplitude", 1, "a bool"),
+    ):
+        with pytest.raises(ValueError, match=f"^{field} must be {kind}$"):
+            FitConfig(**{field: value})
+    FitConfig(max_iterations=np.int64(5), bootstrap_resamples=np.int32(0), free_amplitude=np.True_)
     for knobs in (
         {"split_tau": math.nan},
         {"split_tau": math.inf},
@@ -610,29 +600,61 @@ def test_fit_config_validation():
     FitConfig(bootstrap_seed=np.uint64(2**63 - 1))
 
 
+def run_stage_from(series, params, stage, init, cfg=FitConfig(bootstrap_resamples=0)):
+    """The slow or fast stage, started from ``init``."""
+    if stage == "slow":
+        return fit_slow(series, cfg, init=init)
+    stats = statistics_from_params(params)
+    return fit_fast(series, 1.0 / stats.P_L, cfg, init=init, slow_stats=stats)
+
+
 @pytest.mark.parametrize("key", ["T_L", "T_D1", "T_D2", "A31", "Omega31"])
 def test_log_coordinate_guess_must_be_positive(reference_params, key):
     series = eval_curve(reference_params, log_grid(1e-10, 1.0, 30))
+    stage = "slow" if key in fitting.STAGE_KEYS["slow"] else "fast"
+    truth = {k: v for k, v in truth_of(reference_params).items() if k in fitting.STAGE_KEYS[stage]}
     for value in (0.0, -1.0):
-        with pytest.raises(ValueError, match=rf"initial_guess\['{key}'\] must be positive"):
-            fit_full(series, FitConfig(bootstrap_resamples=0, initial_guess={key: value}))
+        with pytest.raises(ValueError, match=rf"init\['{key}'\] must be positive"):
+            run_stage_from(series, reference_params, stage, {**truth, key: value})
     # Linear coordinates may start at zero.
-    FitConfig(initial_guess={"p1": 0.0, "I_sc": 0.0})
+    zero = "p1" if stage == "slow" else "I_sc"
+    assert run_stage_from(series, reference_params, stage, {**truth, zero: 0.0}).converged
 
 
 @pytest.mark.parametrize("key", ["A32_1", "A32_2", "A21_1", "A21_2"])
 def test_isc_key_takes_no_guess_or_bound(reference_params, key):
-    # The isc coefficients are derived from the slow and fast stages, so
-    # no stage is left for a guess or a box of theirs to act on.
+    # The isc coefficients are derived from the slow and fast stages: no
+    # stage declares a box for them, and a start ignores their values.
+    assert key not in {name for name, *_ in fitting._SLOW + fitting._AMPLITUDE + fitting._FAST}
     series = eval_curve(reference_params, log_grid(1e-10, 1.0, 30))
-    derived = "is not a fit coordinate: it is derived from the slow and fast stages"
-    for field, knob in (
-        ("initial_guess", {key: 0.0}),
-        ("initial_guess", {key: 100.0}),
-        ("bounds", {key: (0.0, 1e5)}),
-    ):
-        with pytest.raises(ValueError, match=rf"{field}\['{key}'\] {derived}"):
-            fit_full(series, FitConfig(bootstrap_resamples=0, **{field: knob}))
+    truth = truth_of(reference_params)
+    for stage in ("slow", "fast"):
+        init = {k: v for k, v in truth.items() if k in fitting.STAGE_KEYS[stage]}
+        plain = run_stage_from(series, reference_params, stage, init)
+        for value in (0.0, 100.0, math.nan):
+            assert run_stage_from(series, reference_params, stage, {**init, key: value}) == plain
+
+
+@pytest.mark.parametrize(
+    "stage, missing",
+    [("slow", "T_L"), ("slow", "p1"), ("slow", "amplitude"), ("fast", "Omega31"), ("fast", "I_sc")],
+)
+def test_init_must_name_every_coordinate(reference_params, stage, missing):
+    # A start from init is all or nothing: a stage refuses an init that
+    # leaves out one of its coordinates, or gives one that is not finite.
+    series = eval_curve(reference_params, log_grid(1e-10, 1.0, 30))
+    cfg = FitConfig(bootstrap_resamples=0, free_amplitude=True)
+    init = {**truth_of(reference_params), "amplitude": 1.0}
+
+    def run(init):
+        return run_stage_from(series, reference_params, stage, init, cfg)
+
+    assert run(init).converged
+    with pytest.raises(ValueError, match=rf"^init must name '{missing}'$"):
+        run({k: v for k, v in init.items() if k != missing})
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=rf"^init\['{missing}'\] must be finite$"):
+            run({**init, missing: value})
 
 
 def test_reported_sigmas_non_negative():
@@ -729,8 +751,9 @@ def test_guessing_every_coordinate_leaves_one_start(reference_params, monkeypatc
     stats = statistics_from_params(reference_params)
     truth = truth_of(reference_params)
     calls = record_starts(monkeypatch)
-    guess = {key: value for key, value in truth.items() if key not in fitting.STAGE_KEYS["isc"]}
-    fit_full(series, FitConfig(bootstrap_resamples=0, initial_guess=guess))
+    cfg = FitConfig(bootstrap_resamples=0)
+    fit_slow(series, cfg, init=truth)
+    fit_fast(series, 1.0 / stats.P_L, cfg, init=truth, slow_stats=stats)
     assert [x0.size for x0, *_ in calls] == [4, 3]
     log10 = math.log10
     assert calls[0][0].tolist() == [
@@ -738,22 +761,12 @@ def test_guessing_every_coordinate_leaves_one_start(reference_params, monkeypatc
     ]
     assert calls[1][0][:2].tolist() == [log10(truth["A31"]), log10(truth["Omega31"])]
 
-    # The background ratio is never guessed: A31 and Omega31 are enough,
-    # so every bootstrap refit of the fast stage runs once.
+    # A free amplitude is a coordinate of the slow stage, started from init.
     calls.clear()
-    cfg = FitConfig(bootstrap_resamples=0)
-    guess = {"A31": 3e8, "Omega31": 2.5e8}
-    fit_fast(series, 1.0 / stats.P_L, cfg, init=guess, slow_stats=stats)
-    assert len(calls) == 1
-
-    # A free amplitude is a guessable coordinate of the slow stage.
-    slow_guess = {key: truth[key] for key in ("T_L", "T_D1", "T_D2", "p1")}
     free = FitConfig(bootstrap_resamples=0, free_amplitude=True)
-    for init, starts in ((slow_guess, 4), ({**slow_guess, "amplitude": 1.25}, 1)):
-        calls.clear()
-        fit_slow(series, free, init=init)
-        assert len(calls) == starts
-        assert calls[0][0][4] == init.get("amplitude", 1.0)
+    fit_slow(series, free, init={**truth, "amplitude": 1.25})
+    assert len(calls) == 1
+    assert calls[0][0][4] == 1.25
 
 
 def test_bootstrap_refits_only_the_slow_and_fast_stages(reference_params, monkeypatch):
@@ -810,14 +823,16 @@ def test_bootstrap_counts_refits_on_a_bound(reference_params, monkeypatch):
 
 
 def test_background_guess_sets_each_ratio_start(reference_params, monkeypatch):
-    # The ratio start follows from the guessed I_sc and each start's own
-    # rates, after A31 has been overwritten by its guess.
+    # The ratio start follows from the guessed I_sc and the start's own
+    # rates.
     series = eval_curve(reference_params, log_grid(1e-10, 1.0, 30))
     stats = statistics_from_params(reference_params)
     calls = record_starts(monkeypatch)
-    cfg = FitConfig(bootstrap_resamples=0, initial_guess={"A31": 2e8})
-    fit_fast(series, 1.0 / stats.P_L, cfg, init={"I_sc": 5e7}, slow_stats=stats)
-    assert len(calls) == 4
+    cfg = FitConfig(bootstrap_resamples=0)
+    for omega in (2e8, 4e8):
+        init = {"A31": 2e8, "Omega31": omega, "I_sc": 5e7}
+        fit_fast(series, 1.0 / stats.P_L, cfg, init=init, slow_stats=stats)
+    assert len(calls) == 2
     assert len({x0[2] for x0, *_ in calls}) > 1
     for x0, *_ in calls:
         assert x0[0] == math.log10(2e8)
@@ -825,18 +840,15 @@ def test_background_guess_sets_each_ratio_start(reference_params, monkeypatch):
 
 
 def test_bounds_apply_to_stage_coordinates(reference_params, monkeypatch):
+    # Every call of a stage fits in the box the README's table states: log
+    # coordinates in log10 of the value, linear ones as given.
     series = eval_curve(reference_params, log_grid(1e-10, 1.0, 30))
     calls = record_starts(monkeypatch)
-    bounds = {"amplitude": (0.5, 2.0), "A31": (1e8, 1e9), "T_D1": (0.0, 1e3)}
-    fit_full(
-        series,
-        FitConfig(bootstrap_resamples=0, free_amplitude=True, bounds=bounds),
-    )
-    (lo, hi), (lo_fast, hi_fast) = (calls[k][1] for k in (0, 4))
-    # A linear box passes through as given, and a zero lower bound on a
-    # log coordinate keeps the built-in floor.
-    assert lo.tolist() == [-8.0, -8.0, -8.0, 1e-4, 0.5]
-    assert hi.tolist() == [5.0, 3.0, 5.0, 1.0 - 1e-4, 2.0]
-    # A log box in log10 of the value, and the ratio's own box.
-    assert lo_fast.tolist() == [8.0, 2.0, 0.0]
-    assert hi_fast.tolist() == [9.0, 14.0, 1e3]
+    fit_full(series, FitConfig(bootstrap_resamples=0, free_amplitude=True))
+    assert [x0.size for x0, *_ in calls] == [5] * 4 + [3] * 4
+    for _, (lo, hi), _ in calls[:4]:
+        assert lo.tolist() == [-8.0, -8.0, -8.0, 1e-4, 0.1]
+        assert hi.tolist() == [5.0, 5.0, 5.0, 1.0 - 1e-4, 10.0]
+    for _, (lo, hi), _ in calls[4:]:
+        assert lo.tolist() == [2.0, 2.0, 0.0]
+        assert hi.tolist() == [14.0, 14.0, 1e3]
