@@ -64,7 +64,6 @@ from .simulate import (
     _exact_limit,
     estimate_g,
     light_fraction,
-    log_edges,
     read_trajectory,
     simulate_periods,
     simulate_photons,
@@ -201,7 +200,7 @@ def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _estimate(trajectory: Trajectory, grid: str, out: str) -> None:
-    edges = log_edges(*_parse_grid(grid))
+    edges = log_grid(*_parse_grid(grid))
     series = estimate_g(trajectory, edges)
     write_series(series, out)
     print(

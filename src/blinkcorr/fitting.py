@@ -96,14 +96,19 @@ _REL_TOL = 1e-10
 _REFIT_TOL = 1e-3
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer or float, not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Knobs of the fitting protocol.
 
-    ``split_tau`` (finite, positive) separates the fast and slow fitting
-    windows. ``free_amplitude``, a bool, adds one overall scale factor to
-    absorb data normalization. ``bootstrap_resamples`` of zero disables
-    the bootstrap and falls back to Jacobian uncertainties. It,
+    ``split_tau`` (a finite, positive real number) separates the fast and
+    slow fitting windows. ``free_amplitude``, a bool, adds one overall
+    scale factor to absorb data normalization. ``bootstrap_resamples`` of
+    zero disables the bootstrap and falls back to Jacobian uncertainties. It,
     ``bootstrap_seed`` (in [0, 2**63)) and ``max_iterations`` are
     integers, not bools. No setting moves a start or a box: a stage
     starts from its heuristics or from the ``init`` of :func:`fit_slow`
@@ -123,6 +128,8 @@ class FitConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
+        if not _is_real(self.split_tau):
+            raise ValueError("split_tau must be a real number")
         if not 0.0 < self.split_tau < math.inf:
             raise ValueError("split_tau must be finite and positive")
         if self.bootstrap_resamples < 0:
@@ -392,12 +399,15 @@ def _bounds(table) -> tuple[np.ndarray, np.ndarray]:
 def _init_start(init: dict[str, float], coords) -> np.ndarray:
     """The start ``init`` gives for ``coords``, (name, log10?) pairs in
     optimizer order. Raises :class:`ValueError` naming a missing key, a
-    value that is not finite, or a log coordinate's that is not positive."""
+    value that is not a real number (a bool is not) or not finite, or a log
+    coordinate's that is not positive."""
     x0 = []
     for name, log in coords:
         if name not in init:
             raise ValueError(f"init must name {name!r}")
         value = init[name]
+        if not _is_real(value):
+            raise ValueError(f"init[{name!r}] must be a real number")
         if not math.isfinite(value):
             raise ValueError(f"init[{name!r}] must be finite")
         if log and value <= 0.0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import CorrelationSeries, log_grid
+from .correlation import CorrelationSeries
 from .errors import InsufficientDataError
 from .fileio import _atomic_open, _format_times, format_float
 from .params import PeriodStatistics, PhotoPhysicalParams
@@ -28,7 +28,6 @@ __all__ = [
     "simulate_photons",
     "estimate_g",
     "light_fraction",
-    "log_edges",
     "read_trajectory",
     "write_trajectory",
 ]
@@ -66,15 +65,12 @@ def _stream_rng(seed: int, stream: int) -> np.random.Generator:
 class Trajectory:
     """Photon arrival times over a fixed observation window.
 
-    ``times`` are sorted seconds in ``[0, duration]``. ``periods`` keeps
-    the generating period record when the trajectory was simulated; it is
-    ``None`` for trajectories read back from disk.
+    ``times`` are sorted seconds in ``[0, duration]``.
     """
 
     times: np.ndarray
     duration: float
     seed: int | None = None
-    periods: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -326,12 +322,7 @@ def simulate_photons(
 
     times = np.concatenate(pieces) if pieces else np.empty(0)
     times.sort()
-    return Trajectory(times=times, duration=duration, seed=int(seed), periods=periods)
-
-
-def log_edges(tau_min: float, tau_max: float, bins_per_decade: int = 20) -> np.ndarray:
-    """Logarithmic bin edges for :func:`estimate_g`."""
-    return log_grid(tau_min, tau_max, bins_per_decade)
+    return Trajectory(times=times, duration=duration, seed=int(seed))
 
 
 def estimate_g(
@@ -348,11 +339,11 @@ def estimate_g(
 
     Short-delay bins count pairs exactly on the arrival times, up to the
     split of least estimated work (1e-4 s at 9e4 photons per second): a pair
-    ``i < j`` is counted when ``t_i + edges[0] <= t_j < t_i + edges[m]``
-    (both sums rounded to float64, ``m`` the last exact edge) and falls
-    into the bin whose left edge is the largest one not above
-    ``t_j - t_i``. Pairs are enumerated by neighbour offset ``j - i``
-    until no source has a partner left inside the window.
+    ``i < j`` is counted when its delay ``t_j - t_i`` (rounded to float64)
+    lies in ``[edges[0], edges[m])``, ``m`` the last exact edge, and falls
+    into the bin whose left edge is the largest one not above that delay.
+    Pairs are enumerated by neighbour offset ``j - i`` until no source has
+    a partner left below ``edges[m]``.
 
     Longer bins correlate coincidence counts on a lattice of a twentieth
     of the bin's decade: each bin becomes the window of whole lattice
@@ -483,7 +474,7 @@ def _exact_limit(trajectory: Trajectory, edges: np.ndarray) -> float:
 
 def _exact_counts(times: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Pair counts of the exact stage of :func:`estimate_g` per bin of
-    ``edges``, with its inclusion rule.
+    ``edges``: a pair counts in the bin that holds its delay ``t_j - t_i``.
 
     Every source ``i`` meets its neighbours ``j = i + 1, i + 2, ...`` in
     turn, all sources of a block at once, and leaves the block's active
@@ -491,37 +482,28 @@ def _exact_counts(times: np.ndarray, edges: np.ndarray) -> np.ndarray:
     are only farther away. A delay ``d`` is binned without a search: a
     table over the exponent and the top mantissa bits of ``d`` gives the
     number of edges below its cell, and one comparison per edge inside
-    the cell corrects it. The two window bounds are tested on the
-    arrival times only for delays within a few ulps of the outer edges,
-    the only place where they can disagree with the binned delay.
+    the cell corrects it.
     """
     nb = edges.size - 1
     n = times.size
     # Codes: the number of edges at or below the delay, so 1..nb are the
-    # bins, 0 lies below the grid and `above` past it; `check` marks the
-    # cells next to the outer edges.
-    above, check = nb + 1, nb + 2
+    # bins, 0 lies below the grid and `above` past it.
+    above = nb + 1
     shift = 52 - _TABLE_BITS
-    lo_e, hi_e = float(edges[0]), float(edges[-1])
 
     # One cell per key, the bits of the delay above the top mantissa bits;
     # keys grow with the delay, which is at most the record's span.
     top = (np.array(times[-1] - times[0]).view(np.int64) >> shift) + 1
     lower = (np.arange(top, dtype=np.int64) << shift).view(np.float64)
     table = np.searchsorted(edges, lower, side="right")
-    slack = 2.0 * (np.spacing(times[-1] + hi_e) + np.spacing(hi_e))
-    for a, b in ((lo_e, lo_e + slack), (max(hi_e - slack, 0.0), hi_e)):
-        ka, kb = np.array([a, b]).view(np.int64) >> shift
-        table[ka : kb + 1] = check
     # Edges strictly inside a cell, each worth one correcting comparison.
     bits = edges.view(np.int64)
     inside = bits >> shift
     inside = inside[(inside < top) & (inside << shift != bits)]
-    inside = inside[table[inside] != check]
     passes = int(np.bincount(inside).max()) if inside.size else 0
-    following = np.concatenate([edges, [np.inf, np.inf]])
+    following = np.append(edges, np.inf)
 
-    counts = np.zeros(nb + 3, dtype=np.int64)
+    counts = np.zeros(nb + 2, dtype=np.int64)
     for start in range(0, n - 1, _BLOCK):
         source = times[start : start + _BLOCK]
         partner = np.arange(start, start + source.size)
@@ -532,19 +514,12 @@ def _exact_counts(times: np.ndarray, edges: np.ndarray) -> np.ndarray:
                 source, partner = source[:live], partner[:live]
                 if not live:
                     break
-            t_j = times[partner]
-            d = t_j - source
+            d = times[partner] - source
             code = table[d.view(np.int64) >> shift]
             for _ in range(passes):
                 code += d >= following[code]
-            hist = np.bincount(code, minlength=nb + 3)
+            hist = np.bincount(code, minlength=nb + 2)
             counts += hist
-            if hist[check]:
-                pick = np.flatnonzero(code == check)
-                t_i, t_p = source[pick], t_j[pick]
-                held = (t_i + lo_e <= t_p) & (t_p < t_i + hi_e)
-                exact = np.searchsorted(edges, d[pick][held], side="right")
-                counts += np.bincount(exact, minlength=nb + 3)
             if 4 * hist[above] >= source.size:
                 near = code != above
                 source, partner = source[near], partner[near]
@@ -619,7 +594,6 @@ def read_trajectory(path: str) -> Trajectory:
     are read. A line that is not a finite number, or that holds a ``_``,
     raises :class:`ValueError` naming ``path:lineno``, and times or a
     duration that :class:`Trajectory` refuses raise it naming ``path``.
-    The period record is not serialized, so it comes back as ``None``.
     """
     header: dict[str, float | int] = {}
     with open(path, "rb") as handle:
@@ -660,7 +634,6 @@ def read_trajectory(path: str) -> Trajectory:
             times=times[:filled],
             duration=header["duration"],
             seed=header.get("seed"),
-            periods=None,
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

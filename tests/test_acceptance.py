@@ -36,7 +36,6 @@ from blinkcorr import (
     g_total,
     light_fraction,
     light_intensity,
-    log_edges,
     log_grid,
     p_ll,
     period_statistics,
@@ -317,7 +316,7 @@ def test_criterion_6_simulation_reproduces_the_curve():
     n_photons = len(trajectory)
 
     series, windows = estimate_g(
-        trajectory, log_edges(1e-9, 1e-1, 20), with_windows=True
+        trajectory, log_grid(1e-9, 1e-1, 20), with_windows=True
     )
     model = np.array(
         [np.mean(g_total(np.geomspace(a, b, 9), scaled)) for a, b in windows]

@@ -580,10 +580,16 @@ def test_fit_config_validation():
         ("bootstrap_resamples", False, "an integer"),
         ("free_amplitude", "no", "a bool"),
         ("free_amplitude", 1, "a bool"),
+        ("split_tau", "1e-7", "a real number"),
+        ("split_tau", None, "a real number"),
+        ("split_tau", True, "a real number"),
     ):
         with pytest.raises(ValueError, match=f"^{field} must be {kind}$"):
             FitConfig(**{field: value})
     FitConfig(max_iterations=np.int64(5), bootstrap_resamples=np.int32(0), free_amplitude=np.True_)
+    FitConfig(split_tau=np.float32(1e-6))
+    FitConfig(split_tau=np.int64(1))
+    FitConfig(split_tau=1)
     for knobs in (
         {"split_tau": math.nan},
         {"split_tau": math.inf},
@@ -641,7 +647,8 @@ def test_isc_key_takes_no_guess_or_bound(reference_params, key):
 )
 def test_init_must_name_every_coordinate(reference_params, stage, missing):
     # A start from init is all or nothing: a stage refuses an init that
-    # leaves out one of its coordinates, or gives one that is not finite.
+    # leaves out one of its coordinates, or gives one that is not a finite
+    # real number.
     series = eval_curve(reference_params, log_grid(1e-10, 1.0, 30))
     cfg = FitConfig(bootstrap_resamples=0, free_amplitude=True)
     init = {**truth_of(reference_params), "amplitude": 1.0}
@@ -655,6 +662,10 @@ def test_init_must_name_every_coordinate(reference_params, stage, missing):
     for value in (math.nan, math.inf):
         with pytest.raises(ValueError, match=rf"^init\['{missing}'\] must be finite$"):
             run({**init, missing: value})
+    for value in ("0.01", None, True):
+        with pytest.raises(ValueError, match=rf"^init\['{missing}'\] must be a real number$"):
+            run({**init, missing: value})
+    assert run({**init, missing: np.float32(init[missing])}).converged
 
 
 def test_reported_sigmas_non_negative():

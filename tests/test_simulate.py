@@ -15,7 +15,6 @@ from blinkcorr import (
     estimate_g,
     g_total,
     light_fraction,
-    log_edges,
     log_grid,
     period_statistics,
     read_trajectory,
@@ -276,7 +275,7 @@ def test_photon_rate_matches_intensity(reference_stats):
 
 
 def test_estimate_g_flat_for_poisson():
-    edges = log_edges(1e-5, 1e-1, 6)
+    edges = log_grid(1e-5, 1e-1, 6)
     for rate, seed in ((2e4, 1), (2e5, 2)):
         traj = poisson_trajectory(rate, 20.0, seed)
         series = estimate_g(traj, edges)
@@ -286,7 +285,7 @@ def test_estimate_g_flat_for_poisson():
 
 
 def test_estimate_g_sigma_shrinks_with_duration():
-    edges = log_edges(1e-5, 1e-2, 5)
+    edges = log_grid(1e-5, 1e-2, 5)
     short = estimate_g(poisson_trajectory(5e4, 4.0, 10), edges)
     long = estimate_g(poisson_trajectory(5e4, 16.0, 10), edges)
     ratio = np.median(short.sigma / long.sigma)
@@ -307,7 +306,7 @@ def test_estimate_g_recovers_blinking_curve(reference_stats):
     rec = simulate_periods(stats, 60.0, seed=2024)
     traj = simulate_photons(rec, p, seed=2024)
     series, windows = estimate_g(
-        traj, log_edges(3e-4, 3e-2, 10), with_windows=True
+        traj, log_grid(3e-4, 3e-2, 10), with_windows=True
     )
     model = np.array(
         [
@@ -341,12 +340,12 @@ def test_estimate_g_validation():
         estimate_g(traj, np.array([0.5, 1.0, 2.0]))
     tiny = Trajectory(times=np.array([0.5]), duration=1.0)
     with pytest.raises(InsufficientDataError):
-        estimate_g(tiny, log_edges(1e-3, 1e-1, 5))
+        estimate_g(tiny, log_grid(1e-3, 1e-1, 5))
 
 
 def test_estimate_g_drops_long_bins():
     traj = poisson_trajectory(1e4, 2.0, 6)
-    series = estimate_g(traj, log_edges(1e-4, 10.0, 4))
+    series = estimate_g(traj, log_grid(1e-4, 10.0, 4))
     assert series.tau[-1] <= 0.2
 
 
@@ -368,7 +367,7 @@ def test_estimate_g_merges_bins_finer_than_the_lattice(monkeypatch):
 
     monkeypatch.setattr(simulate, "_exact_bins", exact_below_1_25_ms)
     traj = poisson_trajectory(2e4, 2.0, 12)
-    edges = log_edges(1e-9, 1e-1, 100)
+    edges = log_grid(1e-9, 1e-1, 100)
     series, windows = estimate_g(traj, edges, with_windows=True)
     assert series.tau.size < edges.size - 1
     assert np.all(windows[:, 1] > windows[:, 0])
@@ -385,7 +384,7 @@ def test_estimate_g_lags_past_the_last_photon(monkeypatch):
     # lags used to end in numpy's "shapes (40,) and (0,) not aligned".
     monkeypatch.setattr(simulate, "_exact_bins", all_lattice)
     traj = Trajectory(times=np.linspace(0.0, 0.02, 400), duration=1.0)
-    series = estimate_g(traj, log_edges(1e-3, 1e-1, 10))
+    series = estimate_g(traj, log_grid(1e-3, 1e-1, 10))
     assert series.tau.size == 20
     assert np.all(series.g[series.tau > 0.03] == 0.0)
     assert np.all(series.g[series.tau < 0.01] > 0.0)
@@ -404,7 +403,7 @@ def test_estimate_g_split_follows_the_rate_not_the_length(monkeypatch):
         return exact_counts(times, edges)
 
     monkeypatch.setattr(simulate, "_exact_counts", recorded)
-    edges = log_edges(1e-9, 1e-1, 20)
+    edges = log_grid(1e-9, 1e-1, 20)
     for duration in (1.0, 10.0):
         series = estimate_g(poisson_trajectory(1e5, duration, 21), edges)
         assert series.tau[-1] > limits[-1]
@@ -417,7 +416,7 @@ def test_estimate_g_lattice_cells_per_photon_are_bounded(bins_per_decade):
     # step w end below 200 w * 10**(1/20). A lattice of more than
     # sqrt(_PAIR_COST * 112.2) = 58 cells per photon would then cost more
     # than counting those bins exactly, at 30 cell visits per pair.
-    grid = log_edges(1e-9, 1e-1, bins_per_decade)
+    grid = log_grid(1e-9, 1e-1, bins_per_decade)
     worst = 0.0
     for duration in (0.1, 1.0, 10.0, 100.0, 1e3, 1e4):
         edges = grid[grid <= 0.1 * duration]
@@ -478,17 +477,15 @@ def delay_edges(draw, smallest):
     if kind == "log":
         lo = draw(st.floats(smallest, 1e-2))
         hi = draw(st.floats(lo * 1.01, 0.1))
-        return log_edges(lo, hi, draw(st.integers(1, 120)))
+        return log_grid(lo, hi, draw(st.integers(1, 120)))
     values = draw(st.lists(st.floats(smallest, 0.1), min_size=2, max_size=30, unique=True))
     return np.array(sorted(values))
 
 
 def brute_force_pairs(times, edges):
     """Pair counts per bin by the exact stage's rule, over all n^2 pairs."""
-    t_i, t_j = times[:, None], times[None, :]
-    held = (t_i + edges[0] <= t_j) & (t_j < t_i + edges[-1])
-    which = np.searchsorted(edges, (t_j - t_i)[held], side="right") - 1
-    which = which[(which >= 0) & (which < edges.size - 1)]
+    d = times[None, :] - times[:, None]
+    which = np.searchsorted(edges, d[(edges[0] <= d) & (d < edges[-1])], side="right") - 1
     return np.bincount(which, minlength=edges.size - 1)
 
 
@@ -511,22 +508,26 @@ def lattice_reference(times, duration, edges):
     return np.array(windows), np.array(counts), np.array(norms)
 
 
+# With blocks of 7 sources a record spans many blocks, so the last block's
+# partner cut-off and the shrinking of a block's active set are covered.
+@pytest.mark.parametrize("block", [simulate._BLOCK, 7])
 @given(traj=photon_records(), edges=delay_edges(smallest=1e-9))
-# t_j - t_i rounds below the last edge, while t_j reaches t_i + edges[-1]
-# rounded: the window excludes the pair although its delay is in range.
+# t_j - t_i rounds below the last edge, although t_i + edges[-1] rounds
+# to t_j: the pair counts in the last bin, by its delay.
 @example(
     traj=Trajectory(times=np.array([0.3 * 2.0**-56, 2.0**-4]), duration=1.0),
     edges=2.0 ** np.arange(-6, -3),
 )
 # A delay equal to an edge between two others falls into the bin above.
 @example(
-    traj=Trajectory(times=np.array([0.0, log_edges(1e-3, 1e-2, 5)[2]]), duration=1.0),
-    edges=log_edges(1e-3, 1e-2, 5),
+    traj=Trajectory(times=np.array([0.0, log_grid(1e-3, 1e-2, 5)[2]]), duration=1.0),
+    edges=log_grid(1e-3, 1e-2, 5),
 )
-def test_estimate_g_exact_stage_counts_every_pair(traj, edges):
+def test_estimate_g_exact_stage_counts_every_pair(block, traj, edges):
     times, t_total = traj.times, traj.duration
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "_exact_bins", all_exact)
+        mp.setattr(simulate, "_BLOCK", block)
         series, windows = estimate_g(traj, edges, with_windows=True)
     rate = times.size / t_total
     a, b = edges[:-1], edges[1:]
@@ -553,16 +554,12 @@ def test_estimate_g_lattice_counts_outgrow_one_byte(monkeypatch):
     monkeypatch.setattr(simulate, "_exact_bins", all_lattice)
     monkeypatch.setattr(simulate, "_BLOCK", 7)
     times = np.sort(np.concatenate([np.full(300, 0.25), np.linspace(0.0, 1.0, 50)]))
-    edges = log_edges(1e-3, 1e-1, 5)
+    edges = log_grid(1e-3, 1e-1, 5)
     series, windows = estimate_g(Trajectory(times=times, duration=1.0), edges, with_windows=True)
     rate = times.size / 1.0
     want_windows, counts, norms = lattice_reference(times, 1.0, edges)
     assert np.array_equal(windows, want_windows)
     np.testing.assert_allclose(series.g, counts / (rate * rate * norms), rtol=1e-12, atol=0.0)
-
-
-def test_log_edges_matches_log_grid():
-    assert np.array_equal(log_edges(1e-6, 1e-2, 7), log_grid(1e-6, 1e-2, 7))
 
 
 def test_trajectory_file_round_trip(tmp_path, reference_stats):
@@ -577,7 +574,6 @@ def test_trajectory_file_round_trip(tmp_path, reference_stats):
     assert np.array_equal(again.times, traj.times)
     assert again.duration == traj.duration
     assert again.seed == traj.seed
-    assert again.periods is None
 
 
 @given(
