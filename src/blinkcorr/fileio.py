@@ -78,14 +78,20 @@ def _scaled(m: np.ndarray, e2: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, .
     shift = -(e2 + s)
     ok = (s >= 1) & (s <= 27) & (shift >= 1) & (shift <= 63)
     p = np.take(_POW5, s, mode="clip")
+    del s
     shift = np.clip(shift, 1, 63).astype(np.uint64)
     ml, mh, pl, ph = m & 0xFFFFFFFF, m >> 32, p & 0xFFFFFFFF, p >> 32
+    del p
     ll = ml * pl
     mid = ml * ph + mh * pl + (ll >> 32)
-    lo = (mid << 32) | (ll & 0xFFFFFFFF)
     hi = mh * ph + (mid >> 32)
+    del ml, mh, pl, ph
+    lo = (mid << 32) | (ll & 0xFFFFFFFF)
+    del ll, mid
     t = (hi << (64 - shift)) | (lo >> shift)
+    del hi
     rem, half = lo & ((1 << shift) - 1), 1 << (shift - 1)
+    del lo, shift
     return t, (rem > half) | ((rem == half) & (t & 1 == 1)), ok
 
 
@@ -99,51 +105,72 @@ def _format_times(times: np.ndarray) -> bytes:
     not finite or subnormal go to :func:`_format_each`.
     """
     x = np.ascontiguousarray(times, dtype=np.float64)
+    # Each temporary is dropped once dead, and the byte matrix is edited in
+    # place: the working set is about 130 bytes per time.
     biased = (x.view(np.uint64) >> 52).astype(np.int64)
     ok = (biased >= 1) & (biased <= 2046)
+    del biased
     bits = np.where(ok, x, 1.0).view(np.uint64)
     m = (bits & (1 << 52) - 1) | 1 << 52
     e2 = (bits >> 52).astype(np.int64) - 1075
     k = np.clip(np.floor(np.log10(bits.view(np.float64))), -11, 15).astype(np.int64)
+    del bits
     t, up, inside = _scaled(m, e2, k)
     # log10 can put k one off next to a power of ten; the truncated N tells.
     k += (t >= 10**17).astype(np.int64) - (t < 10**16)
     wrong = np.flatnonzero((t >= 10**17) | (t < 10**16))
     if wrong.size:
         t[wrong], up[wrong], inside[wrong] = _scaled(m[wrong], e2[wrong], k[wrong])
+    del m, e2
     # Rounding up to 10**17 would carry into the exponent; no double in the
     # domain does (the largest doubles below 1e-14 and 1e-70 do).
     ok &= inside & (t >= 10**16) & (t + up < 10**17)
-    n, k = np.where(ok, t + up, 10**16), np.where(ok, k, 0)
+    del inside
+    t += up
+    del up
+    n, k = np.where(ok, t, 10**16), np.where(ok, k, 0)
+    del t
     high = (n // 10**8 % 10**8).astype(np.int64)
     low = (n % 10**8).astype(np.int64)
-    groups = [high // 10_000, high % 10_000, low // 10_000, low % 10_000]
     # Digits in columns 7 to 23, after enough '0's for 0.000ddd.
     row = np.full((x.size, 32), ord("0"), dtype=np.uint8)
     row[:, 7] += (n // 10**16).astype(np.uint8)
+    del n
+    groups = [high // 10_000, high % 10_000, low // 10_000, low % 10_000]
+    del high, low
     for col, group in enumerate(groups, start=2):
         row.view(np.uint32)[:, col] = np.take(_GROUPS, group)
     zeros = np.take(_TRAILING_ZEROS, groups[0])
     for group in groups[1:]:
         zeros = np.where(group == 0, zeros + 4, np.take(_TRAILING_ZEROS, group))
+    del groups, group
     # k <= 15 in the domain, so exponent notation means k < -4.
     sci = k < -4
     point = np.where(sci, 0, k)
     dot = 8 + point
     fraction = 16 - zeros - point
+    del zeros
     end = np.where(fraction > 0, dot + 1 + fraction, dot)
+    del fraction
     start = 7 + np.minimum(point, 0)
+    del point
     # Columns from the dot on take the digit left of them.
     shifted = np.roll(row.ravel(), 1).reshape(row.shape)
-    flat = (shifted ^ ((row ^ shifted) & np.take(_BEFORE, dot, axis=0))).ravel()
+    np.bitwise_xor(row, shifted, out=row)
+    row &= np.take(_BEFORE, dot, axis=0)
+    row ^= shifted
+    del shifted
+    flat = row.ravel()
     base = np.arange(0, row.size, 32)
     flat[base + dot] = ord(".")
+    del dot
     if sci.any():
         at, power = base[sci] + end[sci], -k[sci]
         flat[at], flat[at + 1] = ord("e"), ord("-")
         flat[at + 2], flat[at + 3] = ord("0") + power // 10, ord("0") + power % 10
         end[sci] += 4
     flat[base + end] = ord("\n")
+    del base
     text = flat[np.take(_SPAN, start * 32 + end, axis=0).ravel()].tobytes()
     if ok.all():
         return text

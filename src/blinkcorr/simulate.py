@@ -13,6 +13,7 @@ disjoint streams and every output is reproducible from the seed alone.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +43,12 @@ _STREAM_BACKGROUND = 2
 # 2-core x86-64 VM).
 _PAIR_COST = 30.0
 # Elements per block of the temporaries of estimate_g (sources of the exact
-# stage, photons and cells of the lattice stage), of write_trajectory and
-# of the waits simulate_photons draws, and the mantissa bits of the exact
-# stage's delay table.
+# stage, photons and cells of the lattice stage) and of the waits
+# simulate_photons draws, and the mantissa bits of the exact stage's delay
+# table.
 _BLOCK = 1 << 16
+# Times per block write_trajectory formats at once, one block per core.
+_WRITE_BLOCK = 1 << 15
 _TABLE_BITS = 8
 # Bytes per block read from a trajectory file.
 _READ_BYTES = 1 << 22
@@ -427,9 +430,11 @@ def estimate_g(
 
     # Normalization term: the estimate divides by rate^2, and for bunched
     # records the rate carries cluster noise well above Poisson. Block
-    # counts capture it without any model assumption.
+    # counts capture it without any model assumption; the times are sorted,
+    # so the counts come from the inner block edges' positions among them.
     k_blocks = 64
-    block_counts, _ = np.histogram(times, bins=np.linspace(0.0, t_total, k_blocks + 1))
+    inner = np.linspace(0.0, t_total, k_blocks + 1)[1:-1]
+    block_counts = np.diff(np.searchsorted(times, inner), prepend=0, append=n)
     block_rates = block_counts * (k_blocks / t_total)
     var_rate = np.var(block_rates, ddof=1) / k_blocks
     var_rate = max(var_rate, n / t_total**2)
@@ -573,17 +578,41 @@ def write_trajectory(trajectory: Trajectory, path: str) -> None:
     """Write arrival times as text, one per line, after a short header.
 
     Each time is written as ``'%.17g'`` gives it, so it reads back bit for
-    bit. The text goes to the file block by block and is never held whole
+    bit. The times are formatted in blocks on one thread per core the
+    process may run on, and the texts go to the file in block order; at
+    most one block per core is in flight, so the text is never held whole
     in memory.
     """
     header = f"# duration = {format_float(trajectory.duration)}\n"
     if trajectory.seed is not None:
         header += f"# seed = {trajectory.seed}\n"
     times = trajectory.times
+    blocks = [times[start : start + _WRITE_BLOCK] for start in range(0, times.size, _WRITE_BLOCK)]
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    workers = min(cores, len(blocks))
     with _atomic_open(path) as handle:
         handle.write(header.encode())
-        for start in range(0, times.size, _BLOCK):
-            handle.write(_format_times(times[start : start + _BLOCK]))
+        if workers <= 1:
+            for block in blocks:
+                handle.write(_format_times(block))
+            return
+        # Imported here: ``import blinkcorr`` does not load the thread pool.
+        from concurrent.futures import ThreadPoolExecutor
+
+        # The calling thread formats the first block of each group itself,
+        # so the process keeps one runnable thread per core. Each text is
+        # dropped once written, before its worker starts the next block:
+        # the worker's heap arena stays resident at its high-water mark.
+        with ThreadPoolExecutor(workers - 1) as pool:
+            for first in range(0, len(blocks), workers):
+                group = blocks[first : first + workers]
+                pending = [pool.submit(_format_times, block) for block in group[1:]]
+                handle.write(_format_times(group[0]))
+                while pending:
+                    handle.write(pending.pop(0).result())
 
 
 def read_trajectory(path: str) -> Trajectory:

@@ -1,6 +1,8 @@
 import math
 import os
 import tempfile
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -583,7 +585,7 @@ def test_trajectory_file_round_trip(tmp_path, reference_stats):
 def test_trajectory_file_round_trip_is_bit_exact(times, seed):
     traj = Trajectory(times=np.array(times), duration=50.0, seed=seed)
     with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "_BLOCK", 7)
+        mp.setattr(simulate, "_WRITE_BLOCK", 7)
         mp.setattr(simulate, "_READ_BYTES", 64)
         path = os.path.join(directory, "traj.txt")
         write_trajectory(traj, path)
@@ -606,15 +608,18 @@ _PINNED_TIMES = sorted(
 )
 
 
+@pytest.mark.parametrize("cores", [1, 2, 3])
 @given(times=st.lists(st.floats(min_value=0.0, max_value=_LARGEST), max_size=100).map(sorted))
 @example(times=_PINNED_TIMES)
-def test_trajectory_file_is_percent_17g_text(times):
+def test_trajectory_file_is_percent_17g_text(cores, times):
     # Byte for byte what '%.17g' gives, not only text that reads back:
     # zero, subnormals, powers of ten and their neighbours, a carry, exact
-    # ties, stripped zeros, and the values left to the per-value route.
+    # ties, stripped zeros, and the values left to the per-value route;
+    # whatever the number of cores that format the blocks.
     traj = Trajectory(times=np.array(times), duration=_LARGEST)
     with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "_BLOCK", 7)
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        mp.setattr(simulate, "_WRITE_BLOCK", 7)
         path = os.path.join(directory, "traj.txt")
         write_trajectory(traj, path)
         with open(path, "rb") as handle:
@@ -639,6 +644,48 @@ def test_write_trajectory_never_formats_ordinary_times_one_by_one(tmp_path, monk
         write_trajectory(Trajectory(times=values, duration=1e15), str(path))
         body = path.read_bytes().split(b"\n", 1)[1]
         assert body == b"".join(b"%.17g\n" % t for t in np.asarray(values).tolist())
+
+
+@pytest.mark.parametrize("failing", [1, 2])
+def test_write_trajectory_failing_block_leaves_nothing_behind(tmp_path, monkeypatch, failing):
+    # On two cores the second block is a worker's and the third the
+    # calling thread's; either error ends the write with the old file in
+    # place, no temporary file and no thread left running.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(simulate, "_WRITE_BLOCK", 7)
+    times = np.linspace(0.0, 1.0, 50)
+    format_times = simulate._format_times
+
+    def fail(block):
+        if block[0] == times[7 * failing]:
+            raise OSError("block failed")
+        return format_times(block)
+
+    monkeypatch.setattr(simulate, "_format_times", fail)
+    path = tmp_path / "traj.txt"
+    path.write_bytes(b"old record\n")
+    threads = threading.active_count()
+    with pytest.raises(OSError, match="block failed"):
+        write_trajectory(Trajectory(times=times, duration=1.0), str(path))
+    assert path.read_bytes() == b"old record\n"
+    assert list(tmp_path.glob(".tmp-*~")) == []
+    assert threading.active_count() == threads
+
+
+def test_format_times_working_set():
+    # The writer formats one block per core at once, so the formatter's
+    # allocation peak per time bounds the writer's resident memory.
+    rng = np.random.Generator(np.random.Philox(key=[8, 1]))
+    times = np.sort(rng.uniform(0.0, 100.0, 1 << 15))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fileio._format_times(times)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * times.size
 
 
 def test_read_trajectory_across_blocks(tmp_path, monkeypatch):
