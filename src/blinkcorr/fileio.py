@@ -8,6 +8,7 @@ import tempfile
 from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @contextlib.contextmanager
@@ -64,6 +65,17 @@ _COLS = np.arange(32)
 # ``32 * a + b`` of _SPAN marks the columns ``a`` to ``b``.
 _BEFORE = np.where(_COLS < _COLS[:, None], np.uint8(255), np.uint8(0))
 _SPAN = ((_COLS >= _COLS[:, None, None]) & (_COLS <= _COLS[:, None])).reshape(1024, 32)
+# The parser's powers of ten, exact as integers and as doubles; byte ``i``
+# of word ``j`` of _DOT_COLUMN is ``8 * j + 7 - i``; and its steps from
+# eight ASCII digits in a little-endian word to their value.
+_POW10 = np.array([10**i for i in range(18)], dtype=np.uint64)
+_TENS = np.array([10.0**i for i in range(23)])
+_DOT_COLUMN = (0x0001020304050607, 0x08090A0B0C0D0E0F, 0x1011121314151617)
+_EIGHT_DIGITS = (
+    (0x0F0F0F0F0F0F0F0F, 10 * 2**8 + 1, 8),
+    (0x00FF00FF00FF00FF, 100 * 2**16 + 1, 16),
+    (0x0000FFFF0000FFFF, 10_000 * 2**32 + 1, 32),
+)
 
 
 def _format_each(values: np.ndarray) -> list[bytes]:
@@ -178,6 +190,122 @@ def _format_times(times: np.ndarray) -> bytes:
     for i, line in zip(outside.tolist(), _format_each(x[outside])):
         lines[i] = line
     return b"\n".join(lines)
+
+
+def _parse_each(lines: list[bytes]) -> np.ndarray:
+    """``float()`` of each line, one at a time."""
+    return np.array(lines, dtype=np.float64)
+
+
+def _round17(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 significant digits of each positive ``x`` scaled as if ``x``
+    lay in ``[10**k, 10**(k + 1))``, and where that is exact."""
+    bits = x.view(np.uint64)
+    m = (bits & (1 << 52) - 1) | 1 << 52
+    e2 = (bits >> 52).astype(np.int64) - 1075
+    t, up, inside = _scaled(m, e2, k)
+    t += up
+    return t, inside
+
+
+def _parse_times(text: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The double of each ``\\n``-ended line of ``text``, all lines at once,
+    and where that double is proven to be the one ``float()`` gives.
+
+    Only a line of at most 23 bytes, digits and at most one dot, is read,
+    with at most 17 significant digits and its leading digit at 10**-11 to
+    10**15. Its digits ``N`` come from the 24 bytes that end at its
+    newline, eight per 64-bit word (as in Lemire, "Number parsing at a
+    gigabyte per second", Softw. Pract. Exp. 51, 1700 (2021)); the
+    candidate ``N / 10**f`` then steps by up to three ulps until its own
+    17 digits, from the writer's exact product, are the line's. Digits
+    within half a unit of the 17th of a double lie within half an ulp of
+    it, so a proven double is the nearest to the line. Other rows, such as
+    headers, blanks, signs and exponents, are left unproven with any value.
+    The working set is about 115 bytes per line.
+    """
+    buf = np.frombuffer(text, np.uint8)
+    nl = np.flatnonzero(buf == 10)
+    # Rows right-aligned on their newline; newlines pad the first ones.
+    padded = np.full(buf.size + 24, 10, np.uint8)
+    padded[24:] = buf
+    row = sliding_window_view(padded, 24)[nl]
+    del padded
+    length = np.diff(nl, prepend=-1) - 1
+    del nl
+    ok = length <= 23
+    # '0' in the columns left of the line: OR in 0xFF, then AND with 0x30.
+    mask = np.take(_BEFORE[:, :24], 24 - np.clip(length, 0, 24), axis=0)
+    del length
+    row |= mask
+    np.invert(mask, out=mask)
+    mask |= ord("0")
+    row &= mask
+    # The column of the dot: a multiply carries the one 0x01 byte of the
+    # row's dot flags to the top byte as its column; 0 means no dot, and
+    # then only column 0, a '0' left of the line, takes the shift.
+    flags = (row == ord(".")).view(np.uint64)
+    dot = flags[:, 0] * _DOT_COLUMN[0]
+    for word in (1, 2):
+        dot += flags[:, word] * _DOT_COLUMN[word]
+    del flags
+    dot = (dot >> 56).view(np.int64)
+    # The columns left of the dot take the column left of them.
+    shifted = np.roll(row.ravel(), 1).reshape(row.shape)
+    mask = np.take(_BEFORE[:, :24], dot + 1, axis=0, mode="clip")
+    shifted ^= row
+    shifted &= mask
+    row ^= shifted
+    del shifted, mask
+    row[:, 0] = ord("0")
+    # Every byte a digit (the SWAR test of fast_float), then eight digits
+    # per word in three multiply-and-mask steps.
+    words = row.view(np.uint64)
+    high = words & 0xF0F0F0F0F0F0F0F0
+    carried = words + 0x0606060606060606
+    carried &= 0xF0F0F0F0F0F0F0F0
+    carried >>= 4
+    high |= carried
+    high ^= 0x3333333333333333
+    del carried
+    ok &= (high[:, 0] | high[:, 1] | high[:, 2]) == 0
+    del high
+    for keep, factor, shift in _EIGHT_DIGITS:
+        words &= keep
+        words *= factor
+        words >>= shift
+    ok &= words[:, 0] < 10
+    n = words[:, 0] * 10**16
+    n += words[:, 1] * 10**8
+    n += words[:, 2]
+    del row, words
+    ok &= n > 0
+    fraction = np.where(dot > 0, 23 - dot, 0)
+    del dot
+    power = np.searchsorted(_POW10, n, side="right") - 1
+    k = power - fraction
+    ok &= (k >= -11) & (k <= 15)
+    want = n * np.take(_POW10, 16 - power, mode="clip")
+    del power
+    x = n.astype(np.float64)
+    del n
+    x /= np.take(_TENS, fraction, mode="clip")
+    del fraction
+    got, inside = _round17(x, k)
+    ok &= inside
+    del inside
+    proven = ok & (got == want)
+    miss = np.flatnonzero(ok & ~proven)
+    del ok
+    for _ in range(3):
+        if not miss.size:
+            break
+        x[miss] = step = np.nextafter(x[miss], np.where(got[miss] < want[miss], np.inf, 0.0))
+        got[miss], inside = _round17(step, k[miss])
+        hit = inside & (got[miss] == want[miss])
+        proven[miss[hit]] = True
+        miss = miss[inside & ~hit]
+    return x, proven
 
 
 def read_key_values(path: str, fields: dict[str, Callable[[str], object]]) -> dict[str, object]:

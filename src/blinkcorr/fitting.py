@@ -224,10 +224,13 @@ def least_squares(
         for j, (xj, sj, b) in enumerate(zip(xv.tolist(), scale_list, hi_list)):
             size = max(abs(xj), sj)
             # From a start within about 1e-10 of zero the step is lost against
-            # the residual, so a null column is taken again at unit scale. A
-            # null column at unit scale or above is flat: a smaller retry
-            # there would only sample rounding noise.
+            # the residual, so a null column, or a step that underflows to
+            # zero, is taken again at unit scale. A null column at unit scale
+            # or above is flat: a smaller retry there would only sample
+            # rounding noise.
             for h in (1e-6 * size, 1e-6):
+                if h == 0.0:
+                    continue
                 step = h if xj + h <= b else -h
                 xp = xv.copy()
                 xp[j] += step

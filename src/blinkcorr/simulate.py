@@ -12,15 +12,17 @@ disjoint streams and every output is reproducible from the seed alone.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
 from .correlation import CorrelationSeries
 from .errors import InsufficientDataError
-from .fileio import _atomic_open, _format_times, format_float
+from .fileio import _atomic_open, _format_times, _parse_each, _parse_times, format_float
 from .params import PeriodStatistics, PhotoPhysicalParams
 
 __all__ = [
@@ -50,8 +52,9 @@ _BLOCK = 1 << 16
 # Times per block write_trajectory formats at once, one block per core.
 _WRITE_BLOCK = 1 << 15
 _TABLE_BITS = 8
-# Bytes per block read from a trajectory file.
-_READ_BYTES = 1 << 22
+# Bytes per block read from a trajectory file, one block per core: 2**15
+# lines of 19 bytes, as the writer gives times in [10, 100).
+_READ_BYTES = 19 << 15
 # Header keys a trajectory file sets, with the converters of their values.
 _HEADER_FIELDS = {"duration": float, "seed": int}
 
@@ -574,6 +577,47 @@ def _lattice_sums(times: np.ndarray, width: float, lags: list[int]) -> np.ndarra
     return sums
 
 
+def _cores() -> int:
+    """The number of cores the process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_order(work: Callable[[Any], Any], blocks: Iterable[Any], take: Callable[[Any], object]) -> None:
+    """``take(work(block))`` for each block, in block order, on one thread
+    per core the process may run on.
+
+    The blocks go in groups of one per core, and no more threads run than
+    the first group has blocks. The calling thread works the first block
+    of each group itself, so the process keeps one runnable thread per
+    core, and a pool works the rest. Each result is dropped once taken,
+    before the next group starts: at most one block per core is in flight,
+    and a worker's heap arena stays at one block's working set. ``take``
+    runs on the calling thread only.
+    """
+    blocks = iter(blocks)
+    group = list(itertools.islice(blocks, _cores()))
+    workers = len(group)
+    if workers <= 1:
+        for block in itertools.chain(group, blocks):
+            take(work(block))
+        return
+    # Imported here: ``import blinkcorr`` does not load the thread pool.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        while group:
+            pending = [pool.submit(work, block) for block in group[1:]]
+            first = work(group[0])
+            del group
+            take(first)
+            del first
+            while pending:
+                take(pending.pop(0).result())
+            group = list(itertools.islice(blocks, workers))
+
+
 def write_trajectory(trajectory: Trajectory, path: str) -> None:
     """Write arrival times as text, one per line, after a short header.
 
@@ -587,32 +631,10 @@ def write_trajectory(trajectory: Trajectory, path: str) -> None:
     if trajectory.seed is not None:
         header += f"# seed = {trajectory.seed}\n"
     times = trajectory.times
-    blocks = [times[start : start + _WRITE_BLOCK] for start in range(0, times.size, _WRITE_BLOCK)]
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    workers = min(cores, len(blocks))
+    blocks = (times[start : start + _WRITE_BLOCK] for start in range(0, times.size, _WRITE_BLOCK))
     with _atomic_open(path) as handle:
         handle.write(header.encode())
-        if workers <= 1:
-            for block in blocks:
-                handle.write(_format_times(block))
-            return
-        # Imported here: ``import blinkcorr`` does not load the thread pool.
-        from concurrent.futures import ThreadPoolExecutor
-
-        # The calling thread formats the first block of each group itself,
-        # so the process keeps one runnable thread per core. Each text is
-        # dropped once written, before its worker starts the next block:
-        # the worker's heap arena stays resident at its high-water mark.
-        with ThreadPoolExecutor(workers - 1) as pool:
-            for first in range(0, len(blocks), workers):
-                group = blocks[first : first + workers]
-                pending = [pool.submit(_format_times, block) for block in group[1:]]
-                handle.write(_format_times(group[0]))
-                while pending:
-                    handle.write(pending.pop(0).result())
+        _in_order(_format_times, blocks, handle.write)
 
 
 def read_trajectory(path: str) -> Trajectory:
@@ -623,39 +645,73 @@ def read_trajectory(path: str) -> Trajectory:
     are read. A line that is not a finite number, or that holds a ``_``,
     raises :class:`ValueError` naming ``path:lineno``, and times or a
     duration that :class:`Trajectory` refuses raise it naming ``path``.
+
+    The leading ``#`` and blank lines are read one at a time. The rest is
+    read in blocks of whole lines, parsed on one thread per core the
+    process may run on by an integer kernel that proves each plain time
+    (digits and a dot, as the writer gives them) equal to what ``float()``
+    reads. The calling thread takes the blocks in file order: it reads the
+    few unproven lines with ``float()``, and a block where that fails, a
+    ``#`` line, a blank or a bad line one line at a time. So every time has
+    the bits ``float()`` gives it.
     """
     header: dict[str, float | int] = {}
     with open(path, "rb") as handle:
         # A first pass counts the lines, so the times fill one array and
         # are never held a second time as blocks.
-        blocks = iter(lambda: handle.read(_READ_BYTES), b"")
-        times = np.empty(sum(data.count(b"\n") for data in blocks) + 1)
+        chunks = iter(lambda: handle.read(_READ_BYTES), b"")
+        times = np.empty(sum(data.count(b"\n") for data in chunks) + 1)
         handle.seek(0)
-        filled = lineno = 0
-        tail = b""
-        while True:
-            data = handle.read(_READ_BYTES)
-            text = tail + data
-            if data:
-                cut = text.rfind(b"\n") + 1
-                text, tail = text[:cut], text[cut:]
-                lines = text.split(b"\n")[:-1]
-            else:
-                lines = [text] if text else []
-            try:
-                block = np.array(lines, dtype=np.float64)
-                # float() also reads '1_0', 'inf' and 'nan'; the line-wise
-                # parse names such a line.
-                if b"_" in text or not np.isfinite(block).all():
-                    raise ValueError
-            except ValueError:
-                # Only a block with a header, a blank or a bad line gets here.
-                block = _parse_lines(lines, lineno, path, header)
-            times[filled : filled + block.size] = block
-            filled += block.size
-            lineno += len(lines)
-            if not data:
+        leading = []
+        for raw in iter(handle.readline, b""):
+            if raw.strip() and not raw.lstrip().startswith(b"#"):
                 break
+            leading.append(raw.rstrip(b"\n"))
+        else:
+            raw = b""
+        _parse_lines(leading, 0, path, header)
+        filled, lineno = 0, len(leading)
+
+        def texts() -> Iterator[bytes]:
+            # Blocks of whole lines, each ended by a newline.
+            tail = raw
+            while True:
+                data = handle.read(_READ_BYTES)
+                if not data:
+                    if tail:
+                        yield tail if tail.endswith(b"\n") else tail + b"\n"
+                    return
+                text = tail + data
+                cut = text.rfind(b"\n") + 1
+                if cut:
+                    yield text[:cut]
+                tail = text[cut:]
+
+        def parse(text: bytes) -> tuple[bytes, np.ndarray, np.ndarray]:
+            return (text, *_parse_times(text))
+
+        def take(parsed: tuple[bytes, np.ndarray, np.ndarray]) -> None:
+            nonlocal filled, lineno
+            text, values, proven = parsed
+            if not proven.all():
+                lines = text.split(b"\n")[:-1]
+                unproven = np.flatnonzero(~proven)
+                picked = [lines[i] for i in unproven.tolist()]
+                try:
+                    fixed = _parse_each(picked)
+                    # float() also reads '1_0', 'inf' and 'nan'; the
+                    # line-wise parse names such a line.
+                    if any(b"_" in line for line in picked) or not np.isfinite(fixed).all():
+                        raise ValueError
+                    values[unproven] = fixed
+                except ValueError:
+                    # Only a block with a header, a blank or a bad line gets here.
+                    values = _parse_lines(lines, lineno, path, header)
+            times[filled : filled + values.size] = values
+            filled += values.size
+            lineno += proven.size
+
+        _in_order(parse, texts(), take)
     if "duration" not in header:
         raise ValueError(f"{path}: missing '# duration = ...' header")
     try:

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -125,6 +126,20 @@ def test_least_squares_rosenbrock():
     assert res.iterations <= 200
     assert np.max(np.abs(res.x - 1.0)) < 1e-6
     assert res.cost < 1e-12
+
+
+def test_least_squares_from_the_smallest_subnormal():
+    # 1e-6 times the start rounds to a zero step; the column is taken at
+    # unit scale instead of as 0/0, which made the final pinv fail.
+    def residual(x):
+        return np.array([1.0 - x[0], 10.0 * (x[1] - x[0] ** 2)])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = least_squares(residual, np.array([5e-324, 5e-324]))
+    assert res.converged
+    assert np.max(np.abs(res.x - 1.0)) < 1e-6
+    assert np.isfinite(res.cov).all()
 
 
 def test_least_squares_respects_bounds():

@@ -688,17 +688,24 @@ def test_format_times_working_set():
     assert peak <= 200 * times.size
 
 
+def parse_on_cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+
 def test_read_trajectory_across_blocks(tmp_path, monkeypatch):
-    # Blocks of 16 bytes split lines, comments and blank lines anywhere.
+    # Blocks of 16 bytes split lines, comments and blank lines anywhere,
+    # whatever the number of cores that parse them.
     monkeypatch.setattr(simulate, "_READ_BYTES", 16)
     values = [k / 7.0 for k in range(40)]
     lines = ["# written by hand", "# duration = 6.5"] + [repr(v) for v in values]
     lines[10:10] = ["", "# seed = 17", "   "]
     path = tmp_path / "traj.txt"
     path.write_text("\n".join(lines))
-    traj = read_trajectory(str(path))
-    assert np.array_equal(traj.times, values)
-    assert (traj.duration, traj.seed) == (6.5, 17)
+    for cores in (1, 2, 3):
+        parse_on_cores(monkeypatch, cores)
+        traj = read_trajectory(str(path))
+        assert np.array_equal(traj.times, values)
+        assert (traj.duration, traj.seed) == (6.5, 17)
 
 
 def test_read_trajectory_header_only(tmp_path):
@@ -713,19 +720,24 @@ def test_read_trajectory_header_only(tmp_path):
 
 def test_read_trajectory_rejects_malformed(tmp_path, monkeypatch):
     path = tmp_path / "traj.txt"
-    path.write_text("0.1\n0.2\n")
-    with pytest.raises(ValueError, match="missing '# duration = ...' header"):
-        read_trajectory(str(path))
-    path.write_text("# duration = 1.0\n0.1\nnope\n")
-    with pytest.raises(ValueError, match=r"traj\.txt:3: bad arrival time"):
-        read_trajectory(str(path))
-    # Two values on one line, in a later block than the first.
-    monkeypatch.setattr(simulate, "_READ_BYTES", 64)
-    lines = ["# duration = 1.0"] + [f"{k / 100:.17g}" for k in range(30)]
-    lines[25] = "0.5 0.6"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=r"traj\.txt:26: bad arrival time"):
-        read_trajectory(str(path))
+    for cores in (1, 2, 3):
+        parse_on_cores(monkeypatch, cores)
+        monkeypatch.setattr(simulate, "_READ_BYTES", 1 << 19)
+        path.write_text("0.1\n0.2\n")
+        with pytest.raises(ValueError, match="missing '# duration = ...' header"):
+            read_trajectory(str(path))
+        path.write_text("# duration = 1.0\n0.1\nnope\n")
+        with pytest.raises(ValueError, match=r"traj\.txt:3: bad arrival time"):
+            read_trajectory(str(path))
+        # Two values on one line, in any block after the first, so in the
+        # calling thread's blocks and in the workers'.
+        monkeypatch.setattr(simulate, "_READ_BYTES", 64)
+        for lineno in range(3, 32):
+            lines = ["# duration = 1.0"] + [f"{k / 100:.17g}" for k in range(30)]
+            lines[lineno - 1] = "0.5 0.6"
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ValueError, match=rf"traj\.txt:{lineno}: bad arrival time"):
+                read_trajectory(str(path))
 
 
 @pytest.mark.parametrize(
@@ -746,12 +758,125 @@ def test_read_trajectory_names_the_bad_line(tmp_path, lines, where):
 
 @pytest.mark.parametrize("bad", [b"1_0", b"inf", b" nan", b"-inf"])
 def test_read_trajectory_refuses_what_float_alone_accepts(tmp_path, monkeypatch, bad):
-    # float() reads these lines; as arrival times they are bad, whether
-    # they sit in the header's block or in a later block of plain times.
+    # float() reads these lines; as arrival times they are bad, in the
+    # first block or in any later one, the calling thread's or a worker's.
     monkeypatch.setattr(simulate, "_READ_BYTES", 64)
     lines = [b"# duration = 1.0"] + [b"%.17g" % (k / 100) for k in range(30)]
     path = tmp_path / "traj.txt"
-    for lineno in (3, 26):
-        path.write_bytes(b"\n".join(lines[: lineno - 1] + [bad] + lines[lineno:]) + b"\n")
-        with pytest.raises(ValueError, match=rf"traj\.txt:{lineno}: bad arrival time"):
-            read_trajectory(str(path))
+    for cores in (1, 2, 3):
+        parse_on_cores(monkeypatch, cores)
+        for lineno in range(2, 32):
+            path.write_bytes(b"\n".join(lines[: lineno - 1] + [bad] + lines[lineno:]) + b"\n")
+            with pytest.raises(ValueError, match=rf"traj\.txt:{lineno}: bad arrival time"):
+                read_trajectory(str(path))
+
+
+def test_read_trajectory_never_parses_ordinary_times_one_by_one(tmp_path, monkeypatch):
+    # A kernel fault that left every line to float() would keep the times
+    # and lose the speed; only the rare times below 1e-4, which '%.17g'
+    # writes in exponent notation, may get there.
+    def refuse(lines):
+        if any(b"e-" not in line for line in lines):
+            raise AssertionError(f"line-wise parse of {lines[:3]}")
+        return np.array(lines, dtype=np.float64)
+
+    monkeypatch.setattr(simulate, "_parse_each", refuse)
+    rng = np.random.Generator(np.random.Philox(key=[8, 0]))
+    times = np.sort(rng.uniform(0.0, 100.0, 1 << 16))
+    path = tmp_path / "traj.txt"
+    write_trajectory(Trajectory(times=times, duration=100.0), str(path))
+    again = read_trajectory(str(path))
+    assert np.array_equal(again.times.view(np.int64), times.view(np.int64))
+
+
+@pytest.mark.parametrize("failing", [1, 2])
+def test_read_trajectory_failing_block_leaves_no_thread(tmp_path, monkeypatch, failing):
+    # On two cores the second block is a worker's and the third the
+    # calling thread's; either error ends the read with no thread left.
+    monkeypatch.setattr(simulate, "_READ_BYTES", 64)
+    path = tmp_path / "traj.txt"
+    write_trajectory(Trajectory(times=np.linspace(0.0, 1.0, 50), duration=1.0), str(path))
+    parse_times, texts = simulate._parse_times, []
+
+    def record(text):
+        texts.append(text)
+        return parse_times(text)
+
+    parse_on_cores(monkeypatch, 1)
+    monkeypatch.setattr(simulate, "_parse_times", record)
+    read_trajectory(str(path))
+    assert len(texts) > 4
+
+    def fail(text):
+        if text == texts[failing]:
+            raise OSError("block failed")
+        return parse_times(text)
+
+    parse_on_cores(monkeypatch, 2)
+    monkeypatch.setattr(simulate, "_parse_times", fail)
+    threads = threading.active_count()
+    with pytest.raises(OSError, match="block failed"):
+        read_trajectory(str(path))
+    assert threading.active_count() == threads
+
+
+def _finite_bits(sign, exponent, mantissa):
+    return float(np.uint64(sign << 63 | exponent << 52 | mantissa).view(np.float64))
+
+
+@given(
+    times=st.lists(
+        st.builds(_finite_bits, st.integers(0, 1), st.integers(0, 2046), st.integers(0, 2**52 - 1))
+        | st.floats(1e-4, 1e4, exclude_max=True),
+        max_size=100,
+    )
+)
+@example(times=_PINNED_TIMES)
+def test_parse_times_proves_only_the_written_bits(times):
+    # Over every finite exponent and the pinned edge values: a proven row
+    # holds the very double that was written, and no ordinary time is
+    # left to the line-wise parse.
+    x = np.array(times, dtype=np.float64)
+    values, proven = fileio._parse_times(fileio._format_times(x))
+    assert proven.size == x.size
+    assert np.array_equal(values[proven].view(np.int64), x[proven].view(np.int64))
+    assert proven[(x >= 1e-4) & (x < 1e4)].all()
+
+
+_LINE_BYTES = "0123456789.e+-_ "
+
+
+@given(
+    lines=st.lists(
+        st.text(_LINE_BYTES, min_size=1, max_size=24)
+        | st.from_regex(r"\A[0-9]{0,17}\.[0-9]{0,17}\Z").filter(lambda line: 1 <= len(line) <= 24),
+        max_size=40,
+    )
+)
+@example(lines=["0.1", "5.", ".5", "100", "1.00000000000000000001", "9007199254740993.5", "0.000000000012345678901"])
+@example(lines=["00000000000000000001.5", "99999999999999999.9", "1e-05", "1_0.5", " 1.5", "1.5 ", "."])
+def test_parse_times_proves_only_what_float_reads(lines):
+    # Every row the kernel proves is what float() reads, bit for bit.
+    text = "".join(line + "\n" for line in lines).encode()
+    values, proven = fileio._parse_times(text)
+    assert proven.size == len(lines)
+    for line, value, sure in zip(lines, values.tolist(), proven.tolist()):
+        if sure:
+            assert math.isfinite(value)
+            assert np.float64(float(line)).view(np.int64) == np.float64(value).view(np.int64)
+
+
+def test_parse_times_working_set():
+    # The reader parses one block per core at once, so the kernel's
+    # allocation peak per line bounds the reader's resident memory.
+    rng = np.random.Generator(np.random.Philox(key=[8, 2]))
+    text = fileio._format_times(np.sort(rng.uniform(0.0, 100.0, 1 << 15)))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fileio._parse_times(text)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * (1 << 15)
