@@ -729,11 +729,12 @@ def test_read_trajectory_rejects_malformed(tmp_path, monkeypatch):
         path.write_text("# duration = 1.0\n0.1\nnope\n")
         with pytest.raises(ValueError, match=r"traj\.txt:3: bad arrival time"):
             read_trajectory(str(path))
-        # Two values on one line, in any block after the first, so in the
-        # calling thread's blocks and in the workers'.
+        # Two values on one line, in any block after a comment and a blank
+        # line, so in the calling thread's blocks and in the workers'.
         monkeypatch.setattr(simulate, "_READ_BYTES", 64)
-        for lineno in range(3, 32):
-            lines = ["# duration = 1.0"] + [f"{k / 100:.17g}" for k in range(30)]
+        body = [f"{k / 100:.17g}" for k in range(30)]
+        for lineno in range(5, 34):
+            lines = ["# duration = 1.0", body[0], "# note", ""] + body[1:]
             lines[lineno - 1] = "0.5 0.6"
             path.write_text("\n".join(lines) + "\n")
             with pytest.raises(ValueError, match=rf"traj\.txt:{lineno}: bad arrival time"):
