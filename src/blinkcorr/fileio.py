@@ -83,17 +83,21 @@ def _format_each(values: np.ndarray) -> list[bytes]:
     return [b"%.17g" % value for value in values.tolist()]
 
 
-def _scaled(m: np.ndarray, e2: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``m * 2**e2 * 10**(16 - k)`` truncated, whether it rounds up (half to
-    even), and where ``m * 5**(16 - k) >> 1..63`` in 128 bits is exact."""
+def _scaled(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``x * 10**(16 - k)`` of positive normal doubles ``x = m * 2**e2``
+    truncated, whether it rounds up (half to even), and where
+    ``m * 5**(16 - k) >> 1..63`` in 128 bits is exact."""
+    bits = x.view(np.uint64)
+    m = (bits & (1 << 52) - 1) | 1 << 52
     s = 16 - k
-    shift = -(e2 + s)
+    # -(e2 + s), with e2 the biased exponent less 1075.
+    shift = 1075 - s - (bits >> 52).astype(np.int64)
     ok = (s >= 1) & (s <= 27) & (shift >= 1) & (shift <= 63)
     p = np.take(_POW5, s, mode="clip")
     del s
     shift = np.clip(shift, 1, 63).astype(np.uint64)
     ml, mh, pl, ph = m & 0xFFFFFFFF, m >> 32, p & 0xFFFFFFFF, p >> 32
-    del p
+    del m, p
     ll = ml * pl
     mid = ml * ph + mh * pl + (ll >> 32)
     hi = mh * ph + (mid >> 32)
@@ -122,18 +126,15 @@ def _format_times(times: np.ndarray) -> bytes:
     biased = (x.view(np.uint64) >> 52).astype(np.int64)
     ok = (biased >= 1) & (biased <= 2046)
     del biased
-    bits = np.where(ok, x, 1.0).view(np.uint64)
-    m = (bits & (1 << 52) - 1) | 1 << 52
-    e2 = (bits >> 52).astype(np.int64) - 1075
-    k = np.clip(np.floor(np.log10(bits.view(np.float64))), -11, 15).astype(np.int64)
-    del bits
-    t, up, inside = _scaled(m, e2, k)
+    normal = np.where(ok, x, 1.0)
+    k = np.clip(np.floor(np.log10(normal)), -11, 15).astype(np.int64)
+    t, up, inside = _scaled(normal, k)
     # log10 can put k one off next to a power of ten; the truncated N tells.
     k += (t >= 10**17).astype(np.int64) - (t < 10**16)
     wrong = np.flatnonzero((t >= 10**17) | (t < 10**16))
     if wrong.size:
-        t[wrong], up[wrong], inside[wrong] = _scaled(m[wrong], e2[wrong], k[wrong])
-    del m, e2
+        t[wrong], up[wrong], inside[wrong] = _scaled(normal[wrong], k[wrong])
+    del normal
     # Rounding up to 10**17 would carry into the exponent; no double in the
     # domain does (the largest doubles below 1e-14 and 1e-70 do).
     ok &= inside & (t >= 10**16) & (t + up < 10**17)
@@ -195,17 +196,6 @@ def _format_times(times: np.ndarray) -> bytes:
 def _parse_each(lines: list[bytes]) -> np.ndarray:
     """``float()`` of each line, one at a time."""
     return np.array(lines, dtype=np.float64)
-
-
-def _round17(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 17 significant digits of each positive ``x`` scaled as if ``x``
-    lay in ``[10**k, 10**(k + 1))``, and where that is exact."""
-    bits = x.view(np.uint64)
-    m = (bits & (1 << 52) - 1) | 1 << 52
-    e2 = (bits >> 52).astype(np.int64) - 1075
-    t, up, inside = _scaled(m, e2, k)
-    t += up
-    return t, inside
 
 
 def _parse_times(text: bytes) -> tuple[np.ndarray, np.ndarray]:
@@ -291,9 +281,11 @@ def _parse_times(text: bytes) -> tuple[np.ndarray, np.ndarray]:
     del n
     x /= np.take(_TENS, fraction, mode="clip")
     del fraction
-    got, inside = _round17(x, k)
+    # The candidate's 17 digits, scaled as if it lay in [10**k, 10**(k + 1)).
+    got, up, inside = _scaled(x, k)
+    got += up
     ok &= inside
-    del inside
+    del up, inside
     proven = ok & (got == want)
     miss = np.flatnonzero(ok & ~proven)
     del ok
@@ -301,7 +293,8 @@ def _parse_times(text: bytes) -> tuple[np.ndarray, np.ndarray]:
         if not miss.size:
             break
         x[miss] = step = np.nextafter(x[miss], np.where(got[miss] < want[miss], np.inf, 0.0))
-        got[miss], inside = _round17(step, k[miss])
+        t, up, inside = _scaled(step, k[miss])
+        got[miss] = t + up
         hit = inside & (got[miss] == want[miss])
         proven[miss[hit]] = True
         miss = miss[inside & ~hit]
