@@ -649,11 +649,11 @@ def read_trajectory(path: str) -> Trajectory:
     The leading ``#`` and blank lines are read one at a time. The rest is
     read in blocks of whole lines, parsed on one thread per core the
     process may run on by an integer kernel that proves each plain time
-    (digits and a dot, as the writer gives them) equal to what ``float()``
-    reads. The calling thread takes the blocks in file order: it reads the
-    few unproven lines with ``float()``, and a block where that fails, a
-    ``#`` line, a blank or a bad line one line at a time. So every time has
-    the bits ``float()`` gives it.
+    (digits, at most one dot) equal to what ``float()`` reads. The
+    calling thread takes the blocks in file order. It reads the few
+    unproven lines with ``float()``, and where that fails, as on a ``#``
+    line, a blank or a bad line, it reads the block one line at a time.
+    So every time has the bits ``float()`` gives it.
     """
     header: dict[str, float | int] = {}
     with open(path, "rb") as handle:
