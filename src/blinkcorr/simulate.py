@@ -659,8 +659,8 @@ def read_trajectory(path: str) -> Trajectory:
     with open(path, "rb") as handle:
         # A first pass counts the lines, so the times fill one array and
         # are never held a second time as blocks.
-        chunks = iter(lambda: handle.read(_READ_BYTES), b"")
-        times = np.empty(sum(data.count(b"\n") for data in chunks) + 1)
+        blocks = iter(lambda: handle.read(_READ_BYTES), b"")
+        times = np.empty(sum(data.count(b"\n") for data in blocks) + 1)
         handle.seek(0)
         leading = []
         for raw in iter(handle.readline, b""):
