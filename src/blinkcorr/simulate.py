@@ -21,7 +21,7 @@ from typing import Any, Callable, Iterable, Iterator
 import numpy as np
 
 from .correlation import CorrelationSeries
-from .errors import InsufficientDataError
+from .errors import DegenerateInputError, InsufficientDataError
 from .fileio import _atomic_open, _format_times, _parse_each, _parse_times, format_float
 from .params import PeriodStatistics, PhotoPhysicalParams
 
@@ -349,7 +349,9 @@ def estimate_g(
     lies in ``[edges[0], edges[m])``, ``m`` the last exact edge, and falls
     into the bin whose left edge is the largest one not above that delay.
     Pairs are enumerated by neighbour offset ``j - i`` until no source has
-    a partner left below ``edges[m]``.
+    a partner left below ``edges[m]``, in blocks of sources counted on one
+    thread per core the process may run on and summed in block order; the
+    split and the counts do not depend on the number of cores.
 
     Longer bins correlate coincidence counts on a lattice of a twentieth
     of the bin's decade: each bin becomes the window of whole lattice
@@ -370,7 +372,9 @@ def estimate_g(
 
     Returns a series with one standard error per bin; with
     ``with_windows`` also the actually covered window per bin as an
-    ``(n, 2)`` array.
+    ``(n, 2)`` array. A record so sparse, or bins so narrow, that a
+    delay, g or a standard error leaves float64's range raises
+    :class:`DegenerateInputError`.
     """
     times = trajectory.times
     t_total = trajectory.duration
@@ -427,25 +431,37 @@ def estimate_g(
     # the exact window's (b - a) (T - (a + b) / 2) with a + b less one w.
     counts, windows, steps = counts[keep], windows[keep], steps[keep]
     lo, hi = windows.T
-    denom = rate * rate * (hi - lo) * (t_total - 0.5 * (lo + hi - steps))
-    g = counts / denom
-    shot = np.maximum(np.sqrt(counts), 1.0) / denom
+    # A record too sparse or bins too narrow for float64 give values that
+    # are not finite, or delays that round to zero; the series refuses
+    # them below.
+    with np.errstate(all="ignore"):
+        denom = rate * rate * (hi - lo) * (t_total - 0.5 * (lo + hi - steps))
+        g = counts / denom
+        shot = np.maximum(np.sqrt(counts), 1.0) / denom
 
-    # Normalization term: the estimate divides by rate^2, and for bunched
-    # records the rate carries cluster noise well above Poisson. Block
-    # counts capture it without any model assumption; the times are sorted,
-    # so the counts come from the inner block edges' positions among them.
-    k_blocks = 64
-    inner = np.linspace(0.0, t_total, k_blocks + 1)[1:-1]
-    block_counts = np.diff(np.searchsorted(times, inner), prepend=0, append=n)
-    block_rates = block_counts * (k_blocks / t_total)
-    var_rate = np.var(block_rates, ddof=1) / k_blocks
-    var_rate = max(var_rate, n / t_total**2)
-    norm_rel = 2.0 * math.sqrt(var_rate) / rate
-    sigma = np.sqrt(shot**2 + (g * norm_rel) ** 2)
-
-    centers = np.sqrt(windows[:, 0] * windows[:, 1])
-    series = CorrelationSeries(tau=centers, g=g, sigma=sigma)
+        # Normalization term: the estimate divides by rate^2, and for bunched
+        # records the rate carries cluster noise well above Poisson. Block
+        # counts capture it without any model assumption; the times are
+        # sorted, so the counts come from the inner block edges' positions
+        # among them.
+        k_blocks = 64
+        inner = np.linspace(0.0, t_total, k_blocks + 1)[1:-1]
+        block_counts = np.diff(np.searchsorted(times, inner), prepend=0, append=n)
+        block_rates = block_counts * (k_blocks / t_total)
+        var_rate = np.var(block_rates, ddof=1) / k_blocks
+        # np.float64 overflows to inf where a float raises; its power calls
+        # C pow as float's does, and keeps the floor's bits (x * x rounds
+        # apart from pow(x, 2) for about one x in a thousand).
+        var_rate = max(var_rate, n / np.float64(t_total) ** 2)
+        norm_rel = 2.0 * math.sqrt(var_rate) / rate
+        sigma = np.sqrt(shot**2 + (g * norm_rel) ** 2)
+        centers = np.sqrt(windows[:, 0] * windows[:, 1])
+    try:
+        series = CorrelationSeries(tau=centers, g=g, sigma=sigma)
+    except ValueError as exc:
+        raise DegenerateInputError(
+            f"g(tau) of this record on these bins is out of float64 range: {exc}"
+        ) from exc
     if with_windows:
         return series, windows
     return series
@@ -465,10 +481,11 @@ def _exact_bins(n: int, t_total: float, edges: np.ndarray) -> int:
     width))`` cells per photon, ``e`` their last edge, so none is chosen."""
     # cost[m] prices the split after m bins. A width's photon pass and
     # running sums are paid while its last bin is on a lattice; ties go to
-    # the exact stage.
-    cells = t_total / np.array([_lattice_width(e) for e in edges[:-1]])
-    last = np.append(cells[1:] != cells[:-1], True)
-    lattice = np.cumsum((cells + last * (_PAIR_COST * n + cells))[::-1])[::-1]
+    # the exact stage. A lattice of more cells than float64 counts costs inf.
+    with np.errstate(over="ignore"):
+        cells = t_total / np.array([_lattice_width(e) for e in edges[:-1]])
+        last = np.append(cells[1:] != cells[:-1], True)
+        lattice = np.cumsum(np.where(last, cells + (_PAIR_COST * n + cells), cells)[::-1])[::-1]
     cost = _PAIR_COST * n * (n / t_total * edges + 1.0) + np.append(lattice, 0.0)
     cost[0] = lattice[0]
     return int(np.flatnonzero(cost == cost.min())[-1])
@@ -491,11 +508,17 @@ def _exact_counts(times: np.ndarray, edges: np.ndarray) -> np.ndarray:
     table over the exponent and the top mantissa bits of ``d`` gives the
     number of edges below its cell, and one comparison per edge inside
     the cell corrects it.
+
+    Each block of ``_BLOCK`` sources is counted into its own int64
+    histogram, on one thread per core the process may run on, and the
+    calling thread adds the histograms in block order. Integer sums do not
+    depend on the order they are added in, so neither do the counts.
     """
     nb = edges.size - 1
     n = times.size
     # Codes: the number of edges at or below the delay, so 1..nb are the
-    # bins, 0 lies below the grid and `above` past it.
+    # bins, 0 lies below the grid and `above` past it; one byte each on a
+    # grid of fewer than 255 bins.
     above = nb + 1
     shift = 52 - _TABLE_BITS
 
@@ -503,7 +526,7 @@ def _exact_counts(times: np.ndarray, edges: np.ndarray) -> np.ndarray:
     # keys grow with the delay, which is at most the record's span.
     top = (np.array(times[-1] - times[0]).view(np.int64) >> shift) + 1
     lower = (np.arange(top, dtype=np.int64) << shift).view(np.float64)
-    table = np.searchsorted(edges, lower, side="right")
+    table = np.searchsorted(edges, lower, side="right").astype(np.min_scalar_type(above))
     # Edges strictly inside a cell, each worth one correcting comparison.
     bits = edges.view(np.int64)
     inside = bits >> shift
@@ -511,8 +534,8 @@ def _exact_counts(times: np.ndarray, edges: np.ndarray) -> np.ndarray:
     passes = int(np.bincount(inside).max()) if inside.size else 0
     following = np.append(edges, np.inf)
 
-    counts = np.zeros(nb + 2, dtype=np.int64)
-    for start in range(0, n - 1, _BLOCK):
+    def count(start: int) -> np.ndarray:
+        hist = np.zeros(nb + 2, dtype=np.int64)
         source = times[start : start + _BLOCK]
         partner = np.arange(start, start + source.size)
         while source.size:
@@ -526,11 +549,15 @@ def _exact_counts(times: np.ndarray, edges: np.ndarray) -> np.ndarray:
             code = table[d.view(np.int64) >> shift]
             for _ in range(passes):
                 code += d >= following[code]
-            hist = np.bincount(code, minlength=nb + 2)
-            counts += hist
-            if 4 * hist[above] >= source.size:
+            step = np.bincount(code, minlength=nb + 2)
+            hist += step
+            if 4 * step[above] >= source.size:
                 near = code != above
                 source, partner = source[near], partner[near]
+        return hist
+
+    counts = np.zeros(nb + 2, dtype=np.int64)
+    _in_order(count, range(0, n - 1, _BLOCK), counts.__iadd__)
     return counts[1 : nb + 1].astype(np.float64)
 
 

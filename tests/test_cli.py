@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -321,6 +322,33 @@ def test_estimate_g_insufficient_data(tmp_path):
     assert main(["estimate-g", "--traj", traj_path, "--out", out]) == 1
 
 
+@pytest.mark.parametrize(
+    "record, grid",
+    [
+        # Lattices of more cells than float64 counts, and a pair density
+        # that underflows: on the default grid and on a fine one.
+        ("# duration = 1e300\n0.5\n1\n", "1e-9:1e-1:20"),
+        ("# duration = 1e300\n0.5\n1\n", "1e-3:1e-2:2000"),
+        # Bins so narrow that their standard errors overflow and their
+        # centres round to zero.
+        ("# duration = 1\n0.1\n0.2\n0.3\n", "1e-300:1e-1:1"),
+    ],
+    ids=["sparse-default-grid", "sparse-fine-grid", "narrow-bins"],
+)
+def test_estimate_g_out_of_float64_range(tmp_path, capsys, record, grid):
+    # A record the reader accepts gives a series or a numerical error,
+    # never a traceback or a warning.
+    traj_path = tmp_path / "traj.txt"
+    traj_path.write_text(record)
+    out = str(tmp_path / "g.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["estimate-g", "--traj", str(traj_path), "--grid", grid, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: g(tau) of this record on these bins is out of float64 range")
+    assert not os.path.exists(out)
+
+
 def test_fit_full_report(tmp_path, params_file, reference_params):
     data = str(tmp_path / "data.csv")
     assert main(["eval", "--params", params_file, "--grid", "1e-10:1:20",
@@ -371,13 +399,15 @@ def test_import_leaves_scipy_optimize_unloaded():
     src = os.path.dirname(os.path.dirname(blinkcorr.__file__))
     code = (
         "import sys, blinkcorr, blinkcorr.cli; "
-        "print('scipy.optimize' in sys.modules)"
+        "print('scipy.optimize' in sys.modules, 'concurrent.futures.thread' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    # Nor the thread pool, which the writer, the reader and the correlator
+    # import when they first run on more than one core.
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_fit_report_counts_bootstrap_failures(tmp_path, params_file):

@@ -525,17 +525,83 @@ def lattice_reference(times, duration, edges):
     traj=Trajectory(times=np.array([0.0, log_grid(1e-3, 1e-2, 5)[2]]), duration=1.0),
     edges=log_grid(1e-3, 1e-2, 5),
 )
+# 300 bins need two bytes per code; delays from 1e-4 to 0.1 s fill most.
+@example(
+    traj=Trajectory(times=np.cumsum(np.geomspace(1e-4, 2e-3, 90)), duration=1.0),
+    edges=log_grid(1e-4, 1e-1, 100),
+)
 def test_estimate_g_exact_stage_counts_every_pair(block, traj, edges):
+    # Whatever the number of cores that count the blocks.
     times, t_total = traj.times, traj.duration
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "_exact_bins", all_exact)
-        mp.setattr(simulate, "_BLOCK", block)
-        series, windows = estimate_g(traj, edges, with_windows=True)
     rate = times.size / t_total
     a, b = edges[:-1], edges[1:]
     expected = brute_force_pairs(times, edges) / (rate * rate * (b - a) * (t_total - 0.5 * (a + b)))
-    assert np.array_equal(windows, np.column_stack([a, b]))
-    np.testing.assert_allclose(series.g, expected, rtol=1e-12, atol=0.0)
+    for cores in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+            mp.setattr(simulate, "_exact_bins", all_exact)
+            mp.setattr(simulate, "_BLOCK", block)
+            series, windows = estimate_g(traj, edges, with_windows=True)
+        assert np.array_equal(windows, np.column_stack([a, b]))
+        np.testing.assert_allclose(series.g, expected, rtol=1e-12, atol=0.0)
+
+
+def test_estimate_g_same_bytes_on_any_core_count(monkeypatch):
+    # Blocks of 7 sources, so the exact stage's ~1,000 photons span many
+    # blocks and groups; the lattice stage runs too.
+    monkeypatch.setattr(simulate, "_BLOCK", 7)
+    traj = poisson_trajectory(1e5, 0.01, 5)
+    edges = log_grid(1e-9, 1e-1, 20)
+    outputs = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        series = estimate_g(traj, edges)
+        limit = simulate._exact_limit(traj, edges)
+        outputs.append((series.tau.tobytes(), series.g.tobytes(), series.sigma.tobytes(), limit))
+    assert edges[0] < outputs[0][3] < 1e-3
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("failing", [1, 2])
+def test_exact_counts_failing_block_leaves_no_thread(monkeypatch, failing):
+    # On two cores the second block is a worker's and the third the
+    # calling thread's; either error ends the count with no thread left.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(simulate, "_BLOCK", 7)
+    in_order = simulate._in_order
+
+    def failing_block(work, blocks, take):
+        def fail(start):
+            if start == 7 * failing:
+                raise OSError("block failed")
+            return work(start)
+
+        in_order(fail, blocks, take)
+
+    monkeypatch.setattr(simulate, "_in_order", failing_block)
+    times = np.linspace(0.0, 1.0, 50)
+    threads = threading.active_count()
+    with pytest.raises(OSError, match="block failed"):
+        simulate._exact_counts(times, log_grid(1e-3, 1e-1, 5))
+    assert threading.active_count() == threads
+
+
+def test_exact_counts_working_set():
+    # The exact stage counts one block per core at once, so its allocation
+    # peak per block source bounds the stage's resident memory. One block
+    # of Poisson times at the benchmark record's rate, over its 100 bins.
+    rng = np.random.Generator(np.random.Philox(key=[8, 3]))
+    times = np.sort(rng.uniform(0.0, simulate._BLOCK / 9.3e4, simulate._BLOCK))
+    edges = log_grid(1e-9, 1e-4, 20)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        simulate._exact_counts(times, edges)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * simulate._BLOCK
 
 
 @given(traj=photon_records(), edges=delay_edges(smallest=2.0**-12))
