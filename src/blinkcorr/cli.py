@@ -94,6 +94,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         raise ValueError(f"bad grid specification {text!r}") from exc
     if not (0.0 < lo < hi) or not math.isfinite(hi):
         raise ValueError("grid bounds must satisfy 0 < MIN < MAX")
+    if not math.isfinite(hi / lo):
+        raise ValueError("grid bounds MAX / MIN must not overflow float64")
     if ppd < 1:
         raise ValueError("grid needs at least one point per decade")
     return lo, hi, ppd

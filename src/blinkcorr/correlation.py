@@ -69,34 +69,49 @@ def g2(tau, A31: float, Omega31: float) -> np.ndarray:
     return _g2(tau, A, W)
 
 
-def _g2(tau: np.ndarray, A: float, W: float) -> np.ndarray:
-    """:func:`g2` on checked delays and rates (``A > 0``, ``W >= 0``)."""
+def _g2(tau: np.ndarray, A, W) -> np.ndarray:
+    """:func:`g2` on checked delays and rates (``A > 0``, ``W >= 0``). The
+    rates are floats, or columns of shape ``(m, 1)`` holding m rate pairs,
+    which give one row of ``m`` by ``tau.size`` each."""
     r = 0.75 * A
     disc = 16.0 * W * W - A * A
     scale = 16.0 * W * W + A * A
+    critical = abs(disc) <= 1e-12 * scale
+    if not isinstance(disc, np.ndarray):
+        regime = "critical" if critical else "under" if disc > 0.0 else "over"
+        return 1.0 - _envelope(tau, r, disc, regime)
+    out = np.empty((disc.shape[0], tau.size))
+    for regime, rows in (
+        ("critical", critical),
+        ("under", ~critical & (disc > 0.0)),
+        ("over", ~critical & (disc <= 0.0)),
+    ):
+        rows = rows[:, 0]
+        if rows.any():
+            out[rows] = 1.0 - _envelope(tau, r[rows], disc[rows], regime)
+    return out
 
-    if abs(disc) <= 1e-12 * scale:
+
+def _envelope(tau: np.ndarray, r, disc, regime: str) -> np.ndarray:
+    """The damped part of :func:`_g2` in one regime of ``disc``."""
+    if regime == "critical":
         # Removable point: both trig branches limit to (1 + r*tau).
-        envelope = np.exp(-r * tau) * (1.0 + r * tau)
-    elif disc > 0.0:
-        gamma = 0.25 * math.sqrt(disc)
-        envelope = np.exp(-r * tau) * (
-            np.cos(gamma * tau) + (0.75 * A / gamma) * np.sin(gamma * tau)
-        )
-    else:
-        kappa = 0.25 * math.sqrt(-disc)
-        c = 0.75 * A / kappa
-        x = kappa * tau
-        # cosh/sinh are exact for moderate arguments; far out only the
-        # slow exponential survives, which avoids overflow in cosh.
-        grow = (kappa - r) * tau
-        small = x < 20.0
-        envelope = np.where(
-            small,
-            np.exp(-r * tau) * (np.cosh(np.minimum(x, 20.0)) + c * np.sinh(np.minimum(x, 20.0))),
-            0.5 * (1.0 + c) * np.exp(grow),
-        )
-    return 1.0 - envelope
+        return np.exp(-r * tau) * (1.0 + r * tau)
+    if regime == "under":
+        gamma = 0.25 * np.sqrt(disc)
+        return np.exp(-r * tau) * (np.cos(gamma * tau) + (r / gamma) * np.sin(gamma * tau))
+    kappa = 0.25 * np.sqrt(-disc)
+    c = r / kappa
+    x = kappa * tau
+    # cosh/sinh are exact for moderate arguments; far out only the slow
+    # exponential survives, which avoids overflow in cosh.
+    grow = (kappa - r) * tau
+    small = x < 20.0
+    return np.where(
+        small,
+        np.exp(-r * tau) * (np.cosh(np.minimum(x, 20.0)) + c * np.sinh(np.minimum(x, 20.0))),
+        0.5 * (1.0 + c) * np.exp(grow),
+    )
 
 
 def g2_mod(tau, A31: float, Omega31: float, I_sc: float) -> np.ndarray:
@@ -163,16 +178,39 @@ def blink_factor(tau, stats: PeriodStatistics) -> np.ndarray:
     return _blink_factor(_as_delay_array(tau), *stats.p_LD, *stats.p_DL)
 
 
-def _blink_factor(
-    tau: np.ndarray, ld1: float, ld2: float, dl1: float, dl2: float
-) -> np.ndarray:
+def _blink_factor(tau: np.ndarray, ld1, ld2, dl1, dl2) -> np.ndarray:
     """:func:`blink_factor` on checked delays, straight from the four
-    switching rates (finite, ``ld_i >= 0``, ``dl_i > 0``)."""
+    switching rates (finite, ``ld_i >= 0``, ``dl_i > 0``). The rates are
+    floats, or columns of shape ``(m, 1)`` holding m rate sets, which give
+    one row of ``m`` by ``tau.size`` each. Sets with near-degenerate
+    eigenvalues take the matrix exponential one at a time; the propagator's
+    :class:`DegenerateInputError` there is raised for floats, and turns
+    that set's row into NaN for columns."""
     mu1, mu2, p_l = _relaxation(ld1, ld2, dl1, dl2)
-    if _is_degenerate(mu1, mu2):
-        stats = period_statistics((ld1, ld2), (dl1, dl2))
-        return _three_state_pll_expm(tau, stats) / p_l
+    degenerate = _is_degenerate(mu1, mu2)
+    if not isinstance(degenerate, np.ndarray):
+        if degenerate:
+            return _degenerate_factor(tau, ld1, ld2, dl1, dl2, p_l)
+        return _closed_factor(tau, ld1, ld2, dl1, dl2, mu1, mu2)
+    rows = ~degenerate[:, 0]
+    if rows.all():
+        return _closed_factor(tau, ld1, ld2, dl1, dl2, mu1, mu2)
+    out = np.empty((rows.size, tau.size))
+    out[rows] = _closed_factor(tau, *(v[rows] for v in (ld1, ld2, dl1, dl2, mu1, mu2)))
+    for i in np.flatnonzero(~rows):
+        try:
+            out[i] = _degenerate_factor(tau, *(float(v[i, 0]) for v in (ld1, ld2, dl1, dl2, p_l)))
+        except DegenerateInputError:
+            out[i] = np.nan
+    return out
 
+
+def _degenerate_factor(tau, ld1, ld2, dl1, dl2, p_l) -> np.ndarray:
+    stats = period_statistics((ld1, ld2), (dl1, dl2))
+    return _three_state_pll_expm(tau, stats) / p_l
+
+
+def _closed_factor(tau, ld1, ld2, dl1, dl2, mu1, mu2) -> np.ndarray:
     gamma = 0.5 * (mu1 - mu2)
     sigma_l = ld1 + ld2
     alpha = ld1 / dl1 + ld2 / dl2
@@ -201,15 +239,22 @@ def g_total(tau, params: PhotoPhysicalParams) -> np.ndarray:
 
 
 def log_grid(tau_min: float, tau_max: float, points_per_decade: int = 60) -> np.ndarray:
-    """Logarithmic delay grid with a fixed point density per decade."""
+    """Logarithmic delay grid with a fixed point density per decade.
+
+    Raises :class:`DegenerateInputError` when the span ``tau_max / tau_min``
+    or the point count is too large for float64."""
     tau_min = float(tau_min)
     tau_max = float(tau_max)
     if not (0.0 < tau_min < tau_max):
         raise ValueError("need 0 < tau_min < tau_max")
     if points_per_decade < 1:
         raise ValueError("points_per_decade must be at least 1")
-    decades = math.log10(tau_max / tau_min)
-    n = max(2, int(round(decades * points_per_decade)) + 1)
+    points = math.log10(tau_max / tau_min) * points_per_decade
+    if not math.isfinite(points):
+        raise DegenerateInputError(
+            f"a grid from {tau_min!r} to {tau_max!r} s spans too many decades for float64"
+        )
+    n = max(2, int(round(points)) + 1)
     return np.geomspace(tau_min, tau_max, n)
 
 

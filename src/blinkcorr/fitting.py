@@ -17,19 +17,24 @@ runs three stages:
 
 :func:`fit_full` chains the stages and optionally wraps them in a
 residual bootstrap for uncertainties. The optimizer is a small damped
-least-squares routine with box bounds and forward-difference Jacobians;
+least-squares routine with box bounds and forward-difference Jacobians
+(Levenberg-Marquardt damping, More, Lect. Notes Math. 630, 105 (1978));
 it is deliberately self-contained so its behaviour is fully pinned by the
 tests in this package. A coordinate that sits on its bound while the
 gradient pushes it outward takes no step (the active-set rule of
 bounded-variable least squares, Stark & Parker, Comput. Stat. 10, 129
 (1995)), so a background ratio that fits to zero stops there instead of
-crawling along its bound.
+crawling along its bound. It solves a stack of problems at once, each row
+with its own damping, pins and stop: a main fit's start is a stack of one,
+and the bootstrap solves all refits of a stage as one stack, with one
+model call for every Jacobian probe of the stack and one batched solve
+per damping step. A row's arithmetic is the same in any stack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +48,7 @@ from .errors import (
 from .params import (
     PeriodStatistics,
     PhotoPhysicalParams,
+    _relaxation,
     _switching_rates,
     light_intensity,
     period_statistics,
@@ -94,6 +100,10 @@ _START_DAMPING = 1e-3
 _MAX_DAMPING = 1e12
 _REL_TOL = 1e-10
 _REFIT_TOL = 1e-3
+# Residuals per model call when a stack's Jacobian probes are evaluated,
+# and the widest stack whose rows a stage's model takes one at a time.
+_BLOCK = 2**14
+_NARROW = 4
 
 
 def _is_real(value) -> bool:
@@ -152,6 +162,19 @@ class LeastSquaresResult:
     message: str
 
 
+# Why a row of :func:`_solve_stack` stopped, and whether that converged.
+_STOPS = (
+    ("maximum iterations reached", False),
+    ("every coordinate pinned at a bound", True),
+    ("step below 1e-3 standard errors", True),
+    ("no damping produced further improvement", True),
+    ("step and cost change below tolerance", True),
+    ("residual or its Jacobian not finite", False),
+)
+_CAP, _PINNED, _REFIT, _STUCK, _TOLERANCE, _NOT_FINITE = range(len(_STOPS))
+_CONVERGED = np.array([ok for _, ok in _STOPS])
+
+
 def least_squares(
     residual,
     x0,
@@ -160,39 +183,35 @@ def least_squares(
     max_iterations: int = 200,
     refit: bool = False,
 ) -> LeastSquaresResult:
-    """Damped least squares with box bounds.
+    """Damped least squares with box bounds, on one parameter vector.
 
-    ``residual`` maps a parameter vector to a residual vector; the cost
-    is its squared norm. Each iteration pins every coordinate that sits on
-    its bound while the gradient points out of the box; pinned coordinates
-    take no step, and the damped normal equations are solved over the
-    free ones. Candidates are clipped into the bounds, the damping shrinks
-    on accepted steps and grows on rejected ones; a candidate whose
-    residual raises :class:`DegenerateInputError` is rejected like one
-    that raises the cost. Convergence requires both the relative step
-    and the relative cost change to drop below 1e-10; a state where
-    no damping produces any improvement, or where every coordinate is
-    pinned, also counts as converged (the iterate cannot be bettered in
-    float arithmetic, or within the box).
-    ``message`` names the reason the loop stopped. The covariance estimate
-    is ``pinv(J^T J)`` over all coordinates, scaled by the reduced chi
-    square ``s^2 = cost / dof``.
+    ``residual`` maps a parameter vector to a residual vector; the cost is
+    its squared norm. Each iteration pins every coordinate that sits on its
+    bound while the gradient points out of the box (the active-set rule
+    of bounded-variable least squares); the damped normal equations are
+    solved over the free ones. Candidates are clipped into the bounds, the
+    damping shrinks on accepted steps and grows on rejected ones; a
+    candidate whose residual raises :class:`DegenerateInputError` is
+    rejected like one that raises the cost. Convergence requires the
+    relative step and cost change below 1e-10; no damping that improves,
+    or every coordinate pinned, also counts as converged. A residual that
+    is not finite at the iterate or a Jacobian probe stops unconverged.
+    ``message`` names the reason. ``cov`` is ``pinv(J^T J) * cost / dof``.
 
-    ``refit`` is for bootstrap refits, whose spread is the uncertainty
-    and whose own covariance is not used. Before each damped step the
-    undamped Gauss-Newton step ``delta`` over the free coordinates is
-    solved, and the loop stops with "step below 1e-3 standard errors"
-    once ``delta^T J^T J delta < (1e-3)^2 s^2``, the distance to the
-    minimum that MINUIT estimates (James & Roos, Comput. Phys. Commun.
-    10, 343 (1975)); a zero cost, a singular system or a negative
-    distance (rounding in a near-singular one) skips the test.
-    The final Jacobian is not taken and ``cov`` is ``None``.
+    ``refit`` is for bootstrap refits: before each damped step the
+    undamped Gauss-Newton step ``delta`` is solved, and the loop stops with
+    "step below 1e-3 standard errors" once ``delta^T J^T J delta <
+    (1e-3)^2 cost / dof``, the distance to the minimum that MINUIT
+    estimates (James & Roos, Comput. Phys. Commun. 10, 343 (1975)); a zero
+    cost, a singular system or a negative distance skips the test. ``cov``
+    is then ``None``.
 
     Parameters are never evaluated outside the bounds; the finite
     difference step flips direction at the upper bound, and a null column
-    from a step below unit scale is taken again at unit scale.
+    from a step below unit scale is taken again at unit scale. This is
+    :func:`_solve_stack` on a stack of one.
     """
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float).ravel()
     npar = x.size
     if npar == 0:
         raise ValueError("need at least one parameter")
@@ -206,137 +225,235 @@ def least_squares(
             raise ValueError("bounds must match the parameter vector")
         if np.any(lo >= hi):
             raise ValueError("lower bounds must lie below upper bounds")
-        x = np.minimum(np.maximum(x, lo), hi)
+    x = np.minimum(np.maximum(x, lo), hi)[None, :]
+
+    def stacked(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        out = [np.asarray(residual(t.copy()), dtype=float) for t in theta]
+        if any(r.ndim != 1 for r in out):
+            raise ValueError("residual must return a vector")
+        return np.array(out)
+
+    scale = _fd_scale(x)
+    x, r, cost, iterations, stops = _solve_stack(stacked, x, lo, hi, max_iterations, refit)
+    cov = None
+    if not refit:
+        jac = _jacobian(stacked, x, r, np.zeros(1, dtype=int), scale, hi, np.empty((1, r.shape[1], npar)))[0]
+        cov = np.linalg.pinv(jac.T @ jac) * (cost[0] / max(r.shape[1] - npar, 1))
+    message, converged = _STOPS[stops[0]]
+    return LeastSquaresResult(x[0], float(cost[0]), cov, int(iterations[0]), converged, message)
+
+
+def _fd_scale(x: np.ndarray) -> np.ndarray:
     # Finite-difference scale: relative to the start, unit for exact-zero
     # coordinates (a relative step off zero underflows to a null step).
     scale = np.abs(x)
     scale[scale == 0.0] = 1.0
-    lo_list, hi_list, scale_list = lo.tolist(), hi.tolist(), scale.tolist()
+    return scale
 
-    def eval_residual(xv: np.ndarray) -> np.ndarray:
-        r = np.asarray(residual(xv), dtype=float)
-        if r.ndim != 1:
-            raise ValueError("residual must return a vector")
-        return r
 
-    def jacobian(xv: np.ndarray, rv: np.ndarray) -> np.ndarray:
-        jac = np.empty((rv.size, npar))
-        for j, (xj, sj, b) in enumerate(zip(xv.tolist(), scale_list, hi_list)):
-            size = max(abs(xj), sj)
-            # From a start within about 1e-10 of zero the step is lost against
-            # the residual, so a null column, or a step that underflows to
-            # zero, is taken again at unit scale. A null column at unit scale
-            # or above is flat: a smaller retry there would only sample
-            # rounding noise.
-            for h in (1e-6 * size, 1e-6):
-                if h == 0.0:
-                    continue
-                step = h if xj + h <= b else -h
-                xp = xv.copy()
-                xp[j] += step
-                jac[:, j] = (eval_residual(xp) - rv) / step
-                if size >= 1.0 or np.count_nonzero(jac[:, j]):
-                    break
-        return jac
+def _sumsq(r: np.ndarray) -> np.ndarray:
+    """Each row's ``r @ r``, by the dot product a single vector gets."""
+    return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
-    r = eval_residual(x)
-    cost = float(r @ r)
-    dof = max(r.size - npar, 1)
-    lam = _START_DAMPING
-    converged = False
-    message = "maximum iterations reached"
-    iterations = 0
 
-    for iterations in range(1, max_iterations + 1):
-        jac = jacobian(x, r)
-        grad = jac.T @ r
+def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each ``a[i]^-1 b[i]``; a row whose system is singular is NaN."""
+    try:
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for i, (ai, bi) in enumerate(zip(a, b)):
+            try:
+                out[i] = np.linalg.solve(ai, bi)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _jacobian(residual, x, r, rows, scale, hi, out) -> np.ndarray:
+    """Forward-difference Jacobians of the stack's ``rows`` at ``x`` with
+    residuals ``r``, into ``out`` of shape ``(m, n, k)``. The ``m * k``
+    probes go to ``residual`` in blocks of about ``_BLOCK`` residuals,
+    which keeps the temporaries of a wide stack small."""
+    size = np.maximum(np.abs(x), scale)
+    h = 1e-6 * size
+    # A step that underflows to zero is taken at unit scale.
+    lost = h == 0.0
+    if np.count_nonzero(lost):
+        h[lost] = 1e-6
+    _differences(residual, x, r, rows, h, hi, out)
+    # From a start within about 1e-10 of zero the step is lost against the
+    # residual, so a null column is taken again at unit scale. A null
+    # column at unit scale or above is flat: a smaller retry there would
+    # only sample rounding noise.
+    retry = size < 1.0
+    if np.count_nonzero(retry):
+        retry &= ~lost & ~out.any(axis=1)
+        if np.count_nonzero(retry):
+            again = retry.any(axis=1)
+            redo = np.empty(out[again].shape)
+            _differences(residual, x[again], r[again], rows[again], np.full(h[again].shape, 1e-6), hi, redo)
+            out[again] = np.where(retry[again][:, None, :], redo, out[again])
+    return out
+
+
+def _differences(residual, x, r, rows, h, hi, out) -> None:
+    """Forward differences into ``out``, ``(m, n, k)``, with steps ``h``
+    that flip direction where they would pass the upper bound."""
+    m, k = x.shape
+    step = np.where(x + h <= hi, h, -h)
+    probe = x.repeat(k, axis=0)
+    d = np.arange(k)
+    probe.reshape(m, k, k)[:, d, d] += step
+    block = max(1, _BLOCK // (k * r.shape[1]))
+    for a in range(0, m, block):
+        b = slice(a, a + block)
+        shifted = residual(probe[a * k : (a + block) * k], rows[b].repeat(k))
+        out[b] = ((shifted.reshape(-1, k, r.shape[1]) - r[b, None, :]) / step[b, :, None]).transpose(0, 2, 1)
+
+
+def _systems(jac: np.ndarray, grad: np.ndarray, pinned: np.ndarray, going: np.ndarray) -> list:
+    """``(rows, free, J^T J, -grad, D)`` over the free coordinates, for
+    each pattern of pinned coordinates among the ``going`` rows; ``D`` is
+    the diagonal matrix the damping scales. ``rows`` is a slice when one
+    pattern with every coordinate free covers the stack."""
+    npar = pinned.shape[1]
+    if np.count_nonzero(going) == going.size and not np.count_nonzero(pinned):
+        groups = [(slice(None), np.arange(npar), jac, grad)]
+    else:
+        groups = []
+        codes = pinned @ (1 << np.arange(npar))
+        for code in np.unique(codes[going]):
+            rows = np.flatnonzero(going & (codes == code))
+            free = np.flatnonzero(~pinned[rows[0]])
+            groups.append((rows, free, jac[rows][:, :, free], grad[rows][:, free]))
+    systems = []
+    for rows, free, jf, g in groups:
+        jtj = jf.transpose(0, 2, 1) @ jf
+        diag = np.maximum(jtj.diagonal(axis1=1, axis2=2), 1e-300)
+        systems.append((rows, free, jtj, -g, diag[:, :, None] * np.eye(free.size)))
+    return systems
+
+
+def _solve_stack(residual, x0, lo, hi, max_iterations, refit):
+    """:func:`least_squares` on a stack of problems in one run.
+
+    ``residual(theta, rows)`` maps parameter rows ``(m, k)`` of the
+    stack's problems ``rows`` to their residual rows; a row it refuses is
+    NaN, and a :class:`DegenerateInputError` refuses all of a call's rows.
+    ``x0`` holds one start per problem, inside the bounds ``lo`` and
+    ``hi``. Each problem keeps its own damping, pinned coordinates and
+    stop, with the arithmetic it gets when solved alone, and leaves the
+    stack when it stops. Returns ``[x, r, cost, iterations, stops]``, the
+    last indexing ``_STOPS``.
+    """
+    nrow, npar = x0.shape
+    ids = np.arange(nrow)
+    x, scale = x0.copy(), _fd_scale(x0.copy())
+    r = residual(x, ids)
+    cost = _sumsq(r)
+    dof = max(r.shape[1] - npar, 1)
+    lam = np.full(nrow, _START_DAMPING)
+    out = [x.copy(), r.copy(), cost.copy(), np.full(nrow, max_iterations), np.full(nrow, _CAP)]
+    jac_all = np.empty((nrow, r.shape[1], npar))
+    diagonal = np.arange(npar)
+
+    for it in range(1, max_iterations + 1):
+        m = ids.size
+        if not m:
+            break
+        jac = _jacobian(residual, x, r, ids, scale, hi, jac_all[:m])
+        grad = (jac.transpose(0, 2, 1) @ r[:, :, None])[:, :, 0]
         # A coordinate on its bound whose gradient points out of the box
         # is pinned: it takes no step, and the others are solved without
-        # it. The test runs on Python floats, which for a handful of
-        # coordinates costs a fraction of the numpy calls it replaces.
-        pinned = [
-            (xj <= a and gj > 0.0) or (xj >= b and gj < 0.0)
-            for xj, gj, a, b in zip(x.tolist(), grad.tolist(), lo_list, hi_list)
-        ]
-        if not any(pinned):
-            free = slice(None)
-            jtj, rhs = jac.T @ jac, -grad
-        elif all(pinned):
-            converged = True
-            message = "every coordinate pinned at a bound"
-            break
-        else:
-            free = ~np.array(pinned)
-            jac_free = jac[:, free]
-            jtj, rhs = jac_free.T @ jac_free, -grad[free]
-        if refit and cost > 0.0:
-            try:
-                distance = float(rhs @ np.linalg.solve(jtj, rhs))
-            except np.linalg.LinAlgError:
-                distance = math.inf
-            # J^T J is positive semidefinite: a negative distance is the
-            # rounding of a near-singular system, which skips the test too.
-            if 0.0 <= distance < _REFIT_TOL**2 * cost / dof:
-                converged = True
-                message = "step below 1e-3 standard errors"
-                break
-        diag = np.maximum(jtj.diagonal(), 1e-300)
-        delta = np.zeros(npar)
+        # it.
+        pinned = ((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0))
+        stop = np.zeros(m, dtype=int)
+        if np.count_nonzero(pinned):
+            stop[pinned.all(axis=1)] = _PINNED
+        finite = np.isfinite(grad)
+        if np.count_nonzero(finite) < finite.size:
+            stop[~finite.all(axis=1)] = _NOT_FINITE
+        systems = _systems(jac, grad, pinned, stop == 0)
+        if refit:
+            for rows, _, jtj, rhs, _ in systems:
+                distance = (rhs[:, None, :] @ _solve_rows(jtj, rhs)[:, :, None])[:, 0, 0]
+                # J^T J is positive semidefinite: a negative distance is the
+                # rounding of a near-singular system, which skips the test too.
+                c = cost[rows]
+                near = (c > 0.0) & (0.0 <= distance) & (distance < _REFIT_TOL**2 * c / dof)
+                if np.count_nonzero(near):
+                    stop[np.arange(m)[rows][near]] = _REFIT
 
-        accepted = False
-        while lam <= _MAX_DAMPING:
+        # Each row raises its damping until a step does not raise its cost;
+        # a live row's cost is finite, so a NaN cost is refused too.
+        searching = stop == 0
+        moved = np.zeros(m, dtype=bool)
+        x_new, r_new, cost_new = x, r, cost
+        while True:
+            searching &= lam <= _MAX_DAMPING
+            count = np.count_nonzero(searching)
+            if not count:
+                break
+            step = np.zeros(x.shape)
+            for rows, free, jtj, rhs, damping in systems:
+                damped = jtj + lam[rows, None, None] * damping
+                if free.size == npar:
+                    step[rows] = _solve_rows(damped, rhs)
+                else:
+                    step[rows[:, None], free] = _solve_rows(damped, rhs)
+            finite = np.isfinite(step)
+            if count == m and np.count_nonzero(finite) == finite.size:
+                t = slice(None)
+            else:
+                t = np.flatnonzero(searching & finite.all(axis=1))
+            x_try = np.minimum(np.maximum(x[t] + step[t], lo), hi)
             try:
-                damped = jtj.copy()
-                damped.flat[:: rhs.size + 1] += lam * diag
-                delta[free] = np.linalg.solve(damped, rhs)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            x_new = np.minimum(np.maximum(x + delta, lo), hi)
-            try:
-                r_new = eval_residual(x_new)
+                r_try = residual(x_try, ids[t]) if len(x_try) else r[:0]
             except DegenerateInputError:
-                lam *= 10.0
-                continue
-            cost_new = float(r_new @ r_new)
-            if math.isfinite(cost_new) and cost_new <= cost:
-                accepted = True
+                r_try = np.full((len(x_try), r.shape[1]), np.nan)
+            cost_try = _sumsq(r_try)
+            better = cost_try <= cost[t]
+            if isinstance(t, slice) and np.count_nonzero(better) == m:
+                x_new, r_new, cost_new = x_try, r_try, cost_try
+                moved[:] = True
                 break
-            lam *= 10.0
+            if x_new is x:
+                x_new, r_new, cost_new = x.copy(), r.copy(), cost.copy()
+            won = np.arange(m)[t][better]
+            x_new[won], r_new[won], cost_new[won] = x_try[better], r_try[better], cost_try[better]
+            moved[won] = True
+            searching[won] = False
+            lam[searching] *= 10.0
 
-        if not accepted:
-            converged = True
-            message = "no damping produced further improvement"
-            break
-
-        step_rel = float(np.max(np.abs(x_new - x) / np.maximum(np.abs(x_new), scale)))
-        cost_rel = (cost - cost_new) / max(cost, 1e-300)
+        step_rel = (np.abs(x_new - x) / np.maximum(np.abs(x_new), scale)).max(axis=1)
+        cost_rel = (cost - cost_new) / np.maximum(cost, 1e-300)
         x, r, cost = x_new, r_new, cost_new
-        lam = max(lam / 3.0, 1e-12)
-        if step_rel < _REL_TOL and cost_rel < _REL_TOL:
-            converged = True
-            message = "step and cost change below tolerance"
-            break
+        if np.count_nonzero(moved) == m:
+            lam = np.maximum(lam / 3.0, 1e-12)
+            converged = (step_rel < _REL_TOL) & (cost_rel < _REL_TOL)
+        else:
+            stop[(stop == 0) & ~moved] = _STUCK
+            lam = np.where(moved, np.maximum(lam / 3.0, 1e-12), lam)
+            converged = moved & (step_rel < _REL_TOL) & (cost_rel < _REL_TOL)
+        if np.count_nonzero(converged):
+            stop[converged] = _TOLERANCE
 
-    cov = None
-    if not refit:
-        jac = jacobian(x, r)
-        cov = np.linalg.pinv(jac.T @ jac) * (cost / dof)
-    return LeastSquaresResult(
-        x=x,
-        cost=cost,
-        cov=cov,
-        iterations=iterations,
-        converged=converged,
-        message=message,
-    )
+        if np.count_nonzero(stop):
+            done = stop > 0
+            for whole, part in zip(out, (x, r, cost, it, stop)):
+                whole[ids[done]] = part if np.ndim(part) == 0 else part[done]
+            ids, x, r, cost, lam, scale = (v[~done] for v in (ids, x, r, cost, lam, scale))
+    for whole, part in zip(out, (x, r, cost)):
+        whole[ids] = part
+    return out
 
 
 @dataclass(frozen=True)
 class FitStage:
     """One stage of the protocol: point values, uncertainties, optimizer
-    diagnostics. ``sigma`` is empty for a bootstrap refit, and
-    ``on_bound`` tells whether a coordinate ended exactly on its box edge."""
+    diagnostics. ``on_bound`` tells whether a coordinate ended exactly on
+    its box edge."""
 
     values: dict[str, float]
     sigma: dict[str, float]
@@ -381,10 +498,10 @@ def _propagated_sigma(func, theta: np.ndarray, cov: np.ndarray) -> float:
     return math.sqrt(max(var, 0.0))
 
 
-def _best_start(residual, starts, table, cfg: FitConfig, refit: bool) -> LeastSquaresResult:
+def _best_start(residual, starts, table, cfg: FitConfig) -> LeastSquaresResult:
     best, bounds = None, _bounds(table)
     for x0 in starts:
-        res = least_squares(residual, x0, bounds, max_iterations=cfg.max_iterations, refit=refit)
+        res = least_squares(residual, x0, bounds, max_iterations=cfg.max_iterations)
         if best is None or res.cost < best.cost:
             best = res
     if not best.converged:
@@ -428,38 +545,94 @@ def _stage(
 ) -> FitStage:
     """The stage's outcome. Sigmas are in value units: ``value * ln10 * sd``
     for a log coordinate, ``sd`` for a linear one, plus the delta-method
-    sigma of each ``propagated`` function of the coordinates; a refit,
-    which has no covariance, gets none."""
+    sigma of each ``propagated`` function of the coordinates."""
     lo, hi = _bounds(table)
     on_bound = bool(np.any((best.x == lo) | (best.x == hi)))
     sigma = {}
-    if best.cov is not None:
-        ln10 = math.log(10.0)
-        for pos, (name, log, _, _) in enumerate(table):
-            sd = math.sqrt(max(best.cov[pos, pos], 0.0))
-            sigma[name] = values[name] * ln10 * sd if log else sd
-        for name, func in propagated.items():
-            sigma[name] = _propagated_sigma(func, best.x, best.cov)
+    ln10 = math.log(10.0)
+    for pos, (name, log, _, _) in enumerate(table):
+        sd = math.sqrt(max(best.cov[pos, pos], 0.0))
+        sigma[name] = values[name] * ln10 * sd if log else sd
+    for name, func in propagated.items():
+        sigma[name] = _propagated_sigma(func, best.x, best.cov)
     return FitStage(
         values, sigma, best.cost, best.iterations, best.converged, best.message, n_points, on_bound
     )
 
 
-def _slow_rates(theta: np.ndarray) -> tuple[tuple[float, float], tuple[float, float]]:
+def _coords(theta: np.ndarray) -> list:
+    """A coordinate vector's entries as floats, or a stack's ``(m, k)``
+    columns as contiguous ``(m, 1)`` arrays."""
+    return theta.tolist() if theta.ndim == 1 else list(theta.T.copy()[:, :, None])
+
+
+def _pow10(v):
+    """``10.0 ** v`` by Python's float power, also for each entry of an
+    array: numpy's power differs from it in the last bit for about one
+    value in twenty, and a stack's rows are to equal a vector's."""
+    if isinstance(v, float):
+        return 10.0**v
+    return np.array([10.0**e for e in v.ravel().tolist()]).reshape(v.shape)
+
+
+def _slow_rates(theta: np.ndarray):
     # Stage coordinates inside their box always map to valid rates.
-    log_tl, log_td1, log_td2, p1 = theta.tolist()[:4]
-    return _switching_rates(10.0 ** log_tl, 10.0 ** log_td1, 10.0 ** log_td2, p1)
+    log_tl, log_td1, log_td2, p1 = _coords(theta)[:4]
+    return _switching_rates(_pow10(log_tl), _pow10(log_td1), _pow10(log_td2), p1)
 
 
 def _slow_stats(theta: np.ndarray) -> PeriodStatistics:
     return period_statistics(*_slow_rates(theta))
 
 
+def _slow_residual(tau: np.ndarray, w, y: np.ndarray, free_amp: bool):
+    """The slow stage's weighted residual ``residual(theta, rows=None)``:
+    of a coordinate vector against the curve ``y``, or of a stack's
+    coordinate rows against the curves ``y[rows]``."""
+
+    def model(theta: np.ndarray, rows) -> np.ndarray:
+        amp = _coords(theta)[4] if free_amp else 1.0
+        (ld1, ld2), (dl1, dl2) = _slow_rates(theta)
+        return amp * _blink_factor(tau, ld1, ld2, dl1, dl2)
+
+    return _stacked(model, w, y)
+
+
+def _stacked(model, w, y: np.ndarray):
+    """``w * (model(theta, rows) - y)`` for a vector, or for a stack's rows
+    against ``y[rows]``, a row the model refuses as NaN. The model takes a
+    stack's rows as columns, except in stacks of at most ``_NARROW`` rows,
+    where its float route is faster and gives the same bits."""
+
+    def residual(theta: np.ndarray, rows=None) -> np.ndarray:
+        if rows is None:
+            return w * (model(theta, None) - y)
+        if len(rows) > _NARROW:
+            return w * (model(theta, rows) - y[rows])
+        out = np.empty((len(rows), y.shape[-1]))
+        for j, (t, i) in enumerate(zip(theta, rows.tolist())):
+            try:
+                out[j] = w * (model(t, i) - y[i])
+            except DegenerateInputError:
+                out[j] = np.nan
+        return out
+
+    return residual
+
+
+def _resolved(tau: np.ndarray, y: np.ndarray, theta: np.ndarray, free_amp: bool, rows=None):
+    """Whether the slow fit at ``theta`` (per row, for a stack) shows
+    bunching above the noise of its residual in g units, which does not
+    depend on the weighting scheme."""
+    rms = np.sqrt(np.mean(_slow_residual(tau, 1.0, y, free_amp)(theta, rows) ** 2, axis=-1))
+    p_l = _relaxation(*(rate for pair in _slow_rates(theta) for rate in pair))[2]
+    return np.ravel(1.0 / p_l - 1.0) >= np.maximum(1e-4, 3.0 * rms / math.sqrt(tau.size))
+
+
 def fit_slow(
     series: CorrelationSeries,
     config: FitConfig | None = None,
     init: dict[str, float] | None = None,
-    refit: bool = False,
 ) -> FitStage:
     """Fit the bunching factor above the split delay.
 
@@ -472,23 +645,15 @@ def fit_slow(
     ``init`` replaces the four heuristic starts by one at its values. It
     must name ``T_L``, ``T_D1``, ``T_D2``, ``p1``, and ``amplitude`` under
     ``free_amplitude``, all finite and the periods positive, or
-    :class:`ValueError` names the key; other keys are ignored. ``refit``
-    marks a bootstrap refit (see :func:`least_squares`): the stage stops
-    within 1e-3 standard errors and carries no sigmas.
+    :class:`ValueError` names the key; other keys are ignored.
     """
     cfg = config or FitConfig()
     sub = series.restrict(tau_min=cfg.split_tau)
     if len(sub) < 8:
         raise InsufficientDataError("need at least 8 points above the split delay")
     tau, y = sub.tau, sub.g
-    w = _weights(sub)
     free_amp = cfg.free_amplitude
-
-    def residual(theta: np.ndarray) -> np.ndarray:
-        amp = theta[4] if free_amp else 1.0
-        (ld1, ld2), (dl1, dl2) = _slow_rates(theta)
-        return w * (amp * _blink_factor(tau, ld1, ld2, dl1, dl2) - y)
-
+    residual = _slow_residual(tau, _weights(sub), y, free_amp)
     table = _SLOW + _AMPLITUDE if free_amp else _SLOW
     if init is not None:
         starts = [_init_start(init, [(name, log) for name, log, _, _ in table])]
@@ -508,19 +673,14 @@ def fit_slow(
                 x0.append(1.0)
             starts.append(np.array(x0))
 
-    best = _best_start(residual, starts, table, cfg, refit)
-    stats = _slow_stats(best.x)
-
-    amp_fit = float(best.x[4]) if free_amp else 1.0
-    # Residual scale in g units, not in weighted units, so the
-    # resolvability threshold does not depend on the weighting scheme.
-    rms = float(np.sqrt(np.mean((amp_fit * blink_factor(tau, stats) - y) ** 2)))
-    bunching = 1.0 / stats.P_L - 1.0
-    if bunching < max(1e-4, 3.0 * rms / math.sqrt(len(sub))):
+    best = _best_start(residual, starts, table, cfg)
+    if not _resolved(tau, y, best.x, free_amp):
         raise DegenerateFitError(
             "no resolvable bunching above the split delay; the record looks "
             "like a non-blinking emitter"
         )
+    stats = _slow_stats(best.x)
+    amp_fit = float(best.x[4]) if free_amp else 1.0
 
     values = {
         "T_L": stats.T_L,
@@ -546,10 +706,28 @@ def fit_slow(
     if values["T_D1"] < values["T_D2"]:
         values["T_D1"], values["T_D2"] = values["T_D2"], values["T_D1"]
         values["p1"] = 1.0 - values["p1"]
-        if sigma:
-            for first, second in (("T_D1", "T_D2"), ("p_LD_1", "p_LD_2"), ("p_DL_1", "p_DL_2")):
-                sigma[first], sigma[second] = sigma[second], sigma[first]
+        for first, second in (("T_D1", "T_D2"), ("p_LD_1", "p_LD_2"), ("p_DL_1", "p_DL_2")):
+            sigma[first], sigma[second] = sigma[second], sigma[first]
     return stage
+
+
+def _fast_start(init: dict[str, float]) -> np.ndarray:
+    x0 = _init_start(init, (("A31", True), ("Omega31", True), ("I_sc", False)))
+    # The ratio coordinate follows from I_sc and the start's own rates.
+    x0[2] = x0[2] / light_intensity(10.0 ** x0[0], 10.0 ** x0[1])
+    return x0
+
+
+def _fast_residual(tau: np.ndarray, w: np.ndarray, envelope: np.ndarray, y: np.ndarray):
+    """The fast stage's weighted residual, as :func:`_slow_residual`'s: the
+    two-level shape over ``envelope``, or over ``envelope[rows]``."""
+
+    def model(theta: np.ndarray, rows) -> np.ndarray:
+        log_a, log_omega, ratio = _coords(theta)
+        env = envelope if rows is None else envelope[rows]
+        return env * (_g2(tau, _pow10(log_a), _pow10(log_omega)) + ratio) / (1.0 + ratio)
+
+    return _stacked(model, w, y)
 
 
 def fit_fast(
@@ -558,7 +736,6 @@ def fit_fast(
     config: FitConfig | None = None,
     init: dict[str, float] | None = None,
     slow_stats: PeriodStatistics | None = None,
-    refit: bool = False,
 ) -> FitStage:
     """Fit the two-level structure below the split delay.
 
@@ -570,8 +747,7 @@ def fit_fast(
     ``init`` replaces the four heuristic starts by one at its values. It
     must name ``A31`` and ``Omega31``, finite and positive, and a finite
     ``I_sc``, which sets the background ratio, or :class:`ValueError`
-    names the key; other keys are ignored. ``refit`` works as for
-    :func:`fit_slow`.
+    names the key; other keys are ignored.
     """
     cfg = config or FitConfig()
     if not (plateau >= 1.0 and math.isfinite(plateau)):
@@ -580,22 +756,13 @@ def fit_fast(
     if len(sub) < 6:
         raise InsufficientDataError("need at least 6 points below the split delay")
     tau, y = sub.tau, sub.g
-    w = _weights(sub)
     if slow_stats is None:
         envelope = np.full(tau.size, plateau)
     else:
         envelope = plateau * slow_stats.P_L * blink_factor(tau, slow_stats)
-
-    def residual(theta: np.ndarray) -> np.ndarray:
-        log_a, log_omega, ratio = theta.tolist()
-        model = _g2(tau, 10.0 ** log_a, 10.0 ** log_omega)
-        return w * (envelope * (model + ratio) / (1.0 + ratio) - y)
-
+    residual = _fast_residual(tau, _weights(sub), envelope, y)
     if init is not None:
-        x0 = _init_start(init, (("A31", True), ("Omega31", True), ("I_sc", False)))
-        # The ratio coordinate follows from I_sc and the start's own rates.
-        x0[2] = x0[2] / light_intensity(10.0 ** x0[0], 10.0 ** x0[1])
-        starts = [x0]
+        starts = [_fast_start(init)]
     else:
         v0 = min(max(float(y[0]) / plateau, 1e-4), 0.98)
         ratio0 = v0 / (1.0 - v0)
@@ -609,7 +776,7 @@ def fit_fast(
         ]
         starts.append(np.array([math.log10(3.0 * a0), math.log10(a0), ratio0]))
 
-    best = _best_start(residual, starts, _FAST, cfg, refit)
+    best = _best_start(residual, starts, _FAST, cfg)
     a31 = 10.0 ** best.x[0]
     omega31 = 10.0 ** best.x[1]
     ratio = float(best.x[2])
@@ -628,8 +795,8 @@ def fit_isc(slow: FitStage, fast: FitStage) -> FitStage:
     Runs no optimizer: ``A21_i = p_DL_i`` and ``A32_i = p_LD_i /
     saturation_factor(A31, Omega31)``, with the switching rates of the
     slow stage's statistics (longer dark period first) and their sigmas,
-    and the fast stage's ``A31`` and ``Omega31``. A bootstrap refit's
-    slow stage carries no sigmas, and then neither does this one.
+    and the fast stage's ``A31`` and ``Omega31``. A slow stage without
+    sigmas gives none.
     """
     v, s = slow.values, slow.sigma
     (ld1, ld2), (dl1, dl2) = rates_from_statistics(v["T_L"], (v["T_D1"], v["T_D2"]), v["p1"])
@@ -659,22 +826,81 @@ def _flatten(stages: dict[str, FitStage], attr: str) -> dict[str, float]:
 
 
 def _pipeline(
-    series: CorrelationSeries,
-    cfg: FitConfig,
-    init: dict[str, float] | None = None,
-    refit: bool = False,
+    series: CorrelationSeries, cfg: FitConfig
 ) -> tuple[dict[str, FitStage], dict[str, float], PeriodStatistics]:
-    slow = fit_slow(series, cfg, init=init, refit=refit)
+    slow = fit_slow(series, cfg)
     v = slow.values
     amp = v.get("amplitude", 1.0)
     stats = period_statistics(*rates_from_statistics(v["T_L"], (v["T_D1"], v["T_D2"]), v["p1"]))
-    fast = fit_fast(series, amp / v["P_L"], cfg, init=init, slow_stats=stats, refit=refit)
+    fast = fit_fast(series, amp / v["P_L"], cfg, slow_stats=stats)
     isc = fit_isc(slow, fast)
     stages = {"slow": slow, "fast": fast, "isc": isc}
     flat = _flatten(stages, "values")
     if cfg.free_amplitude:
         flat["amplitude"] = amp
     return stages, flat, stats
+
+
+def _bootstrap(series: CorrelationSeries, cfg: FitConfig, flat: dict[str, float], model: np.ndarray):
+    """Residual-bootstrap refits of the slow and fast stages from the main
+    fit's values ``flat``, each stage solved as one stack of refits with the
+    refit stop rule (see :func:`least_squares`). Returns the reported values
+    of the successful refits, one row each in ``STAGE_KEYS`` order, the
+    failed count and the count of successful refits whose slow stage ended
+    with a coordinate on its box edge.
+
+    A refit fails where its stage would raise on its own: either stage
+    unconverged, no resolvable bunching, or a slow stage whose amplitude
+    over ``P_L`` is no valid plateau."""
+    rng = np.random.Generator(np.random.Philox(key=[int(cfg.bootstrap_seed), 3]))
+    resid = series.g - model
+    npts, free_amp = len(series), cfg.free_amplitude
+    g = model + np.array([resid[rng.integers(0, npts, npts)] for _ in range(cfg.bootstrap_resamples)])
+    table = _SLOW + _AMPLITUDE if free_amp else _SLOW
+    lo, hi = _bounds(table)
+
+    sub = series.restrict(tau_min=cfg.split_tau)
+    y = g[:, (series.tau > cfg.split_tau)]
+    x0 = _init_start(flat, [(name, log) for name, log, _, _ in table])
+    x, _, _, _, stops = _solve_stack(
+        _slow_residual(sub.tau, _weights(sub), y, free_amp),
+        np.tile(x0, (len(g), 1)), lo, hi, cfg.max_iterations, True,
+    )
+    ok = np.flatnonzero(_CONVERGED[stops])
+    ok = ok[_resolved(sub.tau, y, x[ok], free_amp, ok)]
+    on_edge = np.any((x == lo) | (x == hi), axis=1)
+    # The refits' period statistics, longer dark period first, as fit_slow
+    # reports them, and the rates and plateau the fast stage takes from them.
+    (ld1, ld2), (dl1, dl2) = _slow_rates(x[ok])
+    plateau = (x[ok, 4:5] if free_amp else 1.0) / _relaxation(ld1, ld2, dl1, dl2)[2]
+    t_l, t_d1, t_d2, p1 = 1.0 / (ld1 + ld2), 1.0 / dl1, 1.0 / dl2, ld1 / (ld1 + ld2)
+    swap = t_d1 < t_d2
+    t_d1, t_d2, p1 = np.where(swap, t_d2, t_d1), np.where(swap, t_d1, t_d2), np.where(swap, 1.0 - p1, p1)
+    (ld1, ld2), (dl1, dl2) = _switching_rates(t_l, t_d1, t_d2, p1)
+    p_l = _relaxation(ld1, ld2, dl1, dl2)[2]
+    valid = ((plateau >= 1.0) & np.isfinite(plateau))[:, 0]
+
+    fast = series.restrict(tau_max=cfg.split_tau)
+    rows = ok[valid]
+    envelope = plateau[valid] * p_l[valid] * _blink_factor(
+        fast.tau, *(v[valid] for v in (ld1, ld2, dl1, dl2))
+    )
+    xf, _, _, _, stops = _solve_stack(
+        _fast_residual(fast.tau, _weights(fast), envelope, g[rows][:, (series.tau < cfg.split_tau)]),
+        np.tile(_fast_start(flat), (rows.size, 1)), *_bounds(_FAST), cfg.max_iterations, True,
+    )
+    done = _CONVERGED[stops]
+    draws = []
+    for i, (log_a, log_omega, ratio) in zip(np.flatnonzero(valid)[done], xf[done]):
+        # As fit_fast and fit_isc report them.
+        a31, omega31 = 10.0**log_a, 10.0**log_omega
+        sat = saturation_factor(a31, omega31)
+        draws.append([
+            a31, omega31, float(ratio) * light_intensity(a31, omega31),
+            ld1[i, 0] / sat, ld2[i, 0] / sat, dl1[i, 0], dl2[i, 0],
+            t_l[i, 0], t_d1[i, 0], t_d2[i, 0], p1[i, 0],
+        ])
+    return np.array(draws), len(g) - len(draws), int(np.count_nonzero(on_edge[rows[done]]))
 
 
 def fit_full(
@@ -705,40 +931,16 @@ def fit_full(
 
     if cfg.bootstrap_resamples > 0:
         model = flat.get("amplitude", 1.0) * g_total(series.tau, params)
-        resid = series.g - model
-        rng = np.random.Generator(
-            np.random.Philox(key=[int(cfg.bootstrap_seed), 3])
-        )
-        inner = replace(cfg, bootstrap_resamples=0)
-        samples: dict[str, list[float]] = {
-            key: [] for keys in STAGE_KEYS.values() for key in keys
-        }
-        failures = on_bound = 0
-        npts = len(series)
-        for _ in range(cfg.bootstrap_resamples):
-            draw = resid[rng.integers(0, npts, npts)]
-            try:
-                resampled = CorrelationSeries(
-                    series.tau, model + draw, series.sigma
-                )
-                stages_b, flat_b, _ = _pipeline(resampled, inner, init=flat, refit=True)
-            except (FitConvergenceError, DegenerateFitError, ValueError):
-                failures += 1
-                continue
-            on_bound += stages_b["slow"].on_bound
-            for key, draws in samples.items():
-                draws.append(flat_b[key])
-        n_ok = cfg.bootstrap_resamples - failures
-        diagnostics["bootstrap_resamples"] = float(n_ok)
+        draws, failures, on_bound = _bootstrap(series, cfg, flat, model)
+        diagnostics["bootstrap_resamples"] = float(len(draws))
         diagnostics["bootstrap_failures"] = float(failures)
         diagnostics["bootstrap_on_bound"] = float(on_bound)
-        if n_ok >= 2:
-            for key, draws in samples.items():
-                sigma[key] = float(np.std(draws, ddof=1))
-        else:
+        if len(draws) < 2:
             raise FitConvergenceError(
                 "bootstrap produced fewer than two successful refits"
             )
+        keys = [key for keys in STAGE_KEYS.values() for key in keys]
+        sigma.update((key, float(np.std(column, ddof=1))) for key, column in zip(keys, draws.T.copy()))
 
     return FitResult(
         params=params,

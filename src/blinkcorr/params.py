@@ -231,7 +231,8 @@ def _relaxation(
     ld1: float, ld2: float, dl1: float, dl2: float
 ) -> tuple[float, float, float]:
     """``(mu1, mu2, P_L)`` of four switching rates, unchecked: the caller
-    guarantees finite rates, ``ld_i >= 0`` and ``dl_i > 0``."""
+    guarantees finite rates, ``ld_i >= 0`` and ``dl_i > 0``. The rates are
+    floats, or numpy arrays of equal shape holding one rate set each."""
     # Characteristic polynomial of the reduced two-by-two block:
     # mu^2 + s*mu + q with both roots real and non-positive. The smaller
     # root comes from the stable quadratic branch, the other from the
@@ -239,7 +240,8 @@ def _relaxation(
     s = dl1 + ld1 + ld2 + dl2
     d = dl1 + ld1 - ld2 - dl2
     disc = d * d + 4.0 * ld1 * ld2
-    root = math.sqrt(disc)
+    # numpy takes an array's power 0.5 as its correctly rounded square root.
+    root = math.sqrt(disc) if isinstance(disc, float) else disc**0.5
     q = ld1 * dl2 + dl1 * ld2 + dl1 * dl2
     mu2 = -0.5 * (s + root)
     return q / mu2, mu2, dl1 * dl2 / q

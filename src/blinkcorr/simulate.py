@@ -468,7 +468,9 @@ def estimate_g(
 
 
 def _lattice_width(delay: float) -> float:
-    return 10.0 ** math.floor(math.log10(delay)) / 20.0
+    # Below about 1e-322 the twentieth of the decade rounds to zero; the
+    # smallest positive float stands in, and its lattice costs inf.
+    return max(10.0 ** math.floor(math.log10(delay)) / 20.0, 5e-324)
 
 
 def _exact_bins(n: int, t_total: float, edges: np.ndarray) -> int:

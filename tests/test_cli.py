@@ -114,6 +114,24 @@ def test_eval_rejects_bad_grid(tmp_path, params_file):
     assert main(["eval", "--params", params_file, "--grid", "1e-9:1e-3:0", "--out", out]) == 2
 
 
+@pytest.mark.parametrize("command", ["eval", "estimate-g"])
+def test_grid_whose_span_overflows_is_an_input_error(tmp_path, capsys, params_file, command):
+    # 1 / 5e-324 overflows float64; the grid used to end in a bare
+    # OverflowError traceback.
+    out = str(tmp_path / "x.csv")
+    if command == "eval":
+        source = ["--params", params_file]
+    else:
+        traj_path = str(tmp_path / "traj.txt")
+        write_trajectory(Trajectory(times=np.array([0.1, 0.2, 0.3]), duration=1.0), traj_path)
+        source = ["--traj", traj_path]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, *source, "--grid", "5e-324:1:1", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: grid bounds MAX / MIN must not overflow")
+    assert not os.path.exists(out)
+
+
 def test_eval_missing_params_file(tmp_path):
     out = str(tmp_path / "x.csv")
     assert main(["eval", "--params", str(tmp_path / "nope.txt"), "--out", out]) == 2

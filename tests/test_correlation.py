@@ -272,6 +272,11 @@ def test_log_grid_shape():
     assert np.max(ratios) / np.min(ratios) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_log_grid_span_out_of_float64_range():
+    with pytest.raises(DegenerateInputError, match="too many decades"):
+        log_grid(5e-324, 1.0, 1)
+
+
 def test_eval_curve_default_grid(reference_params):
     series = eval_curve(reference_params)
     assert len(series) == 601

@@ -280,6 +280,71 @@ def test_refit_stops_near_rosenbrock_optimum(offsets, eighths):
     assert _mahalanobis(refit.x, full.x, full.cov) < 1e-3
 
 
+@st.composite
+def stacked_linear_problems(draw):
+    """Problems of the kind above sharing one shape and one box, with any
+    conditioning: a stack of them, and the box."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(n, 8))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    lo = np.array(draw(st.lists(st.integers(-16, 8), min_size=n, max_size=n))) / 8.0
+    width = np.array(draw(st.lists(st.integers(1, 24), min_size=n, max_size=n))) / 8.0
+    rows = []
+    for _ in range(draw(st.integers(2, 6))):
+        a = draw(arrays(float, (m, n), elements=unit))
+        b = 2.0 * draw(arrays(float, m, elements=unit))
+        frac = np.array(draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))) / 8.0
+        rows.append((a, b, lo + frac * width))
+    return rows, lo, lo + width
+
+
+@given(stacked_linear_problems(), st.booleans())
+def test_stacked_rows_match_the_same_problem_alone(stack, refit):
+    # A row's damping, pinned coordinates and stop are its own: solved in
+    # a stack, each problem ends where least_squares leaves it alone, in
+    # float hex, with the same outcome.
+    rows, lo, hi = stack
+    x0 = np.array([start for _, _, start in rows])
+
+    def residual(theta, which):
+        return np.array([rows[i][0] @ t - rows[i][1] for t, i in zip(theta, which.tolist())])
+
+    x, _, cost, iterations, stops = fitting._solve_stack(residual, x0, lo, hi, 200, refit)
+    for (a, b, start), xi, ci, it, stop in zip(rows, x, cost, iterations, stops):
+        alone = least_squares(lambda v: a @ v - b, start, bounds=(lo, hi), refit=refit)
+        assert list(map(float.hex, xi.tolist())) == list(map(float.hex, alone.x.tolist()))
+        assert (float(ci), int(it)) == (alone.cost, alone.iterations)
+        assert fitting._STOPS[stop] == (alone.message, alone.converged)
+
+
+@pytest.mark.parametrize("free_amp", [False, True])
+def test_stacked_kernels_at_the_corners_of_their_boxes(free_amp):
+    # Every corner of the slow and the fast box, as one stack of columns
+    # and as narrow stacks of float rows: each residual row is finite or
+    # refused as NaN, the same on both routes, and nothing warns.
+    tau = np.geomspace(1e-10, 1.0, 300)
+    slow_tau, fast_tau = tau[tau > 1e-7], tau[tau < 1e-7]
+    slow_table = fitting._SLOW + fitting._AMPLITUDE if free_amp else fitting._SLOW
+    for table, residual in (
+        (slow_table, fitting._slow_residual(slow_tau, 1.0, np.ones((64, slow_tau.size)), free_amp)),
+        (fitting._FAST, fitting._fast_residual(fast_tau, 1.0, np.full((64, fast_tau.size), 1.3), np.ones((64, fast_tau.size)))),
+    ):
+        corners = np.array(np.meshgrid(*[(lo, hi) for *_, lo, hi in table], indexing="ij")).reshape(len(table), -1).T
+        rows = np.arange(len(corners))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wide = residual(corners, rows)
+            narrow = np.concatenate([residual(corners[i : i + 2], rows[i : i + 2]) for i in range(0, len(rows), 2)])
+        finite = np.isfinite(wide).all(axis=1)
+        assert np.all(finite | np.isnan(wide).all(axis=1))
+        assert np.array_equal(wide, narrow, equal_nan=True)
+        # Only the coincident dark periods on their floor under the
+        # longest light period are refused: the propagator's rows there
+        # miss unit sum.
+        refused = corners[~finite]
+        assert np.all(refused[:, :3] == [5.0, -8.0, -8.0])
+
+
 def test_least_squares_validation():
     with pytest.raises(ValueError):
         least_squares(lambda x: x, np.empty(0))
@@ -795,17 +860,49 @@ def test_guessing_every_coordinate_leaves_one_start(reference_params, monkeypatc
     assert calls[0][0][4] == 1.25
 
 
+def record_stacks(monkeypatch):
+    """Start rows and refit flag of every stack the solver runs, and the
+    rows' outcomes: (converged, on a box edge, message) per row."""
+    stacks = []
+    solve_stack = fitting._solve_stack
+
+    def recording(residual, x0, lo, hi, max_iterations, refit):
+        out = solve_stack(residual, x0, lo, hi, max_iterations, refit)
+        x, stops = out[0], out[4]
+        ends = [
+            (fitting._STOPS[stop][1], bool(np.any((row == lo) | (row == hi))), fitting._STOPS[stop][0])
+            for row, stop in zip(x, stops)
+        ]
+        stacks.append((x0.copy(), refit, ends))
+        return out
+
+    monkeypatch.setattr(fitting, "_solve_stack", recording)
+    return stacks
+
+
 def test_bootstrap_refits_only_the_slow_and_fast_stages(reference_params, monkeypatch):
-    # Each refit starts both stages from the original fit's values, one start
-    # each, and derives the isc block without an optimizer.
+    # The main fit solves each start as a stack of one without the refit
+    # rule. The bootstrap then solves the slow and the fast stage once
+    # each, as a stack of one row per refit: every row starts from the
+    # original fit's values and stops within 1e-3 standard errors; the
+    # isc block is derived without an optimizer.
     data = criterion7_curve(reference_params, seed=0)
     calls = record_starts(monkeypatch)
+    stacks = record_stacks(monkeypatch)
     res = fit_full(data, FitConfig(bootstrap_resamples=3))
     assert res.diagnostics["bootstrap_failures"] == 0
-    assert [x0.size for x0, *_ in calls] == [4] * 4 + [3] * 4 + [4, 3] * 3
-    # The main fit's eight calls keep the step and cost test alone and its
-    # sigmas; every refit call also stops within 1e-3 standard errors.
-    assert [refit for *_, refit in calls] == [False] * 8 + [True] * 6
+    assert [x0.size for x0, *_ in calls] == [4] * 4 + [3] * 4
+    assert [refit for *_, refit in calls] == [False] * 8
+    assert [(x0.shape, refit) for x0, refit, _ in stacks] == (
+        [((1, 4), False)] * 4 + [((1, 3), False)] * 4 + [((3, 4), True), ((3, 3), True)]
+    )
+    slow, fast = res.stages["slow"].values, res.stages["fast"].values
+    log10 = math.log10
+    start = [log10(slow["T_L"]), log10(slow["T_D1"]), log10(slow["T_D2"]), slow["p1"]]
+    assert stacks[8][0].tolist() == [start] * 3
+    x0 = stacks[9][0]
+    assert x0[:, :2].tolist() == [[log10(fast["A31"]), log10(fast["Omega31"])]] * 3
+    assert np.all(x0[:, 2] == fast["I_sc"] / light_intensity(10.0 ** x0[0, 0], 10.0 ** x0[0, 1]))
     assert all(stage.sigma for stage in res.stages.values())
 
 
@@ -828,23 +925,16 @@ def test_bootstrap_leaves_the_main_fit_alone(reference_params, seed):
 
 def test_bootstrap_counts_refits_on_a_bound(reference_params, monkeypatch):
     # On criterion 7's seed 13 some refits' slow stage ends with T_D2 on
-    # its 1e-8 s floor. Each refit runs one slow-stage call; the one
-    # failed refit stops at the iteration cap in that call.
+    # its 1e-8 s floor. The slow stage runs one stack of a row per refit;
+    # the one failed refit stops at the iteration cap in that stack.
     data = criterion7_curve(reference_params, seed=13)
-    ends = []
-    original = fitting.least_squares
-
-    def recording(residual, x0, bounds=None, **kwargs):
-        res = original(residual, x0, bounds, **kwargs)
-        if kwargs.get("refit") and len(x0) == 4:
-            ends.append((res.converged, bool(np.any((res.x == bounds[0]) | (res.x == bounds[1])))))
-        return res
-
-    monkeypatch.setattr(fitting, "least_squares", recording)
+    stacks = record_stacks(monkeypatch)
     res = fit_full(data, FitConfig(bootstrap_resamples=50))
+    ends = [end for x0, refit, rows in stacks if refit and x0.shape[1] == 4 for end in rows]
     assert len(ends) == 50
-    assert res.diagnostics["bootstrap_failures"] == sum(not ok for ok, _ in ends) == 1
-    on_bound = sum(ok and edge for ok, edge in ends)
+    assert res.diagnostics["bootstrap_failures"] == sum(not ok for ok, *_ in ends) == 1
+    assert [message for ok, _, message in ends if not ok] == ["maximum iterations reached"]
+    on_bound = sum(ok and edge for ok, edge, _ in ends)
     assert res.diagnostics["bootstrap_on_bound"] == on_bound > 0
 
 

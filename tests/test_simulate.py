@@ -25,7 +25,7 @@ from blinkcorr import (
     statistics_from_params,
     write_trajectory,
 )
-from blinkcorr.errors import InsufficientDataError
+from blinkcorr.errors import DegenerateInputError, InsufficientDataError
 from blinkcorr.simulate import _EmissionSampler
 
 
@@ -343,6 +343,16 @@ def test_estimate_g_validation():
     tiny = Trajectory(times=np.array([0.5]), duration=1.0)
     with pytest.raises(InsufficientDataError):
         estimate_g(tiny, log_grid(1e-3, 1e-1, 5))
+
+
+def test_estimate_g_edge_below_the_smallest_lattice_width():
+    # The lattice width of a 5e-324 s edge rounds to zero; it used to leak
+    # "divide by zero" from pricing that lattice. The bin's centre is no
+    # longer positive, so the record gives the typed error.
+    assert simulate._lattice_width(5e-324) > 0.0
+    traj = Trajectory(times=np.array([0.1, 0.2, 0.3]), duration=1.0)
+    with pytest.raises(DegenerateInputError, match="out of float64 range"):
+        estimate_g(traj, np.array([5e-324, 1e-3, 1e-2]))
 
 
 def test_estimate_g_drops_long_bins():
