@@ -356,7 +356,6 @@ def _solve_stack(residual, x0, lo, hi, max_iterations, refit):
     lam = np.full(nrow, _START_DAMPING)
     out = [x.copy(), r.copy(), cost.copy(), np.full(nrow, max_iterations), np.full(nrow, _CAP)]
     jac_all = np.empty((nrow, r.shape[1], npar))
-    diagonal = np.arange(npar)
 
     for it in range(1, max_iterations + 1):
         m = ids.size
