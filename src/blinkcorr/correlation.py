@@ -222,7 +222,15 @@ def _closed_factor(tau, ld1, ld2, dl1, dl2, mu1, mu2) -> np.ndarray:
     )
     c_plus = 0.5 * alpha + 0.25 * beta / gamma
     c_minus = 0.5 * alpha - 0.25 * beta / gamma
-    return 1.0 + c_plus * np.exp(mu1 * tau) + c_minus * np.exp(mu2 * tau)
+    # 1 + c_plus e^(mu1 tau) + c_minus e^(mu2 tau), summed in that order, in
+    # place: a wide stack's temporaries outgrow the cache.
+    out = np.exp(mu1 * tau)
+    out *= c_plus
+    out += 1.0
+    slow = np.exp(mu2 * tau)
+    slow *= c_minus
+    out += slow
+    return out
 
 
 def g_total(tau, params: PhotoPhysicalParams) -> np.ndarray:

@@ -100,9 +100,7 @@ _START_DAMPING = 1e-3
 _MAX_DAMPING = 1e12
 _REL_TOL = 1e-10
 _REFIT_TOL = 1e-3
-# Residuals per model call when a stack's Jacobian probes are evaluated,
-# and the widest stack whose rows a stage's model takes one at a time.
-_BLOCK = 2**14
+# The widest stack whose rows a stage's model takes one at a time.
 _NARROW = 4
 
 
@@ -228,16 +226,17 @@ def least_squares(
     x = np.minimum(np.maximum(x, lo), hi)[None, :]
 
     def stacked(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        out = [np.asarray(residual(t.copy()), dtype=float) for t in theta]
-        if any(r.ndim != 1 for r in out):
+        out = [residual(t.copy()) for t in theta]
+        out = np.asarray(out[0], dtype=float)[None] if len(out) == 1 else np.array(out, dtype=float)
+        if out.ndim != 2:
             raise ValueError("residual must return a vector")
-        return np.array(out)
+        return out
 
     scale = _fd_scale(x)
     x, r, cost, iterations, stops = _solve_stack(stacked, x, lo, hi, max_iterations, refit)
     cov = None
     if not refit:
-        jac = _jacobian(stacked, x, r, np.zeros(1, dtype=int), scale, hi, np.empty((1, r.shape[1], npar)))[0]
+        jac = _jacobian(stacked, x, r, np.zeros(1, dtype=int), scale, hi)[0]
         cov = np.linalg.pinv(jac.T @ jac) * (cost[0] / max(r.shape[1] - npar, 1))
     message, converged = _STOPS[stops[0]]
     return LeastSquaresResult(x[0], float(cost[0]), cov, int(iterations[0]), converged, message)
@@ -251,88 +250,73 @@ def _fd_scale(x: np.ndarray) -> np.ndarray:
     return scale
 
 
-def _sumsq(r: np.ndarray) -> np.ndarray:
+def _sumsq(r: np.ndarray) -> list:
     """Each row's ``r @ r``, by the dot product a single vector gets."""
-    return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+    return (r[:, None, :] @ r[:, :, None]).ravel().tolist()
 
 
-def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Each ``a[i]^-1 b[i]``; a row whose system is singular is NaN."""
+def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list]:
+    """Each ``a[i]^-1 b[i]``, and the rows whose system is singular, whose
+    solutions are NaN."""
     try:
-        return np.linalg.solve(a, b[:, :, None])[:, :, 0]
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0], []
     except np.linalg.LinAlgError:
-        out = np.full(b.shape, np.nan)
+        out, singular = np.full(b.shape, np.nan), []
         for i, (ai, bi) in enumerate(zip(a, b)):
             try:
                 out[i] = np.linalg.solve(ai, bi)
             except np.linalg.LinAlgError:
-                pass
-        return out
+                singular.append(i)
+        return out, singular
 
 
-def _jacobian(residual, x, r, rows, scale, hi, out) -> np.ndarray:
-    """Forward-difference Jacobians of the stack's ``rows`` at ``x`` with
-    residuals ``r``, into ``out`` of shape ``(m, n, k)``. The ``m * k``
-    probes go to ``residual`` in blocks of about ``_BLOCK`` residuals,
-    which keeps the temporaries of a wide stack small."""
+def _jacobian(residual, x, r, rows, scale, hi) -> np.ndarray:
+    """Forward-difference Jacobians ``(m, n, k)`` of the stack's ``rows``
+    at ``x`` with residuals ``r``. Steps flip direction where they would
+    pass the upper bound; all ``m * k`` probes go to ``residual`` in one
+    call."""
+    m, k = x.shape
     size = np.maximum(np.abs(x), scale)
     h = 1e-6 * size
     # A step that underflows to zero is taken at unit scale.
-    lost = h == 0.0
-    if np.count_nonzero(lost):
-        h[lost] = 1e-6
-    _differences(residual, x, r, rows, h, hi, out)
+    if np.count_nonzero(h) < h.size:
+        h[h == 0.0] = 1e-6
+    step = np.where(x + h <= hi, h, -h)
+    probe = x.repeat(k, axis=0)
+    probe.reshape(m, k * k)[:, :: k + 1] += step
+    diff = residual(probe, rows.repeat(k)).reshape(m, k, -1)
+    diff -= r[:, None, :]
+    diff /= step[:, :, None]
+    jac = np.ascontiguousarray(diff.transpose(0, 2, 1))
     # From a start within about 1e-10 of zero the step is lost against the
     # residual, so a null column is taken again at unit scale. A null
     # column at unit scale or above is flat: a smaller retry there would
     # only sample rounding noise.
     retry = size < 1.0
     if np.count_nonzero(retry):
-        retry &= ~lost & ~out.any(axis=1)
+        retry[retry] = ~np.logical_or.reduce(jac.transpose(0, 2, 1)[retry], axis=1)
         if np.count_nonzero(retry):
             again = retry.any(axis=1)
-            redo = np.empty(out[again].shape)
-            _differences(residual, x[again], r[again], rows[again], np.full(h[again].shape, 1e-6), hi, redo)
-            out[again] = np.where(retry[again][:, None, :], redo, out[again])
-    return out
+            redo = _jacobian(residual, x[again], r[again], rows[again], np.ones((np.count_nonzero(again), k)), hi)
+            jac[again] = np.where(retry[again][:, None, :], redo, jac[again])
+    return jac
 
 
-def _differences(residual, x, r, rows, h, hi, out) -> None:
-    """Forward differences into ``out``, ``(m, n, k)``, with steps ``h``
-    that flip direction where they would pass the upper bound."""
-    m, k = x.shape
-    step = np.where(x + h <= hi, h, -h)
-    probe = x.repeat(k, axis=0)
-    d = np.arange(k)
-    probe.reshape(m, k, k)[:, d, d] += step
-    block = max(1, _BLOCK // (k * r.shape[1]))
-    for a in range(0, m, block):
-        b = slice(a, a + block)
-        shifted = residual(probe[a * k : (a + block) * k], rows[b].repeat(k))
-        out[b] = ((shifted.reshape(-1, k, r.shape[1]) - r[b, None, :]) / step[b, :, None]).transpose(0, 2, 1)
-
-
-def _systems(jac: np.ndarray, grad: np.ndarray, pinned: np.ndarray, going: np.ndarray) -> list:
-    """``(rows, free, J^T J, -grad, D)`` over the free coordinates, for
-    each pattern of pinned coordinates among the ``going`` rows; ``D`` is
-    the diagonal matrix the damping scales. ``rows`` is a slice when one
-    pattern with every coordinate free covers the stack."""
-    npar = pinned.shape[1]
-    if np.count_nonzero(going) == going.size and not np.count_nonzero(pinned):
-        groups = [(slice(None), np.arange(npar), jac, grad)]
-    else:
-        groups = []
-        codes = pinned @ (1 << np.arange(npar))
-        for code in np.unique(codes[going]):
-            rows = np.flatnonzero(going & (codes == code))
-            free = np.flatnonzero(~pinned[rows[0]])
-            groups.append((rows, free, jac[rows][:, :, free], grad[rows][:, free]))
-    systems = []
-    for rows, free, jf, g in groups:
-        jtj = jf.transpose(0, 2, 1) @ jf
-        diag = np.maximum(jtj.diagonal(axis1=1, axis2=2), 1e-300)
-        systems.append((rows, free, jtj, -g, diag[:, :, None] * np.eye(free.size)))
-    return systems
+def _system(jac: np.ndarray, grad: np.ndarray, rows: list, pins: tuple, eye: np.ndarray) -> tuple:
+    """``(rows, free, J^T J, -grad, D)`` of the stack's ``rows`` that share
+    the pinned coordinates ``pins``, over the free coordinates; ``D`` is
+    the diagonal matrix the damping scales. ``free`` is None when the
+    system covers every row of the stack and every coordinate; ``eye`` is
+    the identity of the full system."""
+    free = None
+    if len(rows) < len(jac) or any(pins):
+        free = np.flatnonzero(np.logical_not(pins))
+        jac, grad = jac[rows][:, :, free], grad[rows][:, free]
+    jtj = jac.transpose(0, 2, 1) @ jac
+    diag = np.maximum(jtj.diagonal(axis1=1, axis2=2), 1e-300)
+    if free is not None:
+        eye = eye[np.ix_(free, free)]
+    return rows, free, jtj, -grad, diag[:, :, None] * eye
 
 
 def _solve_stack(residual, x0, lo, hi, max_iterations, refit):
@@ -344,107 +328,122 @@ def _solve_stack(residual, x0, lo, hi, max_iterations, refit):
     ``x0`` holds one start per problem, inside the bounds ``lo`` and
     ``hi``. Each problem keeps its own damping, pinned coordinates and
     stop, with the arithmetic it gets when solved alone, and leaves the
-    stack when it stops. Returns ``[x, r, cost, iterations, stops]``, the
-    last indexing ``_STOPS``.
+    stack when it stops. The Jacobian probes, normal equations, damped
+    solves and trial residuals of the stack are one numpy call each; each
+    row's control runs on Python floats, which for a handful of
+    coordinates costs less than numpy calls on tiny arrays. Returns ``[x,
+    r, cost, iterations, stops]``, the last indexing ``_STOPS``.
     """
     nrow, npar = x0.shape
+    box = list(zip(lo.tolist(), hi.tolist()))
     ids = np.arange(nrow)
     x, scale = x0.copy(), _fd_scale(x0.copy())
     r = residual(x, ids)
     cost = _sumsq(r)
     dof = max(r.shape[1] - npar, 1)
-    lam = np.full(nrow, _START_DAMPING)
-    out = [x.copy(), r.copy(), cost.copy(), np.full(nrow, max_iterations), np.full(nrow, _CAP)]
-    jac_all = np.empty((nrow, r.shape[1], npar))
+    lam = [_START_DAMPING] * nrow
+    eye = np.eye(npar)
+    out = [np.empty_like(x), np.empty_like(r), np.empty(nrow), np.full(nrow, max_iterations), np.full(nrow, _CAP)]
 
     for it in range(1, max_iterations + 1):
         m = ids.size
         if not m:
             break
-        jac = _jacobian(residual, x, r, ids, scale, hi, jac_all[:m])
+        jac = _jacobian(residual, x, r, ids, scale, hi)
         grad = (jac.transpose(0, 2, 1) @ r[:, :, None])[:, :, 0]
         # A coordinate on its bound whose gradient points out of the box
         # is pinned: it takes no step, and the others are solved without
-        # it.
-        pinned = ((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0))
-        stop = np.zeros(m, dtype=int)
-        if np.count_nonzero(pinned):
-            stop[pinned.all(axis=1)] = _PINNED
-        finite = np.isfinite(grad)
-        if np.count_nonzero(finite) < finite.size:
-            stop[~finite.all(axis=1)] = _NOT_FINITE
-        systems = _systems(jac, grad, pinned, stop == 0)
+        # it. Rows that share their pinned coordinates share a system.
+        stop = [0] * m
+        patterns: dict[tuple, list] = {}
+        for i, (xi, gi) in enumerate(zip(x.tolist(), grad.tolist())):
+            pins = tuple((v <= a and g > 0.0) or (v >= b and g < 0.0) for v, g, (a, b) in zip(xi, gi, box))
+            if not all(map(math.isfinite, gi)):
+                stop[i] = _NOT_FINITE
+            elif all(pins):
+                stop[i] = _PINNED
+            else:
+                patterns.setdefault(pins, []).append(i)
+        systems = [_system(jac, grad, rows, pins, eye) for pins, rows in patterns.items()]
         if refit:
             for rows, _, jtj, rhs, _ in systems:
-                distance = (rhs[:, None, :] @ _solve_rows(jtj, rhs)[:, :, None])[:, 0, 0]
-                # J^T J is positive semidefinite: a negative distance is the
-                # rounding of a near-singular system, which skips the test too.
-                c = cost[rows]
-                near = (c > 0.0) & (0.0 <= distance) & (distance < _REFIT_TOL**2 * c / dof)
-                if np.count_nonzero(near):
-                    stop[np.arange(m)[rows][near]] = _REFIT
+                distance = (rhs[:, None, :] @ _solve_rows(jtj, rhs)[0][:, :, None])[:, 0, 0]
+                for i, d in zip(rows, distance.tolist()):
+                    # J^T J is positive semidefinite: a negative distance is
+                    # the rounding of a near-singular system, which skips
+                    # the test too.
+                    if cost[i] > 0.0 and 0.0 <= d < _REFIT_TOL**2 * cost[i] / dof:
+                        stop[i] = _REFIT
 
         # Each row raises its damping until a step does not raise its cost;
         # a live row's cost is finite, so a NaN cost is refused too.
-        searching = stop == 0
-        moved = np.zeros(m, dtype=bool)
+        searching = [i for i in range(m) if not stop[i]]
+        moved = [False] * m
         x_new, r_new, cost_new = x, r, cost
-        while True:
-            searching &= lam <= _MAX_DAMPING
-            count = np.count_nonzero(searching)
-            if not count:
-                break
-            step = np.zeros(x.shape)
-            for rows, free, jtj, rhs, damping in systems:
-                damped = jtj + lam[rows, None, None] * damping
-                if free.size == npar:
-                    step[rows] = _solve_rows(damped, rhs)
-                else:
-                    step[rows[:, None], free] = _solve_rows(damped, rhs)
-            finite = np.isfinite(step)
-            if count == m and np.count_nonzero(finite) == finite.size:
-                t = slice(None)
+        while searching:
+            damping = np.array(lam)[:, None, None]
+            if systems[0][1] is None:
+                _, _, jtj, rhs, diag = systems[0]
+                step, singular = _solve_rows(jtj + damping * diag, rhs)
             else:
-                t = np.flatnonzero(searching & finite.all(axis=1))
-            x_try = np.minimum(np.maximum(x[t] + step[t], lo), hi)
+                step, singular = np.zeros(x.shape), []
+                for rows, free, jtj, rhs, diag in systems:
+                    step[np.ix_(rows, free)], lost = _solve_rows(jtj + damping[rows] * diag, rhs)
+                    singular += [rows[j] for j in lost]
+            # A row whose system is singular tries no point.
+            if len(searching) == m and not singular:
+                trial, x_try, rows = searching, x + step, ids
+            else:
+                trial = [i for i in searching if i not in singular]
+                x_try, rows = x[trial] + step[trial], ids[trial]
+            x_try = np.minimum(np.maximum(x_try, lo), hi)
             try:
-                r_try = residual(x_try, ids[t]) if len(x_try) else r[:0]
+                r_try = residual(x_try, rows) if trial else r[:0]
             except DegenerateInputError:
-                r_try = np.full((len(x_try), r.shape[1]), np.nan)
+                r_try = np.full((len(trial), r.shape[1]), np.nan)
             cost_try = _sumsq(r_try)
-            better = cost_try <= cost[t]
-            if isinstance(t, slice) and np.count_nonzero(better) == m:
+            won = [j for j, i in enumerate(trial) if cost_try[j] <= cost[i]]
+            if len(won) == m:
                 x_new, r_new, cost_new = x_try, r_try, cost_try
-                moved[:] = True
+                moved = [True] * m
                 break
-            if x_new is x:
-                x_new, r_new, cost_new = x.copy(), r.copy(), cost.copy()
-            won = np.arange(m)[t][better]
-            x_new[won], r_new[won], cost_new[won] = x_try[better], r_try[better], cost_try[better]
-            moved[won] = True
-            searching[won] = False
-            lam[searching] *= 10.0
+            if won:
+                if x_new is x:
+                    x_new, r_new, cost_new = x.copy(), r.copy(), list(cost)
+                rows = [trial[j] for j in won]
+                x_new[rows], r_new[rows] = x_try[won], r_try[won]
+                for j, i in zip(won, rows):
+                    cost_new[i], moved[i] = cost_try[j], True
+                searching = [i for i in searching if not moved[i]]
+            for i in searching:
+                lam[i] *= 10.0
+            searching = [i for i in searching if lam[i] <= _MAX_DAMPING]
 
-        step_rel = (np.abs(x_new - x) / np.maximum(np.abs(x_new), scale)).max(axis=1)
-        cost_rel = (cost - cost_new) / np.maximum(cost, 1e-300)
+        step_rel = np.maximum.reduce(np.abs(x_new - x) / np.maximum(np.abs(x_new), scale), axis=1).tolist()
+        for i in range(m):
+            if moved[i]:
+                lam[i] = max(lam[i] / 3.0, 1e-12)
+                cost_rel = (cost[i] - cost_new[i]) / max(cost[i], 1e-300)
+                if step_rel[i] < _REL_TOL and cost_rel < _REL_TOL:
+                    stop[i] = _TOLERANCE
+            elif not stop[i]:
+                stop[i] = _STUCK
         x, r, cost = x_new, r_new, cost_new
-        if np.count_nonzero(moved) == m:
-            lam = np.maximum(lam / 3.0, 1e-12)
-            converged = (step_rel < _REL_TOL) & (cost_rel < _REL_TOL)
-        else:
-            stop[(stop == 0) & ~moved] = _STUCK
-            lam = np.where(moved, np.maximum(lam / 3.0, 1e-12), lam)
-            converged = moved & (step_rel < _REL_TOL) & (cost_rel < _REL_TOL)
-        if np.count_nonzero(converged):
-            stop[converged] = _TOLERANCE
 
-        if np.count_nonzero(stop):
-            done = stop > 0
-            for whole, part in zip(out, (x, r, cost, it, stop)):
-                whole[ids[done]] = part if np.ndim(part) == 0 else part[done]
-            ids, x, r, cost, lam, scale = (v[~done] for v in (ids, x, r, cost, lam, scale))
-    for whole, part in zip(out, (x, r, cost)):
-        whole[ids] = part
+        if any(stop):
+            if all(stop):
+                for whole, part in zip(out, (x, r, cost, it, stop)):
+                    whole[ids] = part
+                break
+            done = [i for i in range(m) if stop[i]]
+            keep = [i for i in range(m) if not stop[i]]
+            for whole, part in zip(out, (x[done], r[done], [cost[i] for i in done], it, [stop[i] for i in done])):
+                whole[ids[done]] = part
+            ids, x, r, scale = ids[keep], x[keep], r[keep], scale[keep]
+            cost, lam = [cost[i] for i in keep], [lam[i] for i in keep]
+    else:
+        for whole, part in zip(out, (x, r, cost)):
+            whole[ids] = part
     return out
 
 
@@ -580,8 +579,63 @@ def _slow_rates(theta: np.ndarray):
     return _switching_rates(_pow10(log_tl), _pow10(log_td1), _pow10(log_td2), p1)
 
 
-def _slow_stats(theta: np.ndarray) -> PeriodStatistics:
-    return period_statistics(*_slow_rates(theta))
+def _slow_values(theta: np.ndarray, free_amp: bool) -> dict:
+    """The slow stage's values at ``theta`` in coordinate order: the period
+    statistics of its rates (as :func:`period_statistics` gives them),
+    ``P_L`` and the amplitude; floats for a coordinate vector, ``(m, 1)``
+    columns for a stack."""
+    (ld1, ld2), (dl1, dl2) = _slow_rates(theta)
+    sigma_l = ld1 + ld2
+    values = {
+        "T_L": 1.0 / sigma_l,
+        "T_D1": 1.0 / dl1,
+        "T_D2": 1.0 / dl2,
+        "p1": ld1 / sigma_l,
+        "P_L": _relaxation(ld1, ld2, dl1, dl2)[2],
+    }
+    if free_amp:
+        values["amplitude"] = _coords(theta)[4]
+    return values
+
+
+def _longer_first(values: dict, sigma: dict | None = None) -> dict:
+    """``values`` of :func:`_slow_values` reported with the longer dark
+    period first: where ``T_D1 < T_D2`` the dark periods trade places, ``p1``
+    becomes ``1 - p1`` and the sigmas of each dark pair trade places too."""
+    t_d1, t_d2, p1 = values["T_D1"], values["T_D2"], values["p1"]
+    swap = t_d1 < t_d2
+    if isinstance(swap, np.ndarray):
+        values.update(T_D1=np.where(swap, t_d2, t_d1), T_D2=np.where(swap, t_d1, t_d2), p1=np.where(swap, 1.0 - p1, p1))
+    elif swap:
+        values.update(T_D1=t_d2, T_D2=t_d1, p1=1.0 - p1)
+        for first, second in (("T_D1", "T_D2"), ("p_LD_1", "p_LD_2"), ("p_DL_1", "p_DL_2")):
+            sigma[first], sigma[second] = sigma[second], sigma[first]
+    return values
+
+
+def _fast_inputs(values: dict):
+    """The plateau and the switching rates the fast stage takes from the
+    slow stage's reported ``values``."""
+    rates = _switching_rates(values["T_L"], values["T_D1"], values["T_D2"], values["p1"])
+    return values.get("amplitude", 1.0) / values["P_L"], rates
+
+
+def _valid_plateau(plateau):
+    """Whether a plateau (each entry, for a column) is finite and at least one."""
+    return (plateau >= 1.0) & np.isfinite(plateau)
+
+
+def _fast_values(theta: np.ndarray) -> dict:
+    """The fast stage's values at a coordinate vector ``theta``."""
+    log_a, log_omega, ratio = theta.tolist()
+    a31, omega31 = 10.0**log_a, 10.0**log_omega
+    return {"A31": a31, "Omega31": omega31, "I_sc": ratio * light_intensity(a31, omega31), "ratio": ratio}
+
+
+def _isc_values(rates, sat: float) -> dict:
+    """The isc stage's values: ``A32_i = p_LD_i / sat``, ``A21_i = p_DL_i``."""
+    (ld1, ld2), (dl1, dl2) = rates
+    return {"A32_1": ld1 / sat, "A32_2": ld2 / sat, "A21_1": dl1, "A21_2": dl2}
 
 
 def _slow_residual(tau: np.ndarray, w, y: np.ndarray, free_amp: bool):
@@ -590,9 +644,11 @@ def _slow_residual(tau: np.ndarray, w, y: np.ndarray, free_amp: bool):
     coordinate rows against the curves ``y[rows]``."""
 
     def model(theta: np.ndarray, rows) -> np.ndarray:
-        amp = _coords(theta)[4] if free_amp else 1.0
         (ld1, ld2), (dl1, dl2) = _slow_rates(theta)
-        return amp * _blink_factor(tau, ld1, ld2, dl1, dl2)
+        out = _blink_factor(tau, ld1, ld2, dl1, dl2)
+        if free_amp:
+            out *= _coords(theta)[4]
+        return out
 
     return _stacked(model, w, y)
 
@@ -607,7 +663,10 @@ def _stacked(model, w, y: np.ndarray):
         if rows is None:
             return w * (model(theta, None) - y)
         if len(rows) > _NARROW:
-            return w * (model(theta, rows) - y[rows])
+            out = model(theta, rows)
+            out -= y[rows]
+            out *= w
+            return out
         out = np.empty((len(rows), y.shape[-1]))
         for j, (t, i) in enumerate(zip(theta, rows.tolist())):
             try:
@@ -678,35 +737,18 @@ def fit_slow(
             "no resolvable bunching above the split delay; the record looks "
             "like a non-blinking emitter"
         )
-    stats = _slow_stats(best.x)
-    amp_fit = float(best.x[4]) if free_amp else 1.0
-
-    values = {
-        "T_L": stats.T_L,
-        "T_D1": stats.T_D[0],
-        "T_D2": stats.T_D[1],
-        "p1": stats.p1,
-        "P_L": stats.P_L,
-    }
-    if free_amp:
-        values["amplitude"] = amp_fit
     stage = _stage(
         table,
         best,
-        values,
+        _slow_values(best.x, free_amp),
         len(sub),
-        P_L=lambda t: _slow_stats(t).P_L,
+        P_L=lambda t: _slow_values(t, free_amp)["P_L"],
         p_LD_1=lambda t: _slow_rates(t)[0][0],
         p_LD_2=lambda t: _slow_rates(t)[0][1],
         p_DL_1=lambda t: _slow_rates(t)[1][0],
         p_DL_2=lambda t: _slow_rates(t)[1][1],
     )
-    sigma = stage.sigma
-    if values["T_D1"] < values["T_D2"]:
-        values["T_D1"], values["T_D2"] = values["T_D2"], values["T_D1"]
-        values["p1"] = 1.0 - values["p1"]
-        for first, second in (("T_D1", "T_D2"), ("p_LD_1", "p_LD_2"), ("p_DL_1", "p_DL_2")):
-            sigma[first], sigma[second] = sigma[second], sigma[first]
+    _longer_first(stage.values, stage.sigma)
     return stage
 
 
@@ -749,7 +791,7 @@ def fit_fast(
     names the key; other keys are ignored.
     """
     cfg = config or FitConfig()
-    if not (plateau >= 1.0 and math.isfinite(plateau)):
+    if not _valid_plateau(plateau):
         raise ValueError("plateau must be finite and at least one")
     sub = series.restrict(tau_max=cfg.split_tau)
     if len(sub) < 6:
@@ -776,16 +818,7 @@ def fit_fast(
         starts.append(np.array([math.log10(3.0 * a0), math.log10(a0), ratio0]))
 
     best = _best_start(residual, starts, _FAST, cfg)
-    a31 = 10.0 ** best.x[0]
-    omega31 = 10.0 ** best.x[1]
-    ratio = float(best.x[2])
-    i_sc = ratio * light_intensity(a31, omega31)
-
-    def isc_of(theta: np.ndarray) -> float:
-        return theta[2] * light_intensity(10.0 ** theta[0], 10.0 ** theta[1])
-
-    values = {"A31": a31, "Omega31": omega31, "I_sc": i_sc, "ratio": ratio}
-    return _stage(_FAST, best, values, len(sub), I_sc=isc_of)
+    return _stage(_FAST, best, _fast_values(best.x), len(sub), I_sc=lambda t: _fast_values(t)["I_sc"])
 
 
 def fit_isc(slow: FitStage, fast: FitStage) -> FitStage:
@@ -798,9 +831,9 @@ def fit_isc(slow: FitStage, fast: FitStage) -> FitStage:
     sigmas gives none.
     """
     v, s = slow.values, slow.sigma
-    (ld1, ld2), (dl1, dl2) = rates_from_statistics(v["T_L"], (v["T_D1"], v["T_D2"]), v["p1"])
+    rates = rates_from_statistics(v["T_L"], (v["T_D1"], v["T_D2"]), v["p1"])
     sat = saturation_factor(fast.values["A31"], fast.values["Omega31"])
-    values = {"A32_1": ld1 / sat, "A32_2": ld2 / sat, "A21_1": dl1, "A21_2": dl2}
+    values = _isc_values(rates, sat)
     sigma = {}
     if s:
         sigma = {
@@ -828,25 +861,25 @@ def _pipeline(
     series: CorrelationSeries, cfg: FitConfig
 ) -> tuple[dict[str, FitStage], dict[str, float], PeriodStatistics]:
     slow = fit_slow(series, cfg)
-    v = slow.values
-    amp = v.get("amplitude", 1.0)
-    stats = period_statistics(*rates_from_statistics(v["T_L"], (v["T_D1"], v["T_D2"]), v["p1"]))
-    fast = fit_fast(series, amp / v["P_L"], cfg, slow_stats=stats)
+    plateau, rates = _fast_inputs(slow.values)
+    stats = period_statistics(*rates)
+    fast = fit_fast(series, plateau, cfg, slow_stats=stats)
     isc = fit_isc(slow, fast)
     stages = {"slow": slow, "fast": fast, "isc": isc}
     flat = _flatten(stages, "values")
     if cfg.free_amplitude:
-        flat["amplitude"] = amp
+        flat["amplitude"] = slow.values["amplitude"]
     return stages, flat, stats
 
 
 def _bootstrap(series: CorrelationSeries, cfg: FitConfig, flat: dict[str, float], model: np.ndarray):
     """Residual-bootstrap refits of the slow and fast stages from the main
     fit's values ``flat``, each stage solved as one stack of refits with the
-    refit stop rule (see :func:`least_squares`). Returns the reported values
-    of the successful refits, one row each in ``STAGE_KEYS`` order, the
-    failed count and the count of successful refits whose slow stage ended
-    with a coordinate on its box edge.
+    refit stop rule (see :func:`least_squares`) and reported by the stage
+    functions' own rules. Returns the reported values of the successful
+    refits, one row each in ``STAGE_KEYS`` order, the failed count and the
+    count of successful refits whose slow stage ended with a coordinate on
+    its box edge.
 
     A refit fails where its stage would raise on its own: either stage
     unconverged, no resolvable bunching, or a slow stage whose amplitude
@@ -868,37 +901,28 @@ def _bootstrap(series: CorrelationSeries, cfg: FitConfig, flat: dict[str, float]
     ok = np.flatnonzero(_CONVERGED[stops])
     ok = ok[_resolved(sub.tau, y, x[ok], free_amp, ok)]
     on_edge = np.any((x == lo) | (x == hi), axis=1)
-    # The refits' period statistics, longer dark period first, as fit_slow
-    # reports them, and the rates and plateau the fast stage takes from them.
-    (ld1, ld2), (dl1, dl2) = _slow_rates(x[ok])
-    plateau = (x[ok, 4:5] if free_amp else 1.0) / _relaxation(ld1, ld2, dl1, dl2)[2]
-    t_l, t_d1, t_d2, p1 = 1.0 / (ld1 + ld2), 1.0 / dl1, 1.0 / dl2, ld1 / (ld1 + ld2)
-    swap = t_d1 < t_d2
-    t_d1, t_d2, p1 = np.where(swap, t_d2, t_d1), np.where(swap, t_d1, t_d2), np.where(swap, 1.0 - p1, p1)
-    (ld1, ld2), (dl1, dl2) = _switching_rates(t_l, t_d1, t_d2, p1)
-    p_l = _relaxation(ld1, ld2, dl1, dl2)[2]
-    valid = ((plateau >= 1.0) & np.isfinite(plateau))[:, 0]
+    slow = _longer_first(_slow_values(x[ok], free_amp))
+    plateau, rates = _fast_inputs(slow)
+    valid = _valid_plateau(plateau)[:, 0]
+    rates = tuple(tuple(v[valid] for v in pair) for pair in rates)
 
+    # fit_fast's envelope, plateau * P_L * blink_factor, on the kernels.
     fast = series.restrict(tau_max=cfg.split_tau)
+    envelope = plateau[valid] * _relaxation(*rates[0], *rates[1])[2] * _blink_factor(fast.tau, *rates[0], *rates[1])
     rows = ok[valid]
-    envelope = plateau[valid] * p_l[valid] * _blink_factor(
-        fast.tau, *(v[valid] for v in (ld1, ld2, dl1, dl2))
-    )
     xf, _, _, _, stops = _solve_stack(
         _fast_residual(fast.tau, _weights(fast), envelope, g[rows][:, (series.tau < cfg.split_tau)]),
         np.tile(_fast_start(flat), (rows.size, 1)), *_bounds(_FAST), cfg.max_iterations, True,
     )
-    done = _CONVERGED[stops]
+    done = np.flatnonzero(_CONVERGED[stops])
+    slow = {key: slow[key][valid][:, 0] for key in STAGE_KEYS["slow"]}
     draws = []
-    for i, (log_a, log_omega, ratio) in zip(np.flatnonzero(valid)[done], xf[done]):
-        # As fit_fast and fit_isc report them.
-        a31, omega31 = 10.0**log_a, 10.0**log_omega
-        sat = saturation_factor(a31, omega31)
-        draws.append([
-            a31, omega31, float(ratio) * light_intensity(a31, omega31),
-            ld1[i, 0] / sat, ld2[i, 0] / sat, dl1[i, 0], dl2[i, 0],
-            t_l[i, 0], t_d1[i, 0], t_d2[i, 0], p1[i, 0],
-        ])
+    for i, theta in zip(done.tolist(), xf[done]):
+        values = _fast_values(theta)
+        row_rates = tuple(tuple(float(v[i, 0]) for v in pair) for pair in rates)
+        values.update(_isc_values(row_rates, saturation_factor(values["A31"], values["Omega31"])))
+        values.update((key, slow[key][i]) for key in STAGE_KEYS["slow"])
+        draws.append([values[key] for keys in STAGE_KEYS.values() for key in keys])
     return np.array(draws), len(g) - len(draws), int(np.count_nonzero(on_edge[rows[done]]))
 
 

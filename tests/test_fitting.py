@@ -938,6 +938,46 @@ def test_bootstrap_counts_refits_on_a_bound(reference_params, monkeypatch):
     assert res.diagnostics["bootstrap_on_bound"] == on_bound > 0
 
 
+def test_bootstrap_draws_equal_refits_through_the_stages(reference_params, monkeypatch):
+    # Each stacked refit reports what fit_slow, fit_fast and fit_isc report
+    # for its resample refit alone from the main fit's values with the refit
+    # stop rule, in float hex; failed and on-bound counts agree too. Seed 13
+    # has a failed refit and refits on a bound.
+    from blinkcorr.correlation import g_total
+
+    data = criterion7_curve(reference_params, seed=13)
+    cfg = FitConfig(bootstrap_resamples=50)
+    stages, flat, _ = fitting._pipeline(data, cfg)
+    model = g_total(data.tau, PhotoPhysicalParams.from_dict({key: flat[key] for key in RESULT_KEYS[:7]}))
+    draws, failures, on_bound = fitting._bootstrap(data, cfg, flat, model)
+
+    real = fitting.least_squares
+
+    def refit(residual, x0, bounds=None, **kwargs):
+        res = real(residual, x0, bounds, max_iterations=kwargs["max_iterations"], refit=True)
+        return replace(res, cov=np.zeros((res.x.size, res.x.size)))
+
+    monkeypatch.setattr(fitting, "least_squares", refit)
+    rng = np.random.Generator(np.random.Philox(key=[cfg.bootstrap_seed, 3]))
+    resid, npts = data.g - model, len(data)
+    rows, edges = [], 0
+    for _ in range(cfg.bootstrap_resamples):
+        resample = CorrelationSeries(data.tau, model + resid[rng.integers(0, npts, npts)], data.sigma)
+        try:
+            slow = fit_slow(resample, cfg, init=flat)
+            v = slow.values
+            stats = period_statistics(*rates_from_statistics(v["T_L"], (v["T_D1"], v["T_D2"]), v["p1"]))
+            fast = fit_fast(resample, 1.0 / v["P_L"], cfg, init=flat, slow_stats=stats)
+        except (FitConvergenceError, DegenerateFitError, ValueError):
+            continue
+        edges += slow.on_bound
+        alone = {"slow": slow, "fast": fast, "isc": fit_isc(slow, fast)}
+        rows.append([alone[name].values[key] for name, keys in fitting.STAGE_KEYS.items() for key in keys])
+    assert (failures, on_bound) == (cfg.bootstrap_resamples - len(rows), edges) == (1, edges)
+    assert edges > 0
+    assert [list(map(float.hex, row)) for row in draws.tolist()] == [list(map(float.hex, row)) for row in rows]
+
+
 def test_background_guess_sets_each_ratio_start(reference_params, monkeypatch):
     # The ratio start follows from the guessed I_sc and the start's own
     # rates.
