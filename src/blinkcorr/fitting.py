@@ -353,18 +353,25 @@ def _solve_stack(residual, x0, lo, hi, max_iterations, refit):
         grad = (jac.transpose(0, 2, 1) @ r[:, :, None])[:, :, 0]
         # A coordinate on its bound whose gradient points out of the box
         # is pinned: it takes no step, and the others are solved without
-        # it. Rows that share their pinned coordinates share a system.
+        # it. Rows that share their pinned coordinates share a system; only
+        # rows on an edge or with a gradient that is not finite are looked
+        # at one by one.
         stop = [0] * m
-        patterns: dict[tuple, list] = {}
-        for i, (xi, gi) in enumerate(zip(x.tolist(), grad.tolist())):
-            pins = tuple((v <= a and g > 0.0) or (v >= b and g < 0.0) for v, g, (a, b) in zip(xi, gi, box))
+        edge, finite = (x <= lo) | (x >= hi), np.isfinite(grad)
+        odd = set()
+        if np.count_nonzero(edge) or np.count_nonzero(finite) < finite.size:
+            odd = set(np.flatnonzero(edge.any(axis=1) | ~finite.all(axis=1)).tolist())
+        patterns = {(False,) * npar: [i for i in range(m) if i not in odd]}
+        for i in sorted(odd):
+            gi = grad[i].tolist()
+            pins = tuple((v <= a and g > 0.0) or (v >= b and g < 0.0) for v, g, (a, b) in zip(x[i].tolist(), gi, box))
             if not all(map(math.isfinite, gi)):
                 stop[i] = _NOT_FINITE
             elif all(pins):
                 stop[i] = _PINNED
             else:
                 patterns.setdefault(pins, []).append(i)
-        systems = [_system(jac, grad, rows, pins, eye) for pins, rows in patterns.items()]
+        systems = [_system(jac, grad, sorted(rows), pins, eye) for pins, rows in patterns.items() if rows]
         if refit:
             for rows, _, jtj, rhs, _ in systems:
                 distance = (rhs[:, None, :] @ _solve_rows(jtj, rhs)[0][:, :, None])[:, 0, 0]

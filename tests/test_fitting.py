@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import lsq_linear
@@ -298,7 +298,14 @@ def stacked_linear_problems(draw):
     return rows, lo, lo + width
 
 
+# A row that starts on its lower bound with the gradient pointing into the
+# box is not pinned and shares its system with a row already at its
+# minimum, which the refit rule stops at once.
+_ON_EDGE = (np.array([[1.0], [1.0]]), np.array([0.4, 0.6]))
+
+
 @given(stacked_linear_problems(), st.booleans())
+@example(([(*_ON_EDGE, np.array([0.0])), (*_ON_EDGE, np.array([0.5]))], np.zeros(1), np.ones(1)), True)
 def test_stacked_rows_match_the_same_problem_alone(stack, refit):
     # A row's damping, pinned coordinates and stop are its own: solved in
     # a stack, each problem ends where least_squares leaves it alone, in
