@@ -287,18 +287,18 @@ def _jacobian(residual, x, r, rows, scale, hi) -> np.ndarray:
     diff = residual(probe, rows.repeat(k)).reshape(m, k, -1)
     diff -= r[:, None, :]
     diff /= step[:, :, None]
-    jac = np.ascontiguousarray(diff.transpose(0, 2, 1))
     # From a start within about 1e-10 of zero the step is lost against the
     # residual, so a null column is taken again at unit scale. A null
     # column at unit scale or above is flat: a smaller retry there would
     # only sample rounding noise.
     retry = size < 1.0
     if np.count_nonzero(retry):
-        retry[retry] = ~np.logical_or.reduce(jac.transpose(0, 2, 1)[retry], axis=1)
-        if np.count_nonzero(retry):
-            again = retry.any(axis=1)
-            redo = _jacobian(residual, x[again], r[again], rows[again], np.ones((np.count_nonzero(again), k)), hi)
-            jac[again] = np.where(retry[again][:, None, :], redo, jac[again])
+        retry[retry] = ~np.logical_or.reduce(diff[retry], axis=1)
+    jac = np.ascontiguousarray(diff.transpose(0, 2, 1))
+    if np.count_nonzero(retry):
+        again = retry.any(axis=1)
+        redo = _jacobian(residual, x[again], r[again], rows[again], np.ones((np.count_nonzero(again), k)), hi)
+        jac[again] = np.where(retry[again][:, None, :], redo, jac[again])
     return jac
 
 
