@@ -224,13 +224,15 @@ def _closed_factor(tau, ld1, ld2, dl1, dl2, mu1, mu2) -> np.ndarray:
     c_minus = 0.5 * alpha - 0.25 * beta / gamma
     # 1 + c_plus e^(mu1 tau) + c_minus e^(mu2 tau), summed in that order, in
     # place: a wide stack's temporaries outgrow the cache.
-    out = np.exp(mu1 * tau)
+    out = np.asarray(mu1 * tau)
+    np.exp(out, out=out)
     out *= c_plus
     out += 1.0
-    slow = np.exp(mu2 * tau)
+    slow = np.asarray(mu2 * tau)
+    np.exp(slow, out=slow)
     slow *= c_minus
     out += slow
-    return out
+    return out[()]
 
 
 def g_total(tau, params: PhotoPhysicalParams) -> np.ndarray:

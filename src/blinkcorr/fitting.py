@@ -372,6 +372,9 @@ def _solve_stack(residual, x0, lo, hi, max_iterations, refit):
             else:
                 patterns.setdefault(pins, []).append(i)
         systems = [_system(jac, grad, sorted(rows), pins, eye) for pins, rows in patterns.items() if rows]
+        # A wide stack's Jacobian is its largest array: the next one is
+        # built without it.
+        del jac
         if refit:
             for rows, _, jtj, rhs, _ in systems:
                 distance = (rhs[:, None, :] @ _solve_rows(jtj, rhs)[0][:, :, None])[:, 0, 0]
