@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from .correlation import (
     CorrelationSeries,
+    _grid_points,
     blink_factor,
     eval_curve,
     g2,
@@ -98,6 +99,10 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         raise ValueError("grid bounds MAX / MIN must not overflow float64")
     if ppd < 1:
         raise ValueError("grid needs at least one point per decade")
+    try:
+        _grid_points(lo, hi, ppd)
+    except DegenerateInputError as exc:
+        raise ValueError(f"grid POINTS_PER_DECADE is too large: {exc}") from None
     return lo, hi, ppd
 
 

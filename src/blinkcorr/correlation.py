@@ -252,20 +252,37 @@ def log_grid(tau_min: float, tau_max: float, points_per_decade: int = 60) -> np.
     """Logarithmic delay grid with a fixed point density per decade.
 
     Raises :class:`DegenerateInputError` when the span ``tau_max / tau_min``
-    or the point count is too large for float64."""
+    is too large for float64, or the point count for a float64 or an array
+    index."""
     tau_min = float(tau_min)
     tau_max = float(tau_max)
     if not (0.0 < tau_min < tau_max):
         raise ValueError("need 0 < tau_min < tau_max")
     if points_per_decade < 1:
         raise ValueError("points_per_decade must be at least 1")
-    points = math.log10(tau_max / tau_min) * points_per_decade
-    if not math.isfinite(points):
+    return np.geomspace(tau_min, tau_max, _grid_points(tau_min, tau_max, points_per_decade))
+
+
+def _grid_points(tau_min: float, tau_max: float, points_per_decade: int) -> int:
+    """Number of points of :func:`log_grid`'s grid; a span or a count
+    that float64 or an array index cannot hold raises
+    :class:`DegenerateInputError`."""
+    decades = math.log10(tau_max / tau_min)
+    if not math.isfinite(decades):
         raise DegenerateInputError(
             f"a grid from {tau_min!r} to {tau_max!r} s spans too many decades for float64"
         )
-    n = max(2, int(round(points)) + 1)
-    return np.geomspace(tau_min, tau_max, n)
+    try:
+        points = decades * float(points_per_decade)
+    except OverflowError:
+        points = math.inf
+    # Also refuses a density that is not a number.
+    if not points < np.iinfo(np.intp).max:
+        raise DegenerateInputError(
+            f"a grid from {tau_min!r} to {tau_max!r} s at that density has more points "
+            "than an array can index"
+        )
+    return max(2, int(round(points)) + 1)
 
 
 def eval_curve(params: PhotoPhysicalParams, tau=None) -> "CorrelationSeries":

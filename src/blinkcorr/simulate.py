@@ -193,9 +193,6 @@ class _EmissionSampler:
             t[slow] = self.table_waits(u[slow])
         return t
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.waits(rng.random(n))
-
 
 def _sinc(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -274,6 +271,15 @@ def simulate_photons(
     periods are silent. Background photons arrive as a homogeneous
     Poisson process at ``params.I_sc`` over the whole record and are
     merged in.
+
+    The arrivals fill one array sized from the expected count, which
+    grows by a copy only when a record outruns it. The waits come in
+    chunks of ``_BLOCK``, one chunk per core at a time: the calling
+    thread draws each chunk's uniforms in stream order, every core turns
+    one chunk into waits, and the calling thread walks the periods
+    through them in order. The molecule photons come out of the walk in
+    order, so they are sorted only when a test finds two out of order;
+    background photons are sorted in with them.
     """
     periods = np.asarray(periods, dtype=float)
     if periods.ndim != 2 or periods.shape[1] != 3 or periods.shape[0] == 0:
@@ -288,46 +294,73 @@ def simulate_photons(
     starts = light[:, 1]
     spans = light[:, 2] - starts
 
+    n_bg = rng_bg.poisson(params.I_sc * duration) if params.I_sc > 0.0 else 0
+    expected = spans.sum() / sampler.mean_wait
+    times = np.empty(int(expected + 4.0 * math.sqrt(expected)) + _BLOCK + n_bg)
+    filled = 0
+
     # Waits come in chunks, one running sum per chunk. A light period
     # keeps the waits whose running sum from its own start stays below
     # its span, drops the wait that crosses it, and the next period
     # starts on the wait after; a period that outlasts the chunk carries
     # the time it has run into the next one.
-    pieces: list[np.ndarray] = []
     k = 0
     elapsed = 0.0
-    while k < spans.size:
-        total = np.cumsum(sampler.sample(rng_mol, _BLOCK))
-        # Per period met in this chunk: its kept waits [first, stop) and
+
+    def chunks() -> Iterator[np.ndarray]:
+        # Drawn ahead of the walk; the walk skips chunks drawn after the
+        # last period, which use up a stream nothing else reads.
+        while k < spans.size:
+            yield rng_mol.random(_BLOCK)
+
+    def running_sum(u: np.ndarray) -> np.ndarray:
+        return np.cumsum(sampler.waits(u))
+
+    def walk(total: np.ndarray) -> None:
+        nonlocal k, elapsed, filled, times
+        if k == spans.size:
+            return
+        # Per period met in this chunk, from the first: the end of its
+        # kept waits, which start one past the previous period's end, and
         # the running sum its arrivals count from.
-        first, stop, origin, owner = [], [], [], []
+        owner = k
+        stop, origin = [], []
         p = 0
         while k < spans.size and p < total.size:
             base = (total[p - 1] if p else 0.0) - elapsed
             q = int(total.searchsorted(base + spans[k]))
-            first.append(p)
             stop.append(q)
             origin.append(base)
-            owner.append(k)
             if q == total.size:
                 elapsed = total[-1] - base
             else:
                 elapsed = 0.0
                 k += 1
             p = q + 1
-        counts = np.subtract(stop, first)
-        index = np.repeat(np.subtract(first, np.cumsum(counts) - counts), counts)
-        index += np.arange(index.size)
-        pieces.append(
-            np.repeat(starts[owner], counts) + (total[index] - np.repeat(origin, counts))
-        )
+        # The waits that ended a period are dropped.
+        counts = np.diff(stop, prepend=-1) - 1
+        kept = np.ones(stop[-1], dtype=bool)
+        kept[stop[:-1]] = False
+        end = filled + int(counts.sum())
+        if end + n_bg > times.size:
+            grown = np.empty(2 * (end + n_bg))
+            grown[:filled] = times[:filled]
+            times = grown
+        arrivals = times[filled:end]
+        np.compress(kept, total[: stop[-1]], out=arrivals)
+        arrivals -= np.repeat(origin, counts)
+        arrivals += np.repeat(starts[owner : owner + len(stop)], counts)
+        filled = end
 
-    n_bg = rng_bg.poisson(params.I_sc * duration) if params.I_sc > 0.0 else 0
+    _in_order(running_sum, chunks(), walk)
+
+    times = times[: filled + n_bg]
     if n_bg:
-        pieces.append(rng_bg.uniform(0.0, duration, n_bg))
-
-    times = np.concatenate(pieces) if pieces else np.empty(0)
-    times.sort()
+        times[filled:] = rng_bg.uniform(0.0, duration, n_bg)
+    # The walk gives the molecule photons in order, but rounding at a
+    # period's end could put two of them one ulp the wrong way round.
+    if n_bg or np.any(times[1:] < times[:-1]):
+        times.sort()
     return Trajectory(times=times, duration=duration, seed=int(seed))
 
 
@@ -623,7 +656,10 @@ def _in_order(work: Callable[[Any], Any], blocks: Iterable[Any], take: Callable[
     core, and a pool works the rest. Each result is dropped once taken,
     before the next group starts: at most one block per core is in flight,
     and a worker's heap arena stays at one block's working set. ``take``
-    runs on the calling thread only.
+    runs on the calling thread only, and so does the iteration of
+    ``blocks``, each group after the previous group is taken: a generator
+    of blocks may stop on what ``take`` has seen, and then the blocks of
+    that group after the one that ended the run were worked in vain.
     """
     blocks = iter(blocks)
     group = list(itertools.islice(blocks, _cores()))

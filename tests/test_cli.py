@@ -132,6 +132,26 @@ def test_grid_whose_span_overflows_is_an_input_error(tmp_path, capsys, params_fi
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", ["eval", "estimate-g"])
+@pytest.mark.parametrize("density", ["9" * 400, "1" + "0" * 200], ids=["400-nines", "1e200"])
+def test_grid_too_dense_to_index_is_an_input_error(tmp_path, capsys, params_file, command, density):
+    # 400 nines overflow a float and used to end in a bare OverflowError
+    # traceback; 1e200 points per decade left numpy's bare "Maximum
+    # allowed size exceeded".
+    out = str(tmp_path / "x.csv")
+    if command == "eval":
+        source = ["--params", params_file]
+    else:
+        traj_path = str(tmp_path / "traj.txt")
+        write_trajectory(Trajectory(times=np.array([0.1, 0.2, 0.3]), duration=1.0), traj_path)
+        source = ["--traj", traj_path]
+    assert main([command, *source, "--grid", f"1e-10:1:{density}", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid POINTS_PER_DECADE is too large")
+    assert "more points than an array can index" in err
+    assert not os.path.exists(out)
+
+
 def test_eval_missing_params_file(tmp_path):
     out = str(tmp_path / "x.csv")
     assert main(["eval", "--params", str(tmp_path / "nope.txt"), "--out", out]) == 2

@@ -277,6 +277,16 @@ def test_log_grid_span_out_of_float64_range():
         log_grid(5e-324, 1.0, 1)
 
 
+@pytest.mark.parametrize(
+    "density", [int("9" * 400), 10**200, math.inf, math.nan], ids=["400-nines", "1e200", "inf", "nan"]
+)
+def test_log_grid_density_out_of_range(density):
+    # 400 nines do not fit a float; 1e200 points per decade fit a float
+    # but no array index.
+    with pytest.raises(DegenerateInputError, match="more points than an array can index"):
+        log_grid(1e-10, 1.0, density)
+
+
 def test_eval_curve_default_grid(reference_params):
     series = eval_curve(reference_params)
     assert len(series) == 601

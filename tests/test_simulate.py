@@ -118,7 +118,7 @@ def test_emission_sampler_mean_wait():
         (a * a + 2.0 * w * w) / (a * w * w), rel=1e-12
     )
     rng = np.random.Generator(np.random.Philox(key=[42, 0]))
-    draws = sampler.sample(rng, 200_000)
+    draws = sampler.waits(rng.random(200_000))
     z = (draws.mean() - sampler.mean_wait) / (draws.std() / math.sqrt(draws.size))
     assert abs(z) < 4.0
     assert np.all(draws >= 0.0)
@@ -129,7 +129,7 @@ def test_emission_sampler_antibunching():
     # compared with a Poisson process of the same mean rate.
     sampler = _EmissionSampler(3.3e8, 2.9e8)
     rng = np.random.Generator(np.random.Philox(key=[43, 0]))
-    draws = sampler.sample(rng, 100_000)
+    draws = sampler.waits(rng.random(100_000))
     cut = 0.1 / 3.3e8
     frac_short = np.mean(draws < cut)
     poisson_frac = 1.0 - math.exp(-cut / sampler.mean_wait)
@@ -167,8 +167,36 @@ def test_emission_sampler_rarely_falls_back_to_table(monkeypatch):
 
     monkeypatch.setattr(sampler, "table_waits", counted)
     rng = np.random.Generator(np.random.Philox(key=[45, 0]))
-    sampler.sample(rng, 1 << 20)
+    sampler.waits(rng.random(1 << 20))
     assert sum(served) < 0.01 * (1 << 20)
+
+
+def record_molecule_draws(monkeypatch):
+    """The chunks of uniforms simulate_photons draws from its molecule
+    stream, in draw order; the waits are these uniforms' waits."""
+    drawn = []
+    stream_rng = simulate._stream_rng
+
+    class Recorded:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, n):
+            drawn.append(self.rng.random(n))
+            return drawn[-1]
+
+    def recorded(seed, stream):
+        rng = stream_rng(seed, stream)
+        return Recorded(rng) if stream == simulate._STREAM_MOLECULE else rng
+
+    monkeypatch.setattr(simulate, "_stream_rng", recorded)
+    return drawn
+
+
+def slowed_params(I_sc=0.0):
+    return PhotoPhysicalParams(
+        A31=3.3e5, Omega31=2.9e5, A32=(34.0, 249.0), A21=(430.0, 2400.0), I_sc=I_sc
+    )
 
 
 @pytest.mark.parametrize("switching", [1.0, 100.0])
@@ -177,26 +205,17 @@ def test_photons_across_chunk_boundaries(reference_stats, monkeypatch, switching
     # (about ten photons per light period when switching 100 times
     # faster), and long ones run over many. The reference takes the same
     # waits one period at a time.
-    p = PhotoPhysicalParams(
-        A31=3.3e5, Omega31=2.9e5, A32=(34.0, 249.0), A21=(430.0, 2400.0)
-    )
+    p = slowed_params()
     stats = period_statistics(
         tuple(switching * r for r in reference_stats.p_LD),
         tuple(switching * r for r in reference_stats.p_DL),
     )
-    drawn = []
-    sample = _EmissionSampler.sample
-
-    def recorded(self, rng, n):
-        drawn.append(sample(self, rng, n))
-        return drawn[-1]
-
     monkeypatch.setattr(simulate, "_BLOCK", 7)
-    monkeypatch.setattr(_EmissionSampler, "sample", recorded)
+    drawn = record_molecule_draws(monkeypatch)
     rec = simulate_periods(stats, 0.2, seed=12)
     traj = simulate_photons(rec, p, seed=12)
 
-    waits = iter(np.concatenate(drawn).tolist())
+    waits = iter(_EmissionSampler(p.A31, p.Omega31).waits(np.concatenate(drawn)).tolist())
     light = rec[(rec[:, 0] == 0.0) & (rec[:, 2] > rec[:, 1])]
     expected = []
     for start, end in light[:, 1:].tolist():
@@ -213,23 +232,109 @@ def test_photons_across_chunk_boundaries(reference_stats, monkeypatch, switching
 
 
 def test_photons_draw_waits_by_the_chunk(reference_stats, monkeypatch):
-    # One batch of waits per chunk, not one per light period.
-    p = PhotoPhysicalParams(
-        A31=3.3e5, Omega31=2.9e5, A32=(34.0, 249.0), A21=(430.0, 2400.0)
-    )
-    calls = []
-    sample = _EmissionSampler.sample
-
-    def counted(self, rng, n):
-        calls.append(n)
-        return sample(self, rng, n)
-
-    monkeypatch.setattr(_EmissionSampler, "sample", counted)
+    # One batch of waits per chunk, not one per light period. On more
+    # cores than one, the chunks of the last group after the one that
+    # ends the walk are drawn but never walked.
+    drawn = record_molecule_draws(monkeypatch)
     rec = simulate_periods(reference_stats, 2.0, seed=13)
-    traj = simulate_photons(rec, p, seed=13)
+    traj = simulate_photons(rec, slowed_params(), seed=13)
     n_light = int(np.sum(rec[:, 0] == 0.0))
+    unread = simulate._cores() - 1
     assert n_light > 100
-    assert len(calls) <= (len(traj) + n_light) // simulate._BLOCK + 1
+    assert all(chunk.size == simulate._BLOCK for chunk in drawn)
+    assert len(drawn) <= (len(traj) + n_light) // simulate._BLOCK + 1 + unread
+
+
+@pytest.mark.parametrize("I_sc", [0.0, 2e4])
+def test_photons_same_bytes_on_any_core_count(reference_stats, monkeypatch, I_sc):
+    # Chunks of 7 waits, so the ~4,000 photons take hundreds of groups.
+    monkeypatch.setattr(simulate, "_BLOCK", 7)
+    p = slowed_params(I_sc)
+    rec = simulate_periods(reference_stats, 0.05, seed=14)
+    outputs = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        traj = simulate_photons(rec, p, seed=14)
+        outputs.append((traj.times.tobytes(), traj.times.size, len(traj)))
+    assert outputs[0][1] > 3000
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("I_sc", [0.0, 5e3])
+def test_photons_outgrowing_the_expected_count(reference_stats, monkeypatch, I_sc):
+    # A mean wait taken 1000 times too long sizes the array for a
+    # thousandth of the photons, so it must grow, several times over.
+    monkeypatch.setattr(simulate, "_BLOCK", 7)
+    p = slowed_params(I_sc)
+    rec = simulate_periods(reference_stats, 0.05, seed=15)
+    sized = simulate_photons(rec, p, seed=15)
+    init = _EmissionSampler.__init__
+
+    def too_long(self, A31, Omega31):
+        init(self, A31, Omega31)
+        self.mean_wait *= 1000.0
+
+    monkeypatch.setattr(_EmissionSampler, "__init__", too_long)
+    grown = simulate_photons(rec, p, seed=15)
+    # The array starts at the expected count, four of its sigmas, one
+    # chunk and the background photons (here within six sigmas of theirs).
+    expected = light_fraction(rec) * 0.05 / (1000.0 * _EmissionSampler(p.A31, p.Omega31).mean_wait)
+    n_bg = I_sc * 0.05 + 6.0 * math.sqrt(I_sc * 0.05)
+    assert 4 * (expected + 4.0 * math.sqrt(expected) + 7 + n_bg) < len(sized)
+    assert grown.times.tobytes() == sized.times.tobytes()
+    assert len(grown) == len(sized)
+
+
+@pytest.mark.parametrize("failing", [1, 2])
+def test_photons_failing_chunk_leaves_no_thread(reference_stats, monkeypatch, failing):
+    # On two cores the second chunk's waits are a worker's and the
+    # third's the calling thread's; either error ends the run with no
+    # thread left.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(simulate, "_BLOCK", 7)
+    in_order = simulate._in_order
+
+    def failing_chunk(work, blocks, take):
+        def fail(chunk):
+            index, block = chunk
+            if index == failing:
+                raise OSError("chunk failed")
+            return work(block)
+
+        in_order(fail, enumerate(blocks), take)
+
+    monkeypatch.setattr(simulate, "_in_order", failing_chunk)
+    rec = simulate_periods(reference_stats, 0.01, seed=16)
+    threads = threading.active_count()
+    with pytest.raises(OSError, match="chunk failed"):
+        simulate_photons(rec, slowed_params(), seed=16)
+    assert threading.active_count() == threads
+
+
+def test_photons_working_set(reference_stats, monkeypatch):
+    # The times fill one array, so the allocation peak is those times,
+    # the order test's one byte per time, the sampler's tables and the
+    # chunks in flight (uniforms, waits and their temporaries, and a
+    # running sum per core). A 40 s record (about 3.7M photons) keeps the
+    # sampler's own set-up peak below that.
+    cores = 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    p = slowed_params()
+    rec = simulate_periods(reference_stats, 40.0, seed=17)
+    sampler = _EmissionSampler(p.A31, p.Omega31)
+    tables = sum(a.nbytes for a in vars(sampler).values() if isinstance(a, np.ndarray))
+    chunks = 4 * cores * simulate._BLOCK * 8
+    del sampler
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        traj = simulate_photons(rec, p, seed=17)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(traj) > 3_000_000
+    assert peak <= 1.4 * traj.times.nbytes + tables + chunks
 
 
 def test_photons_only_in_light_periods(reference_params, reference_stats):
