@@ -323,7 +323,7 @@ def simulate_photons(
         # Per period met in this chunk, from the first: the end of its
         # kept waits, which start one past the previous period's end, and
         # the running sum its arrivals count from.
-        owner = k
+        first = k
         stop, origin = [], []
         p = 0
         while k < spans.size and p < total.size:
@@ -349,7 +349,7 @@ def simulate_photons(
         arrivals = times[filled:end]
         np.compress(kept, total[: stop[-1]], out=arrivals)
         arrivals -= np.repeat(origin, counts)
-        arrivals += np.repeat(starts[owner : owner + len(stop)], counts)
+        arrivals += np.repeat(starts[first : first + len(stop)], counts)
         filled = end
 
     _in_order(running_sum, chunks(), walk)
