@@ -193,11 +193,6 @@ def _format_times(times: np.ndarray) -> bytes:
     return b"\n".join(lines)
 
 
-def _parse_each(lines: list[bytes]) -> np.ndarray:
-    """``float()`` of each line, one at a time."""
-    return np.array(lines, dtype=np.float64)
-
-
 def _parse_times(text: bytes) -> tuple[np.ndarray, np.ndarray]:
     """The double of each ``\\n``-ended line of ``text``, all lines at once,
     and where that double is proven to be the one ``float()`` gives.

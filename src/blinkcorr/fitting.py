@@ -25,10 +25,11 @@ gradient pushes it outward takes no step (the active-set rule of
 bounded-variable least squares, Stark & Parker, Comput. Stat. 10, 129
 (1995)), so a background ratio that fits to zero stops there instead of
 crawling along its bound. It solves a stack of problems at once, each row
-with its own damping, pins and stop: a main fit's start is a stack of one,
-and the bootstrap solves all refits of a stage as one stack, with one
-model call for every Jacobian probe of the stack and one batched solve
-per damping step. A row's arithmetic is the same in any stack.
+with its own damping, pins and stop: a stage's starts are one stack over
+its curve, and the bootstrap solves all refits of a stage as one stack,
+with one model call for every Jacobian probe of the stack and one batched
+solve per damping step. A row's arithmetic is the same in any stack, the
+same as :func:`least_squares` gives it alone.
 """
 
 from __future__ import annotations
@@ -116,11 +117,12 @@ class FitConfig:
     ``split_tau`` (a finite, positive real number) separates the fast and
     slow fitting windows. ``free_amplitude``, a bool, adds one overall
     scale factor to absorb data normalization. ``bootstrap_resamples`` of
-    zero disables the bootstrap and falls back to Jacobian uncertainties. It,
-    ``bootstrap_seed`` (in [0, 2**63)) and ``max_iterations`` are
-    integers, not bools. No setting moves a start or a box: a stage
-    starts from its heuristics or from the ``init`` of :func:`fit_slow`
-    and :func:`fit_fast`, which names every coordinate of the stage.
+    zero disables the bootstrap and falls back to Jacobian uncertainties;
+    one, which gives no spread, is refused. It, ``bootstrap_seed`` (in
+    [0, 2**63)) and ``max_iterations`` are integers, not bools. No setting
+    moves a start or a box: a stage starts from its heuristics or from the
+    ``init`` of :func:`fit_slow` and :func:`fit_fast`, which names every
+    coordinate of the stage.
     """
 
     split_tau: float = 1e-7
@@ -140,8 +142,8 @@ class FitConfig:
             raise ValueError("split_tau must be a real number")
         if not 0.0 < self.split_tau < math.inf:
             raise ValueError("split_tau must be finite and positive")
-        if self.bootstrap_resamples < 0:
-            raise ValueError("bootstrap_resamples must be non-negative")
+        if self.bootstrap_resamples < 0 or self.bootstrap_resamples == 1:
+            raise ValueError("bootstrap_resamples must be 0 or at least 2")
         if not 0 <= self.bootstrap_seed < 2**63:
             raise ValueError("bootstrap_seed must lie in [0, 2**63)")
         if self.max_iterations < 1:
@@ -194,7 +196,8 @@ def least_squares(
     relative step and cost change below 1e-10; no damping that improves,
     or every coordinate pinned, also counts as converged. A residual that
     is not finite at the iterate or a Jacobian probe stops unconverged.
-    ``message`` names the reason. ``cov`` is ``pinv(J^T J) * cost / dof``.
+    ``message`` names the reason. ``cov`` is ``pinv(J^T J) * cost / dof``,
+    NaN where the Jacobian is not finite.
 
     ``refit`` is for bootstrap refits: before each damped step the
     undamped Gauss-Newton step ``delta`` is solved, and the loop stops with
@@ -207,7 +210,7 @@ def least_squares(
     Parameters are never evaluated outside the bounds; the finite
     difference step flips direction at the upper bound, and a null column
     from a step below unit scale is taken again at unit scale. This is
-    :func:`_solve_stack` on a stack of one.
+    :func:`_best_row` on a stack of one start.
     """
     x = np.asarray(x0, dtype=float).ravel()
     npar = x.size
@@ -223,7 +226,6 @@ def least_squares(
             raise ValueError("bounds must match the parameter vector")
         if np.any(lo >= hi):
             raise ValueError("lower bounds must lie below upper bounds")
-    x = np.minimum(np.maximum(x, lo), hi)[None, :]
 
     def stacked(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
         out = [residual(t.copy()) for t in theta]
@@ -232,14 +234,29 @@ def least_squares(
             raise ValueError("residual must return a vector")
         return out
 
-    scale = _fd_scale(x)
-    x, r, cost, iterations, stops = _solve_stack(stacked, x, lo, hi, max_iterations, refit)
-    cov = None
+    return _best_row(stacked, x[None, :], lo, hi, max_iterations, refit)
+
+
+def _best_row(residual, x0, lo, hi, max_iterations, refit=False, strict=False) -> LeastSquaresResult:
+    """The row of least finite cost, the first of equal costs, of the starts
+    ``x0`` clipped into the bounds and solved as one stack. If that row did
+    not converge, ``strict`` raises :class:`FitConvergenceError` at once."""
+    x0 = np.minimum(np.maximum(x0, lo), hi)
+    x, r, cost, iterations, stops = _solve_stack(residual, x0, lo, hi, max_iterations, refit)
+    i = int(np.argmin(np.where(np.isfinite(cost), cost, np.inf)))
+    message, converged = _STOPS[stops[i]]
+    if strict and not converged:
+        raise FitConvergenceError(
+            f"optimizer stopped after {iterations[i]} iterations at cost {cost[i]:.3e}: {message}"
+        )
+    cov, row, npar = None, slice(i, i + 1), x.shape[1]
     if not refit:
-        jac = _jacobian(stacked, x, r, np.zeros(1, dtype=int), scale, hi)[0]
-        cov = np.linalg.pinv(jac.T @ jac) * (cost[0] / max(r.shape[1] - npar, 1))
-    message, converged = _STOPS[stops[0]]
-    return LeastSquaresResult(x[0], float(cost[0]), cov, int(iterations[0]), converged, message)
+        jac = _jacobian(residual, x[row], r[row], np.array([i]), _fd_scale(x0[row]), hi)[0]
+        # pinv's SVD does not converge on a Jacobian that is not finite.
+        cov = np.full((npar, npar), np.nan)
+        if np.isfinite(jac).all():
+            cov = np.linalg.pinv(jac.T @ jac) * (cost[i] / max(r.shape[1] - npar, 1))
+    return LeastSquaresResult(x[i], float(cost[i]), cov, int(iterations[i]), converged, message)
 
 
 def _fd_scale(x: np.ndarray) -> np.ndarray:
@@ -506,20 +523,6 @@ def _propagated_sigma(func, theta: np.ndarray, cov: np.ndarray) -> float:
     return math.sqrt(max(var, 0.0))
 
 
-def _best_start(residual, starts, table, cfg: FitConfig) -> LeastSquaresResult:
-    best, bounds = None, _bounds(table)
-    for x0 in starts:
-        res = least_squares(residual, x0, bounds, max_iterations=cfg.max_iterations)
-        if best is None or res.cost < best.cost:
-            best = res
-    if not best.converged:
-        raise FitConvergenceError(
-            f"optimizer stopped after {best.iterations} iterations "
-            f"at cost {best.cost:.3e}: {best.message}"
-        )
-    return best
-
-
 def _bounds(table) -> tuple[np.ndarray, np.ndarray]:
     return np.array([a for _, _, a, _ in table]), np.array([b for _, _, _, b in table])
 
@@ -649,9 +652,8 @@ def _isc_values(rates, sat: float) -> dict:
 
 
 def _slow_residual(tau: np.ndarray, w, y: np.ndarray, free_amp: bool):
-    """The slow stage's weighted residual ``residual(theta, rows=None)``:
-    of a coordinate vector against the curve ``y``, or of a stack's
-    coordinate rows against the curves ``y[rows]``."""
+    """The slow stage's weighted residual ``residual(theta, rows)`` of a
+    stack's coordinate rows against the curves ``y[rows]``."""
 
     def model(theta: np.ndarray, rows) -> np.ndarray:
         (ld1, ld2), (dl1, dl2) = _slow_rates(theta)
@@ -664,14 +666,12 @@ def _slow_residual(tau: np.ndarray, w, y: np.ndarray, free_amp: bool):
 
 
 def _stacked(model, w, y: np.ndarray):
-    """``w * (model(theta, rows) - y)`` for a vector, or for a stack's rows
-    against ``y[rows]``, a row the model refuses as NaN. The model takes a
-    stack's rows as columns, except in stacks of at most ``_NARROW`` rows,
-    where its float route is faster and gives the same bits."""
+    """``w * (model(theta, rows) - y[rows])`` for a stack's rows, a row the
+    model refuses as NaN. The model takes the rows as columns, except in
+    stacks of at most ``_NARROW`` rows, where its float route is faster
+    and gives the same bits."""
 
-    def residual(theta: np.ndarray, rows=None) -> np.ndarray:
-        if rows is None:
-            return w * (model(theta, None) - y)
+    def residual(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
         if len(rows) > _NARROW:
             out = model(theta, rows)
             out -= y[rows]
@@ -688,10 +688,10 @@ def _stacked(model, w, y: np.ndarray):
     return residual
 
 
-def _resolved(tau: np.ndarray, y: np.ndarray, theta: np.ndarray, free_amp: bool, rows=None):
-    """Whether the slow fit at ``theta`` (per row, for a stack) shows
-    bunching above the noise of its residual in g units, which does not
-    depend on the weighting scheme."""
+def _resolved(tau: np.ndarray, y: np.ndarray, theta: np.ndarray, free_amp: bool, rows: np.ndarray):
+    """Whether the slow fit at each of a stack's rows ``theta`` shows
+    bunching above the noise of its residual against ``y[rows]`` in g
+    units, which does not depend on the weighting scheme."""
     rms = np.sqrt(np.mean(_slow_residual(tau, 1.0, y, free_amp)(theta, rows) ** 2, axis=-1))
     p_l = _relaxation(*(rate for pair in _slow_rates(theta) for rate in pair))[2]
     return np.ravel(1.0 / p_l - 1.0) >= np.maximum(1e-4, 3.0 * rms / math.sqrt(tau.size))
@@ -721,7 +721,6 @@ def fit_slow(
         raise InsufficientDataError("need at least 8 points above the split delay")
     tau, y = sub.tau, sub.g
     free_amp = cfg.free_amplitude
-    residual = _slow_residual(tau, _weights(sub), y, free_amp)
     table = _SLOW + _AMPLITUDE if free_amp else _SLOW
     if init is not None:
         starts = [_init_start(init, [(name, log) for name, log, _, _ in table])]
@@ -741,8 +740,9 @@ def fit_slow(
                 x0.append(1.0)
             starts.append(np.array(x0))
 
-    best = _best_start(residual, starts, table, cfg)
-    if not _resolved(tau, y, best.x, free_amp):
+    residual = _slow_residual(tau, _weights(sub), np.broadcast_to(y, (len(starts), y.size)), free_amp)
+    best = _best_row(residual, np.array(starts), *_bounds(table), cfg.max_iterations, strict=True)
+    if not _resolved(tau, y[None], best.x[None], free_amp, np.zeros(1, dtype=int))[0]:
         raise DegenerateFitError(
             "no resolvable bunching above the split delay; the record looks "
             "like a non-blinking emitter"
@@ -771,12 +771,11 @@ def _fast_start(init: dict[str, float]) -> np.ndarray:
 
 def _fast_residual(tau: np.ndarray, w: np.ndarray, envelope: np.ndarray, y: np.ndarray):
     """The fast stage's weighted residual, as :func:`_slow_residual`'s: the
-    two-level shape over ``envelope``, or over ``envelope[rows]``."""
+    two-level shape over ``envelope[rows]``."""
 
     def model(theta: np.ndarray, rows) -> np.ndarray:
         log_a, log_omega, ratio = _coords(theta)
-        env = envelope if rows is None else envelope[rows]
-        return env * (_g2(tau, _pow10(log_a), _pow10(log_omega)) + ratio) / (1.0 + ratio)
+        return envelope[rows] * (_g2(tau, _pow10(log_a), _pow10(log_omega)) + ratio) / (1.0 + ratio)
 
     return _stacked(model, w, y)
 
@@ -811,7 +810,6 @@ def fit_fast(
         envelope = np.full(tau.size, plateau)
     else:
         envelope = plateau * slow_stats.P_L * blink_factor(tau, slow_stats)
-    residual = _fast_residual(tau, _weights(sub), envelope, y)
     if init is not None:
         starts = [_fast_start(init)]
     else:
@@ -827,7 +825,9 @@ def fit_fast(
         ]
         starts.append(np.array([math.log10(3.0 * a0), math.log10(a0), ratio0]))
 
-    best = _best_start(residual, starts, _FAST, cfg)
+    shape = (len(starts), y.size)
+    residual = _fast_residual(tau, _weights(sub), np.broadcast_to(envelope, shape), np.broadcast_to(y, shape))
+    best = _best_row(residual, np.array(starts), *_bounds(_FAST), cfg.max_iterations, strict=True)
     return _stage(_FAST, best, _fast_values(best.x), len(sub), I_sc=lambda t: _fast_values(t)["I_sc"])
 
 

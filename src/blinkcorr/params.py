@@ -105,7 +105,8 @@ class PhotoPhysicalParams:
                 "metastable rates are not small against A31/Omega31; "
                 "period statistics derived from these parameters lose accuracy",
                 HierarchyWarning,
-                stacklevel=2,
+                # Past the dataclass's generated __init__, to its caller.
+                stacklevel=3,
             )
 
     def as_dict(self) -> dict[str, float]:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .correlation import CorrelationSeries
 from .errors import DegenerateInputError, InsufficientDataError
-from .fileio import _atomic_open, _format_times, _parse_each, _parse_times, format_float
+from .fileio import _atomic_open, _format_times, _parse_times, format_float
 from .params import PeriodStatistics, PhotoPhysicalParams
 
 __all__ = [
@@ -711,14 +711,14 @@ def read_trajectory(path: str) -> Trajectory:
     raises :class:`ValueError` naming ``path:lineno``, and times or a
     duration that :class:`Trajectory` refuses raise it naming ``path``.
 
-    The leading ``#`` and blank lines are read one at a time. The rest is
-    read in blocks of whole lines, parsed on one thread per core the
-    process may run on by an integer kernel that proves each plain time
-    (digits, at most one dot) equal to what ``float()`` reads. The
-    calling thread takes the blocks in file order. It reads the few
-    unproven lines with ``float()``, and where that fails, as on a ``#``
-    line, a blank or a bad line, it reads the block one line at a time.
-    So every time has the bits ``float()`` gives it.
+    The file is read in blocks of whole lines, parsed on one thread per
+    core the process may run on by an integer kernel that proves each
+    plain time (digits, at most one dot) equal to what ``float()`` reads.
+    The calling thread takes the blocks in file order. A block the kernel
+    proves whole gives its times as they are; any other block, one with a
+    ``#`` line, a blank, a time in exponent notation or a bad line, it
+    reads one line at a time with ``float()``. So every time has the bits
+    ``float()`` gives it.
     """
     header: dict[str, float | int] = {}
     with open(path, "rb") as handle:
@@ -727,19 +727,11 @@ def read_trajectory(path: str) -> Trajectory:
         blocks = iter(lambda: handle.read(_READ_BYTES), b"")
         times = np.empty(sum(data.count(b"\n") for data in blocks) + 1)
         handle.seek(0)
-        leading = []
-        for raw in iter(handle.readline, b""):
-            if raw.strip() and not raw.lstrip().startswith(b"#"):
-                break
-            leading.append(raw.rstrip(b"\n"))
-        else:
-            raw = b""
-        _parse_lines(leading, 0, path, header)
-        filled, lineno = 0, len(leading)
+        filled = lineno = 0
 
         def texts() -> Iterator[bytes]:
             # Blocks of whole lines, each ended by a newline.
-            tail = raw
+            tail = b""
             while True:
                 data = handle.read(_READ_BYTES)
                 if not data:
@@ -759,19 +751,7 @@ def read_trajectory(path: str) -> Trajectory:
             nonlocal filled, lineno
             text, values, proven = parsed
             if not proven.all():
-                lines = text.split(b"\n")[:-1]
-                unproven = np.flatnonzero(~proven)
-                picked = [lines[i] for i in unproven.tolist()]
-                try:
-                    fixed = _parse_each(picked)
-                    # float() also reads '1_0', 'inf' and 'nan'; the
-                    # line-wise parse names such a line.
-                    if any(b"_" in line for line in picked) or not np.isfinite(fixed).all():
-                        raise ValueError
-                    values[unproven] = fixed
-                except ValueError:
-                    # Only a block with a header, a blank or a bad line gets here.
-                    values = _parse_lines(lines, lineno, path, header)
+                values = _parse_lines(text.split(b"\n")[:-1], lineno, path, header)
             times[filled : filled + values.size] = values
             filled += values.size
             lineno += proven.size

@@ -557,7 +557,8 @@ def test_fit_config_errors(tmp_path, params_file):
     cfg.write_text("split_tau = 1e-7\nsplit_tau = 1e-6\n")
     assert main(["fit", "--data", data, "--config", str(cfg), "--out", out]) == 2
     # Values the key reader takes but the fit cannot use: no point left in
-    # a window, or a seed the bootstrap generator would refuse. Starting
+    # a window, a seed the bootstrap generator would refuse, or one
+    # resample, which leaves no spread to take a sigma from. Starting
     # values, such as a zero T_L, are no setting, and the solver's damping
     # and tolerance are constants: the file refuses their keys.
     for text in (
@@ -568,6 +569,7 @@ def test_fit_config_errors(tmp_path, params_file):
         "split_tau = nan",
         "split_tau = inf",
         "bootstrap_seed = 18446744073709551616",
+        "bootstrap_resamples = 1",
     ):
         cfg.write_text(text + "\n")
         assert main(["fit", "--data", data, "--config", str(cfg), "--out", out]) == 2

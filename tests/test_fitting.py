@@ -380,6 +380,24 @@ def test_least_squares_rejects_trial_point_the_residual_refuses():
     assert res.x[0] == pytest.approx(2.0, rel=1e-8)
 
 
+def test_least_squares_stops_on_a_residual_not_finite_at_the_start():
+    # pinv's SVD does not converge on a Jacobian that is not finite: the
+    # covariance is NaN instead, and the fit stops unconverged.
+    res = least_squares(lambda x: np.array([np.nan, 1.0]), np.ones(1))
+    assert (res.converged, res.message) == (False, "residual or its Jacobian not finite")
+    assert np.isnan(res.cov).all()
+
+
+def test_stage_refuses_a_start_the_model_refuses(reference_params):
+    # Coincident dark periods on their floor under the longest light
+    # period are refused by the propagator (see the box-corner test
+    # above): a stage started there stops unconverged.
+    series = eval_curve(reference_params, log_grid(1e-10, 1.0, 30))
+    init = {"T_L": 1e5, "T_D1": 1e-8, "T_D2": 1e-8, "p1": 0.5}
+    with pytest.raises(FitConvergenceError, match="residual or its Jacobian not finite"):
+        fit_slow(series, FitConfig(bootstrap_resamples=0), init=init)
+
+
 def test_fit_slow_survives_degenerate_trial_step():
     # On this curve a damped trial step of the slow stage is clipped onto
     # the corner T_D1 = T_D2 = 1e-8 s, where the two dark rates coincide
@@ -654,8 +672,10 @@ def test_fit_fast_validates_plateau(reference_params):
 def test_fit_config_validation():
     with pytest.raises(ValueError):
         FitConfig(split_tau=0.0)
-    with pytest.raises(ValueError):
-        FitConfig(bootstrap_resamples=-1)
+    # One resample gives no spread: the bootstrap needs two refits.
+    for resamples in (-1, 1):
+        with pytest.raises(ValueError, match="^bootstrap_resamples must be 0 or at least 2$"):
+            FitConfig(bootstrap_resamples=resamples)
     with pytest.raises(ValueError):
         FitConfig(max_iterations=0)
     # Types are checked at the boundary too: a float count would fail
@@ -822,54 +842,9 @@ def test_fit_residuals_skip_public_checks(reference_params, monkeypatch):
     assert counts["_as_delay_array"] <= 4
 
 
-def record_starts(monkeypatch):
-    """Start, bounds and refit flag of every least_squares call the stages
-    make."""
-    calls = []
-
-    def recording(residual, x0, bounds=None, **kwargs):
-        calls.append((np.array(x0), bounds, kwargs.get("refit", False)))
-        return least_squares(residual, x0, bounds, **kwargs)
-
-    monkeypatch.setattr(fitting, "least_squares", recording)
-    return calls
-
-
-def test_stages_try_their_starts(reference_params, monkeypatch):
-    # Slow and fast stage try four heuristic starts; the isc stage runs no
-    # optimizer.
-    series = eval_curve(reference_params, log_grid(1e-10, 1.0, 30))
-    calls = record_starts(monkeypatch)
-    fit_full(series, FitConfig(bootstrap_resamples=0))
-    assert [x0.size for x0, *_ in calls] == [4] * 4 + [3] * 4
-
-
-def test_guessing_every_coordinate_leaves_one_start(reference_params, monkeypatch):
-    series = eval_curve(reference_params, log_grid(1e-10, 1.0, 30))
-    stats = statistics_from_params(reference_params)
-    truth = truth_of(reference_params)
-    calls = record_starts(monkeypatch)
-    cfg = FitConfig(bootstrap_resamples=0)
-    fit_slow(series, cfg, init=truth)
-    fit_fast(series, 1.0 / stats.P_L, cfg, init=truth, slow_stats=stats)
-    assert [x0.size for x0, *_ in calls] == [4, 3]
-    log10 = math.log10
-    assert calls[0][0].tolist() == [
-        log10(truth["T_L"]), log10(truth["T_D1"]), log10(truth["T_D2"]), truth["p1"]
-    ]
-    assert calls[1][0][:2].tolist() == [log10(truth["A31"]), log10(truth["Omega31"])]
-
-    # A free amplitude is a coordinate of the slow stage, started from init.
-    calls.clear()
-    free = FitConfig(bootstrap_resamples=0, free_amplitude=True)
-    fit_slow(series, free, init={**truth, "amplitude": 1.25})
-    assert len(calls) == 1
-    assert calls[0][0][4] == 1.25
-
-
 def record_stacks(monkeypatch):
-    """Start rows and refit flag of every stack the solver runs, and the
-    rows' outcomes: (converged, on a box edge, message) per row."""
+    """Start rows, bounds and refit flag of every stack the solver runs,
+    and the rows' outcomes: (converged, on a box edge, message) per row."""
     stacks = []
     solve_stack = fitting._solve_stack
 
@@ -880,34 +855,99 @@ def record_stacks(monkeypatch):
             (fitting._STOPS[stop][1], bool(np.any((row == lo) | (row == hi))), fitting._STOPS[stop][0])
             for row, stop in zip(x, stops)
         ]
-        stacks.append((x0.copy(), refit, ends))
+        stacks.append((x0.copy(), (lo, hi), refit, ends))
         return out
 
     monkeypatch.setattr(fitting, "_solve_stack", recording)
     return stacks
 
 
+def test_stages_try_their_starts(reference_params, monkeypatch):
+    # Slow and fast stage solve their four heuristic starts as one stack
+    # each and call no least_squares; the isc stage runs no optimizer.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stage called least_squares")
+
+    series = eval_curve(reference_params, log_grid(1e-10, 1.0, 30))
+    stacks = record_stacks(monkeypatch)
+    monkeypatch.setattr(fitting, "least_squares", refuse)
+    fit_full(series, FitConfig(bootstrap_resamples=0))
+    assert [(x0.shape, refit) for x0, _, refit, _ in stacks] == [((4, 4), False), ((4, 3), False)]
+
+
+def test_guessing_every_coordinate_leaves_one_start(reference_params, monkeypatch):
+    series = eval_curve(reference_params, log_grid(1e-10, 1.0, 30))
+    stats = statistics_from_params(reference_params)
+    truth = truth_of(reference_params)
+    stacks = record_stacks(monkeypatch)
+    cfg = FitConfig(bootstrap_resamples=0)
+    fit_slow(series, cfg, init=truth)
+    fit_fast(series, 1.0 / stats.P_L, cfg, init=truth, slow_stats=stats)
+    assert [x0.shape for x0, *_ in stacks] == [(1, 4), (1, 3)]
+    log10 = math.log10
+    assert stacks[0][0].tolist() == [
+        [log10(truth["T_L"]), log10(truth["T_D1"]), log10(truth["T_D2"]), truth["p1"]]
+    ]
+    assert stacks[1][0][0, :2].tolist() == [log10(truth["A31"]), log10(truth["Omega31"])]
+
+    # A free amplitude is a coordinate of the slow stage, started from init.
+    stacks.clear()
+    free = FitConfig(bootstrap_resamples=0, free_amplitude=True)
+    fit_slow(series, free, init={**truth, "amplitude": 1.25})
+    assert len(stacks) == 1
+    assert stacks[0][0][0, 4] == 1.25
+
+
+@pytest.mark.parametrize("free_amp", [False, True])
+def test_stage_keeps_the_best_start_solved_alone(reference_params, monkeypatch, free_amp):
+    # Each stage ends, in float hex, where least_squares leaves the start
+    # of least cost, every start solved alone on the stage's residual: the
+    # same point, cost, covariance, iterations and stop.
+    outcomes = []
+    best_row = fitting._best_row
+
+    def recording(residual, x0, lo, hi, max_iterations, **kwargs):
+        best = best_row(residual, x0, lo, hi, max_iterations, **kwargs)
+        outcomes.append((residual, x0, (lo, hi), max_iterations, best))
+        return best
+
+    monkeypatch.setattr(fitting, "_best_row", recording)
+    for seed in (0, 13):
+        fit_full(criterion7_curve(reference_params, seed), FitConfig(bootstrap_resamples=0, free_amplitude=free_amp))
+    assert [x0.shape[0] for _, x0, *_ in outcomes] == [4] * 4
+    monkeypatch.undo()
+
+    def hexed(res):
+        return [list(map(float.hex, a.ravel().tolist())) for a in (res.x, np.array(res.cost), res.cov)]
+
+    for residual, x0, bounds, max_iterations, stage in outcomes:
+        alone = [
+            least_squares(lambda v: residual(v[None], np.zeros(1, dtype=int))[0], start, bounds, max_iterations=max_iterations)
+            for start in x0
+        ]
+        best = min(alone, key=lambda res: res.cost)
+        assert hexed(stage) == hexed(best)
+        assert (stage.iterations, stage.converged, stage.message) == (best.iterations, best.converged, best.message)
+
+
 def test_bootstrap_refits_only_the_slow_and_fast_stages(reference_params, monkeypatch):
-    # The main fit solves each start as a stack of one without the refit
-    # rule. The bootstrap then solves the slow and the fast stage once
-    # each, as a stack of one row per refit: every row starts from the
+    # The main fit solves each stage's four starts as one stack without
+    # the refit rule. The bootstrap then solves the slow and the fast stage
+    # once each, as a stack of one row per refit: every row starts from the
     # original fit's values and stops within 1e-3 standard errors; the
     # isc block is derived without an optimizer.
     data = criterion7_curve(reference_params, seed=0)
-    calls = record_starts(monkeypatch)
     stacks = record_stacks(monkeypatch)
     res = fit_full(data, FitConfig(bootstrap_resamples=3))
     assert res.diagnostics["bootstrap_failures"] == 0
-    assert [x0.size for x0, *_ in calls] == [4] * 4 + [3] * 4
-    assert [refit for *_, refit in calls] == [False] * 8
-    assert [(x0.shape, refit) for x0, refit, _ in stacks] == (
-        [((1, 4), False)] * 4 + [((1, 3), False)] * 4 + [((3, 4), True), ((3, 3), True)]
+    assert [(x0.shape, refit) for x0, _, refit, _ in stacks] == (
+        [((4, 4), False), ((4, 3), False), ((3, 4), True), ((3, 3), True)]
     )
     slow, fast = res.stages["slow"].values, res.stages["fast"].values
     log10 = math.log10
     start = [log10(slow["T_L"]), log10(slow["T_D1"]), log10(slow["T_D2"]), slow["p1"]]
-    assert stacks[8][0].tolist() == [start] * 3
-    x0 = stacks[9][0]
+    assert stacks[2][0].tolist() == [start] * 3
+    x0 = stacks[3][0]
     assert x0[:, :2].tolist() == [[log10(fast["A31"]), log10(fast["Omega31"])]] * 3
     assert np.all(x0[:, 2] == fast["I_sc"] / light_intensity(10.0 ** x0[0, 0], 10.0 ** x0[0, 1]))
     assert all(stage.sigma for stage in res.stages.values())
@@ -937,7 +977,7 @@ def test_bootstrap_counts_refits_on_a_bound(reference_params, monkeypatch):
     data = criterion7_curve(reference_params, seed=13)
     stacks = record_stacks(monkeypatch)
     res = fit_full(data, FitConfig(bootstrap_resamples=50))
-    ends = [end for x0, refit, rows in stacks if refit and x0.shape[1] == 4 for end in rows]
+    ends = [end for x0, _, refit, rows in stacks if refit and x0.shape[1] == 4 for end in rows]
     assert len(ends) == 50
     assert res.diagnostics["bootstrap_failures"] == sum(not ok for ok, *_ in ends) == 1
     assert [message for ok, _, message in ends if not ok] == ["maximum iterations reached"]
@@ -958,13 +998,12 @@ def test_bootstrap_draws_equal_refits_through_the_stages(reference_params, monke
     model = g_total(data.tau, PhotoPhysicalParams.from_dict({key: flat[key] for key in RESULT_KEYS[:7]}))
     draws, failures, on_bound = fitting._bootstrap(data, cfg, flat, model)
 
-    real = fitting.least_squares
+    solve_stack = fitting._solve_stack
 
-    def refit(residual, x0, bounds=None, **kwargs):
-        res = real(residual, x0, bounds, max_iterations=kwargs["max_iterations"], refit=True)
-        return replace(res, cov=np.zeros((res.x.size, res.x.size)))
+    def refit(residual, x0, lo, hi, max_iterations, _):
+        return solve_stack(residual, x0, lo, hi, max_iterations, True)
 
-    monkeypatch.setattr(fitting, "least_squares", refit)
+    monkeypatch.setattr(fitting, "_solve_stack", refit)
     rng = np.random.Generator(np.random.Philox(key=[cfg.bootstrap_seed, 3]))
     resid, npts = data.g - model, len(data)
     rows, edges = [], 0
@@ -990,28 +1029,27 @@ def test_background_guess_sets_each_ratio_start(reference_params, monkeypatch):
     # rates.
     series = eval_curve(reference_params, log_grid(1e-10, 1.0, 30))
     stats = statistics_from_params(reference_params)
-    calls = record_starts(monkeypatch)
+    stacks = record_stacks(monkeypatch)
     cfg = FitConfig(bootstrap_resamples=0)
     for omega in (2e8, 4e8):
         init = {"A31": 2e8, "Omega31": omega, "I_sc": 5e7}
         fit_fast(series, 1.0 / stats.P_L, cfg, init=init, slow_stats=stats)
-    assert len(calls) == 2
-    assert len({x0[2] for x0, *_ in calls}) > 1
-    for x0, *_ in calls:
+    assert [x0.shape for x0, *_ in stacks] == [(1, 3)] * 2
+    assert len({x0[0, 2] for x0, *_ in stacks}) > 1
+    for (x0,), *_ in stacks:
         assert x0[0] == math.log10(2e8)
         assert x0[2] == 5e7 / light_intensity(10.0 ** x0[0], 10.0 ** x0[1])
 
 
 def test_bounds_apply_to_stage_coordinates(reference_params, monkeypatch):
-    # Every call of a stage fits in the box the README's table states: log
+    # Every stack of a stage fits in the box the README's table states: log
     # coordinates in log10 of the value, linear ones as given.
     series = eval_curve(reference_params, log_grid(1e-10, 1.0, 30))
-    calls = record_starts(monkeypatch)
+    stacks = record_stacks(monkeypatch)
     fit_full(series, FitConfig(bootstrap_resamples=0, free_amplitude=True))
-    assert [x0.size for x0, *_ in calls] == [5] * 4 + [3] * 4
-    for _, (lo, hi), _ in calls[:4]:
-        assert lo.tolist() == [-8.0, -8.0, -8.0, 1e-4, 0.1]
-        assert hi.tolist() == [5.0, 5.0, 5.0, 1.0 - 1e-4, 10.0]
-    for _, (lo, hi), _ in calls[4:]:
-        assert lo.tolist() == [2.0, 2.0, 0.0]
-        assert hi.tolist() == [14.0, 14.0, 1e3]
+    assert [x0.shape for x0, *_ in stacks] == [(4, 5), (4, 3)]
+    (_, (lo, hi), *_), (_, (lo_fast, hi_fast), *_) = stacks
+    assert lo.tolist() == [-8.0, -8.0, -8.0, 1e-4, 0.1]
+    assert hi.tolist() == [5.0, 5.0, 5.0, 1.0 - 1e-4, 10.0]
+    assert lo_fast.tolist() == [2.0, 2.0, 0.0]
+    assert hi_fast.tolist() == [14.0, 14.0, 1e3]

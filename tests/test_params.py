@@ -133,8 +133,11 @@ def test_params_validation():
 
 
 def test_hierarchy_warning():
-    with pytest.warns(HierarchyWarning):
+    # The warning points at the line that built the parameters, not at
+    # the dataclass's generated __init__.
+    with pytest.warns(HierarchyWarning) as record:
         PhotoPhysicalParams(A31=1e4, Omega31=1e4, A32=(500.0, 1.0), A21=(1.0, 1.0))
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_period_statistics_requires_finite_dark_periods():

@@ -954,21 +954,26 @@ def test_read_trajectory_refuses_what_float_alone_accepts(tmp_path, monkeypatch,
 
 
 def test_read_trajectory_never_parses_ordinary_times_one_by_one(tmp_path, monkeypatch):
-    # A kernel fault that left every line to float() would keep the times
-    # and lose the speed; only the rare times below 1e-4, which '%.17g'
-    # writes in exponent notation, may get there.
-    def refuse(lines):
-        if any(b"e-" not in line for line in lines):
-            raise AssertionError(f"line-wise parse of {lines[:3]}")
-        return np.array(lines, dtype=np.float64)
+    # A kernel fault that left every block to float() would keep the times
+    # and lose the speed; only a block with a '#' line, a blank or one of
+    # the rare times below 1e-4, which '%.17g' writes in exponent notation,
+    # may get there. The header's block does.
+    parse_lines, line_wise = simulate._parse_lines, []
 
-    monkeypatch.setattr(simulate, "_parse_each", refuse)
+    def checked(lines, skipped, path, header):
+        if not any(line.startswith(b"#") or not line or b"e-" in line for line in lines):
+            raise AssertionError(f"line-wise parse of {lines[:3]}")
+        line_wise.append(skipped)
+        return parse_lines(lines, skipped, path, header)
+
+    monkeypatch.setattr(simulate, "_parse_lines", checked)
     rng = np.random.Generator(np.random.Philox(key=[8, 0]))
     times = np.sort(rng.uniform(0.0, 100.0, 1 << 16))
     path = tmp_path / "traj.txt"
     write_trajectory(Trajectory(times=times, duration=100.0), str(path))
     again = read_trajectory(str(path))
     assert np.array_equal(again.times.view(np.int64), times.view(np.int64))
+    assert line_wise[0] == 0
 
 
 @pytest.mark.parametrize("failing", [1, 2])
