@@ -195,9 +195,10 @@ def least_squares(
     rejected like one that raises the cost. Convergence requires the
     relative step and cost change below 1e-10; no damping that improves,
     or every coordinate pinned, also counts as converged. A residual that
-    is not finite at the iterate or a Jacobian probe stops unconverged.
-    ``message`` names the reason. ``cov`` is ``pinv(J^T J) * cost / dof``,
-    NaN where the Jacobian is not finite.
+    is not finite at the iterate or a Jacobian probe stops unconverged, and
+    so does a start whose sum of squares overflows, at once. ``message``
+    names the reason. ``cov`` is ``pinv(J^T J) * cost / dof``, NaN where
+    the Jacobian or the cost is not finite.
 
     ``refit`` is for bootstrap refits: before each damped step the
     undamped Gauss-Newton step ``delta`` is solved, and the loop stops with
@@ -251,11 +252,13 @@ def _best_row(residual, x0, lo, hi, max_iterations, refit=False, strict=False) -
         )
     cov, row, npar = None, slice(i, i + 1), x.shape[1]
     if not refit:
-        jac = _jacobian(residual, x[row], r[row], np.array([i]), _fd_scale(x0[row]), hi)[0]
-        # pinv's SVD does not converge on a Jacobian that is not finite.
+        # pinv's SVD does not converge on a Jacobian that is not finite, and
+        # a row that stopped on one, or on a cost that is not, needs none.
         cov = np.full((npar, npar), np.nan)
-        if np.isfinite(jac).all():
-            cov = np.linalg.pinv(jac.T @ jac) * (cost[i] / max(r.shape[1] - npar, 1))
+        if stops[i] != _NOT_FINITE:
+            jac = _jacobian(residual, x[row], r[row], np.array([i]), _fd_scale(x0[row]), hi)[0]
+            if np.isfinite(jac).all():
+                cov = np.linalg.pinv(jac.T @ jac) * (cost[i] / max(r.shape[1] - npar, 1))
     return LeastSquaresResult(x[i], float(cost[i]), cov, int(iterations[i]), converged, message)
 
 
@@ -268,8 +271,10 @@ def _fd_scale(x: np.ndarray) -> np.ndarray:
 
 
 def _sumsq(r: np.ndarray) -> list:
-    """Each row's ``r @ r``, by the dot product a single vector gets."""
-    return (r[:, None, :] @ r[:, :, None]).ravel().tolist()
+    """Each row's ``r @ r``, by the dot product a single vector gets; a sum
+    that overflows is ``inf``."""
+    with np.errstate(over="ignore"):
+        return (r[:, None, :] @ r[:, :, None]).ravel().tolist()
 
 
 def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list]:
@@ -319,23 +324,6 @@ def _jacobian(residual, x, r, rows, scale, hi) -> np.ndarray:
     return jac
 
 
-def _system(jac: np.ndarray, grad: np.ndarray, rows: list, pins: tuple, eye: np.ndarray) -> tuple:
-    """``(rows, free, J^T J, -grad, D)`` of the stack's ``rows`` that share
-    the pinned coordinates ``pins``, over the free coordinates; ``D`` is
-    the diagonal matrix the damping scales. ``free`` is None when the
-    system covers every row of the stack and every coordinate; ``eye`` is
-    the identity of the full system."""
-    free = None
-    if len(rows) < len(jac) or any(pins):
-        free = np.flatnonzero(np.logical_not(pins))
-        jac, grad = jac[rows][:, :, free], grad[rows][:, free]
-    jtj = jac.transpose(0, 2, 1) @ jac
-    diag = np.maximum(jtj.diagonal(axis1=1, axis2=2), 1e-300)
-    if free is not None:
-        eye = eye[np.ix_(free, free)]
-    return rows, free, jtj, -grad, diag[:, :, None] * eye
-
-
 def _solve_stack(residual, x0, lo, hi, max_iterations, refit):
     """:func:`least_squares` on a stack of problems in one run.
 
@@ -345,14 +333,17 @@ def _solve_stack(residual, x0, lo, hi, max_iterations, refit):
     ``x0`` holds one start per problem, inside the bounds ``lo`` and
     ``hi``. Each problem keeps its own damping, pinned coordinates and
     stop, with the arithmetic it gets when solved alone, and leaves the
-    stack when it stops. The Jacobian probes, normal equations, damped
-    solves and trial residuals of the stack are one numpy call each; each
-    row's control runs on Python floats, which for a handful of
-    coordinates costs less than numpy calls on tiny arrays. Returns ``[x,
-    r, cost, iterations, stops]``, the last indexing ``_STOPS``.
+    stack when it stops. Each iteration builds one ``(m, k, k)`` system
+    from the stack's ``J^T J``: a pinned coordinate gets the identity's row
+    and column and a zero right-hand side and damping, so it takes no step
+    and the free ones are solved without it, and a stopped row gets the
+    whole identity. The Jacobian probes, normal equations, damped solves
+    and trial residuals of the stack are one numpy call each; each row's
+    control runs on Python floats, which for a handful of coordinates
+    costs less than numpy calls on tiny arrays. Returns ``[x, r, cost,
+    iterations, stops]``, the last indexing ``_STOPS``.
     """
     nrow, npar = x0.shape
-    box = list(zip(lo.tolist(), hi.tolist()))
     ids = np.arange(nrow)
     x, scale = x0.copy(), _fd_scale(x0.copy())
     r = residual(x, ids)
@@ -361,46 +352,47 @@ def _solve_stack(residual, x0, lo, hi, max_iterations, refit):
     lam = [_START_DAMPING] * nrow
     eye = np.eye(npar)
     out = [np.empty_like(x), np.empty_like(r), np.empty(nrow), np.full(nrow, max_iterations), np.full(nrow, _CAP)]
+    # A start whose cost is not finite stops at once; a live row's cost
+    # stays finite, as a step that raises it is refused.
+    stop = [0 if math.isfinite(c) else _NOT_FINITE for c in cost]
 
-    for it in range(1, max_iterations + 1):
+    for it in range(max_iterations + 1):
+        if any(stop):
+            done = [i for i, s in enumerate(stop) if s]
+            keep = [i for i, s in enumerate(stop) if not s]
+            for whole, part in zip(out, (x[done], r[done], [cost[i] for i in done], it, [stop[i] for i in done])):
+                whole[ids[done]] = part
+            ids, x, r, scale = ids[keep], x[keep], r[keep], scale[keep]
+            cost, lam = [cost[i] for i in keep], [lam[i] for i in keep]
         m = ids.size
-        if not m:
+        if not m or it == max_iterations:
             break
         jac = _jacobian(residual, x, r, ids, scale, hi)
-        grad = (jac.transpose(0, 2, 1) @ r[:, :, None])[:, :, 0]
-        # A coordinate on its bound whose gradient points out of the box
-        # is pinned: it takes no step, and the others are solved without
-        # it. Rows that share their pinned coordinates share a system; only
-        # rows on an edge or with a gradient that is not finite are looked
-        # at one by one.
-        stop = [0] * m
-        edge, finite = (x <= lo) | (x >= hi), np.isfinite(grad)
-        odd = set()
-        if np.count_nonzero(edge) or np.count_nonzero(finite) < finite.size:
-            odd = set(np.flatnonzero(edge.any(axis=1) | ~finite.all(axis=1)).tolist())
-        patterns = {(False,) * npar: [i for i in range(m) if i not in odd]}
-        for i in sorted(odd):
-            gi = grad[i].tolist()
-            pins = tuple((v <= a and g > 0.0) or (v >= b and g < 0.0) for v, g, (a, b) in zip(x[i].tolist(), gi, box))
-            if not all(map(math.isfinite, gi)):
-                stop[i] = _NOT_FINITE
-            elif all(pins):
-                stop[i] = _PINNED
-            else:
-                patterns.setdefault(pins, []).append(i)
-        systems = [_system(jac, grad, sorted(rows), pins, eye) for pins, rows in patterns.items() if rows]
+        jt = jac.transpose(0, 2, 1)
+        grad, jtj = (jt @ r[:, :, None])[:, :, 0], jt @ jac
         # A wide stack's Jacobian is its largest array: the next one is
         # built without it.
-        del jac
+        del jac, jt
+        # A coordinate on its bound whose gradient points out of the box
+        # is pinned (the active-set rule), and a row whose gradient is not
+        # finite or whose every coordinate is pinned stops.
+        pinned = ((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0))
+        finite = np.isfinite(grad).all(axis=1)
+        stop = np.where(finite, np.where(pinned.all(axis=1), _PINNED, 0), _NOT_FINITE).tolist()
+        free = ~pinned & finite[:, None]
+        rhs, diag = -grad, np.maximum(jtj.diagonal(axis1=1, axis2=2), 1e-300)
+        if not free.all():
+            jtj = np.where(free[:, :, None] & free[:, None, :], jtj, eye)
+            rhs[~free] = diag[~free] = 0.0
+        diag = diag[:, :, None] * eye
         if refit:
-            for rows, _, jtj, rhs, _ in systems:
-                distance = (rhs[:, None, :] @ _solve_rows(jtj, rhs)[0][:, :, None])[:, 0, 0]
-                for i, d in zip(rows, distance.tolist()):
-                    # J^T J is positive semidefinite: a negative distance is
-                    # the rounding of a near-singular system, which skips
-                    # the test too.
-                    if cost[i] > 0.0 and 0.0 <= d < _REFIT_TOL**2 * cost[i] / dof:
-                        stop[i] = _REFIT
+            distance = (rhs[:, None, :] @ _solve_rows(jtj, rhs)[0][:, :, None])[:, 0, 0].tolist()
+            for i, d in enumerate(distance):
+                # J^T J is positive semidefinite: a negative distance is
+                # the rounding of a near-singular system, which skips the
+                # test too.
+                if not stop[i] and cost[i] > 0.0 and 0.0 <= d < _REFIT_TOL**2 * cost[i] / dof:
+                    stop[i] = _REFIT
 
         # Each row raises its damping until a step does not raise its cost;
         # a live row's cost is finite, so a NaN cost is refused too.
@@ -408,15 +400,7 @@ def _solve_stack(residual, x0, lo, hi, max_iterations, refit):
         moved = [False] * m
         x_new, r_new, cost_new = x, r, cost
         while searching:
-            damping = np.array(lam)[:, None, None]
-            if systems[0][1] is None:
-                _, _, jtj, rhs, diag = systems[0]
-                step, singular = _solve_rows(jtj + damping * diag, rhs)
-            else:
-                step, singular = np.zeros(x.shape), []
-                for rows, free, jtj, rhs, diag in systems:
-                    step[np.ix_(rows, free)], lost = _solve_rows(jtj + damping[rows] * diag, rhs)
-                    singular += [rows[j] for j in lost]
+            step, singular = _solve_rows(jtj + np.array(lam)[:, None, None] * diag, rhs)
             # A row whose system is singular tries no point.
             if len(searching) == m and not singular:
                 trial, x_try, rows = searching, x + step, ids
@@ -456,21 +440,8 @@ def _solve_stack(residual, x0, lo, hi, max_iterations, refit):
             elif not stop[i]:
                 stop[i] = _STUCK
         x, r, cost = x_new, r_new, cost_new
-
-        if any(stop):
-            if all(stop):
-                for whole, part in zip(out, (x, r, cost, it, stop)):
-                    whole[ids] = part
-                break
-            done = [i for i in range(m) if stop[i]]
-            keep = [i for i in range(m) if not stop[i]]
-            for whole, part in zip(out, (x[done], r[done], [cost[i] for i in done], it, [stop[i] for i in done])):
-                whole[ids[done]] = part
-            ids, x, r, scale = ids[keep], x[keep], r[keep], scale[keep]
-            cost, lam = [cost[i] for i in keep], [lam[i] for i in keep]
-    else:
-        for whole, part in zip(out, (x, r, cost)):
-            whole[ids] = part
+    for whole, part in zip(out, (x, r, cost)):
+        whole[ids] = part
     return out
 
 
@@ -511,16 +482,20 @@ def _weights(sub: CorrelationSeries) -> np.ndarray:
     return np.sqrt(dlog / dlog.mean())
 
 
-def _propagated_sigma(func, theta: np.ndarray, cov: np.ndarray) -> float:
-    # Delta method with a central-difference gradient; a forward one errs
-    # by a relative amount of the order of its step.
-    grad = np.empty(theta.size)
-    for j in range(theta.size):
-        step = np.zeros(theta.size)
-        step[j] = 1e-6 * max(abs(theta[j]), 1e-12)
-        grad[j] = (func(theta + step) - func(theta - step)) / (2.0 * step[j])
-    var = float(grad @ cov @ grad)
-    return math.sqrt(max(var, 0.0))
+def _propagated_sigma(values, theta: np.ndarray, cov: np.ndarray) -> dict[str, float]:
+    """The delta-method sigma of each value ``values(probes)`` gives, one
+    entry per row of a stack of coordinate rows, evaluated once on the
+    ``2k`` central-difference probes of ``theta``; a forward difference
+    errs by a relative amount of the order of its step."""
+    k = theta.size
+    step = 1e-6 * np.maximum(np.abs(theta), 1e-12)
+    shift = np.diag(step)
+    sigma = {}
+    for name, column in values(np.concatenate([theta + shift, theta - shift])).items():
+        column = np.ravel(column)
+        grad = (column[:k] - column[k:]) / (2.0 * step)
+        sigma[name] = math.sqrt(max(float(grad @ cov @ grad), 0.0))
+    return sigma
 
 
 def _bounds(table) -> tuple[np.ndarray, np.ndarray]:
@@ -552,11 +527,12 @@ def _stage(
     best: LeastSquaresResult,
     values: dict[str, float],
     n_points: int,
-    **propagated,
+    propagated,
 ) -> FitStage:
     """The stage's outcome. Sigmas are in value units: ``value * ln10 * sd``
     for a log coordinate, ``sd`` for a linear one, plus the delta-method
-    sigma of each ``propagated`` function of the coordinates."""
+    sigma of each value ``propagated`` gives (see
+    :func:`_propagated_sigma`)."""
     lo, hi = _bounds(table)
     on_bound = bool(np.any((best.x == lo) | (best.x == hi)))
     sigma = {}
@@ -564,8 +540,7 @@ def _stage(
     for pos, (name, log, _, _) in enumerate(table):
         sd = math.sqrt(max(best.cov[pos, pos], 0.0))
         sigma[name] = values[name] * ln10 * sd if log else sd
-    for name, func in propagated.items():
-        sigma[name] = _propagated_sigma(func, best.x, best.cov)
+    sigma.update(_propagated_sigma(propagated, best.x, best.cov))
     return FitStage(
         values, sigma, best.cost, best.iterations, best.converged, best.message, n_points, on_bound
     )
@@ -747,17 +722,12 @@ def fit_slow(
             "no resolvable bunching above the split delay; the record looks "
             "like a non-blinking emitter"
         )
-    stage = _stage(
-        table,
-        best,
-        _slow_values(best.x, free_amp),
-        len(sub),
-        P_L=lambda t: _slow_values(t, free_amp)["P_L"],
-        p_LD_1=lambda t: _slow_rates(t)[0][0],
-        p_LD_2=lambda t: _slow_rates(t)[0][1],
-        p_DL_1=lambda t: _slow_rates(t)[1][0],
-        p_DL_2=lambda t: _slow_rates(t)[1][1],
-    )
+
+    def derived(theta: np.ndarray) -> dict:
+        (ld1, ld2), (dl1, dl2) = _slow_rates(theta)
+        return {"P_L": _relaxation(ld1, ld2, dl1, dl2)[2], "p_LD_1": ld1, "p_LD_2": ld2, "p_DL_1": dl1, "p_DL_2": dl2}
+
+    stage = _stage(table, best, _slow_values(best.x, free_amp), len(sub), derived)
     _longer_first(stage.values, stage.sigma)
     return stage
 
@@ -828,7 +798,8 @@ def fit_fast(
     shape = (len(starts), y.size)
     residual = _fast_residual(tau, _weights(sub), np.broadcast_to(envelope, shape), np.broadcast_to(y, shape))
     best = _best_row(residual, np.array(starts), *_bounds(_FAST), cfg.max_iterations, strict=True)
-    return _stage(_FAST, best, _fast_values(best.x), len(sub), I_sc=lambda t: _fast_values(t)["I_sc"])
+    # I_sc per probe, on floats: light_intensity takes no columns.
+    return _stage(_FAST, best, _fast_values(best.x), len(sub), lambda p: {"I_sc": [_fast_values(t)["I_sc"] for t in p]})
 
 
 def fit_isc(slow: FitStage, fast: FitStage) -> FitStage:
@@ -844,14 +815,7 @@ def fit_isc(slow: FitStage, fast: FitStage) -> FitStage:
     rates = rates_from_statistics(v["T_L"], (v["T_D1"], v["T_D2"]), v["p1"])
     sat = saturation_factor(fast.values["A31"], fast.values["Omega31"])
     values = _isc_values(rates, sat)
-    sigma = {}
-    if s:
-        sigma = {
-            "A32_1": s["p_LD_1"] / sat,
-            "A32_2": s["p_LD_2"] / sat,
-            "A21_1": s["p_DL_1"],
-            "A21_2": s["p_DL_2"],
-        }
+    sigma = _isc_values(((s["p_LD_1"], s["p_LD_2"]), (s["p_DL_1"], s["p_DL_2"])), sat) if s else {}
     return FitStage(
         values, sigma, slow.cost, 0, True, "derived from the slow and fast stages", slow.n_points
     )

@@ -17,6 +17,7 @@ Two layers of description coexist:
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -43,6 +44,17 @@ PARAM_KEYS = ("A31", "Omega31", "A32_1", "A32_2", "A21_1", "A21_2", "I_sc")
 # Warn when the slow (metastable) rates come within two decades of the
 # fast optical rates; the perturbative period picture degrades there.
 _HIERARCHY_MARGIN = 1e-2
+
+
+def _caller_level() -> int:
+    """The ``stacklevel`` that points a warning raised by this function's
+    caller at the first frame outside the package; the dataclass's
+    generated ``__init__`` runs in its module's namespace, so it counts as
+    inside."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == __package__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -105,8 +117,7 @@ class PhotoPhysicalParams:
                 "metastable rates are not small against A31/Omega31; "
                 "period statistics derived from these parameters lose accuracy",
                 HierarchyWarning,
-                # Past the dataclass's generated __init__, to its caller.
-                stacklevel=3,
+                stacklevel=_caller_level(),
             )
 
     def as_dict(self) -> dict[str, float]:

@@ -59,19 +59,26 @@ _READ_BYTES = 19 << 15
 _HEADER_FIELDS = {"duration": float, "seed": int}
 
 
-def _stream_rng(seed: int, stream: int) -> np.random.Generator:
+def _checked_seed(seed) -> int:
+    """``seed`` as an int; :class:`ValueError` unless it is an integer, not
+    a bool, in [0, 2**63)."""
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise ValueError("seed must be an integer")
     if seed < 0 or seed >= 2**63:
         raise ValueError("seed must lie in [0, 2**63)")
-    return np.random.Generator(np.random.Philox(key=[int(seed), int(stream)]))
+    return int(seed)
+
+
+def _stream_rng(seed: int, stream: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=[_checked_seed(seed), int(stream)]))
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """Photon arrival times over a fixed observation window.
 
-    ``times`` are sorted seconds in ``[0, duration]``.
+    ``times`` are sorted seconds in ``[0, duration]``; ``seed``, the
+    simulation's, is None or an integer, not a bool, in [0, 2**63).
     """
 
     times: np.ndarray
@@ -87,6 +94,8 @@ class Trajectory:
         object.__setattr__(self, "duration", duration)
         if not math.isfinite(duration) or duration <= 0.0:
             raise ValueError("duration must be positive and finite")
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _checked_seed(self.seed))
         if times.size:
             if not np.all(np.isfinite(times)):
                 raise ValueError("arrival times must be finite")
@@ -361,7 +370,7 @@ def simulate_photons(
     # period's end could put two of them one ulp the wrong way round.
     if n_bg or np.any(times[1:] < times[:-1]):
         times.sort()
-    return Trajectory(times=times, duration=duration, seed=int(seed))
+    return Trajectory(times=times, duration=duration, seed=seed)
 
 
 def estimate_g(
@@ -708,8 +717,9 @@ def read_trajectory(path: str) -> Trajectory:
     Blank lines are skipped, and ``# key = value`` lines may stand
     anywhere; of them only ``duration``, which is required, and ``seed``
     are read. A line that is not a finite number, or that holds a ``_``,
-    raises :class:`ValueError` naming ``path:lineno``, and times or a
-    duration that :class:`Trajectory` refuses raise it naming ``path``.
+    raises :class:`ValueError` naming ``path:lineno``, and times, a
+    duration or a seed that :class:`Trajectory` refuses raise it naming
+    ``path``.
 
     The file is read in blocks of whole lines, parsed on one thread per
     core the process may run on by an integer kernel that proves each

@@ -504,6 +504,7 @@ def test_fit_partial_slow_only(tmp_path, params_file, capsys):
         ("estimate-g", "# duration = 1\n0.5\n0.25\n", "arrival times must be sorted"),
         ("estimate-g", "# duration = 1\n1.5\n", "arrival times must lie within [0, duration]"),
         ("estimate-g", "# duration = 0\n", "duration must be positive and finite"),
+        ("estimate-g", "# duration = 1\n# seed = -3\n0.5\n", "seed must lie in [0, 2**63)"),
         ("fit", "tau_s,g\n", "series must hold at least one point"),
     ],
 )
@@ -514,6 +515,19 @@ def test_refused_input_names_its_file(tmp_path, capsys, command, text, refusal):
     out = str(tmp_path / "out.csv")
     assert main([command, source, str(path), "--out", out]) == 2
     assert f"error: {path}: {refusal}" in capsys.readouterr().err
+
+
+def test_fit_stops_on_a_cost_that_overflows(tmp_path, capsys):
+    # g above 1 ms is finite, but its squares overflow: the slow stage
+    # stops at once with a numerical error, not at its iteration cap, and
+    # nothing warns.
+    tau = np.geomspace(1e-9, 1.0, 100)
+    g = np.where(tau > 1e-3, 1e300, 1.0 + 0.5 * np.exp(-tau / 1e-2))
+    data = tmp_path / "g.csv"
+    data.write_text("tau_s,g\n" + "".join(f"{t!r},{v!r}\n" for t, v in zip(tau.tolist(), g.tolist())))
+    assert main(["fit", "--data", str(data), "--out", str(tmp_path / "fit.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: optimizer stopped after 0 iterations at cost inf: residual or its Jacobian not finite\n"
 
 
 def test_fit_config_file_sets_every_scalar_field(tmp_path):

@@ -302,10 +302,35 @@ def stacked_linear_problems(draw):
 # box is not pinned and shares its system with a row already at its
 # minimum, which the refit rule stops at once.
 _ON_EDGE = (np.array([[1.0], [1.0]]), np.array([0.4, 0.6]))
+# One stack of every state a row's system can be in, in the unit box:
+# unconstrained minima at b outside it pin the coordinates that start on
+# the nearer bound.
+_EYE = np.vstack([np.eye(3), np.zeros((1, 3))])
+_STATES = (
+    [
+        # pinned on the first coordinate
+        (_EYE, np.array([-1.0, 0.5, 0.5, 0.0]), np.array([0.0, 0.25, 0.25])),
+        # pinned on the last
+        (_EYE, np.array([0.5, 0.5, 2.0, 0.0]), np.array([0.25, 0.25, 1.0])),
+        # one free coordinate
+        (_EYE, np.array([-1.0, 2.0, 0.5, 0.0]), np.array([0.0, 1.0, 0.25])),
+        # every coordinate pinned
+        (_EYE, np.array([-1.0, -1.0, 2.0, 0.0]), np.array([0.0, 0.0, 1.0])),
+        # a residual that is not finite, and one whose squares overflow
+        (_EYE, np.array([0.5, np.nan, 0.5, 0.0]), np.array([0.25, 0.25, 0.25])),
+        (_EYE, np.array([0.5, 1e300, 0.5, 0.0]), np.array([0.25, 0.25, 0.25])),
+        # free
+        (_EYE, np.array([0.5, 0.5, 0.5, 0.0]), np.array([0.25, 0.25, 0.25])),
+    ],
+    np.zeros(3),
+    np.ones(3),
+)
 
 
 @given(stacked_linear_problems(), st.booleans())
 @example(([(*_ON_EDGE, np.array([0.0])), (*_ON_EDGE, np.array([0.5]))], np.zeros(1), np.ones(1)), True)
+@example(_STATES, False)
+@example(_STATES, True)
 def test_stacked_rows_match_the_same_problem_alone(stack, refit):
     # A row's damping, pinned coordinates and stop are its own: solved in
     # a stack, each problem ends where least_squares leaves it alone, in
@@ -320,7 +345,7 @@ def test_stacked_rows_match_the_same_problem_alone(stack, refit):
     for (a, b, start), xi, ci, it, stop in zip(rows, x, cost, iterations, stops):
         alone = least_squares(lambda v: a @ v - b, start, bounds=(lo, hi), refit=refit)
         assert list(map(float.hex, xi.tolist())) == list(map(float.hex, alone.x.tolist()))
-        assert (float(ci), int(it)) == (alone.cost, alone.iterations)
+        assert (float(ci).hex(), int(it)) == (alone.cost.hex(), alone.iterations)
         assert fitting._STOPS[stop] == (alone.message, alone.converged)
 
 
@@ -385,6 +410,16 @@ def test_least_squares_stops_on_a_residual_not_finite_at_the_start():
     # covariance is NaN instead, and the fit stops unconverged.
     res = least_squares(lambda x: np.array([np.nan, 1.0]), np.ones(1))
     assert (res.converged, res.message) == (False, "residual or its Jacobian not finite")
+    assert np.isnan(res.cov).all()
+
+
+def test_least_squares_stops_on_a_cost_that_overflows():
+    # Every residual is finite but their sum of squares overflows: the fit
+    # stops at once, as on a residual that is not finite, and nothing
+    # warns.
+    res = least_squares(lambda x: np.array([1e200 * (x[0] - 1.0), 1.0]), np.array([0.0]))
+    assert (res.converged, res.message, res.iterations) == (False, "residual or its Jacobian not finite", 0)
+    assert res.cost == math.inf
     assert np.isnan(res.cov).all()
 
 

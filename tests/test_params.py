@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from blinkcorr import (
+    FitConfig,
     PhotoPhysicalParams,
+    eval_curve,
+    fit_full,
+    log_grid,
     light_intensity,
     period_statistics,
     rates_from_statistics,
@@ -14,6 +18,7 @@ from blinkcorr import (
     transition_rates,
     write_params,
 )
+from blinkcorr import params
 from blinkcorr.errors import HierarchyWarning
 
 # Frozen from independent arithmetic: A*W^2/(A^2+2W^2) and W^2/(A^2+W^2)
@@ -132,12 +137,22 @@ def test_params_validation():
     PhotoPhysicalParams(A31=3.3e8, Omega31=2.9e8, A32=(0.0, 0.0), A21=(0.0, 0.0))
 
 
-def test_hierarchy_warning():
-    # The warning points at the line that built the parameters, not at
-    # the dataclass's generated __init__.
+def test_hierarchy_warning(monkeypatch, reference_params):
+    # The warning points at the first caller outside the package, not at
+    # the dataclass's generated __init__ or the package's frames between:
+    # for a direct construction, from_dict and the fit that calls it.
     with pytest.warns(HierarchyWarning) as record:
         PhotoPhysicalParams(A31=1e4, Omega31=1e4, A32=(500.0, 1.0), A21=(1.0, 1.0))
-    assert [w.filename for w in record] == [__file__]
+    with pytest.warns(HierarchyWarning) as record_dict:
+        PhotoPhysicalParams.from_dict(
+            {"A31": 1e4, "Omega31": 1e4, "A32_1": 500.0, "A32_2": 1.0, "A21_1": 1.0, "A21_2": 1.0, "I_sc": 0.0}
+        )
+    series = eval_curve(reference_params, log_grid(1e-10, 1.0, 30))
+    # Any metastable rate against the fitted optical rates warns.
+    monkeypatch.setattr(params, "_HIERARCHY_MARGIN", 0.0)
+    with pytest.warns(HierarchyWarning) as record_fit:
+        fit_full(series, FitConfig(bootstrap_resamples=0))
+    assert [w.filename for w in [*record, *record_dict, *record_fit]] == [__file__] * 3
 
 
 def test_period_statistics_requires_finite_dark_periods():

@@ -47,6 +47,15 @@ def test_trajectory_validation():
         Trajectory(times=np.array([-0.1, 0.2]), duration=1.0)
     with pytest.raises(ValueError):
         Trajectory(times=np.array([0.1]), duration=0.0)
+    # A seed is None or one simulate takes: an integer, not a bool, in
+    # [0, 2**63); so every seed a Trajectory holds is written and read back.
+    assert Trajectory(times=np.empty(0), duration=1.0, seed=np.int64(7)).seed == 7
+    for seed, refusal in (
+        (-3, "must lie in"), (2**63, "must lie in"), (10**30, "must lie in"),
+        (True, "must be an integer"), (1.5, "must be an integer"), ("7", "must be an integer"),
+    ):
+        with pytest.raises(ValueError, match=f"seed {refusal}"):
+            Trajectory(times=np.array([0.1, 0.2]), duration=1.0, seed=seed)
 
 
 def test_periods_deterministic(reference_stats):
@@ -928,8 +937,9 @@ def test_read_trajectory_rejects_malformed(tmp_path, monkeypatch):
         ([b"# duration = 1.0", b"0.1", b"\xff0.2"], r"traj\.txt:3: bad text \(not UTF-8\)"),
         ([b"# duration = nope", b"0.1"], r"traj\.txt:1: bad value for 'duration'"),
         ([b"# duration = 1.0", b"# seed = 1.5", b"0.1"], r"traj\.txt:2: bad value for 'seed'"),
+        ([b"# duration = 1.0", b"# seed = -3", b"0.1"], r"traj\.txt: seed must lie in \[0, 2\*\*63\)"),
     ],
-    ids=["undecodable", "duration", "seed"],
+    ids=["undecodable", "duration", "seed", "seed-range"],
 )
 def test_read_trajectory_names_the_bad_line(tmp_path, lines, where):
     path = tmp_path / "traj.txt"
