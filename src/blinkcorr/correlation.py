@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError
-from .fileio import atomic_write_text, format_float
+from .fileio import atomic_write_text, format_float, plain_number
 from .markov import _DEGENERATE_GAP, build_rate_matrix, propagator, three_state_chain
 from .params import (
     PeriodStatistics,
@@ -368,7 +368,7 @@ def read_series(path: str) -> CorrelationSeries:
             if len(parts) != ncols:
                 raise ValueError(f"{path}:{lineno}: expected {ncols} columns")
             try:
-                rows.append([float(p) for p in parts])
+                rows.append([float(plain_number(p)) for p in parts])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad number") from exc
     # Columns tau, g and, when written, sigma.

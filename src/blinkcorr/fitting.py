@@ -369,15 +369,17 @@ def _solve_stack(residual, x0, lo, hi, max_iterations, refit):
             break
         jac = _jacobian(residual, x, r, ids, scale, hi)
         jt = jac.transpose(0, 2, 1)
-        grad, jtj = (jt @ r[:, :, None])[:, :, 0], jt @ jac
+        # A sum that overflows is not finite, and its row stops below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad, jtj = (jt @ r[:, :, None])[:, :, 0], jt @ jac
         # A wide stack's Jacobian is its largest array: the next one is
         # built without it.
         del jac, jt
         # A coordinate on its bound whose gradient points out of the box
-        # is pinned (the active-set rule), and a row whose gradient is not
-        # finite or whose every coordinate is pinned stops.
+        # is pinned (the active-set rule), and a row whose gradient or J^T J
+        # is not finite or whose every coordinate is pinned stops.
         pinned = ((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0))
-        finite = np.isfinite(grad).all(axis=1)
+        finite = np.isfinite(grad).all(axis=1) & np.isfinite(jtj).all(axis=(1, 2))
         stop = np.where(finite, np.where(pinned.all(axis=1), _PINNED, 0), _NOT_FINITE).tolist()
         free = ~pinned & finite[:, None]
         rhs, diag = -grad, np.maximum(jtj.diagonal(axis1=1, axis2=2), 1e-300)

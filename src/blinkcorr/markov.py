@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateInputError, ReducibleChainError
-from .fileio import atomic_write_text, format_float
+from .fileio import atomic_write_text, format_float, plain_number
 from .params import PeriodStatistics
 
 __all__ = [
@@ -220,7 +220,7 @@ def read_chain(path: str) -> PeriodChain:
             if not line:
                 continue
             try:
-                rows.append([float(tok) for tok in line.split()])
+                rows.append([float(plain_number(tok)) for tok in line.split()])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad number") from exc
     if not rows:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import re
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .correlation import CorrelationSeries
 from .errors import DegenerateInputError, InsufficientDataError
-from .fileio import _atomic_open, _format_times, _parse_times, format_float
+from .fileio import _ROW, _atomic_open, _format_times, _parse_times, format_float, plain_number
 from .params import PeriodStatistics, PhotoPhysicalParams
 
 __all__ = [
@@ -49,12 +50,12 @@ _PAIR_COST = 30.0
 # simulate_photons draws, and the mantissa bits of the exact stage's delay
 # table.
 _BLOCK = 1 << 16
-# Times per block write_trajectory formats at once, one block per core.
+# Times per block write_trajectory formats, and read_trajectory parses, at
+# once, one block per core.
 _WRITE_BLOCK = 1 << 15
 _TABLE_BITS = 8
-# Bytes per block read from a trajectory file, one block per core: 2**15
-# lines of 19 bytes, as the writer gives times in [10, 100).
-_READ_BYTES = 19 << 15
+# A row of '%.16e\n' that _parse_times leaves unproven and float() reads.
+_ROW_TEXT = re.compile(rb"[0-9]\.[0-9]{16}e[+-][0-9]{2}\n")
 # Header keys a trajectory file sets, with the converters of their values.
 _HEADER_FIELDS = {"duration": float, "seed": int}
 
@@ -97,11 +98,13 @@ class Trajectory:
         if self.seed is not None:
             object.__setattr__(self, "seed", _checked_seed(self.seed))
         if times.size:
-            if not np.all(np.isfinite(times)):
+            # min and max are NaN if a time is.
+            first, last = float(times.min()), float(times.max())
+            if not (math.isfinite(first) and math.isfinite(last)):
                 raise ValueError("arrival times must be finite")
             if np.any(times[1:] < times[:-1]):
                 raise ValueError("arrival times must be sorted")
-            if times[0] < 0.0 or times[-1] > duration:
+            if first < 0.0 or last > duration:
                 raise ValueError("arrival times must lie within [0, duration]")
 
     def __len__(self) -> int:
@@ -695,11 +698,11 @@ def _in_order(work: Callable[[Any], Any], blocks: Iterable[Any], take: Callable[
 def write_trajectory(trajectory: Trajectory, path: str) -> None:
     """Write arrival times as text, one per line, after a short header.
 
-    Each time is written as ``'%.17g'`` gives it, so it reads back bit for
-    bit. The times are formatted in blocks on one thread per core the
-    process may run on, and the texts go to the file in block order; at
-    most one block per core is in flight, so the text is never held whole
-    in memory.
+    Each time is written as ``'%.16e'`` gives it, so it reads back bit for
+    bit, and every time in [1e-99, 1e100) or +0.0 takes a line of 23 bytes.
+    The times are formatted in blocks on one thread per core the process
+    may run on, and the texts go to the file in block order; at most one
+    block per core is in flight, so the text is never held whole in memory.
     """
     header = f"# duration = {format_float(trajectory.duration)}\n"
     if trajectory.seed is not None:
@@ -721,52 +724,48 @@ def read_trajectory(path: str) -> Trajectory:
     duration or a seed that :class:`Trajectory` refuses raise it naming
     ``path``.
 
-    The file is read in blocks of whole lines, parsed on one thread per
-    core the process may run on by an integer kernel that proves each
-    plain time (digits, at most one dot) equal to what ``float()`` reads.
-    The calling thread takes the blocks in file order. A block the kernel
-    proves whole gives its times as they are; any other block, one with a
-    ``#`` line, a blank, a time in exponent notation or a bad line, it
-    reads one line at a time with ``float()``. So every time has the bits
-    ``float()`` gives it.
+    The leading ``#`` lines are read one at a time. If the rest of the file
+    is whole 23-byte rows as ``'%.16e\\n'`` writes them, one array is sized
+    from the file's size and filled by blocks of rows, parsed on one thread
+    per core the process may run on by an integer kernel that proves each
+    time equal to what ``float()`` reads; the calling thread takes the
+    blocks in file order and reads a row the kernel leaves unproven, such
+    as zero, with ``float()``. Any other file, such as one with a ``#`` or
+    blank line after the first time, is read one line at a time with
+    ``float()``. So every time has the bits ``float()`` gives it.
     """
     header: dict[str, float | int] = {}
     with open(path, "rb") as handle:
-        # A first pass counts the lines, so the times fill one array and
-        # are never held a second time as blocks.
-        blocks = iter(lambda: handle.read(_READ_BYTES), b"")
-        times = np.empty(sum(data.count(b"\n") for data in blocks) + 1)
-        handle.seek(0)
-        filled = lineno = 0
-
-        def texts() -> Iterator[bytes]:
-            # Blocks of whole lines, each ended by a newline.
-            tail = b""
-            while True:
-                data = handle.read(_READ_BYTES)
-                if not data:
-                    if tail:
-                        yield tail if tail.endswith(b"\n") else tail + b"\n"
-                    return
-                text = tail + data
-                cut = text.rfind(b"\n") + 1
-                if cut:
-                    yield text[:cut]
-                tail = text[cut:]
+        leading = []
+        while (line := handle.readline()).startswith(b"#"):
+            leading.append(line)
+        list(_parse_lines(leading, 0, path, header))
+        start = handle.tell() - len(line)
+        rows, extra = divmod(os.fstat(handle.fileno()).st_size - start, _ROW.itemsize)
+        times, filled, whole = np.empty(rows), 0, len(line) == _ROW.itemsize and not extra
 
         def parse(text: bytes) -> tuple[bytes, np.ndarray, np.ndarray]:
             return (text, *_parse_times(text))
 
         def take(parsed: tuple[bytes, np.ndarray, np.ndarray]) -> None:
-            nonlocal filled, lineno
+            nonlocal filled, whole
             text, values, proven = parsed
-            if not proven.all():
-                values = _parse_lines(text.split(b"\n")[:-1], lineno, path, header)
+            for i in np.flatnonzero(~proven).tolist():
+                row = text[i * _ROW.itemsize : (i + 1) * _ROW.itemsize]
+                if not _ROW_TEXT.fullmatch(row):
+                    whole = False
+                    return
+                values[i] = float(row)
             times[filled : filled + values.size] = values
             filled += values.size
-            lineno += proven.size
 
-        _in_order(parse, texts(), take)
+        # A row of another shape stops the blocks, and the file is read line by line.
+        handle.seek(start)
+        _in_order(parse, iter(lambda: handle.read(_WRITE_BLOCK * _ROW.itemsize) if whole else b"", b""), take)
+        if not whole:
+            handle.seek(start)
+            times = np.fromiter(_parse_lines(handle, len(leading), path, header), float)
+            filled = times.size
     if "duration" not in header:
         raise ValueError(f"{path}: missing '# duration = ...' header")
     try:
@@ -780,14 +779,13 @@ def read_trajectory(path: str) -> Trajectory:
 
 
 def _parse_lines(
-    lines: list[bytes], skipped: int, path: str, header: dict[str, float | int]
-) -> np.ndarray:
+    lines: Iterable[bytes], skipped: int, path: str, header: dict[str, float | int]
+) -> Iterator[float]:
     """Arrival times of trajectory lines that follow the first ``skipped``
     lines of the file, one line at a time; ``duration`` and ``seed`` lines
     go to ``header``. A line that is not UTF-8 text, a bad header value or
     a bad arrival time (one with a ``_`` or not finite) raises
     :class:`ValueError` naming ``path:lineno``."""
-    parsed: list[float] = []
     for lineno, raw in enumerate(lines, start=skipped + 1):
         what = "text (not UTF-8)"
         try:
@@ -797,13 +795,12 @@ def _parse_lines(
                 key = key.strip()
                 if equals and key in _HEADER_FIELDS:
                     what = f"value for {key!r}"
-                    header[key] = _HEADER_FIELDS[key](text.strip())
+                    header[key] = _HEADER_FIELDS[key](plain_number(text.strip()))
             elif line:
                 what = "arrival time"
-                value = float(line)
-                if "_" in line or not math.isfinite(value):
+                value = float(plain_number(line))
+                if not math.isfinite(value):
                     raise ValueError(line)
-                parsed.append(value)
+                yield value
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad {what}") from exc
-    return np.array(parsed)

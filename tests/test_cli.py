@@ -545,6 +545,17 @@ def test_fit_config_file_sets_every_scalar_field(tmp_path):
     )
 
 
+def test_fit_config_file_refuses_digit_separators(tmp_path):
+    # int() reads 1_0 as 10 and float() 1_0e-6 as 1e-5; no number in an
+    # input file holds a '_'.
+    cfg = tmp_path / "fit.cfg"
+    for text in ("max_iterations = 1_0", "split_tau = 1_0e-6"):
+        cfg.write_text(f"# settings\n{text}\n")
+        key = text.split()[0]
+        with pytest.raises(ValueError, match=rf"fit\.cfg:2: bad value for '{key}'"):
+            cli._load_fit_config(str(cfg))
+
+
 def test_fit_file_accepts_exactly_the_fit_config_fields(tmp_path, monkeypatch):
     accepted = {}
 

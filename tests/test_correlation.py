@@ -345,3 +345,11 @@ def test_read_series_rejects_malformed(tmp_path):
     path.write_text("tau_s,g\n1e-6\n")
     with pytest.raises(ValueError):
         read_series(str(path))
+
+
+def test_read_series_refuses_digit_separators(tmp_path):
+    # float() reads 1_0 as 10; no number in an input file holds a '_'.
+    path = tmp_path / "junk.csv"
+    path.write_text("tau_s,g\n1e-6,1.5\n1e-5,1_0\n")
+    with pytest.raises(ValueError, match=r"junk\.csv:3: bad number"):
+        read_series(str(path))

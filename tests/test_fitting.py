@@ -423,6 +423,15 @@ def test_least_squares_stops_on_a_cost_that_overflows():
     assert np.isnan(res.cov).all()
 
 
+def test_least_squares_stops_where_the_normal_equations_overflow():
+    # The cost is finite but J^T J overflows: the fit stops after the one
+    # Jacobian, as on a residual that is not finite, and nothing warns.
+    res = least_squares(lambda x: np.array([1e200 * (x[0] - 1.0), 1.0]), np.array([1.0]))
+    assert (res.converged, res.message, res.iterations) == (False, "residual or its Jacobian not finite", 1)
+    assert res.cost == 1.0
+    assert np.isnan(res.cov).all()
+
+
 def test_stage_refuses_a_start_the_model_refuses(reference_params):
     # Coincident dark periods on their floor under the longest light
     # period are refused by the propagator (see the box-corner test

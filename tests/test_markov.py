@@ -247,3 +247,11 @@ def test_read_chain_rejects_malformed(tmp_path):
     path.write_text("2\n1.0 oops\n0.0 1.0\n1.0 0.0\n")
     with pytest.raises(ValueError, match="bad number"):
         read_chain(str(path))
+
+
+def test_read_chain_refuses_digit_separators(tmp_path):
+    # float() reads 1_0 as 10; no number in an input file holds a '_'.
+    path = tmp_path / "chain.txt"
+    path.write_text("2\n1_0 0.0\n-1.0 1.0\n2.0 -2.0\n")
+    with pytest.raises(ValueError, match=r"chain\.txt:2: bad number"):
+        read_chain(str(path))

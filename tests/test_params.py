@@ -197,6 +197,18 @@ def test_read_params_errors(tmp_path):
         read_params(str(path))
 
 
+def test_read_params_refuses_digit_separators(tmp_path, reference_params):
+    # float() reads 3_3e8 as 3.3e9; no number in an input file holds a '_'.
+    path = tmp_path / "bad.txt"
+    write_params(reference_params, str(path))
+    lines = path.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("A31"))
+    lines[at] = "A31 = 3_3e8"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"bad\.txt:{at + 1}: bad value for 'A31'"):
+        read_params(str(path))
+
+
 def test_read_params_comments_and_spacing(tmp_path, reference_params):
     path = tmp_path / "commented.txt"
     lines = ["# header", ""]

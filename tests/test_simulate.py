@@ -47,6 +47,10 @@ def test_trajectory_validation():
         Trajectory(times=np.array([-0.1, 0.2]), duration=1.0)
     with pytest.raises(ValueError):
         Trajectory(times=np.array([0.1]), duration=0.0)
+    # A time that is not finite is named as such first, even out of order.
+    for times in ([0.1, np.nan], [np.nan, 0.1], [0.5, np.nan, 0.2], [0.1, np.inf], [-np.inf, 0.1], [0.9, -np.inf]):
+        with pytest.raises(ValueError, match="arrival times must be finite"):
+            Trajectory(times=np.array(times), duration=1.0)
     # A seed is None or one simulate takes: an integer, not a bool, in
     # [0, 2**63); so every seed a Trajectory holds is written and read back.
     assert Trajectory(times=np.empty(0), duration=1.0, seed=np.int64(7)).seed == 7
@@ -776,7 +780,6 @@ def test_trajectory_file_round_trip_is_bit_exact(times, seed):
     traj = Trajectory(times=np.array(times), duration=50.0, seed=seed)
     with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "_WRITE_BLOCK", 7)
-        mp.setattr(simulate, "_READ_BYTES", 64)
         path = os.path.join(directory, "traj.txt")
         write_trajectory(traj, path)
         again = read_trajectory(path)
@@ -794,18 +797,25 @@ _PINNED_TIMES = sorted(
     # The largest double below 1e-14 prints as 1e-14: its 17 digits carry.
     + [np.nextafter(1e-14, 0.0)]
     + [float(2**53), _LARGEST]
+    # Where the exponent takes a third digit.
+    + [v for p in (1e-99, 1e100) for v in (np.nextafter(p, 0.0), p)]
     + [v for e in range(-12, 18) for p in [10.0**e] for v in (np.nextafter(p, 0.0), p, np.nextafter(p, np.inf))]
 )
+
+
+def _in_kernel_domain(x):
+    return (x > 1e-11) & (x < 1e15)
 
 
 @pytest.mark.parametrize("cores", [1, 2, 3])
 @given(times=st.lists(st.floats(min_value=0.0, max_value=_LARGEST), max_size=100).map(sorted))
 @example(times=_PINNED_TIMES)
-def test_trajectory_file_is_percent_17g_text(cores, times):
-    # Byte for byte what '%.17g' gives, not only text that reads back:
+def test_trajectory_file_is_percent_16e_text(cores, times):
+    # Byte for byte what '%.16e' gives, not only text that reads back:
     # zero, subnormals, powers of ten and their neighbours, a carry, exact
-    # ties, stripped zeros, and the values left to the per-value route;
-    # whatever the number of cores that format the blocks.
+    # ties, three-digit exponents, and the values left to the per-value
+    # route; whatever the number of cores that format the blocks. The
+    # header keeps '%.17g'.
     traj = Trajectory(times=np.array(times), duration=_LARGEST)
     with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
@@ -815,7 +825,7 @@ def test_trajectory_file_is_percent_17g_text(cores, times):
         with open(path, "rb") as handle:
             lines = handle.read().split(b"\n")
     assert lines[0] == b"# duration = %.17g" % _LARGEST
-    assert lines[1:] == [b"%.17g" % t for t in times] + [b""]
+    assert lines[1:] == [b"%.16e" % t for t in times] + [b""]
 
 
 def test_write_trajectory_never_formats_ordinary_times_one_by_one(tmp_path, monkeypatch):
@@ -827,13 +837,15 @@ def test_write_trajectory_never_formats_ordinary_times_one_by_one(tmp_path, monk
     monkeypatch.setattr(fileio, "_format_each", refuse)
     rng = np.random.Generator(np.random.Philox(key=[8, 0]))
     times = np.sort(rng.uniform(0.0, 100.0, 1 << 16))
-    # Nor do the neighbours of the powers of ten, where log10 can be one off.
-    near = [t for t in _PINNED_TIMES if 1e-10 <= t <= 1e15]
-    for values in (times, near):
+    # Nor do times across the kernel's domain, or the neighbours of the
+    # powers of ten in it, where log10 can be one off.
+    wide = np.sort(10.0 ** rng.uniform(-10.99, 14.99, 1 << 12))
+    near = [t for t in _PINNED_TIMES if _in_kernel_domain(t)]
+    for values in (times, wide, near):
         path = tmp_path / "traj.txt"
         write_trajectory(Trajectory(times=values, duration=1e15), str(path))
         body = path.read_bytes().split(b"\n", 1)[1]
-        assert body == b"".join(b"%.17g\n" % t for t in np.asarray(values).tolist())
+        assert body == b"".join(b"%.16e\n" % t for t in np.asarray(values).tolist())
 
 
 @pytest.mark.parametrize("failing", [1, 2])
@@ -883,19 +895,57 @@ def parse_on_cores(monkeypatch, cores):
 
 
 def test_read_trajectory_across_blocks(tmp_path, monkeypatch):
-    # Blocks of 16 bytes split lines, comments and blank lines anywhere,
-    # whatever the number of cores that parse them.
-    monkeypatch.setattr(simulate, "_READ_BYTES", 16)
+    # Rows in blocks of three, zero and times outside the kernel's domain
+    # among them, which float() reads without sending the file line by
+    # line, and a hand-written file with comments and blank lines
+    # anywhere, whatever the number of cores that parse them.
+    monkeypatch.setattr(simulate, "_WRITE_BLOCK", 3)
+    parse_lines, line_wise = simulate._parse_lines, []
+
+    def recorded(lines, skipped, path, header):
+        line_wise.append(skipped)
+        return parse_lines(lines, skipped, path, header)
+
+    monkeypatch.setattr(simulate, "_parse_lines", recorded)
+    rows = [0.0, 1e-99, 5e-12, 1e-11] + [k / 7.0 for k in range(1, 40)] + [1e16, 9e99]
+    written = tmp_path / "rows.txt"
+    written.write_bytes(b"# duration = 1e100\n" + b"".join(b"%.16e\n" % t for t in rows))
     values = [k / 7.0 for k in range(40)]
     lines = ["# written by hand", "# duration = 6.5"] + [repr(v) for v in values]
     lines[10:10] = ["", "# seed = 17", "   "]
+    by_hand = tmp_path / "traj.txt"
+    by_hand.write_text("\n".join(lines))
+    for cores in (1, 2, 3):
+        parse_on_cores(monkeypatch, cores)
+        line_wise.clear()
+        traj = read_trajectory(str(written))
+        assert np.array_equal(traj.times.view(np.int64), np.array(rows).view(np.int64))
+        assert line_wise == [0]
+        traj = read_trajectory(str(by_hand))
+        assert np.array_equal(traj.times, values)
+        assert (traj.duration, traj.seed) == (6.5, 17)
+
+
+def test_read_trajectory_reads_percent_17g_records(tmp_path, monkeypatch):
+    # Records written as '%.17g' text, before the fixed-width rows, read
+    # back bit for bit, with comments and blank lines among their times,
+    # whatever the number of cores; a bad line among them is named.
+    monkeypatch.setattr(simulate, "_WRITE_BLOCK", 7)
+    rng = np.random.Generator(np.random.Philox(key=[8, 3]))
+    times = np.sort(np.concatenate([_PINNED_TIMES, rng.uniform(0.0, 100.0, 200), 10.0 ** rng.uniform(-12, 17, 200)]))
+    lines = [b"# duration = %.17g" % _LARGEST] + [b"%.17g" % t for t in times.tolist()]
+    lines[50:50] = [b"", b"# seed = 5", b"  "]
     path = tmp_path / "traj.txt"
-    path.write_text("\n".join(lines))
+    path.write_bytes(b"\n".join(lines) + b"\n")
     for cores in (1, 2, 3):
         parse_on_cores(monkeypatch, cores)
         traj = read_trajectory(str(path))
-        assert np.array_equal(traj.times, values)
-        assert (traj.duration, traj.seed) == (6.5, 17)
+        assert np.array_equal(traj.times.view(np.int64), times.view(np.int64))
+        assert (traj.duration, traj.seed) == (_LARGEST, 5)
+    lines[300] = b"0.5 0.6"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ValueError, match=r"traj\.txt:301: bad arrival time"):
+        read_trajectory(str(path))
 
 
 def test_read_trajectory_header_only(tmp_path):
@@ -910,25 +960,32 @@ def test_read_trajectory_header_only(tmp_path):
 
 def test_read_trajectory_rejects_malformed(tmp_path, monkeypatch):
     path = tmp_path / "traj.txt"
+    monkeypatch.setattr(simulate, "_WRITE_BLOCK", 7)
     for cores in (1, 2, 3):
         parse_on_cores(monkeypatch, cores)
-        monkeypatch.setattr(simulate, "_READ_BYTES", 1 << 19)
         path.write_text("0.1\n0.2\n")
         with pytest.raises(ValueError, match="missing '# duration = ...' header"):
             read_trajectory(str(path))
         path.write_text("# duration = 1.0\n0.1\nnope\n")
         with pytest.raises(ValueError, match=r"traj\.txt:3: bad arrival time"):
             read_trajectory(str(path))
-        # Two values on one line, in any block after a comment and a blank
-        # line, so in the calling thread's blocks and in the workers'.
-        monkeypatch.setattr(simulate, "_READ_BYTES", 64)
-        body = [f"{k / 100:.17g}" for k in range(30)]
-        for lineno in range(5, 34):
-            lines = ["# duration = 1.0", body[0], "# note", ""] + body[1:]
-            lines[lineno - 1] = "0.5 0.6"
-            path.write_text("\n".join(lines) + "\n")
-            with pytest.raises(ValueError, match=rf"traj\.txt:{lineno}: bad arrival time"):
-                read_trajectory(str(path))
+        # Two values on one line, after a comment and a blank line, and
+        # in a row of the fixed width in any block, the calling thread's
+        # or a worker's.
+        for row in ("%.17g", "%.16e"):
+            body = [row % (k / 100) for k in range(30)]
+            for lineno in range(5, 34):
+                lines = ["# duration = 1.0", body[0], "# note", ""] + body[1:]
+                lines[lineno - 1] = "0.5 0.6".ljust(22)
+                path.write_text("\n".join(lines) + "\n")
+                with pytest.raises(ValueError, match=rf"traj\.txt:{lineno}: bad arrival time"):
+                    read_trajectory(str(path))
+            for lineno in range(2, 32):
+                lines = ["# duration = 1.0"] + body
+                lines[lineno - 1] = "0.5 0.6".ljust(22)
+                path.write_text("\n".join(lines) + "\n")
+                with pytest.raises(ValueError, match=rf"traj\.txt:{lineno}: bad arrival time"):
+                    read_trajectory(str(path))
 
 
 @pytest.mark.parametrize(
@@ -950,47 +1007,60 @@ def test_read_trajectory_names_the_bad_line(tmp_path, lines, where):
 
 @pytest.mark.parametrize("bad", [b"1_0", b"inf", b" nan", b"-inf"])
 def test_read_trajectory_refuses_what_float_alone_accepts(tmp_path, monkeypatch, bad):
-    # float() reads these lines; as arrival times they are bad, in the
-    # first block or in any later one, the calling thread's or a worker's.
-    monkeypatch.setattr(simulate, "_READ_BYTES", 64)
-    lines = [b"# duration = 1.0"] + [b"%.17g" % (k / 100) for k in range(30)]
+    # float() reads these lines; as arrival times they are bad, among
+    # '%.17g' lines and, padded to the width, among '%.16e' rows in any
+    # block, the calling thread's or a worker's; a '_' in a header value
+    # too.
+    monkeypatch.setattr(simulate, "_WRITE_BLOCK", 7)
     path = tmp_path / "traj.txt"
-    for cores in (1, 2, 3):
-        parse_on_cores(monkeypatch, cores)
-        for lineno in range(2, 32):
-            path.write_bytes(b"\n".join(lines[: lineno - 1] + [bad] + lines[lineno:]) + b"\n")
-            with pytest.raises(ValueError, match=rf"traj\.txt:{lineno}: bad arrival time"):
-                read_trajectory(str(path))
+    for row in (b"%.17g", b"%.16e"):
+        lines = [b"# duration = 1.0"] + [row % (k / 100) for k in range(30)]
+        for cores in (1, 2, 3):
+            parse_on_cores(monkeypatch, cores)
+            for lineno in range(2, 32):
+                path.write_bytes(b"\n".join(lines[: lineno - 1] + [bad.ljust(22)] + lines[lineno:]) + b"\n")
+                with pytest.raises(ValueError, match=rf"traj\.txt:{lineno}: bad arrival time"):
+                    read_trajectory(str(path))
+    path.write_bytes(b"# duration = 1.0\n# seed = 1_0\n")
+    with pytest.raises(ValueError, match=r"traj\.txt:2: bad value for 'seed'"):
+        read_trajectory(str(path))
 
 
 def test_read_trajectory_never_parses_ordinary_times_one_by_one(tmp_path, monkeypatch):
-    # A kernel fault that left every block to float() would keep the times
-    # and lose the speed; only a block with a '#' line, a blank or one of
-    # the rare times below 1e-4, which '%.17g' writes in exponent notation,
-    # may get there. The header's block does.
-    parse_lines, line_wise = simulate._parse_lines, []
+    # A kernel fault that left rows to float(), or the file to the
+    # line-wise route, would keep the times and lose the speed: only the
+    # header goes line by line, and the kernel proves every row of times
+    # across its domain.
+    parse_lines, parse_times, line_wise, unproven = simulate._parse_lines, simulate._parse_times, [], []
 
     def checked(lines, skipped, path, header):
-        if not any(line.startswith(b"#") or not line or b"e-" in line for line in lines):
-            raise AssertionError(f"line-wise parse of {lines[:3]}")
         line_wise.append(skipped)
         return parse_lines(lines, skipped, path, header)
 
+    def counted(text):
+        values, proven = parse_times(text)
+        unproven.append(int((~proven).sum()))
+        return values, proven
+
     monkeypatch.setattr(simulate, "_parse_lines", checked)
+    monkeypatch.setattr(simulate, "_parse_times", counted)
     rng = np.random.Generator(np.random.Philox(key=[8, 0]))
-    times = np.sort(rng.uniform(0.0, 100.0, 1 << 16))
-    path = tmp_path / "traj.txt"
-    write_trajectory(Trajectory(times=times, duration=100.0), str(path))
-    again = read_trajectory(str(path))
-    assert np.array_equal(again.times.view(np.int64), times.view(np.int64))
-    assert line_wise[0] == 0
+    for times in (rng.uniform(0.0, 100.0, 1 << 16), 10.0 ** rng.uniform(-10.99, 14.99, 1 << 12)):
+        times.sort()
+        path = tmp_path / "traj.txt"
+        write_trajectory(Trajectory(times=times, duration=1e15), str(path))
+        line_wise.clear()
+        again = read_trajectory(str(path))
+        assert np.array_equal(again.times.view(np.int64), times.view(np.int64))
+        assert line_wise == [0]
+    assert len(unproven) > 2 and not any(unproven)
 
 
 @pytest.mark.parametrize("failing", [1, 2])
 def test_read_trajectory_failing_block_leaves_no_thread(tmp_path, monkeypatch, failing):
     # On two cores the second block is a worker's and the third the
     # calling thread's; either error ends the read with no thread left.
-    monkeypatch.setattr(simulate, "_READ_BYTES", 64)
+    monkeypatch.setattr(simulate, "_WRITE_BLOCK", 7)
     path = tmp_path / "traj.txt"
     write_trajectory(Trajectory(times=np.linspace(0.0, 1.0, 50), duration=1.0), str(path))
     parse_times, texts = simulate._parse_times, []
@@ -1021,6 +1091,11 @@ def _finite_bits(sign, exponent, mantissa):
     return float(np.uint64(sign << 63 | exponent << 52 | mantissa).view(np.float64))
 
 
+def _rows(times):
+    """The times of ``times`` whose '%.16e' line has the row's 23 bytes."""
+    return np.array([t for t in times if len(b"%.16e" % t) == 22], dtype=np.float64)
+
+
 @given(
     times=st.lists(
         st.builds(_finite_bits, st.integers(0, 1), st.integers(0, 2046), st.integers(0, 2**52 - 1))
@@ -1031,41 +1106,48 @@ def _finite_bits(sign, exponent, mantissa):
 @example(times=_PINNED_TIMES)
 def test_parse_times_proves_only_the_written_bits(times):
     # Over every finite exponent and the pinned edge values: a proven row
-    # holds the very double that was written, and no ordinary time is
-    # left to the line-wise parse.
-    x = np.array(times, dtype=np.float64)
+    # holds the very double that was written, and no time in the kernel's
+    # domain is left to float().
+    x = _rows(times)
     values, proven = fileio._parse_times(fileio._format_times(x))
     assert proven.size == x.size
     assert np.array_equal(values[proven].view(np.int64), x[proven].view(np.int64))
-    assert proven[(x >= 1e-4) & (x < 1e4)].all()
+    assert proven[_in_kernel_domain(x)].all()
 
 
-_LINE_BYTES = "0123456789.e+-_ "
+_ROW_BYTES = "0123456789.e+-_ \n"
 
 
 @given(
-    lines=st.lists(
-        st.text(_LINE_BYTES, min_size=1, max_size=24)
-        | st.from_regex(r"\A[0-9]{0,17}\.[0-9]{0,17}\Z").filter(lambda line: 1 <= len(line) <= 24),
+    rows=st.lists(
+        st.text(_ROW_BYTES, min_size=23, max_size=23)
+        | st.from_regex(r"\A[0-9]\.[0-9]{16}e[+-][0-9]{2}\Z").map(lambda row: row + "\n")
+        | st.builds(
+            lambda t, at, byte: (lambda row: row[:at] + byte + row[at + 1 :])("%.16e\n" % t),
+            st.floats(1e-11, 1e15),
+            st.integers(0, 22),
+            st.sampled_from(_ROW_BYTES),
+        ).filter(lambda row: len(row) == 23),
         max_size=40,
     )
 )
-@example(lines=["0.1", "5.", ".5", "100", "1.00000000000000000001", "9007199254740993.5", "0.000000000012345678901"])
-@example(lines=["00000000000000000001.5", "99999999999999999.9", "1e-05", "1_0.5", " 1.5", "1.5 ", "."])
-def test_parse_times_proves_only_what_float_reads(lines):
+@example(rows=["0.0000000000000000e+00\n", "1.0000000000000000e+16\n", "1.0000000000000000e-12\n"])
+@example(rows=["9.9999999999999999e-12\n", "1.0000000000000000e-11\n", "9.9999999999999999e+14\n"])
+@example(rows=["1.00000000000000_0e+00\n", " 1.000000000000000e+00\n", "1.0000000000000000e+0\n\n"])
+@example(rows=["1.0000000000000000e+005", "0.5417720317552592e-07\n", "0.5163535431278850e-10\n"])
+def test_parse_times_proves_only_what_float_reads(rows):
     # Every row the kernel proves is what float() reads, bit for bit.
-    text = "".join(line + "\n" for line in lines).encode()
-    values, proven = fileio._parse_times(text)
-    assert proven.size == len(lines)
-    for line, value, sure in zip(lines, values.tolist(), proven.tolist()):
+    values, proven = fileio._parse_times("".join(rows).encode())
+    assert proven.size == len(rows)
+    for row, value, sure in zip(rows, values.tolist(), proven.tolist()):
         if sure:
             assert math.isfinite(value)
-            assert np.float64(float(line)).view(np.int64) == np.float64(value).view(np.int64)
+            assert np.float64(float(row)).view(np.int64) == np.float64(value).view(np.int64)
 
 
 def test_parse_times_working_set():
     # The reader parses one block per core at once, so the kernel's
-    # allocation peak per line bounds the reader's resident memory.
+    # allocation peak per row bounds the reader's resident memory.
     rng = np.random.Generator(np.random.Philox(key=[8, 2]))
     text = fileio._format_times(np.sort(rng.uniform(0.0, 100.0, 1 << 15)))
     tracemalloc.start()
