@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 import tempfile
 from typing import BinaryIO, Callable, Iterator
 
@@ -71,6 +72,8 @@ _ROW = np.dtype(
     [("lead", "u1"), ("dot", "u1"), ("high", "<u8"), ("low", "<u8")]
     + [(name, "u1") for name in ("e", "sign", "tens", "ones", "newline")]
 )
+# The bytes of such a row, checked on the rows _parse_times leaves unproven.
+_ROW_TEXT = re.compile(rb"[0-9]\.[0-9]{16}e[+-][0-9]{2}\n")
 # The four ASCII digits of 0 to 9999 as the low half of a little-endian word.
 _DIGITS = np.arange(10_000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10
 _GROUPS = (_DIGITS + ord("0")).astype(np.uint8).view("<u4")[:, 0].astype(np.uint64)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import re
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .correlation import CorrelationSeries
 from .errors import DegenerateInputError, InsufficientDataError
-from .fileio import _ROW, _atomic_open, _format_times, _parse_times, format_float, plain_number
+from .fileio import _ROW, _ROW_TEXT, _atomic_open, _format_times, _parse_times, format_float, plain_number
 from .params import PeriodStatistics, PhotoPhysicalParams
 
 __all__ = [
@@ -54,8 +53,6 @@ _BLOCK = 1 << 16
 # once, one block per core.
 _WRITE_BLOCK = 1 << 15
 _TABLE_BITS = 8
-# A row of '%.16e\n' that _parse_times leaves unproven and float() reads.
-_ROW_TEXT = re.compile(rb"[0-9]\.[0-9]{16}e[+-][0-9]{2}\n")
 # Header keys a trajectory file sets, with the converters of their values.
 _HEADER_FIELDS = {"duration": float, "seed": int}
 
