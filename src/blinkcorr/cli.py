@@ -23,6 +23,7 @@ import math
 import os
 import sys
 import tempfile
+import threading
 
 import numpy as np
 
@@ -106,18 +107,55 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     return lo, hi, ppd
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+# Bytes the input digests read at a time, into one reused buffer.
+_HASH_CHUNK = 1 << 20
+
+
+class _InputDigests:
+    """SHA-256 digests of a command's input files, read on a background
+    thread that starts with the command, while the command works.
+
+    The thread reads each file through one reused buffer. :meth:`result`
+    joins it and returns the digests, or raises the error it met;
+    :meth:`close` stops it at the next buffer and joins it, so no thread
+    outlives the command.
+    """
+
+    def __init__(self, paths: list[str]) -> None:
+        self._digests: dict[str, str] = {}
+        self._error: Exception | None = None
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._hash, args=(paths,), name="input-digests")
+        self._thread.start()
+
+    def _hash(self, paths: list[str]) -> None:
+        buffer = bytearray(_HASH_CHUNK)
+        view = memoryview(buffer)
+        try:
+            for path in paths:
+                digest = hashlib.sha256()
+                with open(path, "rb", buffering=0) as handle:
+                    while not self._stop.is_set() and (size := handle.readinto(buffer)):
+                        digest.update(view[:size])
+                self._digests[path] = digest.hexdigest()
+        except Exception as exc:  # raised again by result(), on the command's thread
+            self._error = exc
+
+    def result(self) -> dict[str, str]:
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
+        return self._digests
+
+    def close(self) -> None:
+        self._stop.set()
+        self._thread.join()
 
 
 def _write_manifests(
     subcommand: str,
     argv: list[str],
-    inputs: list[str],
+    inputs: _InputDigests,
     outputs: list[str],
     snapshot: dict[str, float] | None = None,
     seed: int | None = None,
@@ -126,7 +164,7 @@ def _write_manifests(
         "subcommand": subcommand,
         "argv": list(argv),
         "version": __version__,
-        "inputs": {path: _sha256(path) for path in inputs},
+        "inputs": inputs.result(),
         "outputs": list(outputs),
         "params": snapshot,
         "seed": seed,
@@ -136,18 +174,18 @@ def _write_manifests(
         atomic_write_text(path + ".manifest.json", text)
 
 
-def _cmd_eval(args: argparse.Namespace, argv: list[str]) -> int:
+def _cmd_eval(args: argparse.Namespace, argv: list[str], inputs: _InputDigests) -> int:
     if (args.params is None) == (args.chain is None):
         raise ValueError("exactly one of --params or --chain is required")
     grid = log_grid(*_parse_grid(args.grid))
     if args.chain is not None:
         chain = read_chain(args.chain)
         series = CorrelationSeries(grid, g_general(grid, chain))
-        inputs, snapshot = [args.chain], None
+        snapshot = None
     else:
         params = read_params(args.params)
         series = eval_curve(params, grid)
-        inputs, snapshot = [args.params], params.as_dict()
+        snapshot = params.as_dict()
     write_series(series, args.out)
     _write_manifests("eval", argv, inputs, [args.out], snapshot)
     return 0
@@ -156,7 +194,7 @@ def _cmd_eval(args: argparse.Namespace, argv: list[str]) -> int:
 _RATE_LABELS = ("shelving_1", "shelving_2", "deshelving_1", "deshelving_2")
 
 
-def _cmd_rates(args: argparse.Namespace, argv: list[str]) -> int:
+def _cmd_rates(args: argparse.Namespace, argv: list[str], inputs: _InputDigests) -> int:
     params = read_params(args.params)
     method = args.method.replace("-", "_")
     closed = transition_rates(params)
@@ -182,11 +220,11 @@ def _cmd_rates(args: argparse.Namespace, argv: list[str]) -> int:
             lines.append(f"perturbative_{label} = {format_float(b)}")
             lines.append(f"rel_dev_{label} = {format_float(rel)}")
         atomic_write_text(args.out, "\n".join(lines) + "\n")
-        _write_manifests("rates", argv, [args.params], [args.out], params.as_dict())
+        _write_manifests("rates", argv, inputs, [args.out], params.as_dict())
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
+def _cmd_simulate(args: argparse.Namespace, argv: list[str], inputs: _InputDigests) -> int:
     params = read_params(args.params)
     stats = statistics_from_params(params)
     periods = simulate_periods(stats, args.duration, args.seed)
@@ -201,7 +239,7 @@ def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         _estimate(trajectory, args.grid, args.g_out)
         outputs.append(args.g_out)
     _write_manifests(
-        "simulate", argv, [args.params], outputs, params.as_dict(), args.seed
+        "simulate", argv, inputs, outputs, params.as_dict(), args.seed
     )
     return 0
 
@@ -216,11 +254,11 @@ def _estimate(trajectory: Trajectory, grid: str, out: str) -> None:
     )
 
 
-def _cmd_estimate_g(args: argparse.Namespace, argv: list[str]) -> int:
+def _cmd_estimate_g(args: argparse.Namespace, argv: list[str], inputs: _InputDigests) -> int:
     trajectory = read_trajectory(args.traj)
     _estimate(trajectory, args.grid, args.out)
     _write_manifests(
-        "estimate-g", argv, [args.traj], [args.out], seed=trajectory.seed
+        "estimate-g", argv, inputs, [args.out], seed=trajectory.seed
     )
     return 0
 
@@ -314,10 +352,9 @@ def _fit_report(
     return "\n".join(lines) + "\n", doc
 
 
-def _cmd_fit(args: argparse.Namespace, argv: list[str]) -> int:
+def _cmd_fit(args: argparse.Namespace, argv: list[str], inputs: _InputDigests) -> int:
     series = read_series(args.data)
     cfg = _load_fit_config(args.config)
-    inputs = [args.data] + ([args.config] if args.config else [])
 
     if np.any(series.tau < cfg.split_tau):
         result = fit_full(series, cfg)
@@ -454,7 +491,7 @@ def _selftest_checks(rng: np.random.Generator):
     yield ("parameter file round trip", dev, 0.0)
 
 
-def _cmd_selftest(args: argparse.Namespace, argv: list[str]) -> int:
+def _cmd_selftest(args: argparse.Namespace, argv: list[str], inputs: _InputDigests) -> int:
     rng = np.random.Generator(np.random.Philox(key=[7, 0]))
     print(f"{'check':<44}{'measured':>12}{'tolerance':>12}  status")
     failures = 0
@@ -484,13 +521,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chain", help="n-period chain file instead of --params")
     p.add_argument("--grid", default=_DEFAULT_EVAL_GRID, help="MIN:MAX:PPD delay grid")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_cmd_eval, inputs=("params", "chain"))
 
     p = sub.add_parser("rates", help="closed-form vs generator-derived switching rates")
     p.add_argument("--params", required=True)
     p.add_argument("--method", choices=("resolvent", "finite-dt"), default="resolvent")
     p.add_argument("--out", help="optional machine-readable key = value output")
-    p.set_defaults(func=_cmd_rates)
+    p.set_defaults(func=_cmd_rates, inputs=("params",))
 
     p = sub.add_parser("simulate", help="draw a photon arrival trajectory")
     p.add_argument("--params", required=True)
@@ -499,13 +536,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output trajectory path")
     p.add_argument("--g-out", help="also estimate the correlation to this CSV")
     p.add_argument("--grid", default=_DEFAULT_ESTIMATE_GRID, help="bins for --g-out")
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, inputs=("params",))
 
     p = sub.add_parser("estimate-g", help="correlation estimate from a trajectory")
     p.add_argument("--traj", required=True, help="trajectory file")
     p.add_argument("--grid", default=_DEFAULT_ESTIMATE_GRID, help="MIN:MAX:PPD bins")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_estimate_g)
+    p.set_defaults(func=_cmd_estimate_g, inputs=("traj",))
 
     p = sub.add_parser("fit", help="extract parameters from a correlation CSV")
     p.add_argument("--data", required=True, help="input CSV (tau_s,g[,sigma])")
@@ -513,10 +550,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report path (name = value ± sigma)")
     p.add_argument("--json-out", help="machine-readable report path")
     p.add_argument("--curve-out", help="fitted curve CSV for overlay plots")
-    p.set_defaults(func=_cmd_fit)
+    p.set_defaults(func=_cmd_fit, inputs=("data", "config"))
 
     p = sub.add_parser("selftest", help="run the cross-module consistency battery")
-    p.set_defaults(func=_cmd_selftest)
+    p.set_defaults(func=_cmd_selftest, inputs=())
     return parser
 
 
@@ -524,14 +561,18 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The input files a command names, hashed for its manifests while it works.
+    inputs = _InputDigests([getattr(args, name) for name in args.inputs if getattr(args, name) is not None])
     try:
-        return args.func(args, argv)
+        return args.func(args, argv, inputs)
     except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        inputs.close()
 
 
 if __name__ == "__main__":

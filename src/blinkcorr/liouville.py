@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import HierarchyError
 from .params import PhotoPhysicalParams
@@ -255,6 +254,9 @@ def _timescale_window(params: PhotoPhysicalParams) -> float:
 def _population_slopes(total: np.ndarray, dt: float, seeds) -> np.ndarray:
     # Central difference of selected populations of exp(L t) seed at t = dt.
     h = 0.01 * dt
+    # Imported here: ``import blinkcorr`` does not load scipy.linalg.
+    import scipy.linalg
+
     prop_plus = scipy.linalg.expm(total * (dt + h))
     prop_minus = scipy.linalg.expm(total * (dt - h))
     out = []

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateInputError, ReducibleChainError
 from .fileio import atomic_write_text, format_float, plain_number
@@ -138,6 +137,9 @@ def propagator(b: np.ndarray, tau):
         if np.max(np.abs(out_c.imag)) <= 1e-10:
             out = out_c.real
     if out is None:
+        # Imported here: ``import blinkcorr`` does not load scipy.linalg.
+        import scipy.linalg
+
         out = np.stack([scipy.linalg.expm(b * t) for t in tau_arr])
 
     row_err = np.max(np.abs(out.sum(axis=2) - 1.0))

@@ -42,7 +42,9 @@ _STREAM_BACKGROUND = 2
 # estimate_g splits its bins where the two stages' estimated work is least,
 # counted in lattice cells visited for one lag; an exact-stage pair, or a
 # photon binned onto a lattice, costs this many (17 ns against 0.6 ns on a
-# 2-core x86-64 VM).
+# 2-core x86-64 VM). It stays 30 although both have since got cheaper: the
+# split, and with it g, moves with this price, so a new one belongs with a
+# new pricing of the lattice's set-up.
 _PAIR_COST = 30.0
 # Elements per block of the temporaries of estimate_g (sources of the exact
 # stage, photons and cells of the lattice stage) and of the waits
@@ -99,8 +101,11 @@ class Trajectory:
             first, last = float(times.min()), float(times.max())
             if not (math.isfinite(first) and math.isfinite(last)):
                 raise ValueError("arrival times must be finite")
-            if np.any(times[1:] < times[:-1]):
-                raise ValueError("arrival times must be sorted")
+            # In blocks, so no temporary grows with the record.
+            for start in range(0, times.size - 1, _BLOCK):
+                later = times[start + 1 : start + _BLOCK + 1]
+                if np.any(later < times[start : start + later.size]):
+                    raise ValueError("arrival times must be sorted")
             if first < 0.0 or last > duration:
                 raise ValueError("arrival times must lie within [0, duration]")
 
@@ -391,14 +396,16 @@ def estimate_g(
     lies in ``[edges[0], edges[m])``, ``m`` the last exact edge, and falls
     into the bin whose left edge is the largest one not above that delay.
     Pairs are enumerated by neighbour offset ``j - i`` until no source has
-    a partner left below ``edges[m]``, in blocks of sources counted on one
+    a partner left below ``edges[m]``, each source from the first time
+    after its own, in blocks of sources counted on one
     thread per core the process may run on and summed in block order; the
     split and the counts do not depend on the number of cores.
 
     Longer bins correlate coincidence counts on a lattice of a twentieth
     of the bin's decade: each bin becomes the window of whole lattice
     steps ``[ceil(a / w), ceil(b / w))`` and counts the pairs whose cells
-    lie that many steps apart, from cumulative sums of the lattice. A
+    lie that many steps apart, from cumulative sums of the lattice. One
+    pass over the photons bins them onto every lattice. A
     bin narrower than one lattice step can hold no step; it is merged
     into the next bin, whose window starts on or after the step it
     rounds to, and only a last such bin is widened to one step. So the
@@ -462,11 +469,11 @@ def estimate_g(
         lattices.setdefault(width, []).append((i, ka, kb))
         windows[i] = (ka * width, kb * width)
         steps[i] = width
-    for width, bins in lattices.items():
-        bounds = sorted({k for _, ka, kb in bins for k in (ka, kb)})
-        sums = dict(zip(bounds, _lattice_sums(times, width, bounds)))
-        for i, ka, kb in bins:
-            counts[i] = sums[kb] - sums[ka]
+    bounds = {width: sorted({k for _, ka, kb in bins for k in (ka, kb)}) for width, bins in lattices.items()}
+    for width, sums in _lattice_sums(times, bounds).items():
+        at = dict(zip(bounds[width], sums))
+        for i, ka, kb in lattices[width]:
+            counts[i] = at[kb] - at[ka]
 
     # Pairs a Poisson stream of the record's rate puts into each window: a
     # lattice window [ka w, kb w) sums w (T - k w) over its lags k, which is
@@ -522,7 +529,11 @@ def _exact_bins(n: int, t_total: float, edges: np.ndarray) -> int:
     each lattice width passes once over the photons and over its cells once
     per boundary lag. Counting the bins of its finest width exactly would
     cost less than a lattice of more than ``sqrt(_PAIR_COST * e / (2 *
-    width))`` cells per photon, ``e`` their last edge, so none is chosen."""
+    width))`` cells per photon, ``e`` their last edge, so none is chosen.
+
+    The pricing is kept although :func:`_lattice_sums` bins the photons
+    onto every width in one pass: each width still takes a cell index and
+    a count per photon, and any new price moves the split, and so g."""
     # cost[m] prices the split after m bins. A width's photon pass and
     # running sums are paid while its last bin is on a lattice; ties go to
     # the exact stage. A lattice of more cells than float64 counts costs inf.
@@ -548,10 +559,13 @@ def _exact_counts(times: np.ndarray, edges: np.ndarray) -> np.ndarray:
     Every source ``i`` meets its neighbours ``j = i + 1, i + 2, ...`` in
     turn, all sources of a block at once, and leaves the block's active
     set once ``t_j - t_i`` reaches the last edge, since later neighbours
-    are only farther away. A delay ``d`` is binned without a search: a
-    table over the exponent and the top mantissa bits of ``d`` gives the
-    number of edges below its cell, and one comparison per edge inside
-    the cell corrects it.
+    are only farther away. In a block that holds a repeated time, each
+    source starts after the times equal to its own: their delay of zero
+    lies below every edge, and a run of ties would otherwise keep its
+    sources active for the length of the run. A delay ``d`` is binned
+    without a search: a table over the exponent and the top mantissa bits
+    of ``d`` gives the number of edges below its cell, and one comparison
+    per edge inside the cell corrects it.
 
     Each block of ``_BLOCK`` sources is counted into its own int64
     histogram, on one thread per core the process may run on, and the
@@ -582,6 +596,11 @@ def _exact_counts(times: np.ndarray, edges: np.ndarray) -> np.ndarray:
         hist = np.zeros(nb + 2, dtype=np.int64)
         source = times[start : start + _BLOCK]
         partner = np.arange(start, start + source.size)
+        # A source meets its ties at delay zero, below edges[0]; in a block
+        # that holds a tie, each source starts after its ties.
+        after = times[start + 1 : start + source.size + 1]
+        if np.any(after == source[: after.size]):
+            partner = np.searchsorted(times, source, side="right") - 1
         while source.size:
             partner += 1
             if partner[-1] >= n:
@@ -589,10 +608,11 @@ def _exact_counts(times: np.ndarray, edges: np.ndarray) -> np.ndarray:
                 source, partner = source[:live], partner[:live]
                 if not live:
                     break
-            d = times[partner] - source
-            code = table[d.view(np.int64) >> shift]
+            d = times.take(partner)
+            d -= source
+            code = table.take(d.view(np.int64) >> shift)
             for _ in range(passes):
-                code += d >= following[code]
+                code += d >= following.take(code)
             step = np.bincount(code, minlength=nb + 2)
             hist += step
             if 4 * step[above] >= source.size:
@@ -605,46 +625,75 @@ def _exact_counts(times: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return counts[1 : nb + 1].astype(np.float64)
 
 
-def _lattice_sums(times: np.ndarray, width: float, lags: list[int]) -> np.ndarray:
-    """Boundary sums of the lattice stage of :func:`estimate_g`.
+def _lattice_sums(times: np.ndarray, lags: dict[float, list[int]]) -> dict[float, np.ndarray]:
+    """Boundary sums of the lattice stage of :func:`estimate_g`, for each
+    lattice width of ``lags`` and its lags (ascending, all positive).
 
-    With ``c[j]`` photons in cell ``j`` of the lattice of ``width`` and
-    ``S[x]`` photons in the cells below ``x``, returns for each lag ``k``
-    of ``lags`` (ascending, all positive) the sum over cells of
-    ``c[j] * S[j + k]`` less a term that does not depend on ``k``, so the
-    difference of two entries ``ka < kb`` counts the pairs whose cells lie
-    ``ka`` to ``kb - 1`` steps apart. The lattice is kept as counts, one
-    byte per cell until a cell holds more than 255 photons, and
-    worked through in blocks of cells, each with its own running sum, so
-    every partial sum is an integer-valued float64 no larger than the
-    photon count times the photons of one block and its reach; below
-    2**53 the sums are exact in any order.
+    With ``c[j]`` photons in cell ``j`` of the lattice of a width and
+    ``S[x]`` photons in the cells below ``x``, the sums of that width hold
+    for each lag ``k`` the sum over cells of ``c[j] * S[j + k]`` less a
+    term that does not depend on ``k``, so the difference of two entries
+    ``ka < kb`` counts the pairs whose cells lie ``ka`` to ``kb - 1`` steps
+    apart.
+
+    One pass over the photons bins them onto every lattice: each block of
+    ``_BLOCK`` times gets its cell index on each width and is counted by
+    one ``np.bincount`` over the cells it spans, split where it would span
+    more than ``4 * _BLOCK`` cells, so a gap in the record grows no
+    temporary. A lattice is kept as counts, one byte per cell until a
+    cell holds more than 255 photons. Then each lattice is worked through
+    in blocks of cells, each with its own running sum, so every partial
+    sum is an integer-valued float64 no larger than the photon count times
+    the photons of one block and its reach; below 2**53 the sums are exact
+    in any order.
+
+    :func:`_exact_bins` keeps its price of one photon pass per width: each
+    width still takes a cell index and a count per photon, and a new price
+    would move the split, and with it g.
     """
-    inv = 1.0 / width
-    m = int(times[-1] * inv) + 1
-    cells = np.zeros(m, dtype=np.uint8)
+    invs = [1.0 / width for width in lags]
+    lattices = [np.zeros(int(times[-1] * inv) + 1, dtype=np.uint8) for inv in invs]
+    span = 4 * _BLOCK
     for start in range(0, times.size, _BLOCK):
-        index = (times[start : start + _BLOCK] * inv).astype(np.int64)
-        first = np.flatnonzero(np.diff(index, prepend=-1))
-        occupied = index[first]
-        total = cells[occupied] + np.diff(first, append=index.size)
-        if total.max() > np.iinfo(cells.dtype).max:
-            cells = cells.astype(np.min_scalar_type(times.size))
-        cells[occupied] = total
+        block = times[start : start + _BLOCK]
+        for slot, inv in enumerate(invs):
+            cells = lattices[slot]
+            index = (block * inv).astype(np.int64)
+            lo = 0
+            while lo < index.size:
+                first = int(index[lo])
+                hi = index.size if index[-1] - first < span else int(np.searchsorted(index, first + span))
+                piece = index[lo:hi]
+                piece -= first
+                # The times are sorted, so of these cells only the first
+                # can hold photons of an earlier block.
+                count = np.bincount(piece)
+                count[0] += cells[first]
+                if count.max() > np.iinfo(cells.dtype).max:
+                    cells = lattices[slot] = cells.astype(np.min_scalar_type(times.size))
+                cells[first : first + count.size] = count
+                lo = hi
+                # Each temporary goes before the next one is made.
+                del count
+            del index
 
-    reach = lags[-1] - 1
-    sums = np.zeros(len(lags))
-    running = np.empty(_BLOCK + reach)
-    for a in range(0, m, _BLOCK):
-        b = min(a + _BLOCK, m)
-        weights = cells[a:b].astype(np.float64)
-        # running[x] = photons in cells a .. a + x, held at the record's
-        # end, so S[j + k] - S[a] = running[j - a + k - 1].
-        filled = min(b + reach, m) - a
-        np.cumsum(cells[a : a + filled], dtype=np.float64, out=running[:filled])
-        running[filled : b - a + reach] = running[filled - 1]
-        for slot, k in enumerate(lags):
-            sums[slot] += np.dot(weights, running[k - 1 : k - 1 + b - a])
+    sums = {}
+    for width, ks in lags.items():
+        cells = lattices.pop(0)
+        m = cells.size
+        reach = ks[-1] - 1
+        sums[width] = total = np.zeros(len(ks))
+        running = np.empty(_BLOCK + reach)
+        for a in range(0, m, _BLOCK):
+            b = min(a + _BLOCK, m)
+            weights = cells[a:b].astype(np.float64)
+            # running[x] = photons in cells a .. a + x, held at the record's
+            # end, so S[j + k] - S[a] = running[j - a + k - 1].
+            filled = min(b + reach, m) - a
+            np.cumsum(cells[a : a + filled], dtype=np.float64, out=running[:filled])
+            running[filled : b - a + reach] = running[filled - 1]
+            for slot, k in enumerate(ks):
+                total[slot] += np.dot(weights, running[k - 1 : k - 1 + b - a])
     return sums
 
 

@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -387,6 +389,66 @@ def test_estimate_g_out_of_float64_range(tmp_path, capsys, record, grid):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "record, code",
+    [
+        # The last time is out of order, so the record is refused after the
+        # whole file was read.
+        ("# duration = 1\n" + "".join(f"{t!r}\n" for t in np.linspace(0.0, 1.0, 3000)) + "0.5\n", 2),
+        ("# duration = 1\n0.5\n", 1),
+        (None, 2),
+    ],
+    ids=["unsorted", "one-photon", "missing"],
+)
+def test_failing_estimate_g_leaves_no_hashing_thread(tmp_path, capsys, monkeypatch, record, code):
+    # The record is hashed for the manifest while it is read; a command
+    # that fails stops and joins the hashing thread and writes no manifest.
+    monkeypatch.setattr(cli, "_HASH_CHUNK", 64)
+    traj_path = tmp_path / "traj.txt"
+    if record is not None:
+        traj_path.write_text(record)
+    out = str(tmp_path / "g.csv")
+    threads = threading.active_count()
+    assert main(["estimate-g", "--traj", str(traj_path), "--out", out]) == code
+    assert threading.active_count() == threads
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not os.path.exists(out)
+    assert not os.path.exists(out + ".manifest.json")
+
+
+def test_manifest_digests_are_sha256_of_the_inputs(tmp_path, params_file, slow_params_file, monkeypatch):
+    # Files are hashed 64 bytes at a time, so each takes several reads into
+    # the one buffer; every command's digests are those of hashlib over the
+    # whole file, and no hashing thread outlives a command.
+    monkeypatch.setattr(cli, "_HASH_CHUNK", 64)
+    chain = tmp_path / "chain.txt"
+    chain.write_text("2\n1e5 0.0\n0.0 37.0\n143.0 0.0\n")
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text("bootstrap_resamples = 0\n")
+    curve, traj = str(tmp_path / "curve.csv"), str(tmp_path / "traj.txt")
+    commands = [
+        ["eval", "--params", params_file, "--grid", "1e-10:1:20", "--out", curve],
+        ["eval", "--chain", str(chain), "--grid", "1e-4:1:10", "--out", str(tmp_path / "chain.csv")],
+        ["rates", "--params", params_file, "--out", str(tmp_path / "rates.txt")],
+        ["simulate", "--params", slow_params_file, "--duration", "0.2", "--seed", "3", "--out", traj],
+        ["estimate-g", "--traj", traj, "--grid", "1e-5:1e-2:5", "--out", str(tmp_path / "g.csv")],
+        ["fit", "--data", curve, "--config", str(cfg), "--out", str(tmp_path / "fit.txt")],
+    ]
+    for argv in commands:
+        threads = threading.active_count()
+        assert main(argv) == 0
+        assert threading.active_count() == threads
+        paths = [argv[i + 1] for i, flag in enumerate(argv) if flag in ("--params", "--chain", "--traj", "--data", "--config")]
+        with open(argv[-1] + ".manifest.json") as handle:
+            digests = json.load(handle)["inputs"]
+        want = {}
+        for path in paths:
+            with open(path, "rb") as handle:
+                want[path] = hashlib.sha256(handle.read()).hexdigest()
+        assert digests == want
+    assert os.path.getsize(traj) > 100 * 64
+
+
 def test_fit_full_report(tmp_path, params_file, reference_params):
     data = str(tmp_path / "data.csv")
     assert main(["eval", "--params", params_file, "--grid", "1e-10:1:20",
@@ -437,15 +499,17 @@ def test_import_leaves_scipy_optimize_unloaded():
     src = os.path.dirname(os.path.dirname(blinkcorr.__file__))
     code = (
         "import sys, blinkcorr, blinkcorr.cli; "
-        "print('scipy.optimize' in sys.modules, 'concurrent.futures.thread' in sys.modules)"
+        "print('scipy.optimize' in sys.modules, 'concurrent.futures.thread' in sys.modules, "
+        "'scipy.linalg' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     # Nor the thread pool, which the writer, the reader and the correlator
-    # import when they first run on more than one core.
-    assert out.stdout.split() == ["False", "False"]
+    # import when they first run on more than one core, nor scipy.linalg,
+    # which only the matrix-exponential routes import, when they run.
+    assert out.stdout.split() == ["False", "False", "False"]
 
 
 def test_fit_report_counts_bootstrap_failures(tmp_path, params_file):

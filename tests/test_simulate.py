@@ -2,6 +2,7 @@ import math
 import os
 import tempfile
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -60,6 +61,34 @@ def test_trajectory_validation():
     ):
         with pytest.raises(ValueError, match=f"seed {refusal}"):
             Trajectory(times=np.array([0.1, 0.2]), duration=1.0, seed=seed)
+
+
+def test_trajectory_order_is_checked_in_blocks(monkeypatch):
+    # Blocks of 7 times: a pair out of order is refused wherever it lies,
+    # inside a block, across a block's end or at the record's end.
+    monkeypatch.setattr(simulate, "_BLOCK", 7)
+    for n in (2, 7, 8, 15, 16):
+        times = np.linspace(0.0, 1.0, n)
+        Trajectory(times=times, duration=1.0)
+        for i in range(n - 1):
+            swapped = times.copy()
+            swapped[[i, i + 1]] = swapped[[i + 1, i]]
+            with pytest.raises(ValueError, match="arrival times must be sorted"):
+                Trajectory(times=swapped, duration=1.0)
+
+
+def test_trajectory_validation_working_set():
+    # The order is checked in blocks, so no temporary grows with the record.
+    times = np.linspace(0.0, 1.0, 16 * simulate._BLOCK)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        Trajectory(times=times, duration=1.0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * simulate._BLOCK
 
 
 def test_periods_deterministic(reference_stats):
@@ -674,6 +703,33 @@ def test_estimate_g_exact_stage_counts_every_pair(block, traj, edges):
         np.testing.assert_allclose(series.g, expected, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("block", [simulate._BLOCK, 7])
+def test_exact_counts_of_a_tied_record(monkeypatch, block):
+    # Runs of up to 40 equal times, across blocks of 7 sources too: a
+    # source skips its ties, whose delay of zero lies below every edge, and
+    # the counts are those of every pair.
+    rng = np.random.Generator(np.random.Philox(key=[8, 4]))
+    times = np.repeat(np.sort(rng.uniform(0.0, 0.01, 40)), rng.integers(1, 41, 40))
+    edges = log_grid(1e-5, 1e-2, 10)
+    monkeypatch.setattr(simulate, "_BLOCK", block)
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        assert np.array_equal(simulate._exact_counts(times, edges), brute_force_pairs(times, edges))
+
+
+def test_estimate_g_tied_record_is_not_quadratic():
+    # 40,000 photons at three distinct times: each source used to meet all
+    # of its 13,333 ties before it left the exact stage (4 s).
+    times = np.repeat([0.1, 0.4, 0.7], 13_334)[:40_000]
+    traj = Trajectory(times=times, duration=1.0)
+    edges = log_grid(1e-9, 1e-1, 20)
+    started = time.perf_counter()
+    series = estimate_g(traj, edges)
+    assert time.perf_counter() - started < 1.0
+    assert simulate._exact_limit(traj, edges) > edges[0]
+    assert np.all(series.g[series.tau < 0.1] == 0.0)
+
+
 def test_estimate_g_same_bytes_on_any_core_count(monkeypatch):
     # Blocks of 7 sources, so the exact stage's ~1,000 photons span many
     # blocks and groups; the lattice stage runs too.
@@ -756,6 +812,35 @@ def test_estimate_g_lattice_counts_outgrow_one_byte(monkeypatch):
     want_windows, counts, norms = lattice_reference(times, 1.0, edges)
     assert np.array_equal(windows, want_windows)
     np.testing.assert_allclose(series.g, counts / (rate * rate * norms), rtol=1e-12, atol=0.0)
+
+
+def test_lattice_stage_bins_a_gappy_record_in_one_pass(monkeypatch):
+    # Two bursts 5 s apart, binned in one pass onto the lattices of 5 us,
+    # 50 us and 0.5 ms; the block of 1,024 times that holds the gap spans
+    # a million cells of the finest lattice, and is counted in pieces.
+    monkeypatch.setattr(simulate, "_BLOCK", 1024)
+    monkeypatch.setattr(simulate, "_exact_bins", all_lattice)
+    rng = np.random.Generator(np.random.Philox(key=[8, 5]))
+    burst = np.sort(rng.uniform(0.0, 0.02, 1500))
+    times = np.concatenate([burst, 5.0 + burst])
+    edges = log_grid(1e-4, 0.5, 10)
+    series, windows = estimate_g(Trajectory(times=times, duration=6.0), edges, with_windows=True)
+    rate = times.size / 6.0
+    want_windows, counts, norms = lattice_reference(times, 6.0, edges)
+    assert np.array_equal(windows, want_windows)
+    np.testing.assert_allclose(series.g, counts / (rate * rate * norms), rtol=1e-12, atol=0.0)
+
+    lags = {5e-6: [20, 200], 5e-5: [20, 200], 5e-4: [20, 200]}
+    lattices = sum(int(times[-1] / width) + 1 for width in lags)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        simulate._lattice_sums(times, lags)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak - lattices <= 80 * simulate._BLOCK
 
 
 def test_trajectory_file_round_trip(tmp_path, reference_stats):
