@@ -719,7 +719,7 @@ def test_exact_counts_of_a_tied_record(monkeypatch, block):
 
 def test_estimate_g_tied_record_is_not_quadratic():
     # 40,000 photons at three distinct times: each source used to meet all
-    # of its 13,333 ties before it left the exact stage (4 s).
+    # of its 13,333 ties before it left the exact stage (3-4 s).
     times = np.repeat([0.1, 0.4, 0.7], 13_334)[:40_000]
     traj = Trajectory(times=times, duration=1.0)
     edges = log_grid(1e-9, 1e-1, 20)
