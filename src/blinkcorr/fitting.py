@@ -208,10 +208,11 @@ def least_squares(
     cost, a singular system or a negative distance skips the test. ``cov``
     is then ``None``.
 
-    Parameters are never evaluated outside the bounds; the finite
-    difference step flips direction at the upper bound, and a null column
-    from a step below unit scale is taken again at unit scale. This is
-    :func:`_best_row` on a stack of one start.
+    A step is relative to ``max(|x|, 1)``, and Jacobians are forward
+    differences of 1e-6 of it, flipped at the upper bound, so parameters
+    are never evaluated outside the bounds; a column this step leaves null
+    is flat, and its coordinate takes no step. This is :func:`_best_row` on
+    a stack of one start.
     """
     x = np.asarray(x0, dtype=float).ravel()
     npar = x.size
@@ -256,18 +257,16 @@ def _best_row(residual, x0, lo, hi, max_iterations, refit=False, strict=False) -
         # a row that stopped on one, or on a cost that is not, needs none.
         cov = np.full((npar, npar), np.nan)
         if stops[i] != _NOT_FINITE:
-            jac = _jacobian(residual, x[row], r[row], np.array([i]), _fd_scale(x0[row]), hi)[0]
+            jac = _jacobian(residual, x[row], r[row], np.array([i]), hi)[0]
             if np.isfinite(jac).all():
                 cov = np.linalg.pinv(jac.T @ jac) * (cost[i] / max(r.shape[1] - npar, 1))
     return LeastSquaresResult(x[i], float(cost[i]), cov, int(iterations[i]), converged, message)
 
 
-def _fd_scale(x: np.ndarray) -> np.ndarray:
-    # Finite-difference scale: relative to the start, unit for exact-zero
-    # coordinates (a relative step off zero underflows to a null step).
-    scale = np.abs(x)
-    scale[scale == 0.0] = 1.0
-    return scale
+def _typical(x: np.ndarray) -> np.ndarray:
+    """``max(|x|, 1)``, the size finite differences step 1e-6 of and the step
+    test measures against (Dennis & Schnabel (1983) 5.4, typical size one)."""
+    return np.maximum(np.abs(x), 1.0)
 
 
 def _sumsq(r: np.ndarray) -> list:
@@ -292,36 +291,20 @@ def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list]:
         return out, singular
 
 
-def _jacobian(residual, x, r, rows, scale, hi) -> np.ndarray:
+def _jacobian(residual, x, r, rows, hi) -> np.ndarray:
     """Forward-difference Jacobians ``(m, n, k)`` of the stack's ``rows``
-    at ``x`` with residuals ``r``. Steps flip direction where they would
-    pass the upper bound; all ``m * k`` probes go to ``residual`` in one
-    call."""
+    at ``x`` with residuals ``r``, each step ``1e-6 * _typical(x)``. Steps
+    flip direction where they would pass the upper bound; all ``m * k``
+    probes go to ``residual`` in one call."""
     m, k = x.shape
-    size = np.maximum(np.abs(x), scale)
-    h = 1e-6 * size
-    # A step that underflows to zero is taken at unit scale.
-    if np.count_nonzero(h) < h.size:
-        h[h == 0.0] = 1e-6
+    h = 1e-6 * _typical(x)
     step = np.where(x + h <= hi, h, -h)
     probe = x.repeat(k, axis=0)
     probe.reshape(m, k * k)[:, :: k + 1] += step
     diff = residual(probe, rows.repeat(k)).reshape(m, k, -1)
     diff -= r[:, None, :]
     diff /= step[:, :, None]
-    # From a start within about 1e-10 of zero the step is lost against the
-    # residual, so a null column is taken again at unit scale. A null
-    # column at unit scale or above is flat: a smaller retry there would
-    # only sample rounding noise.
-    retry = size < 1.0
-    if np.count_nonzero(retry):
-        retry[retry] = ~np.logical_or.reduce(diff[retry], axis=1)
-    jac = np.ascontiguousarray(diff.transpose(0, 2, 1))
-    if np.count_nonzero(retry):
-        again = retry.any(axis=1)
-        redo = _jacobian(residual, x[again], r[again], rows[again], np.ones((np.count_nonzero(again), k)), hi)
-        jac[again] = np.where(retry[again][:, None, :], redo, jac[again])
-    return jac
+    return np.ascontiguousarray(diff.transpose(0, 2, 1))
 
 
 def _solve_stack(residual, x0, lo, hi, max_iterations, refit):
@@ -345,7 +328,7 @@ def _solve_stack(residual, x0, lo, hi, max_iterations, refit):
     """
     nrow, npar = x0.shape
     ids = np.arange(nrow)
-    x, scale = x0.copy(), _fd_scale(x0.copy())
+    x = x0.copy()
     r = residual(x, ids)
     cost = _sumsq(r)
     dof = max(r.shape[1] - npar, 1)
@@ -362,12 +345,12 @@ def _solve_stack(residual, x0, lo, hi, max_iterations, refit):
             keep = [i for i, s in enumerate(stop) if not s]
             for whole, part in zip(out, (x[done], r[done], [cost[i] for i in done], it, [stop[i] for i in done])):
                 whole[ids[done]] = part
-            ids, x, r, scale = ids[keep], x[keep], r[keep], scale[keep]
+            ids, x, r = ids[keep], x[keep], r[keep]
             cost, lam = [cost[i] for i in keep], [lam[i] for i in keep]
         m = ids.size
         if not m or it == max_iterations:
             break
-        jac = _jacobian(residual, x, r, ids, scale, hi)
+        jac = _jacobian(residual, x, r, ids, hi)
         jt = jac.transpose(0, 2, 1)
         # A sum that overflows is not finite, and its row stops below.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -432,7 +415,7 @@ def _solve_stack(residual, x0, lo, hi, max_iterations, refit):
                 lam[i] *= 10.0
             searching = [i for i in searching if lam[i] <= _MAX_DAMPING]
 
-        step_rel = np.maximum.reduce(np.abs(x_new - x) / np.maximum(np.abs(x_new), scale), axis=1).tolist()
+        step_rel = np.maximum.reduce(np.abs(x_new - x) / _typical(x_new), axis=1).tolist()
         for i in range(m):
             if moved[i]:
                 lam[i] = max(lam[i] / 3.0, 1e-12)
@@ -490,7 +473,7 @@ def _propagated_sigma(values, theta: np.ndarray, cov: np.ndarray) -> dict[str, f
     ``2k`` central-difference probes of ``theta``; a forward difference
     errs by a relative amount of the order of its step."""
     k = theta.size
-    step = 1e-6 * np.maximum(np.abs(theta), 1e-12)
+    step = 1e-6 * _typical(theta)
     shift = np.diag(step)
     sigma = {}
     for name, column in values(np.concatenate([theta + shift, theta - shift])).items():

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HierarchyError
+from .errors import DegenerateInputError, HierarchyError
 from .params import PhotoPhysicalParams
 
 __all__ = [
@@ -318,6 +318,7 @@ def perturbative_rates(
     optical transients and short against the blinking, with one
     Richardson step to cancel the leading bias; it requires a clean
     timescale separation and raises :class:`HierarchyError` without one.
+    A rate that is not finite raises :class:`DegenerateInputError`.
     """
     if method not in ("resolvent", "finite_dt"):
         raise ValueError(
@@ -326,6 +327,9 @@ def perturbative_rates(
     if max(*params.A32, *params.A21) == 0.0:
         # No metastable coupling at all, nothing to extract.
         return (0.0, 0.0), (0.0, 0.0)
-    if method == "resolvent":
-        return _rates_resolvent(params)
-    return _rates_finite_dt(params)
+    # Products of the generator that overflow are named below, not warned of.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = _rates_resolvent(params) if method == "resolvent" else _rates_finite_dt(params)
+    if not all(math.isfinite(rate) for pair in rates for rate in pair):
+        raise DegenerateInputError(f"switching rates by {method} are not finite, the generator overflows: {rates}")
+    return rates

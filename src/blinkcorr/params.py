@@ -99,10 +99,12 @@ class PhotoPhysicalParams:
 
         if len(a32) != 2 or len(a21) != 2:
             raise ValueError("A32 and A21 must each hold exactly two rates")
-        if self.A31 <= 0.0:
-            raise ValueError("A31 must be positive")
-        if self.Omega31 <= 0.0:
-            raise ValueError("Omega31 must be positive")
+        for name, value in (("A31", self.A31), ("Omega31", self.Omega31)):
+            if value <= 0.0:
+                raise ValueError(f"{name} must be positive")
+            # The closed forms square it, and a float power that overflows raises.
+            if value * value == math.inf:
+                raise ValueError(f"{name} must be small enough that its square is finite, got {value!r}")
         if any(v < 0.0 for v in a32):
             raise ValueError("A32 coefficients must be non-negative")
         if any(v < 0.0 for v in a21):

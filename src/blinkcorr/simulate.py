@@ -140,7 +140,10 @@ class _EmissionSampler:
         if self.A31 <= 0.0 or self.Omega31 <= 0.0:
             raise ValueError("A31 and Omega31 must be positive")
         a, w = self.A31, self.Omega31
-        self.mean_wait = (a * a + 2.0 * w * w) / (a * w * w)
+        # A photon rate that underflows leaves no finite mean wait to sample.
+        self.mean_wait = (a * a + 2.0 * w * w) / (a * w * w) if a * w * w > 0.0 else math.inf
+        if self.mean_wait == math.inf:
+            raise DegenerateInputError(f"no photon can be drawn at A31 = {a!r}, Omega31 = {w!r}: no finite mean wait")
 
         t_max = 8.0 * self.mean_wait
         while self._survival(np.array([t_max]))[0] > self._TAIL:
@@ -683,17 +686,18 @@ def _lattice_sums(times: np.ndarray, lags: dict[float, list[int]]) -> dict[float
         m = cells.size
         reach = ks[-1] - 1
         sums[width] = total = np.zeros(len(ks))
-        running = np.empty(_BLOCK + reach)
+        counts, running = np.empty(_BLOCK + reach), np.empty(_BLOCK + reach)
         for a in range(0, m, _BLOCK):
             b = min(a + _BLOCK, m)
-            weights = cells[a:b].astype(np.float64)
             # running[x] = photons in cells a .. a + x, held at the record's
-            # end, so S[j + k] - S[a] = running[j - a + k - 1].
+            # end, so S[j + k] - S[a] = running[j - a + k - 1]. The counts
+            # are converted to float64 once, for it and for the weights.
             filled = min(b + reach, m) - a
-            np.cumsum(cells[a : a + filled], dtype=np.float64, out=running[:filled])
+            counts[:filled] = cells[a : a + filled]
+            np.cumsum(counts[:filled], out=running[:filled])
             running[filled : b - a + reach] = running[filled - 1]
             for slot, k in enumerate(ks):
-                total[slot] += np.dot(weights, running[k - 1 : k - 1 + b - a])
+                total[slot] += np.dot(counts[: b - a], running[k - 1 : k - 1 + b - a])
     return sums
 
 

@@ -22,6 +22,7 @@ from blinkcorr import (
 )
 from blinkcorr import cli, simulate
 from blinkcorr.cli import main
+from blinkcorr.errors import HierarchyWarning
 
 PARAMS_TEXT = """\
 # reference emitter
@@ -225,6 +226,81 @@ def test_rates_resolvent_outside_hierarchy(tmp_path, capsys):
     assert main(["rates", "--params", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert main(["rates", "--params", str(path), "--method", "finite-dt"]) == 0
+
+
+def params_text(**rates):
+    """PARAMS_TEXT with the named rates replaced."""
+    values = dict(line.split(" = ") for line in PARAMS_TEXT.splitlines() if " = " in line)
+    values.update((key, repr(value)) for key, value in rates.items())
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
+def run_refused(argv, capsys):
+    """``main(argv)``'s exit code, its stderr, which must be one ``error:``
+    line, and the categories of the warnings the run raised."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return code, err, [w.category for w in seen]
+
+
+@pytest.mark.parametrize("command", ["eval", "simulate"])
+@pytest.mark.parametrize("key", ["A31", "Omega31"])
+def test_optical_rate_whose_square_overflows_is_an_input_error(tmp_path, capsys, command, key):
+    # 1e308 ** 2 in the closed forms used to end in a bare OverflowError.
+    path = tmp_path / "params.txt"
+    path.write_text(params_text(**{key: 1e308}))
+    out = tmp_path / "out"
+    argv = [command, "--params", str(path), "--out", str(out)]
+    if command == "simulate":
+        argv += ["--duration", "0.01", "--seed", "1"]
+    code, err, seen = run_refused(argv, capsys)
+    assert (code, seen) == (2, [])
+    assert err == f"error: {key} must be small enough that its square is finite, got 1e+308\n"
+    assert not out.exists()
+
+
+def test_simulate_without_a_finite_mean_wait_is_a_numerical_error(tmp_path, capsys):
+    # Omega31^2 underflows to zero, and the sampler's mean wait used to end
+    # in a bare ZeroDivisionError. A drive this weak is far below the dark
+    # rates, which the hierarchy warning says. The curve still evaluates.
+    path = tmp_path / "params.txt"
+    path.write_text(params_text(Omega31=5e-324))
+    out = tmp_path / "traj.txt"
+    argv = ["simulate", "--params", str(path), "--duration", "0.01", "--seed", "1", "--out", str(out)]
+    code, err, seen = run_refused(argv, capsys)
+    assert (code, seen) == (1, [HierarchyWarning])
+    assert err.startswith("error: no photon can be drawn at A31 = 330000000.0, Omega31 = 5e-324")
+    assert not out.exists()
+    path.write_text(params_text(Omega31=1e-300, I_sc=0.0))
+    with pytest.warns(HierarchyWarning):
+        assert main(["eval", "--params", str(path), "--out", str(tmp_path / "g.csv")]) == 0
+    assert np.isfinite(read_series(str(tmp_path / "g.csv")).g).all()
+
+
+@pytest.mark.parametrize(
+    "rates, warned",
+    [
+        # Optical rates of 1e154 overflow the generator's products: the
+        # rates came out NaN, printed with exit code 0.
+        (dict(A31=1e154, Omega31=1e154, A32_1=1e151, A32_2=1e150, A21_1=1e151, A21_2=1e150), []),
+        # A dark rate of 1e308: inf and NaN after a RuntimeWarning, and the
+        # hierarchy warning these rates call for.
+        (dict(A21_2=1e308), [HierarchyWarning]),
+    ],
+    ids=["1e154", "A21_2-1e308"],
+)
+def test_rates_that_are_not_finite_are_a_numerical_error(tmp_path, capsys, rates, warned):
+    path = tmp_path / "params.txt"
+    path.write_text(params_text(**rates))
+    out = tmp_path / "rates.txt"
+    code, err, seen = run_refused(["rates", "--params", str(path), "--out", str(out)], capsys)
+    assert (code, seen) == (1, warned)
+    assert err.startswith("error: switching rates by resolvent are not finite")
+    assert not out.exists()
 
 
 def test_simulate_deterministic(tmp_path, slow_params_file):
