@@ -1,65 +1,57 @@
 """Criterion 7's fit protocol over many noise seeds, one JSON line each.
 
     python3 scripts/fit_sweep.py > sweep.jsonl
-    python3 scripts/fit_sweep.py --seeds 20 --bootstrap-seeds 5   # a quick run
 
-For each ``free_amplitude`` setting and each noise seed it fits criterion
-7's curve (the reference emitter on 300 log-spaced delays from 1e-10 to
-1 s, 1% noise, noise drawn from ``Philox(key=[seed, 2])``) with
-``fit_full`` and prints one line: the main fit's stages (cost, iterations,
-stop message, values and Jacobian sigmas; the isc stage fits nothing and
-carries the slow stage's cost) and the relative error of each
-reported quantity, or the error a failed main fit raised. The first
-``--bootstrap-seeds`` seeds also run a residual bootstrap of
-``--resamples`` refits and add its failed and on-bound refit counts; the
-bootstrap does not move the main fit. After the seeds of a setting, one
-``summary`` line gives the failed main fits, the refit counts and each
-quantity's median relative error, with a failed fit counted as an
-infinite error, as criterion 7 counts it.
+For each ``free_amplitude`` setting and each of the noise seeds 0 ..
+SEEDS - 1 it fits criterion 7's curve, as tests/test_acceptance.py sets
+it up (the reference emitter on 300 log-spaced delays from 1e-10 to 1 s,
+1% noise, noise drawn from ``Philox(key=[seed, 2])``), with ``fit_full``
+and prints one line: the main fit's stages (cost, iterations, stop
+message, values and Jacobian sigmas; the isc stage fits nothing and
+carries the slow stage's cost) and the relative error of each reported
+quantity, or the error a failed main fit raised. Seeds below
+BOOTSTRAP_SEEDS also run a residual bootstrap of RESAMPLES refits and add
+its failed and on-bound refit counts; the bootstrap does not move the
+main fit. After the seeds of a setting, one ``summary`` line gives the
+failed main fits, the refit counts and each quantity's median relative
+error, with a failed fit counted as an infinite error, as criterion 7
+counts it.
 
 Floats are printed exactly (shortest round-trip repr), and the run is
 deterministic, so diffing the output of two trees shows every fit that
 moved. Run from the root of a checkout: the program is imported from
-./src.
+./src and the protocol from ./tests.
 """
 
-import argparse
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
-from blinkcorr import CorrelationSeries, PhotoPhysicalParams, eval_curve, statistics_from_params  # noqa: E402
-from blinkcorr.errors import (  # noqa: E402
-    DegenerateInputError,
-    FitError,
-    HierarchyError,
-    InsufficientDataError,
-    ReducibleChainError,
+from blinkcorr import statistics_from_params  # noqa: E402
+from blinkcorr.fitting import FitConfig  # noqa: E402
+from test_acceptance import (  # noqa: E402
+    REFERENCE,
+    RESULT_KEYS,
+    criterion_7_curve,
+    criterion_7_data,
+    criterion_7_fit,
+    reported_quantities,
 )
-from blinkcorr.fitting import FitConfig, fit_full  # noqa: E402
 
-REFERENCE = PhotoPhysicalParams(A31=3.3e8, Omega31=2.9e8, A32=(34.0, 249.0), A21=(430.0, 2400.0), I_sc=7.7e7)
-FIT_FAILURES = (FitError, DegenerateInputError, HierarchyError, ReducibleChainError, InsufficientDataError)
-
-
-def reported(params: PhotoPhysicalParams, stats) -> dict[str, float]:
-    """The quantities criterion 7 scores, by name."""
-    out = params.as_dict()
-    out.update(T_L=stats.T_L, T_D1=stats.T_D[0], T_D2=stats.T_D[1], p1=stats.p1)
-    return out
+SEEDS = 200
+BOOTSTRAP_SEEDS = 100
+RESAMPLES = 50
 
 
-def sweep_line(data: CorrelationSeries, truth: dict, cfg: FitConfig) -> dict:
-    """One seed's fit, as its JSON record."""
-    try:
-        res = fit_full(data, cfg)
-    except FIT_FAILURES as exc:
-        return {"error": f"{type(exc).__name__}: {exc}"}
+def sweep_line(res, errors: dict) -> dict:
+    """One seed's fit, or the failure it raised, as its JSON record."""
+    if isinstance(res, Exception):
+        return {"error": f"{type(res).__name__}: {res}"}
     line = {
         "stages": {
             name: {
@@ -71,36 +63,28 @@ def sweep_line(data: CorrelationSeries, truth: dict, cfg: FitConfig) -> dict:
             }
             for name, stage in res.stages.items()
         },
-        "rel_error": {key: abs(value / truth[key] - 1.0) for key, value in reported(res.params, res.stats).items()},
+        "rel_error": errors,
     }
-    if cfg.bootstrap_resamples:
+    if "bootstrap_failures" in res.diagnostics:
         line["bootstrap_failures"] = int(res.diagnostics["bootstrap_failures"])
         line["bootstrap_on_bound"] = int(res.diagnostics["bootstrap_on_bound"])
     return line
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", type=int, default=200, help="noise seeds 0 .. N-1 (default 200)")
-    parser.add_argument("--bootstrap-seeds", type=int, default=100, help="seeds that also run a bootstrap (default 100)")
-    parser.add_argument("--resamples", type=int, default=50, help="bootstrap resamples (default 50)")
-    args = parser.parse_args()
-
-    truth = reported(REFERENCE, statistics_from_params(REFERENCE))
-    clean = eval_curve(REFERENCE, np.geomspace(1e-10, 1.0, 300))
-    sigma = 0.01 * clean.g
+    truth = reported_quantities(REFERENCE, statistics_from_params(REFERENCE))
+    clean, sigma = criterion_7_curve()
     for free_amp in (False, True):
-        errors = {key: [] for key in truth}
+        errors = {key: [] for key in RESULT_KEYS}
         failed, refits_failed, refits_on_bound = [], 0, 0
-        for seed in range(args.seeds):
-            rng = np.random.Generator(np.random.Philox(key=[seed, 2]))
-            data = CorrelationSeries(clean.tau, clean.g + sigma * rng.standard_normal(clean.g.size), sigma)
-            resamples = args.resamples if seed < args.bootstrap_seeds else 0
-            line = sweep_line(data, truth, FitConfig(free_amplitude=free_amp, bootstrap_resamples=resamples))
+        for seed in range(SEEDS):
+            cfg = FitConfig(free_amplitude=free_amp, bootstrap_resamples=RESAMPLES if seed < BOOTSTRAP_SEEDS else 0)
+            res, err = criterion_7_fit(criterion_7_data(clean, sigma, seed), cfg, truth)
+            line = sweep_line(res, err)
             if "error" in line:
                 failed.append(seed)
-            for key in truth:
-                errors[key].append(line["rel_error"][key] if "rel_error" in line else math.inf)
+            for key in RESULT_KEYS:
+                errors[key].append(err[key])
             refits_failed += line.get("bootstrap_failures", 0)
             refits_on_bound += line.get("bootstrap_on_bound", 0)
             print(json.dumps({"free_amplitude": free_amp, "seed": seed, **line}), flush=True)

@@ -208,11 +208,12 @@ def least_squares(
     cost, a singular system or a negative distance skips the test. ``cov``
     is then ``None``.
 
-    A step is relative to ``max(|x|, 1)``, and Jacobians are forward
-    differences of 1e-6 of it, flipped at the upper bound, so parameters
-    are never evaluated outside the bounds; a column this step leaves null
-    is flat, and its coordinate takes no step. This is :func:`_best_row` on
-    a stack of one start.
+    A step is relative to ``max(|x|, 1)``, which assumes coordinates of
+    order one, and Jacobians are forward differences of 1e-6 of it or of
+    half the room to the farther bound, flipped at the upper bound, so
+    parameters are never evaluated outside the bounds; a column this step
+    leaves null is flat, and its coordinate takes no step. This is
+    :func:`_best_row` on a stack of one start.
     """
     x = np.asarray(x0, dtype=float).ravel()
     npar = x.size
@@ -257,7 +258,7 @@ def _best_row(residual, x0, lo, hi, max_iterations, refit=False, strict=False) -
         # a row that stopped on one, or on a cost that is not, needs none.
         cov = np.full((npar, npar), np.nan)
         if stops[i] != _NOT_FINITE:
-            jac = _jacobian(residual, x[row], r[row], np.array([i]), hi)[0]
+            jac = _jacobian(residual, x[row], r[row], np.array([i]), lo, hi)[0]
             if np.isfinite(jac).all():
                 cov = np.linalg.pinv(jac.T @ jac) * (cost[i] / max(r.shape[1] - npar, 1))
     return LeastSquaresResult(x[i], float(cost[i]), cov, int(iterations[i]), converged, message)
@@ -291,13 +292,13 @@ def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list]:
         return out, singular
 
 
-def _jacobian(residual, x, r, rows, hi) -> np.ndarray:
+def _jacobian(residual, x, r, rows, lo, hi) -> np.ndarray:
     """Forward-difference Jacobians ``(m, n, k)`` of the stack's ``rows``
-    at ``x`` with residuals ``r``, each step ``1e-6 * _typical(x)``. Steps
-    flip direction where they would pass the upper bound; all ``m * k``
-    probes go to ``residual`` in one call."""
+    at ``x`` with residuals ``r``, each step ``1e-6 * _typical(x)``, at most
+    half the room to the farther bound, flipped where it would pass the
+    upper bound; all ``m * k`` probes go to ``residual`` in one call."""
     m, k = x.shape
-    h = 1e-6 * _typical(x)
+    h = np.minimum(1e-6 * _typical(x), 0.5 * np.maximum(hi - x, x - lo))
     step = np.where(x + h <= hi, h, -h)
     probe = x.repeat(k, axis=0)
     probe.reshape(m, k * k)[:, :: k + 1] += step
@@ -350,7 +351,7 @@ def _solve_stack(residual, x0, lo, hi, max_iterations, refit):
         m = ids.size
         if not m or it == max_iterations:
             break
-        jac = _jacobian(residual, x, r, ids, hi)
+        jac = _jacobian(residual, x, r, ids, lo, hi)
         jt = jac.transpose(0, 2, 1)
         # A sum that overflows is not finite, and its row stops below.
         with np.errstate(over="ignore", invalid="ignore"):

@@ -140,9 +140,9 @@ class _EmissionSampler:
         if self.A31 <= 0.0 or self.Omega31 <= 0.0:
             raise ValueError("A31 and Omega31 must be positive")
         a, w = self.A31, self.Omega31
-        # A photon rate that underflows leaves no finite mean wait to sample.
+        # A photon rate that underflows, or squares that overflow, leave no finite mean wait.
         self.mean_wait = (a * a + 2.0 * w * w) / (a * w * w) if a * w * w > 0.0 else math.inf
-        if self.mean_wait == math.inf:
+        if not math.isfinite(self.mean_wait):
             raise DegenerateInputError(f"no photon can be drawn at A31 = {a!r}, Omega31 = {w!r}: no finite mean wait")
 
         t_max = 8.0 * self.mean_wait

@@ -126,6 +126,33 @@ def reported_quantities(params: PhotoPhysicalParams, stats) -> dict[str, float]:
     }
 
 
+def criterion_7_curve():
+    """Criterion 7's clean curve, the reference emitter on 300 log-spaced
+    delays from 1e-10 to 1 s, and its 1% noise sigma."""
+    clean = eval_curve(REFERENCE, np.geomspace(1e-10, 1.0, 300))
+    return clean, 0.01 * clean.g
+
+
+def criterion_7_data(clean, sigma: np.ndarray, seed: int) -> CorrelationSeries:
+    """Criterion 7's noisy curve for one seed, its noise drawn from
+    ``Philox(key=[seed, 2])``."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, 2]))
+    return CorrelationSeries(
+        clean.tau, clean.g + sigma * rng.standard_normal(clean.g.size), sigma
+    )
+
+
+def criterion_7_fit(data: CorrelationSeries, cfg: FitConfig, truth: dict[str, float]):
+    """``fit_full(data, cfg)`` and the relative error of each reported
+    quantity, or the typed failure the fit raised and infinite errors."""
+    try:
+        res = fit_full(data, cfg)
+    except FIT_FAILURES as exc:
+        return exc, dict.fromkeys(RESULT_KEYS, math.inf)
+    fitted = reported_quantities(res.params, res.stats)
+    return res, {key: abs(fitted[key] / truth[key] - 1.0) for key in RESULT_KEYS}
+
+
 def relative_fisher_bound(tau: np.ndarray, sigma: np.ndarray) -> dict[str, float]:
     """Relative Cramer-Rao bound of each reported quantity for the
     reference curve on ``tau`` with independent Gaussian noise ``sigma``.
@@ -361,29 +388,16 @@ def test_criterion_6_simulation_reproduces_the_curve():
 def test_criterion_7_fit_recovery_from_noisy_synthetic_data():
     start = time.perf_counter()
     truth = reported_quantities(REFERENCE, statistics_from_params(REFERENCE))
-    clean = eval_curve(REFERENCE, np.geomspace(1e-10, 1.0, 300))
-    sigma = 0.01 * clean.g
+    clean, sigma = criterion_7_curve()
     cfg = FitConfig(bootstrap_resamples=0)
 
     errors = {key: [] for key in RESULT_KEYS}
     failed_fits = 0
     for seed in range(20):
-        rng = np.random.Generator(np.random.Philox(key=[seed, 2]))
-        data = CorrelationSeries(
-            clean.tau,
-            clean.g + sigma * rng.standard_normal(clean.g.size),
-            sigma,
-        )
-        try:
-            res = fit_full(data, cfg)
-        except FIT_FAILURES:
-            failed_fits += 1
-            for key in RESULT_KEYS:
-                errors[key].append(math.inf)
-            continue
-        fitted = reported_quantities(res.params, res.stats)
+        res, err = criterion_7_fit(criterion_7_data(clean, sigma, seed), cfg, truth)
+        failed_fits += isinstance(res, Exception)
         for key in RESULT_KEYS:
-            errors[key].append(abs(fitted[key] / truth[key] - 1.0))
+            errors[key].append(err[key])
 
     medians = {key: float(np.median(errors[key])) for key in RESULT_KEYS}
     bound = relative_fisher_bound(clean.tau, sigma)

@@ -265,16 +265,23 @@ def test_optical_rate_whose_square_overflows_is_an_input_error(tmp_path, capsys,
 
 def test_simulate_without_a_finite_mean_wait_is_a_numerical_error(tmp_path, capsys):
     # Omega31^2 underflows to zero, and the sampler's mean wait used to end
-    # in a bare ZeroDivisionError. A drive this weak is far below the dark
-    # rates, which the hierarchy warning says. The curve still evaluates.
+    # in a bare ZeroDivisionError; a drive this weak is far below the dark
+    # rates, which the hierarchy warning says. Optical rates of 1e154 have
+    # finite squares, but the mean wait's sum and product overflow to
+    # inf / inf = NaN, which used to end in an IndexError in the sampler's
+    # table. The curve still evaluates at a weak drive.
     path = tmp_path / "params.txt"
-    path.write_text(params_text(Omega31=5e-324))
     out = tmp_path / "traj.txt"
     argv = ["simulate", "--params", str(path), "--duration", "0.01", "--seed", "1", "--out", str(out)]
-    code, err, seen = run_refused(argv, capsys)
-    assert (code, seen) == (1, [HierarchyWarning])
-    assert err.startswith("error: no photon can be drawn at A31 = 330000000.0, Omega31 = 5e-324")
-    assert not out.exists()
+    for rates, warned, named in (
+        (dict(Omega31=5e-324), [HierarchyWarning], "A31 = 330000000.0, Omega31 = 5e-324"),
+        (dict(A31=1e154, Omega31=1e154), [], "A31 = 1e+154, Omega31 = 1e+154"),
+    ):
+        path.write_text(params_text(**rates))
+        code, err, seen = run_refused(argv, capsys)
+        assert (code, seen) == (1, warned)
+        assert err == f"error: no photon can be drawn at {named}: no finite mean wait\n"
+        assert not out.exists()
     path.write_text(params_text(Omega31=1e-300, I_sc=0.0))
     with pytest.warns(HierarchyWarning):
         assert main(["eval", "--params", str(path), "--out", str(tmp_path / "g.csv")]) == 0

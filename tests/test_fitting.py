@@ -157,17 +157,22 @@ def test_least_squares_rosenbrock_from_near_zero():
 
 
 def test_least_squares_respects_bounds():
-    seen = []
+    # In (0, 5e-7) the step 1e-6 * max(|x|, 1) passes the upper bound from
+    # 1e-7, and flipped it would probe -9e-7; it shrinks to half the room
+    # to the farther bound instead.
+    for x0, target, hi, expected in ((0.5, 2.0, 1.0, 1.0), (1e-7, 4e-7, 5e-7, 4e-7)):
+        seen = []
 
-    def residual(x):
-        seen.append(x.copy())
-        return np.array([x[0] - 2.0])
+        def residual(x):
+            seen.append(x.copy())
+            return np.array([x[0] - target])
 
-    res = least_squares(
-        residual, np.array([0.5]), bounds=(np.array([0.0]), np.array([1.0]))
-    )
-    assert res.x[0] == pytest.approx(1.0, abs=1e-12)
-    assert all(0.0 <= x[0] <= 1.0 for x in seen)
+        res = least_squares(
+            residual, np.array([x0]), bounds=(np.array([0.0]), np.array([hi]))
+        )
+        assert res.converged
+        assert res.x[0] == pytest.approx(expected, rel=0.0, abs=1e-12 * expected)
+        assert all(0.0 <= x[0] <= hi for x in seen)
 
 
 def test_least_squares_pins_coordinate_on_its_bound():
@@ -202,9 +207,9 @@ def test_least_squares_stops_when_every_coordinate_is_pinned():
 
 
 def test_least_squares_retries_null_column_near_zero():
-    # From 1e-12 the step sized from the start is lost against the
-    # residual; without the unit-scale retry the column is null and the
-    # solver "converges" at its start.
+    # From 1e-12 the step 1e-6 * max(|x|, 1) is not lost against the
+    # residual, so the column is not null and the solver does not
+    # "converge" at its start.
     res = least_squares(
         lambda x: np.array([x[0] - 1.0, x[0] - 1.0]),
         np.array([1e-12]),
