@@ -119,7 +119,9 @@ def g2_mod(tau, A31: float, Omega31: float, I_sc: float) -> np.ndarray:
 
     The background adds a flat rate ``I_sc`` on top of the emitter rate,
     so the contrast of the fast structure shrinks by the intensity
-    weights: ``(I_L * g2 + I_sc) / (I_L + I_sc)``.
+    weights: ``(I_L * g2 + I_sc) / (I_L + I_sc)``. With a background, a
+    drive so weak that ``I_L`` underflows to zero raises
+    :class:`DegenerateInputError`.
     """
     I_sc = float(I_sc)
     if I_sc < 0.0:
@@ -127,7 +129,12 @@ def g2_mod(tau, A31: float, Omega31: float, I_sc: float) -> np.ndarray:
     base = g2(tau, A31, Omega31)
     if I_sc == 0.0:
         return base
-    ratio = I_sc / light_intensity(A31, Omega31)
+    intensity = light_intensity(A31, Omega31)
+    if intensity == 0.0:
+        raise DegenerateInputError(
+            f"no background ratio at A31 = {A31!r}, Omega31 = {Omega31!r}: the light intensity underflows to zero"
+        )
+    ratio = I_sc / intensity
     return (base + ratio) / (1.0 + ratio)
 
 

@@ -21,7 +21,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 
-from .errors import HierarchyWarning
+from .errors import DegenerateInputError, HierarchyWarning
 from .fileio import atomic_write_text, format_float, read_key_values
 
 __all__ = [
@@ -177,7 +177,8 @@ def saturation_factor(A31: float, Omega31: float) -> float:
     2 Omega31^2) in the excited state. The shelving rates of
     :func:`blinkcorr.liouville.perturbative_rates` therefore equal the
     ones from :func:`transition_rates` times
-    (A31^2 + Omega31^2) / (A31^2 + 2 Omega31^2).
+    (A31^2 + Omega31^2) / (A31^2 + 2 Omega31^2). Rates whose squares
+    both underflow to zero raise :class:`DegenerateInputError`.
     """
     A31 = float(A31)
     Omega31 = float(Omega31)
@@ -185,7 +186,12 @@ def saturation_factor(A31: float, Omega31: float) -> float:
         raise ValueError("A31 must be positive")
     if Omega31 < 0.0:
         raise ValueError("Omega31 must be non-negative")
-    return Omega31**2 / (A31**2 + Omega31**2)
+    squares = A31**2 + Omega31**2
+    if squares == 0.0:
+        raise DegenerateInputError(
+            f"no saturation factor at A31 = {A31!r}, Omega31 = {Omega31!r}: both squares underflow to zero"
+        )
+    return Omega31**2 / squares
 
 
 def transition_rates(

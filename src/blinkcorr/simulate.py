@@ -41,9 +41,10 @@ _STREAM_BACKGROUND = 2
 
 # estimate_g splits its bins where the two stages' estimated work is least,
 # counted in lattice cells visited for one lag; an exact-stage pair, or a
-# photon binned onto a lattice, costs this many (17 ns against 0.6 ns on a
-# 2-core x86-64 VM). It stays 30 although both have since got cheaper: the
-# split, and with it g, moves with this price, so a new one belongs with a
+# photon binned onto a lattice width, costs this many (17 ns against 0.6 ns
+# on a 2-core x86-64 VM). It stays 30 although both have since got cheaper,
+# and every coarse width is still charged a photon pass it no longer makes:
+# the split, and with it g, moves with any new price, so one belongs with a
 # new pricing of the lattice's set-up.
 _PAIR_COST = 30.0
 # Elements per block of the temporaries of estimate_g (sources of the exact
@@ -140,8 +141,10 @@ class _EmissionSampler:
         if self.A31 <= 0.0 or self.Omega31 <= 0.0:
             raise ValueError("A31 and Omega31 must be positive")
         a, w = self.A31, self.Omega31
-        # A photon rate that underflows, or squares that overflow, leave no finite mean wait.
-        self.mean_wait = (a * a + 2.0 * w * w) / (a * w * w) if a * w * w > 0.0 else math.inf
+        # Computed so, the mean wait needs finite squares and a product
+        # A31 Omega31^2 above zero and finite: one that overflows would give
+        # a wait of zero, and the search for the table's end below no end.
+        self.mean_wait = (a * a + 2.0 * w * w) / (a * w * w) if 0.0 < a * w * w < math.inf else math.inf
         if not math.isfinite(self.mean_wait):
             raise DegenerateInputError(f"no photon can be drawn at A31 = {a!r}, Omega31 = {w!r}: no finite mean wait")
 
@@ -294,9 +297,11 @@ def simulate_photons(
     chunks of ``_BLOCK``, one chunk per core at a time: the calling
     thread draws each chunk's uniforms in stream order, every core turns
     one chunk into waits, and the calling thread walks the periods
-    through them in order. The molecule photons come out of the walk in
-    order, so they are sorted only when a test finds two out of order;
-    background photons are sorted in with them.
+    through them in order. One stable sort (timsort) ends it: it passes
+    over the molecule photons, which come out of the walk in order, in
+    linear time and merges the background photons in. A record whose
+    expected count of times no array can index raises
+    :class:`DegenerateInputError` before a photon is drawn.
     """
     periods = np.asarray(periods, dtype=float)
     if periods.ndim != 2 or periods.shape[1] != 3 or periods.shape[0] == 0:
@@ -311,8 +316,13 @@ def simulate_photons(
     starts = light[:, 1]
     spans = light[:, 2] - starts
 
-    n_bg = rng_bg.poisson(params.I_sc * duration) if params.I_sc > 0.0 else 0
     expected = spans.sum() / sampler.mean_wait
+    # A record whose times no array can index is refused up front, by its
+    # count, before a draw or an allocation.
+    count = expected + params.I_sc * duration
+    if not 8.0 * (count + 4.0 * math.sqrt(count) + _BLOCK) < np.iinfo(np.intp).max:
+        raise DegenerateInputError(f"a record of about {count:.3g} photons holds more times than an array can index")
+    n_bg = rng_bg.poisson(params.I_sc * duration) if params.I_sc > 0.0 else 0
     times = np.empty(int(expected + 4.0 * math.sqrt(expected)) + _BLOCK + n_bg)
     filled = 0
 
@@ -374,10 +384,10 @@ def simulate_photons(
     times = times[: filled + n_bg]
     if n_bg:
         times[filled:] = rng_bg.uniform(0.0, duration, n_bg)
-    # The walk gives the molecule photons in order, but rounding at a
-    # period's end could put two of them one ulp the wrong way round.
-    if n_bg or np.any(times[1:] < times[:-1]):
-        times.sort()
+    # The walk gives the molecule photons in order, but for a rare one-ulp
+    # swap at a period's end, so timsort passes over them in linear time
+    # and merges the background draws in.
+    times.sort(kind="stable")
     return Trajectory(times=times, duration=duration, seed=seed)
 
 
@@ -407,10 +417,12 @@ def estimate_g(
     Longer bins correlate coincidence counts on a lattice of a twentieth
     of the bin's decade: each bin becomes the window of whole lattice
     steps ``[ceil(a / w), ceil(b / w))`` and counts the pairs whose cells
-    lie that many steps apart, from cumulative sums of the lattice. One
-    pass over the photons bins them onto every lattice. A
-    bin narrower than one lattice step can hold no step; it is merged
-    into the next bin, whose window starts on or after the step it
+    lie that many steps apart, from cumulative sums of the lattice. The
+    photons are binned onto the finest lattice only; each coarser lattice
+    sums runs of cells of the one before (multi-tau coarsening), so a
+    photon's coarse cell is its finest cell divided by the ratio of the
+    widths. A bin narrower than one lattice step can hold no step; it is
+    merged into the next bin, whose window starts on or after the step it
     rounds to, and only a last such bin is widened to one step. So the
     series can hold fewer points than the grid has bins, and the lattice
     windows, not the requested edges, are what those bins cover.
@@ -535,8 +547,9 @@ def _exact_bins(n: int, t_total: float, edges: np.ndarray) -> int:
     width))`` cells per photon, ``e`` their last edge, so none is chosen.
 
     The pricing is kept although :func:`_lattice_sums` bins the photons
-    onto every width in one pass: each width still takes a cell index and
-    a count per photon, and any new price moves the split, and so g."""
+    onto the finest width only and sums runs of its cells into each coarser
+    one: a coarse width is still charged a photon pass it no longer makes,
+    and repricing it moves the split, and so g."""
     # cost[m] prices the split after m bins. A width's photon pass and
     # running sums are paid while its last bin is on a lattice; ties go to
     # the exact stage. A lattice of more cells than float64 counts costs inf.
@@ -639,50 +652,63 @@ def _lattice_sums(times: np.ndarray, lags: dict[float, list[int]]) -> dict[float
     ``ka < kb`` counts the pairs whose cells lie ``ka`` to ``kb - 1`` steps
     apart.
 
-    One pass over the photons bins them onto every lattice: each block of
-    ``_BLOCK`` times gets its cell index on each width and is counted by
-    one ``np.bincount`` over the cells it spans, split where it would span
+    The widths ascend, each a whole multiple of the one before. One pass
+    over the photons bins them onto the finest lattice only: each block of
+    ``_BLOCK`` times gets its cell index and is counted by one
+    ``np.bincount`` over the cells it spans, split where it would span
     more than ``4 * _BLOCK`` cells, so a gap in the record grows no
     temporary. A lattice is kept as counts, one byte per cell until a
-    cell holds more than 255 photons. Then each lattice is worked through
-    in blocks of cells, each with its own running sum, so every partial
-    sum is an integer-valued float64 no larger than the photon count times
-    the photons of one block and its reach; below 2**53 the sums are exact
-    in any order.
+    cell holds more than 255 photons. Each lattice in turn is worked
+    through in blocks of cells, each with its own running sum, so every
+    partial sum is an integer-valued float64 no larger than the photon
+    count times the photons of one block and its reach; below 2**53 the
+    sums are exact in any order. Then runs of ``round(width / previous)``
+    of its cells, the last run short, are summed into the next lattice
+    and it is dropped, so at most two lattices are held at once. A
+    photon's cell on a coarse width is its finest cell divided by the
+    ratio of the widths, which differs from its time divided by the width
+    only where that time lies, as a double, on a coarse cell's edge.
 
-    :func:`_exact_bins` keeps its price of one photon pass per width: each
-    width still takes a cell index and a count per photon, and a new price
-    would move the split, and with it g.
+    :func:`_exact_bins` keeps its price of one photon pass per width,
+    although a coarse width no longer makes one: a new price would move
+    the split, and with it g.
     """
-    invs = [1.0 / width for width in lags]
-    lattices = [np.zeros(int(times[-1] * inv) + 1, dtype=np.uint8) for inv in invs]
-    span = 4 * _BLOCK
+    if not lags:
+        return {}
+    previous = next(iter(lags))
+    inv = 1.0 / previous
+    cells = np.zeros(int(times[-1] * inv) + 1, dtype=np.uint8)
     for start in range(0, times.size, _BLOCK):
-        block = times[start : start + _BLOCK]
-        for slot, inv in enumerate(invs):
-            cells = lattices[slot]
-            index = (block * inv).astype(np.int64)
-            lo = 0
-            while lo < index.size:
-                first = int(index[lo])
-                hi = index.size if index[-1] - first < span else int(np.searchsorted(index, first + span))
-                piece = index[lo:hi]
-                piece -= first
-                # The times are sorted, so of these cells only the first
-                # can hold photons of an earlier block.
-                count = np.bincount(piece)
-                count[0] += cells[first]
-                if count.max() > np.iinfo(cells.dtype).max:
-                    cells = lattices[slot] = cells.astype(np.min_scalar_type(times.size))
-                cells[first : first + count.size] = count
-                lo = hi
-                # Each temporary goes before the next one is made.
-                del count
-            del index
+        index = (times[start : start + _BLOCK] * inv).astype(np.int64)
+        lo = 0
+        while lo < index.size:
+            first = int(index[lo])
+            hi = index.size if index[-1] - first < 4 * _BLOCK else int(np.searchsorted(index, first + 4 * _BLOCK))
+            piece = index[lo:hi]
+            piece -= first
+            # The times are sorted, so of these cells only the first can
+            # hold photons of an earlier block.
+            count = np.bincount(piece)
+            count[0] += cells[first]
+            if count.max() > np.iinfo(cells.dtype).max:
+                cells = cells.astype(np.min_scalar_type(times.size))
+            cells[first : first + count.size] = count
+            lo = hi
+            # Each temporary goes before the next one is made.
+            del count
+        del index
 
     sums = {}
     for width, ks in lags.items():
-        cells = lattices.pop(0)
+        if width != previous:
+            # Runs of `ratio` cells, the last one short, make the cells of
+            # this width; none holds more than `ratio` times the fullest.
+            ratio = round(width / previous)
+            whole = cells.size // ratio
+            coarse = np.empty(-(-cells.size // ratio), dtype=np.min_scalar_type(ratio * int(cells.max())))
+            cells[: whole * ratio].reshape(whole, ratio).sum(axis=1, out=coarse[:whole])
+            coarse[whole:] = cells[whole * ratio :].sum()
+            cells, previous = coarse, width
         m = cells.size
         reach = ks[-1] - 1
         sums[width] = total = np.zeros(len(ks))
@@ -723,17 +749,15 @@ def _in_order(work: Callable[[Any], Any], blocks: Iterable[Any], take: Callable[
     of blocks may stop on what ``take`` has seen, and then the blocks of
     that group after the one that ended the run were worked in vain.
     """
-    blocks = iter(blocks)
-    group = list(itertools.islice(blocks, _cores()))
-    workers = len(group)
-    if workers <= 1:
-        for block in itertools.chain(group, blocks):
-            take(work(block))
-        return
     # Imported here: ``import blinkcorr`` does not load the thread pool.
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(workers - 1) as pool:
+    blocks = iter(blocks)
+    group = list(itertools.islice(blocks, _cores()))
+    workers = len(group)
+    # A pool starts no thread before a block is submitted to it, so a
+    # single block, or a single core, runs on the calling thread alone.
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
         while group:
             pending = [pool.submit(work, block) for block in group[1:]]
             first = work(group[0])

@@ -269,13 +269,17 @@ def test_simulate_without_a_finite_mean_wait_is_a_numerical_error(tmp_path, caps
     # rates, which the hierarchy warning says. Optical rates of 1e154 have
     # finite squares, but the mean wait's sum and product overflow to
     # inf / inf = NaN, which used to end in an IndexError in the sampler's
-    # table. The curve still evaluates at a weak drive.
+    # table. At A31 = 1e154, Omega31 = 1e100 only the product A31 Omega31^2
+    # overflows: the mean wait came out as 0.0, and the search for the end
+    # of the sampler's table never ended. The curve still evaluates at a
+    # weak drive.
     path = tmp_path / "params.txt"
     out = tmp_path / "traj.txt"
     argv = ["simulate", "--params", str(path), "--duration", "0.01", "--seed", "1", "--out", str(out)]
     for rates, warned, named in (
         (dict(Omega31=5e-324), [HierarchyWarning], "A31 = 330000000.0, Omega31 = 5e-324"),
         (dict(A31=1e154, Omega31=1e154), [], "A31 = 1e+154, Omega31 = 1e+154"),
+        (dict(A31=1e154, Omega31=1e100), [], "A31 = 1e+154, Omega31 = 1e+100"),
     ):
         path.write_text(params_text(**rates))
         code, err, seen = run_refused(argv, capsys)
@@ -286,6 +290,43 @@ def test_simulate_without_a_finite_mean_wait_is_a_numerical_error(tmp_path, caps
     with pytest.warns(HierarchyWarning):
         assert main(["eval", "--params", str(path), "--out", str(tmp_path / "g.csv")]) == 0
     assert np.isfinite(read_series(str(tmp_path / "g.csv")).g).all()
+
+
+def test_simulate_of_more_photons_than_an_array_can_index_is_a_numerical_error(tmp_path, capsys):
+    # About 3e96 photons in a millisecond: np.empty used to refuse the
+    # array with "Maximum allowed dimension exceeded", an input error that
+    # named no count. Nothing is drawn or allocated before the refusal.
+    path = tmp_path / "params.txt"
+    path.write_text(params_text(A31=1e100, Omega31=1e100))
+    out = tmp_path / "traj.txt"
+    argv = ["simulate", "--params", str(path), "--duration", "0.001", "--seed", "1", "--out", str(out)]
+    code, err, seen = run_refused(argv, capsys)
+    assert (code, seen) == (1, [])
+    assert err == "error: a record of about 3.33e+96 photons holds more times than an array can index\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, rates, message",
+    [
+        ("eval", dict(A31=1e-300, Omega31=1e-300), "no saturation factor at A31 = 1e-300, Omega31 = 1e-300"),
+        ("rates", dict(A31=1e-300, Omega31=1e-300), "no saturation factor at A31 = 1e-300, Omega31 = 1e-300"),
+        ("eval", dict(Omega31=1e-300, I_sc=100.0), "no background ratio at A31 = 330000000.0, Omega31 = 1e-300"),
+    ],
+    ids=["eval-squares", "rates-squares", "eval-background"],
+)
+def test_drive_that_underflows_is_a_numerical_error(tmp_path, capsys, command, rates, message):
+    # Both squares of the optical rates, or the light intensity under a
+    # background, underflow to zero: the closed forms used to divide by it
+    # and end in a bare ZeroDivisionError. A drive this weak is far below
+    # the dark rates, which the hierarchy warning says.
+    path = tmp_path / "params.txt"
+    path.write_text(params_text(**rates))
+    out = tmp_path / "out"
+    code, err, seen = run_refused([command, "--params", str(path), "--out", str(out)], capsys)
+    assert (code, seen) == (1, [HierarchyWarning])
+    assert err.startswith(f"error: {message}: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -353,6 +353,16 @@ def test_photons_failing_chunk_leaves_no_thread(reference_stats, monkeypatch, fa
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("cores, blocks", [(1, 5), (3, 1)])
+def test_in_order_on_one_core_or_one_block_runs_on_the_calling_thread(monkeypatch, cores, blocks):
+    # The pool starts no thread before a block is submitted to it, and a
+    # group of one block submits none.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    seen = []
+    simulate._in_order(lambda block: (block, threading.get_ident()), range(blocks), seen.append)
+    assert seen == [(block, threading.get_ident()) for block in range(blocks)]
+
+
 def test_photons_working_set(reference_stats, monkeypatch):
     # The times fill one array, so the allocation peak is those times,
     # the order test's one byte per time, the sampler's tables and the
@@ -841,6 +851,23 @@ def test_lattice_stage_bins_a_gappy_record_in_one_pass(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak - lattices <= 80 * simulate._BLOCK
+
+
+def test_lattice_stage_nests_coarse_cells_in_fine_ones():
+    # Photons exactly on 50 us cell edges. The photons are binned onto the
+    # finest lattice only, and a cell of a coarser width is a run of whole
+    # cells of the width before it, so a photon's cell on a coarser width
+    # is its 5 us cell divided by the ratio of the widths: t = 5e-05 lies
+    # in 5 us cell 9, as 5e-05 * (1 / 5e-06) = 9.999..., and so in 50 us
+    # cell 0, although 5e-05 * (1 / 5e-05) = 1.0.
+    times = np.arange(1, 11) * 5e-05
+    lags = {5e-6: [1, 10, 20], 5e-5: [1, 2, 5], 5e-4: [1, 2]}
+    sums = simulate._lattice_sums(times, lags)
+    fine = (times * (1 / 5e-06)).astype(int)
+    for (width, ks), ratio in zip(lags.items(), (1, 10, 100)):
+        cells = np.bincount(fine // ratio).astype(float)
+        pairs = [sum(np.dot(cells[: cells.size - k], cells[k:]) for k in range(ka, kb)) for ka, kb in zip(ks, ks[1:])]
+        assert np.array_equal(np.diff(sums[width]), pairs), width
 
 
 def test_trajectory_file_round_trip(tmp_path, reference_stats):
