@@ -1,8 +1,9 @@
-"""SHA-256 digests of the photon-record path's outputs, one line each.
+"""SHA-256 digests of everything the command line writes, one line each.
 
     python3 scripts/record_digests.py
 
-Runs, through ``blinkcorr.cli.main`` in a temporary directory:
+Runs, through ``blinkcorr.cli.main`` in a temporary directory and with
+paths relative to it, so that the manifests are reproducible too:
 
 - ``simulate`` of criterion 6's emitter (the reference emitter with its
   optical rates slowed 1000x, no background) for 100 s at seed 20260816,
@@ -10,13 +11,24 @@ Runs, through ``blinkcorr.cli.main`` in a temporary directory:
 - ``estimate-g`` on that record, and the digest of its CSV;
 - ``estimate-g`` on the benchmark's ``analyse_record`` record, which
   perfbench's own generator makes (``make_record(SLOWED, 100, 20260816)``)
-  and ``write_trajectory`` writes, and the digest of its CSV.
+  and ``write_trajectory`` writes, and the digest of its CSV;
+- ``eval`` of the reference emitter by ``--params`` and of a three-period
+  chain by ``--chain``, ``rates --out`` by both methods, ``fit`` on
+  criterion 6's estimate with ``analyse_record``'s settings (with
+  ``--json-out`` and ``--curve-out``), ``estimate-g`` of criterion 6's
+  record on a grid above its antibunching, ``1e-4:1e-1:20``, and ``fit``
+  of that estimate with ``split_tau`` below every delay (the partial,
+  slow-stage-only report), ``fit`` of the reference curve, and
+  ``selftest``.
 
-The outputs are fixed by the seed, so equal digests on two trees show
-that a change kept the record, the correlator and the writer byte for
-byte. Run from the root of a checkout: the program is imported from ./src
-and the generator from ./perfbench. It takes about 7 s and 0.5 GB of
-memory on a 2-core x86-64 machine.
+The first three lines are those digests. Then, for every command (the
+three above included), one line for its stdout and one for each output
+file and its ``.manifest.json``. The outputs are fixed by the seeds, so
+equal digests on two trees show that a change kept the records, the
+correlator, the fitter, the reports and the manifests byte for byte. Run
+from the root of a checkout: the program is imported from ./src and the
+generator from ./perfbench. It takes about 10 s and 0.5 GB of memory on
+a 2-core x86-64 machine.
 """
 
 import contextlib
@@ -30,12 +42,42 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 from blinkbench.reference import SLOWED, make_record  # noqa: E402
+from blinkbench.workloads import ANALYSE_FIT  # noqa: E402
 from blinkcorr.cli import main as cli  # noqa: E402
 from blinkcorr.simulate import Trajectory, write_trajectory  # noqa: E402
 
 SECONDS = 100.0
 SEED = 20260816
 CRITERION_6 = "A31 = 3.3e5\nOmega31 = 2.9e5\nA32_1 = 34.0\nA32_2 = 249.0\nA21_1 = 430.0\nA21_2 = 2400.0\nI_sc = 0.0\n"
+REFERENCE = "A31 = 3.3e8\nOmega31 = 2.9e8\nA32_1 = 34.0\nA32_2 = 249.0\nA21_1 = 430.0\nA21_2 = 2400.0\nI_sc = 7.7e7\n"
+# A light period and two dark ones, with the reference emitter's slow rates.
+CHAIN = "3\n1e5 0 0\n0 34 249\n430 0 0\n2400 0 0\n"
+# Delays from 0.1 ms, where criterion 6's emitter shows only its blinking,
+# and a split delay below all of them: the fit reports the slow stage alone.
+SLOW_GRID = "1e-4:1e-1:20"
+PARTIAL_FIT = {"split_tau": 1e-9}
+INPUTS = {
+    "criterion6.txt": CRITERION_6,
+    "reference.txt": REFERENCE,
+    "chain.txt": CHAIN,
+    "fit.cfg": "".join(f"{key} = {value}\n" for key, value in ANALYSE_FIT.items()),
+    "partial.cfg": "".join(f"{key} = {value}\n" for key, value in PARTIAL_FIT.items()),
+}
+# Commands after the first three, which run on the files above and on
+# criterion 6's record and its estimate g.csv.
+COMMANDS = [
+    ("eval", "--params", "reference.txt", "--out", "eval.csv"),
+    ("eval", "--chain", "chain.txt", "--out", "chain.csv"),
+    ("rates", "--params", "reference.txt", "--out", "rates-resolvent.txt"),
+    ("rates", "--params", "reference.txt", "--method", "finite-dt", "--out", "rates-finite-dt.txt"),
+    ("fit", "--data", "g.csv", "--config", "fit.cfg", "--out", "fit.txt",
+     "--json-out", "fit.json", "--curve-out", "fit-curve.csv"),
+    ("estimate-g", "--traj", "record.traj", "--grid", SLOW_GRID, "--out", "slow-g.csv"),
+    ("fit", "--data", "slow-g.csv", "--config", "partial.cfg", "--out", "partial.txt", "--json-out", "partial.json"),
+    ("fit", "--data", "eval.csv", "--out", "eval-fit.txt", "--json-out", "eval-fit.json"),
+    ("selftest",),
+]
+OUTPUT_FLAGS = ("--out", "--g-out", "--json-out", "--curve-out")
 
 
 def sha256(path: str) -> str:
@@ -46,28 +88,44 @@ def sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def run(*argv: str) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):
+def run(*argv: str) -> tuple[tuple[str, ...], str]:
+    """The command and its stdout."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
         code = cli(list(argv))
     if code:
         raise SystemExit(f"blinkcorr {argv[0]} exited with {code}")
+    return argv, out.getvalue()
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        params, record, g = (os.path.join(tmp, name) for name in ("params.txt", "record.traj", "g.csv"))
-        with open(params, "w") as handle:
-            handle.write(CRITERION_6)
-        run("simulate", "--params", params, "--duration", str(SECONDS), "--seed", str(SEED), "--out", record)
-        print(f"{sha256(record)}  simulate criterion 6, seed {SEED}")
-        run("estimate-g", "--traj", record, "--out", g)
-        print(f"{sha256(g)}  estimate-g on that record")
+        os.chdir(tmp)
+        for name, text in INPUTS.items():
+            with open(name, "w") as handle:
+                handle.write(text)
+        runs = [
+            run("simulate", "--params", "criterion6.txt", "--duration", str(SECONDS), "--seed", str(SEED),
+                "--out", "record.traj", "--g-out", "simulate-g.csv"),
+        ]
+        print(f"{sha256('record.traj')}  simulate criterion 6, seed {SEED}")
+        runs.append(run("estimate-g", "--traj", "record.traj", "--out", "g.csv"))
+        print(f"{sha256('g.csv')}  estimate-g on that record")
 
         times, _ = make_record(SLOWED, SECONDS, SEED)
-        write_trajectory(Trajectory(times=times, duration=SECONDS), record)
+        write_trajectory(Trajectory(times=times, duration=SECONDS), "analyse.traj")
         del times
-        run("estimate-g", "--traj", record, "--out", g)
-        print(f"{sha256(g)}  estimate-g on analyse_record's record")
+        runs.append(run("estimate-g", "--traj", "analyse.traj", "--out", "analyse-g.csv"))
+        print(f"{sha256('analyse-g.csv')}  estimate-g on analyse_record's record")
+
+        runs += [run(*argv) for argv in COMMANDS]
+        for argv, stdout in runs:
+            command = " ".join(argv)
+            print(f"{hashlib.sha256(stdout.encode()).hexdigest()}  stdout of {command}")
+            for flag, path in zip(argv, argv[1:]):
+                if flag in OUTPUT_FLAGS:
+                    print(f"{sha256(path)}  {path}")
+                    print(f"{sha256(path + '.manifest.json')}  {path}.manifest.json")
+        os.chdir(ROOT)
     return 0
 
 

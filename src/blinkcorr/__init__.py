@@ -3,143 +3,29 @@
 Closed-form correlation curves, rate extraction from the full quantum
 master equation, photon stream simulation, correlation estimation from
 arrival times, and model fitting.
+
+The public names are those of each submodule's ``__all__``, which is the
+one place a name is declared public.
 """
 
-from .correlation import (
-    CorrelationSeries,
-    blink_factor,
-    eval_curve,
-    g2,
-    g2_mod,
-    g_total,
-    log_grid,
-    p_ll,
-    read_series,
-    write_series,
-)
-from .errors import (
-    DegenerateFitError,
-    DegenerateInputError,
-    FitConvergenceError,
-    FitError,
-    HierarchyError,
-    HierarchyWarning,
-    InsufficientDataError,
-    ReducibleChainError,
-)
-from .fitting import (
-    FitConfig,
-    FitResult,
-    fit_fast,
-    fit_full,
-    fit_isc,
-    fit_slow,
-    least_squares,
-)
-from .liouville import (
-    Liouvillian,
-    build_liouvillian,
-    conditional_hamiltonian,
-    dark_state,
-    perturbative_rates,
-    reset_map,
-    steady_state_light,
-    validate_density,
-)
-from .markov import (
-    PeriodChain,
-    build_rate_matrix,
-    g_general,
-    propagator,
-    read_chain,
-    stationary,
-    three_state_chain,
-    write_chain,
-)
-from .params import (
-    PARAM_KEYS,
-    PeriodStatistics,
-    PhotoPhysicalParams,
-    light_intensity,
-    period_statistics,
-    rates_from_statistics,
-    read_params,
-    saturation_factor,
-    statistics_from_params,
-    transition_rates,
-    write_params,
-)
-from .simulate import (
-    Trajectory,
-    estimate_g,
-    light_fraction,
-    read_trajectory,
-    simulate_periods,
-    simulate_photons,
-    write_trajectory,
-)
+from . import correlation, errors, fitting, liouville, markov, params, simulate
+from .correlation import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .fitting import *  # noqa: F403
+from .liouville import *  # noqa: F403
+from .markov import *  # noqa: F403
+from .params import *  # noqa: F403
+from .simulate import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CorrelationSeries",
-    "DegenerateFitError",
-    "DegenerateInputError",
-    "FitConfig",
-    "FitConvergenceError",
-    "FitError",
-    "FitResult",
-    "HierarchyError",
-    "HierarchyWarning",
-    "InsufficientDataError",
-    "Liouvillian",
-    "PARAM_KEYS",
-    "PeriodChain",
-    "PeriodStatistics",
-    "PhotoPhysicalParams",
-    "ReducibleChainError",
-    "Trajectory",
-    "blink_factor",
-    "build_liouvillian",
-    "build_rate_matrix",
-    "conditional_hamiltonian",
-    "dark_state",
-    "estimate_g",
-    "eval_curve",
-    "fit_fast",
-    "fit_full",
-    "fit_isc",
-    "fit_slow",
-    "g2",
-    "g2_mod",
-    "g_general",
-    "g_total",
-    "least_squares",
-    "light_fraction",
-    "light_intensity",
-    "log_grid",
-    "p_ll",
-    "period_statistics",
-    "perturbative_rates",
-    "propagator",
-    "rates_from_statistics",
-    "read_chain",
-    "read_params",
-    "read_series",
-    "read_trajectory",
-    "reset_map",
-    "saturation_factor",
-    "simulate_periods",
-    "simulate_photons",
-    "stationary",
-    "statistics_from_params",
-    "steady_state_light",
-    "three_state_chain",
-    "transition_rates",
-    "validate_density",
-    "write_chain",
-    "write_params",
-    "write_series",
-    "write_trajectory",
+    *correlation.__all__,
+    *errors.__all__,
+    *fitting.__all__,
+    *liouville.__all__,
+    *markov.__all__,
+    *params.__all__,
+    *simulate.__all__,
     "__version__",
 ]

@@ -30,7 +30,6 @@ import numpy as np
 from . import __version__
 from .correlation import (
     CorrelationSeries,
-    _grid_points,
     blink_factor,
     eval_curve,
     g2,
@@ -86,7 +85,11 @@ _NUMERICAL_ERRORS = (
 )
 
 
-def _parse_grid(text: str) -> tuple[float, float, int]:
+def _parse_grid(text: str) -> np.ndarray:
+    """The delay grid that ``MIN:MAX:POINTS_PER_DECADE`` names, built by
+    :func:`log_grid`. Every refusal is a ``ValueError`` (exit code 2),
+    including a grid too dense to build, which :func:`log_grid` refuses
+    with a :class:`DegenerateInputError`."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be MIN:MAX:POINTS_PER_DECADE, got {text!r}")
@@ -101,61 +104,41 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     if ppd < 1:
         raise ValueError("grid needs at least one point per decade")
     try:
-        _grid_points(lo, hi, ppd)
+        return log_grid(lo, hi, ppd)
     except DegenerateInputError as exc:
         raise ValueError(f"grid POINTS_PER_DECADE is too large: {exc}") from None
-    return lo, hi, ppd
 
 
 # Bytes the input digests read at a time, into one reused buffer.
 _HASH_CHUNK = 1 << 20
 
 
-class _InputDigests:
-    """SHA-256 digests of a command's input files, read on a background
-    thread that starts with the command, while the command works.
+# ``Future`` in the annotations is concurrent.futures.Future; :func:`main`
+# imports the pool that makes it when it runs.
+def _digests(paths: list[str], stop: threading.Event) -> dict[str, str]:
+    """SHA-256 digests of a command's input files, by path.
 
-    The thread reads each file through one reused buffer. :meth:`result`
-    joins it and returns the digests, or raises the error it met;
-    :meth:`close` stops it at the next buffer and joins it, so no thread
-    outlives the command.
+    :func:`main` runs this on a one-worker pool's thread while the command
+    works, and the manifests take the future's result. Each file is read
+    through one reused buffer; once ``stop`` is set no further buffer is
+    read, so a command that failed does not wait for the hashing.
     """
-
-    def __init__(self, paths: list[str]) -> None:
-        self._digests: dict[str, str] = {}
-        self._error: Exception | None = None
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._hash, args=(paths,), name="input-digests")
-        self._thread.start()
-
-    def _hash(self, paths: list[str]) -> None:
-        buffer = bytearray(_HASH_CHUNK)
-        view = memoryview(buffer)
-        try:
-            for path in paths:
-                digest = hashlib.sha256()
-                with open(path, "rb", buffering=0) as handle:
-                    while not self._stop.is_set() and (size := handle.readinto(buffer)):
-                        digest.update(view[:size])
-                self._digests[path] = digest.hexdigest()
-        except Exception as exc:  # raised again by result(), on the command's thread
-            self._error = exc
-
-    def result(self) -> dict[str, str]:
-        self._thread.join()
-        if self._error is not None:
-            raise self._error
-        return self._digests
-
-    def close(self) -> None:
-        self._stop.set()
-        self._thread.join()
+    digests = {}
+    buffer = bytearray(_HASH_CHUNK)
+    view = memoryview(buffer)
+    for path in paths:
+        digest = hashlib.sha256()
+        with open(path, "rb", buffering=0) as handle:
+            while not stop.is_set() and (size := handle.readinto(buffer)):
+                digest.update(view[:size])
+        digests[path] = digest.hexdigest()
+    return digests
 
 
 def _write_manifests(
     subcommand: str,
     argv: list[str],
-    inputs: _InputDigests,
+    inputs: Future[dict[str, str]],
     outputs: list[str],
     snapshot: dict[str, float] | None = None,
     seed: int | None = None,
@@ -174,10 +157,10 @@ def _write_manifests(
         atomic_write_text(path + ".manifest.json", text)
 
 
-def _cmd_eval(args: argparse.Namespace, argv: list[str], inputs: _InputDigests) -> int:
+def _cmd_eval(args: argparse.Namespace, argv: list[str], inputs: Future[dict[str, str]]) -> int:
     if (args.params is None) == (args.chain is None):
         raise ValueError("exactly one of --params or --chain is required")
-    grid = log_grid(*_parse_grid(args.grid))
+    grid = _parse_grid(args.grid)
     if args.chain is not None:
         chain = read_chain(args.chain)
         series = CorrelationSeries(grid, g_general(grid, chain))
@@ -194,7 +177,7 @@ def _cmd_eval(args: argparse.Namespace, argv: list[str], inputs: _InputDigests) 
 _RATE_LABELS = ("shelving_1", "shelving_2", "deshelving_1", "deshelving_2")
 
 
-def _cmd_rates(args: argparse.Namespace, argv: list[str], inputs: _InputDigests) -> int:
+def _cmd_rates(args: argparse.Namespace, argv: list[str], inputs: Future[dict[str, str]]) -> int:
     params = read_params(args.params)
     method = args.method.replace("-", "_")
     closed = transition_rates(params)
@@ -224,7 +207,7 @@ def _cmd_rates(args: argparse.Namespace, argv: list[str], inputs: _InputDigests)
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace, argv: list[str], inputs: _InputDigests) -> int:
+def _cmd_simulate(args: argparse.Namespace, argv: list[str], inputs: Future[dict[str, str]]) -> int:
     params = read_params(args.params)
     stats = statistics_from_params(params)
     periods = simulate_periods(stats, args.duration, args.seed)
@@ -245,7 +228,7 @@ def _cmd_simulate(args: argparse.Namespace, argv: list[str], inputs: _InputDiges
 
 
 def _estimate(trajectory: Trajectory, grid: str, out: str) -> None:
-    edges = log_grid(*_parse_grid(grid))
+    edges = _parse_grid(grid)
     series = estimate_g(trajectory, edges)
     write_series(series, out)
     print(
@@ -254,7 +237,7 @@ def _estimate(trajectory: Trajectory, grid: str, out: str) -> None:
     )
 
 
-def _cmd_estimate_g(args: argparse.Namespace, argv: list[str], inputs: _InputDigests) -> int:
+def _cmd_estimate_g(args: argparse.Namespace, argv: list[str], inputs: Future[dict[str, str]]) -> int:
     trajectory = read_trajectory(args.traj)
     _estimate(trajectory, args.grid, args.out)
     _write_manifests(
@@ -298,45 +281,20 @@ def _fit_report(
     """
     keys = [key for name, names in STAGE_KEYS.items() if name in stages for key in names]
     p_l = (values["P_L"], stages["slow"].sigma["P_L"])
-    partial = diagnostics is None
-    lines = [
-        "# three-stage correlation fit" + (" (partial)" if partial else ""),
-        f"# points = {n_points}, split_tau = {split_tau:g}",
-    ]
-    if partial:
-        lines.append("# fast stage: skipped, no delays below split_tau")
-        lines.append("# isc stage: skipped, needs the fast-stage rates")
-    else:
-        for name, stage in stages.items():
-            lines.append(
-                f"# stage {name}: cost = {stage.cost:.6g}, "
-                f"iterations = {stage.iterations}, points = {stage.n_points}, "
-                f"stop = {stage.message}"
-            )
-        if diagnostics["bootstrap_resamples"] > 0:
-            lines.append(
-                "# uncertainties: residual bootstrap, "
-                f"{diagnostics['bootstrap_resamples']:.0f} resamples "
-                f"({diagnostics['bootstrap_failures']:.0f} failed)"
-            )
-            lines.append(
-                "# bootstrap refits with a slow-stage coordinate on its bound: "
-                f"{diagnostics['bootstrap_on_bound']:.0f}"
-            )
-        else:
-            lines.append("# uncertainties: per-stage Jacobian estimates")
-    for key in keys:
-        lines.append(f"{key} = {values[key]:.9g} ± {sigma[key]:.4g}")
-    lines.append(f"P_L = {p_l[0]:.9g} ± {p_l[1]:.4g}")
-
     doc = {
         "values": {key: values[key] for key in keys},
         "sigma": {key: sigma[key] for key in keys},
     }
-    if partial:
+    if diagnostics is None:
+        title = "# three-stage correlation fit (partial)"
         doc["partial"] = True
         doc["values"]["P_L"], doc["sigma"]["P_L"] = p_l
+        notes = [
+            "# fast stage: skipped, no delays below split_tau",
+            "# isc stage: skipped, needs the fast-stage rates",
+        ]
     else:
+        title = "# three-stage correlation fit"
         doc["derived"] = {"P_L": p_l[0], "P_L_sigma": p_l[1]}
         doc["stages"] = {
             name: {
@@ -349,10 +307,34 @@ def _fit_report(
             for name, stage in stages.items()
         }
         doc["diagnostics"] = diagnostics
+        notes = [
+            f"# stage {name}: cost = {stage['cost']:.6g}, iterations = {stage['iterations']}, "
+            f"points = {stage['n_points']}, stop = {stage['message']}"
+            for name, stage in doc["stages"].items()
+        ]
+        if diagnostics["bootstrap_resamples"] > 0:
+            notes.append(
+                "# uncertainties: residual bootstrap, "
+                f"{diagnostics['bootstrap_resamples']:.0f} resamples "
+                f"({diagnostics['bootstrap_failures']:.0f} failed)"
+            )
+            notes.append(
+                "# bootstrap refits with a slow-stage coordinate on its bound: "
+                f"{diagnostics['bootstrap_on_bound']:.0f}"
+            )
+        else:
+            notes.append("# uncertainties: per-stage Jacobian estimates")
+    lines = [
+        title,
+        f"# points = {n_points}, split_tau = {split_tau:g}",
+        *notes,
+        *(f"{key} = {values[key]:.9g} ± {sigma[key]:.4g}" for key in keys),
+        f"P_L = {p_l[0]:.9g} ± {p_l[1]:.4g}",
+    ]
     return "\n".join(lines) + "\n", doc
 
 
-def _cmd_fit(args: argparse.Namespace, argv: list[str], inputs: _InputDigests) -> int:
+def _cmd_fit(args: argparse.Namespace, argv: list[str], inputs: Future[dict[str, str]]) -> int:
     series = read_series(args.data)
     cfg = _load_fit_config(args.config)
 
@@ -491,7 +473,7 @@ def _selftest_checks(rng: np.random.Generator):
     yield ("parameter file round trip", dev, 0.0)
 
 
-def _cmd_selftest(args: argparse.Namespace, argv: list[str], inputs: _InputDigests) -> int:
+def _cmd_selftest(args: argparse.Namespace, argv: list[str], inputs: Future[dict[str, str]]) -> int:
     rng = np.random.Generator(np.random.Philox(key=[7, 0]))
     print(f"{'check':<44}{'measured':>12}{'tolerance':>12}  status")
     failures = 0
@@ -561,18 +543,26 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    # The input files a command names, hashed for its manifests while it works.
-    inputs = _InputDigests([getattr(args, name) for name in args.inputs if getattr(args, name) is not None])
-    try:
-        return args.func(args, argv, inputs)
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        inputs.close()
+    # Imported here: ``import blinkcorr.cli`` does not load the thread pool.
+    from concurrent.futures import ThreadPoolExecutor
+
+    # The input files a command names, hashed for its manifests while it
+    # works. A command that fails stops the hashing at the next buffer, and
+    # leaving the pool joins its thread, so none outlives the command.
+    paths = [getattr(args, name) for name in args.inputs if getattr(args, name) is not None]
+    stop = threading.Event()
+    with ThreadPoolExecutor(1) as pool:
+        inputs = pool.submit(_digests, paths, stop)
+        try:
+            return args.func(args, argv, inputs)
+        except _NUMERICAL_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        finally:
+            stop.set()
 
 
 if __name__ == "__main__":

@@ -260,20 +260,13 @@ def log_grid(tau_min: float, tau_max: float, points_per_decade: int = 60) -> np.
 
     Raises :class:`DegenerateInputError` when the span ``tau_max / tau_min``
     is too large for float64, or the point count for a float64 or an array
-    index."""
+    index; the command line's ``--grid`` reports that as an input error."""
     tau_min = float(tau_min)
     tau_max = float(tau_max)
     if not (0.0 < tau_min < tau_max):
         raise ValueError("need 0 < tau_min < tau_max")
     if points_per_decade < 1:
         raise ValueError("points_per_decade must be at least 1")
-    return np.geomspace(tau_min, tau_max, _grid_points(tau_min, tau_max, points_per_decade))
-
-
-def _grid_points(tau_min: float, tau_max: float, points_per_decade: int) -> int:
-    """Number of points of :func:`log_grid`'s grid; a span or a count
-    that float64 or an array index cannot hold raises
-    :class:`DegenerateInputError`."""
     decades = math.log10(tau_max / tau_min)
     if not math.isfinite(decades):
         raise DegenerateInputError(
@@ -289,7 +282,7 @@ def _grid_points(tau_min: float, tau_max: float, points_per_decade: int) -> int:
             f"a grid from {tau_min!r} to {tau_max!r} s at that density has more points "
             "than an array can index"
         )
-    return max(2, int(round(points)) + 1)
+    return np.geomspace(tau_min, tau_max, max(2, int(round(points)) + 1))
 
 
 def eval_curve(params: PhotoPhysicalParams, tau=None) -> "CorrelationSeries":

@@ -1,5 +1,16 @@
 """Exception and warning types shared across the package."""
 
+__all__ = [
+    "HierarchyWarning",
+    "DegenerateInputError",
+    "HierarchyError",
+    "ReducibleChainError",
+    "InsufficientDataError",
+    "FitError",
+    "FitConvergenceError",
+    "DegenerateFitError",
+]
+
 
 class HierarchyWarning(UserWarning):
     """Slow rates are not well separated from the fast optical rates.

@@ -306,6 +306,28 @@ def test_simulate_of_more_photons_than_an_array_can_index_is_a_numerical_error(t
     assert not out.exists()
 
 
+def test_simulate_whose_waits_swamp_the_light_periods_writes_an_empty_record(tmp_path, capsys):
+    # At A31 = 1e-30 the waits' running sums reach about 1e30 s, far
+    # coarser than a light period, so a period's span added to its base
+    # rounded to the base and the walk found the previous period's stop:
+    # the sampler ended in an IndexError. No wait ends inside a period,
+    # so the record holds no photon.
+    path = tmp_path / "params.txt"
+    path.write_text(params_text(A31=1e-30, I_sc=0.0))
+    out = tmp_path / "traj.txt"
+    argv = ["simulate", "--params", str(path), "--duration", "0.01", "--seed", "1", "--out", str(out)]
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    assert [w.category for w in seen] == [HierarchyWarning]
+    stdout, err = capsys.readouterr()
+    assert stdout.startswith("simulated 0 photons over 0.01 s")
+    assert err == ""
+    record = blinkcorr.read_trajectory(str(out))
+    assert (len(record), record.duration, record.seed) == (0, 0.01, 1)
+    assert read_manifest(str(out))["seed"] == 1
+
+
 @pytest.mark.parametrize(
     "command, rates, message",
     [
@@ -538,6 +560,39 @@ def test_failing_estimate_g_leaves_no_hashing_thread(tmp_path, capsys, monkeypat
     assert capsys.readouterr().err.startswith("error: ")
     assert not os.path.exists(out)
     assert not os.path.exists(out + ".manifest.json")
+
+
+class StopAfter:
+    """A stop event that reads as set once it has been asked ``reads`` times."""
+
+    def __init__(self, reads):
+        self.reads = reads
+
+    def is_set(self):
+        self.reads -= 1
+        return self.reads < 0
+
+
+@pytest.mark.parametrize("reads", [0, 2])
+def test_digests_read_no_buffer_once_stopped(tmp_path, monkeypatch, reads):
+    # A failing command sets the stop event; the hashing reads no further
+    # buffer of any file, so it ends at once instead of hashing the rest.
+    monkeypatch.setattr(cli, "_HASH_CHUNK", 64)
+    data = bytes(range(256)) * 4
+    paths = [str(tmp_path / name) for name in ("a", "b")]
+    for path in paths:
+        with open(path, "wb") as handle:
+            handle.write(data)
+    if reads:
+        stop = StopAfter(reads)
+    else:
+        stop = threading.Event()
+        stop.set()
+    digests = cli._digests(paths, stop)
+    assert digests == {
+        paths[0]: hashlib.sha256(data[: 64 * reads]).hexdigest(),
+        paths[1]: hashlib.sha256(b"").hexdigest(),
+    }
 
 
 def test_manifest_digests_are_sha256_of_the_inputs(tmp_path, params_file, slow_params_file, monkeypatch):
