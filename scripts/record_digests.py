@@ -24,11 +24,13 @@ paths relative to it, so that the manifests are reproducible too:
 The first three lines are those digests. Then, for every command (the
 three above included), one line for its stdout and one for each output
 file and its ``.manifest.json``. The outputs are fixed by the seeds, so
-equal digests on two trees show that a change kept the records, the
-correlator, the fitter, the reports and the manifests byte for byte. Run
-from the root of a checkout: the program is imported from ./src and the
-generator from ./perfbench. It takes about 10 s and 0.5 GB of memory on
-a 2-core x86-64 machine.
+equal digests show that a change kept the records, the correlator, the
+fitter, the reports and the manifests byte for byte. The script compares
+its 47 lines with scripts/record_digests.txt, prints the lines that
+differ and then exits with 1 (see scripts/recorded.py). Run from the
+root of a checkout: the program is imported from ./src and the generator
+from ./perfbench. It takes about 10 s and 0.5 GB of memory on a 2-core
+x86-64 machine.
 """
 
 import contextlib
@@ -41,6 +43,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
+import recorded  # noqa: E402
 from blinkbench.reference import SLOWED, make_record  # noqa: E402
 from blinkbench.workloads import ANALYSE_FIT  # noqa: E402
 from blinkcorr.cli import main as cli  # noqa: E402
@@ -98,6 +101,7 @@ def run(*argv: str) -> tuple[tuple[str, ...], str]:
 
 
 def main() -> int:
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         for name, text in INPUTS.items():
@@ -107,26 +111,26 @@ def main() -> int:
             run("simulate", "--params", "criterion6.txt", "--duration", str(SECONDS), "--seed", str(SEED),
                 "--out", "record.traj", "--g-out", "simulate-g.csv"),
         ]
-        print(f"{sha256('record.traj')}  simulate criterion 6, seed {SEED}")
+        lines.append(f"{sha256('record.traj')}  simulate criterion 6, seed {SEED}")
         runs.append(run("estimate-g", "--traj", "record.traj", "--out", "g.csv"))
-        print(f"{sha256('g.csv')}  estimate-g on that record")
+        lines.append(f"{sha256('g.csv')}  estimate-g on that record")
 
         times, _ = make_record(SLOWED, SECONDS, SEED)
         write_trajectory(Trajectory(times=times, duration=SECONDS), "analyse.traj")
         del times
         runs.append(run("estimate-g", "--traj", "analyse.traj", "--out", "analyse-g.csv"))
-        print(f"{sha256('analyse-g.csv')}  estimate-g on analyse_record's record")
+        lines.append(f"{sha256('analyse-g.csv')}  estimate-g on analyse_record's record")
 
         runs += [run(*argv) for argv in COMMANDS]
         for argv, stdout in runs:
             command = " ".join(argv)
-            print(f"{hashlib.sha256(stdout.encode()).hexdigest()}  stdout of {command}")
+            lines.append(f"{hashlib.sha256(stdout.encode()).hexdigest()}  stdout of {command}")
             for flag, path in zip(argv, argv[1:]):
                 if flag in OUTPUT_FLAGS:
-                    print(f"{sha256(path)}  {path}")
-                    print(f"{sha256(path + '.manifest.json')}  {path}.manifest.json")
+                    lines.append(f"{sha256(path)}  {path}")
+                    lines.append(f"{sha256(path + '.manifest.json')}  {path}.manifest.json")
         os.chdir(ROOT)
-    return 0
+    return recorded.check(os.path.join(ROOT, "scripts", "record_digests.txt"), lines)
 
 
 if __name__ == "__main__":

@@ -60,8 +60,8 @@ from .params import (
     write_params,
 )
 from .simulate import (
-    Trajectory,
     _EmissionSampler,
+    _estimate_record,
     _exact_limit,
     estimate_g,
     light_fraction,
@@ -219,7 +219,8 @@ def _cmd_simulate(args: argparse.Namespace, argv: list[str], inputs: Future[dict
     )
     outputs = [args.out]
     if args.g_out is not None:
-        _estimate(trajectory, args.grid, args.g_out)
+        edges = _parse_grid(args.grid)
+        _write_estimate(estimate_g(trajectory, edges), len(trajectory), _exact_limit(trajectory, edges), args.g_out)
         outputs.append(args.g_out)
     _write_manifests(
         "simulate", argv, inputs, outputs, params.as_dict(), args.seed
@@ -227,22 +228,31 @@ def _cmd_simulate(args: argparse.Namespace, argv: list[str], inputs: Future[dict
     return 0
 
 
-def _estimate(trajectory: Trajectory, grid: str, out: str) -> None:
-    edges = _parse_grid(grid)
-    series = estimate_g(trajectory, edges)
+def _write_estimate(series: CorrelationSeries, photons: int, limit: float, out: str) -> None:
     write_series(series, out)
     print(
-        f"estimated {len(series)} bins from {len(trajectory)} arrivals, "
-        f"pairs counted exactly below {_exact_limit(trajectory, edges):g} s"
+        f"estimated {len(series)} bins from {photons} arrivals, "
+        f"pairs counted exactly below {limit:g} s"
     )
 
 
 def _cmd_estimate_g(args: argparse.Namespace, argv: list[str], inputs: Future[dict[str, str]]) -> int:
-    trajectory = read_trajectory(args.traj)
-    _estimate(trajectory, args.grid, args.out)
-    _write_manifests(
-        "estimate-g", argv, inputs, [args.out], seed=trajectory.seed
-    )
+    try:
+        edges = _parse_grid(args.grid)
+    except ValueError:
+        # A record the reader refuses is named first, as it is read first.
+        read_trajectory(args.traj)
+        raise
+    # The record is streamed through the correlator; a file that is not
+    # whole rows, or that the reader or the correlator refuses, is read
+    # whole, and the refusal raised from there.
+    estimate = _estimate_record(args.traj, edges)
+    if estimate is None:
+        trajectory = read_trajectory(args.traj)
+        estimate = estimate_g(trajectory, edges), len(trajectory), _exact_limit(trajectory, edges), trajectory.seed
+    series, photons, limit, seed = estimate
+    _write_estimate(series, photons, limit, args.out)
+    _write_manifests("estimate-g", argv, inputs, [args.out], seed=seed)
     return 0
 
 

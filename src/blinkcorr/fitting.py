@@ -670,7 +670,8 @@ def fit_slow(
     the longer dark period. The sigmas also carry the four switching
     rates ``p_LD_i`` and ``p_DL_i`` in the same order, which
     :func:`fit_isc` turns into its own. Raises
-    :class:`DegenerateFitError` when the data show no bunching to fit.
+    :class:`DegenerateFitError` when the data show no bunching to fit,
+    which a split delay inside the antibunching dip also gives.
     ``init`` replaces the four heuristic starts by one at its values. It
     must name ``T_L``, ``T_D1``, ``T_D2``, ``p1``, and ``amplitude`` under
     ``free_amplitude``, all finite and the periods positive, or
@@ -705,8 +706,9 @@ def fit_slow(
     best = _best_row(residual, np.array(starts), *_bounds(table), cfg.max_iterations, strict=True)
     if not _resolved(tau, y[None], best.x[None], free_amp, np.zeros(1, dtype=int))[0]:
         raise DegenerateFitError(
-            "no resolvable bunching above the split delay; the record looks "
-            "like a non-blinking emitter"
+            f"no resolvable bunching above the split delay split_tau = {cfg.split_tau:g} s: "
+            "the emitter does not blink on these delays, or the split lies inside the "
+            "antibunching dip, whose rise the slow model cannot follow"
         )
 
     def derived(theta: np.ndarray) -> dict:

@@ -273,7 +273,11 @@ def period_statistics(
     """Build :class:`PeriodStatistics` from the four switching rates.
 
     Both dark-to-light rates must be positive; light-to-dark rates may be
-    zero (a molecule that never blinks has ``P_L == 1`` exactly).
+    zero (a molecule that never blinks has ``P_L == 1`` exactly). Rates
+    whose products leave float64's range raise :class:`ValueError` naming
+    a rate: the largest where the product of the relaxation rates ``q =
+    mu1 * mu2`` overflows, and the smaller dark-to-light rate where the
+    light fraction ``P_L = p_DL_1 * p_DL_2 / q`` underflows to zero.
     """
     ld1, ld2 = (_require_finite(f"p_LD_{i + 1}", v) for i, v in enumerate(p_LD))
     dl1, dl2 = (_require_finite(f"p_DL_{i + 1}", v) for i, v in enumerate(p_DL))
@@ -281,6 +285,14 @@ def period_statistics(
         raise ValueError("light-to-dark rates must be non-negative")
     if dl1 <= 0.0 or dl2 <= 0.0:
         raise ValueError("dark-to-light rates must be positive")
+    # q as _relaxation forms it; q is at least p_DL_1 * p_DL_2, so a q that
+    # underflows to zero, which it divides by, is caught with P_L.
+    if ld1 * dl2 + dl1 * ld2 + dl1 * dl2 == math.inf:
+        value, name = max((ld1, "p_LD_1"), (ld2, "p_LD_2"), (dl1, "p_DL_1"), (dl2, "p_DL_2"))
+        raise ValueError(f"{name} = {value!r} overflows the product of the relaxation rates q = mu1 * mu2")
+    if dl1 * dl2 == 0.0:
+        value, name = min((dl1, "p_DL_1"), (dl2, "p_DL_2"))
+        raise ValueError(f"{name} = {value!r} underflows the light fraction P_L = p_DL_1 * p_DL_2 / q")
 
     sigma_l = ld1 + ld2
     t_l = 1.0 / sigma_l if sigma_l > 0.0 else math.inf

@@ -16,7 +16,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -52,8 +52,9 @@ _PAIR_COST = 30.0
 # simulate_photons draws, and the mantissa bits of the exact stage's delay
 # table.
 _BLOCK = 1 << 16
-# Times per block write_trajectory formats, and read_trajectory parses, at
-# once, one block per core.
+# Times per block write_trajectory formats, and the reader parses, at once,
+# one block per core; a block the reader parses for the streamed estimate
+# is also a block of sources of its exact stage.
 _WRITE_BLOCK = 1 << 15
 _TABLE_BITS = 8
 # Header keys a trajectory file sets, with the converters of their values.
@@ -97,21 +98,34 @@ class Trajectory:
             raise ValueError("duration must be positive and finite")
         if self.seed is not None:
             object.__setattr__(self, "seed", _checked_seed(self.seed))
-        if times.size:
-            # min and max are NaN if a time is.
-            first, last = float(times.min()), float(times.max())
-            if not (math.isfinite(first) and math.isfinite(last)):
-                raise ValueError("arrival times must be finite")
-            # In blocks, so no temporary grows with the record.
-            for start in range(0, times.size - 1, _BLOCK):
-                later = times[start + 1 : start + _BLOCK + 1]
-                if np.any(later < times[start : start + later.size]):
-                    raise ValueError("arrival times must be sorted")
-            if first < 0.0 or last > duration:
-                raise ValueError("arrival times must lie within [0, duration]")
+        refusal = _refusal(times, duration)
+        if refusal is not None:
+            raise ValueError(refusal)
 
     def __len__(self) -> int:
         return int(self.times.size)
+
+
+def _refusal(times: np.ndarray, duration: float, previous: float = -math.inf) -> str | None:
+    """Why :class:`Trajectory` refuses the vector ``times`` over
+    ``duration``, or None; for a block of a record, ``previous`` is the
+    time before it."""
+    if not times.size:
+        return None
+    # min and max are NaN if a time is.
+    first, last = float(times.min()), float(times.max())
+    if not (math.isfinite(first) and math.isfinite(last)):
+        return "arrival times must be finite"
+    if times[0] < previous:
+        return "arrival times must be sorted"
+    # In blocks, so no temporary grows with the record.
+    for start in range(0, times.size - 1, _BLOCK):
+        later = times[start + 1 : start + _BLOCK + 1]
+        if np.any(later < times[start : start + later.size]):
+            return "arrival times must be sorted"
+    if first < 0.0 or last > duration:
+        return "arrival times must lie within [0, duration]"
+    return None
 
 
 class _EmissionSampler:
@@ -427,6 +441,10 @@ def estimate_g(
     series can hold fewer points than the grid has bins, and the lattice
     windows, not the requested edges, are what those bins cover.
 
+    Both stages take the times in blocks of ``_BLOCK``, in order, and
+    hold no whole-record array of their own (:class:`_Correlator`); the
+    blocking does not change a count.
+
     The per-bin standard error combines the pair shot noise with the
     uncertainty of the squared-rate normalization; the latter is
     estimated from block counts of the record and floored at its Poisson
@@ -441,94 +459,216 @@ def estimate_g(
     :class:`DegenerateInputError`.
     """
     times = trajectory.times
-    t_total = trajectory.duration
-    n = times.size
-    if n < 2:
-        raise InsufficientDataError("need at least two photons to correlate")
+    correlator = _Correlator(times.size, trajectory.duration, edges)
+    correlator.run(times[start : start + _BLOCK] for start in range(0, times.size, _BLOCK))
+    return correlator.series(with_windows)
 
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2:
-        raise ValueError("edges must hold at least two values")
-    if np.any(edges <= 0.0) or np.any(np.diff(edges) <= 0.0) or not np.all(
-        np.isfinite(edges)
-    ):
-        raise ValueError("edges must be positive, finite and increasing")
-    edges = edges[edges <= 0.1 * t_total]
-    if edges.size < 2:
-        raise InsufficientDataError(
-            "record too short: every requested delay exceeds a tenth of it"
+
+# Blocks of equal length whose photon counts give the spread of the rate.
+_RATE_BLOCKS = 64
+
+
+class _Correlator:
+    """:func:`estimate_g` of a record of ``n`` photons over ``duration`` on
+    ``edges``, fed the record's times one sorted block at a time by
+    :meth:`run`.
+
+    No stage holds the record. The exact stage counts each block's
+    sources in a window: the block and the later times that lie less than
+    its last edge after the block's last time, copied out once the block
+    that passes that reach has come. The lattice stage bins each block
+    onto its finest width, and every width works through its cells in
+    order with only the cells its longest lag reaches back over
+    (:class:`_Lattice`). The block counts of the normalization add up
+    block by block. So the memory grows with the photons within the exact
+    stage's reach and the cells of the longest lag, not with the record.
+    All counts are integers, or integer-valued float64 below 2**53, so no
+    blocking changes them.
+    """
+
+    def __init__(self, n: int, duration: float, edges: np.ndarray) -> None:
+        if n < 2:
+            raise InsufficientDataError("need at least two photons to correlate")
+        edges = np.asarray(edges, dtype=float)
+        if edges.ndim != 1 or edges.size < 2:
+            raise ValueError("edges must hold at least two values")
+        if np.any(edges <= 0.0) or np.any(np.diff(edges) <= 0.0) or not np.all(
+            np.isfinite(edges)
+        ):
+            raise ValueError("edges must be positive, finite and increasing")
+        edges = edges[edges <= 0.1 * duration]
+        if edges.size < 2:
+            raise InsufficientDataError(
+                "record too short: every requested delay exceeds a tenth of it"
+            )
+        self.n, self.duration, self.edges = n, duration, edges
+        nbins = edges.size - 1
+        self.n_exact = _exact_bins(n, duration, edges)
+        self.limit = float(edges[self.n_exact])
+
+        self.windows = np.column_stack([edges[:-1], edges[1:]])
+        self.steps = np.zeros(nbins)
+        self.keep = np.ones(nbins, dtype=bool)
+        # Lattice bins as (bin, ka, kb), grouped by lattice width in delay order.
+        self.lattice_bins: dict[float, list[tuple[int, int, int]]] = {}
+        for i in range(self.n_exact, nbins):
+            width = _lattice_width(edges[i])
+            ka = int(math.ceil(edges[i] / width - 1e-9))
+            kb = int(math.ceil(edges[i + 1] / width - 1e-9))
+            if kb <= ka:
+                if i + 1 < nbins:
+                    self.keep[i] = False
+                    continue
+                kb = ka + 1
+            self.lattice_bins.setdefault(width, []).append((i, ka, kb))
+            self.windows[i] = (ka * width, kb * width)
+            self.steps[i] = width
+        self.lattices = _lattices(
+            {width: sorted({k for _, ka, kb in bins for k in (ka, kb)}) for width, bins in self.lattice_bins.items()}
         )
+        self.finest = next(iter(self.lattices.values()), None)
 
-    rate = n / t_total
-    nbins = edges.size - 1
-    n_exact = _exact_bins(n, t_total, edges)
+        self.count = _pair_counter(edges[: self.n_exact + 1], duration) if self.n_exact else None
+        self.pairs = np.zeros(self.n_exact + 2, dtype=np.int64)
+        # Blocks whose sources wait for the end of their window, then the
+        # blocks after them, and the counts ready to run.
+        self.sources: list[np.ndarray] = []
+        self.ready: list[Callable[[], np.ndarray]] = []
+        self.inner = np.linspace(0.0, duration, _RATE_BLOCKS + 1)[1:-1]
+        self.rate_counts = np.zeros(_RATE_BLOCKS, dtype=np.int64)
+        self.seen, self.last, self.refused = 0, -math.inf, False
 
-    counts = np.zeros(nbins)
-    windows = np.column_stack([edges[:-1], edges[1:]])
-    steps = np.zeros(nbins)
-    keep = np.ones(nbins, dtype=bool)
-    if n_exact:
-        counts[:n_exact] = _exact_counts(times, edges[: n_exact + 1])
+    def run(self, blocks: Iterable[Any], parse: Callable[[Any], np.ndarray | None] | None = None) -> bool:
+        """Feed the record in order, as ``blocks`` of times or, with
+        ``parse``, as what ``parse`` turns each of ``blocks`` into. True
+        once all ``n`` times have come.
 
-    # Lattice bins as (bin, ka, kb), grouped by lattice width in delay order.
-    lattices: dict[float, list[tuple[int, int, int]]] = {}
-    for i in range(n_exact, nbins):
-        width = _lattice_width(edges[i])
-        ka = int(math.ceil(edges[i] / width - 1e-9))
-        kb = int(math.ceil(edges[i + 1] / width - 1e-9))
-        if kb <= ka:
-            if i + 1 < nbins:
-                keep[i] = False
-                continue
-            kb = ka + 1
-        lattices.setdefault(width, []).append((i, ka, kb))
-        windows[i] = (ka * width, kb * width)
-        steps[i] = width
-    bounds = {width: sorted({k for _, ka, kb in bins for k in (ka, kb)}) for width, bins in lattices.items()}
-    for width, sums in _lattice_sums(times, bounds).items():
-        at = dict(zip(bounds[width], sums))
-        for i, ka, kb in lattices[width]:
-            counts[i] = at[kb] - at[ka]
+        The parses and the exact stage's counts run through one
+        :func:`_in_order`, on one thread per core the process may run on;
+        the rest runs on the calling thread, as each block is taken. The
+        counts of the windows that reach the end of the record run there
+        after the last block, if a parse took it. A parse that returns
+        None, a block that :class:`Trajectory` would refuse in the record,
+        or a count of times other than ``n`` ends the record: no further
+        block is drawn, and run returns False.
+        """
+        blocks = iter(blocks)
 
-    # Pairs a Poisson stream of the record's rate puts into each window: a
-    # lattice window [ka w, kb w) sums w (T - k w) over its lags k, which is
-    # the exact window's (b - a) (T - (a + b) / 2) with a + b less one w.
-    counts, windows, steps = counts[keep], windows[keep], steps[keep]
-    lo, hi = windows.T
-    # A record too sparse or bins too narrow for float64 give values that
-    # are not finite, or delays that round to zero; the series refuses
-    # them below.
-    with np.errstate(all="ignore"):
-        denom = rate * rate * (hi - lo) * (t_total - 0.5 * (lo + hi - steps))
-        g = counts / denom
-        shot = np.maximum(np.sqrt(counts), 1.0) / denom
+        def jobs() -> Iterator[tuple[Callable[[Any], None], Callable[[], Any]]]:
+            # The counts made ready so far go after the next block's parse,
+            # so the calling thread parses and takes the block while the
+            # workers count.
+            while True:
+                ready, self.ready = self.ready, []
+                if self.refused or (block := next(blocks, None)) is None:
+                    break
+                if parse is None:
+                    self._add(block)
+                else:
+                    yield self._add, lambda block=block: parse(block)
+                yield from ((self.pairs.__iadd__, count) for count in ready)
+            # Unless the last block is in the group being drawn, it was
+            # taken; a take may still queue counts while these are drawn.
+            self.ready[:0] = ready
+            if self.seen == self.n:
+                self._dispatch(end=True)
+            while self.ready:
+                yield self.pairs.__iadd__, self.ready.pop(0)
 
-        # Normalization term: the estimate divides by rate^2, and for bunched
-        # records the rate carries cluster noise well above Poisson. Block
-        # counts capture it without any model assumption; the times are
-        # sorted, so the counts come from the inner block edges' positions
-        # among them.
-        k_blocks = 64
-        inner = np.linspace(0.0, t_total, k_blocks + 1)[1:-1]
-        block_counts = np.diff(np.searchsorted(times, inner), prepend=0, append=n)
-        block_rates = block_counts * (k_blocks / t_total)
-        var_rate = np.var(block_rates, ddof=1) / k_blocks
-        # np.float64 overflows to inf where a float raises; its power calls
-        # C pow as float's does, and keeps the floor's bits (x * x rounds
-        # apart from pow(x, 2) for about one x in a thousand).
-        var_rate = max(var_rate, n / np.float64(t_total) ** 2)
-        norm_rel = 2.0 * math.sqrt(var_rate) / rate
-        sigma = np.sqrt(shot**2 + (g * norm_rel) ** 2)
-        centers = np.sqrt(windows[:, 0] * windows[:, 1])
-    try:
-        series = CorrelationSeries(tau=centers, g=g, sigma=sigma)
-    except ValueError as exc:
-        raise DegenerateInputError(
-            f"g(tau) of this record on these bins is out of float64 range: {exc}"
-        ) from exc
-    if with_windows:
-        return series, windows
-    return series
+        # Each job is the handler of its result on the calling thread and
+        # the task that makes that result.
+        _in_order(lambda job: (job[0], job[1]()), jobs(), lambda done: done[0](done[1]))
+        if self.refused or self.seen != self.n:
+            return False
+        self._dispatch(end=True)
+        while self.ready:
+            self.pairs += self.ready.pop(0)()
+        if self.finest is not None:
+            self.finest.close()
+        return True
+
+    def _add(self, block: np.ndarray | None) -> None:
+        if self.refused:
+            return
+        if block is None or _refusal(block, self.duration, self.last) is not None:
+            self.refused = True
+            return
+        if not block.size:
+            return
+        self.seen += block.size
+        self.last = float(block[-1])
+        self.rate_counts += np.diff(np.searchsorted(block, self.inner), prepend=0, append=block.size)
+        if self.finest is not None:
+            self.finest.add_times(block)
+        if self.count is not None:
+            self.sources.append(block)
+            self._dispatch(end=False)
+
+    def _dispatch(self, end: bool) -> None:
+        """Queue the count of each source block whose window is whole: the
+        last block taken lies at least the exact stage's last edge after
+        the block's last time, or, with ``end``, the record has ended."""
+        while self.sources:
+            block = self.sources[0]
+            if not (end or self.last - block[-1] >= self.limit):
+                return
+            parts = [block]
+            for later in self.sources[1:]:
+                # The kernel bins the delay as this float64 difference.
+                cut = int(np.searchsorted(later - block[-1], self.limit))
+                parts.append(later[:cut])
+                if cut < later.size:
+                    break
+            window = np.concatenate(parts)
+            self.ready.append(lambda window=window, size=block.size: self.count(window, size))
+            del self.sources[0]
+
+    def series(self, with_windows: bool = False):
+        """The estimate, once :meth:`run` has returned True; see
+        :func:`estimate_g`."""
+        t_total, n = self.duration, self.n
+        counts = np.zeros(self.edges.size - 1)
+        counts[: self.n_exact] = self.pairs[1 : self.n_exact + 1]
+        for width, bins in self.lattice_bins.items():
+            at = dict(zip(self.lattices[width].lags, self.lattices[width].sums))
+            for i, ka, kb in bins:
+                counts[i] = at[kb] - at[ka]
+
+        # Pairs a Poisson stream of the record's rate puts into each window: a
+        # lattice window [ka w, kb w) sums w (T - k w) over its lags k, which is
+        # the exact window's (b - a) (T - (a + b) / 2) with a + b less one w.
+        rate = n / t_total
+        counts, windows, steps = counts[self.keep], self.windows[self.keep], self.steps[self.keep]
+        lo, hi = windows.T
+        # A record too sparse or bins too narrow for float64 give values that
+        # are not finite, or delays that round to zero; the series refuses
+        # them below.
+        with np.errstate(all="ignore"):
+            denom = rate * rate * (hi - lo) * (t_total - 0.5 * (lo + hi - steps))
+            g = counts / denom
+            shot = np.maximum(np.sqrt(counts), 1.0) / denom
+
+            # Normalization term: the estimate divides by rate^2, and for bunched
+            # records the rate carries cluster noise well above Poisson. Block
+            # counts capture it without any model assumption.
+            block_rates = self.rate_counts * (_RATE_BLOCKS / t_total)
+            var_rate = np.var(block_rates, ddof=1) / _RATE_BLOCKS
+            # np.float64 overflows to inf where a float raises; its power calls
+            # C pow as float's does, and keeps the floor's bits (x * x rounds
+            # apart from pow(x, 2) for about one x in a thousand).
+            var_rate = max(var_rate, n / np.float64(t_total) ** 2)
+            norm_rel = 2.0 * math.sqrt(var_rate) / rate
+            sigma = np.sqrt(shot**2 + (g * norm_rel) ** 2)
+            centers = np.sqrt(windows[:, 0] * windows[:, 1])
+        try:
+            series = CorrelationSeries(tau=centers, g=g, sigma=sigma)
+        except ValueError as exc:
+            raise DegenerateInputError(
+                f"g(tau) of this record on these bins is out of float64 range: {exc}"
+            ) from exc
+        if with_windows:
+            return series, windows
+        return series
 
 
 def _lattice_width(delay: float) -> float:
@@ -546,8 +686,8 @@ def _exact_bins(n: int, t_total: float, edges: np.ndarray) -> int:
     cost less than a lattice of more than ``sqrt(_PAIR_COST * e / (2 *
     width))`` cells per photon, ``e`` their last edge, so none is chosen.
 
-    The pricing is kept although :func:`_lattice_sums` bins the photons
-    onto the finest width only and sums runs of its cells into each coarser
+    The pricing is kept although :class:`_Lattice` bins the photons onto
+    the finest width only and sums runs of its cells into each coarser
     one: a coarse width is still charged a photon pass it no longer makes,
     and repricing it moves the split, and so g."""
     # cost[m] prices the split after m bins. A width's photon pass and
@@ -568,28 +708,28 @@ def _exact_limit(trajectory: Trajectory, edges: np.ndarray) -> float:
     return float(edges[_exact_bins(len(trajectory), trajectory.duration, edges)])
 
 
-def _exact_counts(times: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Pair counts of the exact stage of :func:`estimate_g` per bin of
-    ``edges``: a pair counts in the bin that holds its delay ``t_j - t_i``.
+def _pair_counter(edges: np.ndarray, duration: float) -> Callable[[np.ndarray, int], np.ndarray]:
+    """The exact stage of :func:`estimate_g` on the bins of ``edges`` for
+    a record over ``duration``: a function of a window of sorted times and
+    the number of its leading times that are sources, which counts each
+    pair of a source and a later time of the window into the bin that
+    holds its delay ``t_j - t_i``, as an int64 histogram of ``edges.size +
+    1`` entries, whose entries 1 to ``edges.size - 1`` are the bins. The
+    window must hold every time that lies less than ``edges[-1]`` after a
+    source.
 
     Every source ``i`` meets its neighbours ``j = i + 1, i + 2, ...`` in
-    turn, all sources of a block at once, and leaves the block's active
-    set once ``t_j - t_i`` reaches the last edge, since later neighbours
-    are only farther away. In a block that holds a repeated time, each
-    source starts after the times equal to its own: their delay of zero
-    lies below every edge, and a run of ties would otherwise keep its
-    sources active for the length of the run. A delay ``d`` is binned
-    without a search: a table over the exponent and the top mantissa bits
-    of ``d`` gives the number of edges below its cell, and one comparison
-    per edge inside the cell corrects it.
-
-    Each block of ``_BLOCK`` sources is counted into its own int64
-    histogram, on one thread per core the process may run on, and the
-    calling thread adds the histograms in block order. Integer sums do not
-    depend on the order they are added in, so neither do the counts.
+    turn, all sources at once, and leaves the active set once ``t_j -
+    t_i`` reaches the last edge, since later neighbours are only farther
+    away. In a window whose sources hold a repeated time, each source
+    starts after the times equal to its own: their delay of zero lies below
+    every edge, and a run of ties would otherwise keep its sources active
+    for the length of the run. A delay ``d`` is binned without a search: a
+    table over the exponent and the top mantissa bits of ``d``, built once
+    per record, gives the number of edges below its cell, and one
+    comparison per edge inside the cell corrects it.
     """
     nb = edges.size - 1
-    n = times.size
     # Codes: the number of edges at or below the delay, so 1..nb are the
     # bins, 0 lies below the grid and `above` past it; one byte each on a
     # grid of fewer than 255 bins.
@@ -597,10 +737,11 @@ def _exact_counts(times: np.ndarray, edges: np.ndarray) -> np.ndarray:
     shift = 52 - _TABLE_BITS
 
     # One cell per key, the bits of the delay above the top mantissa bits;
-    # keys grow with the delay, which is at most the record's span.
-    top = (np.array(times[-1] - times[0]).view(np.int64) >> shift) + 1
+    # keys grow with the delay, which is at most the record's duration.
+    top = (np.array(duration).view(np.int64) >> shift) + 1
     lower = (np.arange(top, dtype=np.int64) << shift).view(np.float64)
     table = np.searchsorted(edges, lower, side="right").astype(np.min_scalar_type(above))
+    del lower
     # Edges strictly inside a cell, each worth one correcting comparison.
     bits = edges.view(np.int64)
     inside = bits >> shift
@@ -608,13 +749,14 @@ def _exact_counts(times: np.ndarray, edges: np.ndarray) -> np.ndarray:
     passes = int(np.bincount(inside).max()) if inside.size else 0
     following = np.append(edges, np.inf)
 
-    def count(start: int) -> np.ndarray:
+    def count(times: np.ndarray, sources: int) -> np.ndarray:
         hist = np.zeros(nb + 2, dtype=np.int64)
-        source = times[start : start + _BLOCK]
-        partner = np.arange(start, start + source.size)
-        # A source meets its ties at delay zero, below edges[0]; in a block
-        # that holds a tie, each source starts after its ties.
-        after = times[start + 1 : start + source.size + 1]
+        n = times.size
+        source = times[:sources]
+        partner = np.arange(sources)
+        # A source meets its ties at delay zero, below edges[0]; in a window
+        # whose sources hold a tie, each source starts after its ties.
+        after = times[1 : sources + 1]
         if np.any(after == source[: after.size]):
             partner = np.searchsorted(times, source, side="right") - 1
         while source.size:
@@ -636,102 +778,119 @@ def _exact_counts(times: np.ndarray, edges: np.ndarray) -> np.ndarray:
                 source, partner = source[near], partner[near]
         return hist
 
-    counts = np.zeros(nb + 2, dtype=np.int64)
-    _in_order(count, range(0, n - 1, _BLOCK), counts.__iadd__)
-    return counts[1 : nb + 1].astype(np.float64)
+    return count
 
 
-def _lattice_sums(times: np.ndarray, lags: dict[float, list[int]]) -> dict[float, np.ndarray]:
-    """Boundary sums of the lattice stage of :func:`estimate_g`, for each
-    lattice width of ``lags`` and its lags (ascending, all positive).
+def _lattices(lags: dict[float, list[int]]) -> dict[float, _Lattice]:
+    """The lattices of the widths of ``lags`` (ascending, each a whole
+    multiple of the one before), by width, each passing its runs of cells
+    to the next; the first is to be fed the photons."""
+    lattices, coarser = {}, None
+    for width in reversed(lags):
+        lattices[width] = coarser = _Lattice(width, lags[width], coarser)
+    return dict(reversed(lattices.items()))
 
-    With ``c[j]`` photons in cell ``j`` of the lattice of a width and
-    ``S[x]`` photons in the cells below ``x``, the sums of that width hold
-    for each lag ``k`` the sum over cells of ``c[j] * S[j + k]`` less a
-    term that does not depend on ``k``, so the difference of two entries
-    ``ka < kb`` counts the pairs whose cells lie ``ka`` to ``kb - 1`` steps
-    apart.
 
-    The widths ascend, each a whole multiple of the one before. One pass
-    over the photons bins them onto the finest lattice only: each block of
-    ``_BLOCK`` times gets its cell index and is counted by one
-    ``np.bincount`` over the cells it spans, split where it would span
-    more than ``4 * _BLOCK`` cells, so a gap in the record grows no
-    temporary. A lattice is kept as counts, one byte per cell until a
-    cell holds more than 255 photons. Each lattice in turn is worked
-    through in blocks of cells, each with its own running sum, so every
-    partial sum is an integer-valued float64 no larger than the photon
-    count times the photons of one block and its reach; below 2**53 the
-    sums are exact in any order. Then runs of ``round(width / previous)``
-    of its cells, the last run short, are summed into the next lattice
-    and it is dropped, so at most two lattices are held at once. A
-    photon's cell on a coarse width is its finest cell divided by the
-    ratio of the widths, which differs from its time divided by the width
-    only where that time lies, as a double, on a coarse cell's edge.
+class _Lattice:
+    """Boundary sums of one lattice width of :func:`estimate_g`, for its
+    lags ``lags`` (ascending, all positive), over cells that come in order.
 
-    :func:`_exact_bins` keeps its price of one photon pass per width,
-    although a coarse width no longer makes one: a new price would move
-    the split, and with it g.
+    With ``c[j]`` photons in cell ``j``, the difference of the sums of two
+    lags ``ka < kb`` is the sum over cells of ``c[j]`` times the photons
+    ``ka`` to ``kb - 1`` cells before it: the pairs whose cells lie that
+    many steps apart. The cells come in pieces of any length and are
+    worked in blocks of ``_BLOCK`` to ``2 * _BLOCK`` cells, each with the
+    ``lags[-1] - 1`` cells before it and its own running sum, so every
+    partial sum is an integer-valued float64 no larger than the photons of
+    the block times those of the block and the cells before it; below
+    2**53 the sums are exact in any order and any blocking. So a lattice
+    holds no more than a block and the reach of its longest lag.
+
+    The finest lattice takes the photons (:meth:`add_times`). Each block
+    passes the runs of cells it ends on to the ``coarser`` lattice, as
+    their photon counts: a cell of the coarser width is a run of whole
+    cells of this one, counted from cell 0, and :meth:`close` passes the
+    last run on although it is short. So a photon's cell on a coarse width
+    is its finest cell divided by the ratio of the widths, which differs
+    from its time divided by the width only where that time lies, as a
+    double, on a coarse cell's edge.
     """
-    if not lags:
-        return {}
-    previous = next(iter(lags))
-    inv = 1.0 / previous
-    cells = np.zeros(int(times[-1] * inv) + 1, dtype=np.uint8)
-    for start in range(0, times.size, _BLOCK):
-        index = (times[start : start + _BLOCK] * inv).astype(np.int64)
-        lo = 0
-        while lo < index.size:
-            first = int(index[lo])
-            hi = index.size if index[-1] - first < 4 * _BLOCK else int(np.searchsorted(index, first + 4 * _BLOCK))
-            piece = index[lo:hi]
-            piece -= first
-            # The times are sorted, so of these cells only the first can
-            # hold photons of an earlier block.
-            count = np.bincount(piece)
-            count[0] += cells[first]
-            if count.max() > np.iinfo(cells.dtype).max:
-                cells = cells.astype(np.min_scalar_type(times.size))
-            cells[first : first + count.size] = count
-            lo = hi
-            # Each temporary goes before the next one is made.
-            del count
-        del index
 
-    sums = {}
-    for width, ks in lags.items():
-        if width != previous:
-            # Runs of `ratio` cells, the last one short, make the cells of
-            # this width; none holds more than `ratio` times the fullest.
-            ratio = round(width / previous)
-            whole = cells.size // ratio
-            coarse = np.empty(-(-cells.size // ratio), dtype=np.min_scalar_type(ratio * int(cells.max())))
-            # Strided adds, one per cell of a run: a reduction over the
-            # short axis of the reshaped runs costs about three times more.
-            runs = cells[: whole * ratio].reshape(whole, ratio)
-            coarse[:whole] = runs[:, 0]
-            for j in range(1, ratio):
-                np.add(coarse[:whole], runs[:, j], out=coarse[:whole])
-            coarse[whole:] = cells[whole * ratio :].sum()
-            cells, previous = coarse, width
-            # The view of the runs would keep the finer lattice alive.
-            del runs
-        m = cells.size
-        reach = ks[-1] - 1
-        sums[width] = total = np.zeros(len(ks))
-        counts, running = np.empty(_BLOCK + reach), np.empty(_BLOCK + reach)
-        for a in range(0, m, _BLOCK):
-            b = min(a + _BLOCK, m)
-            # running[x] = photons in cells a .. a + x, held at the record's
-            # end, so S[j + k] - S[a] = running[j - a + k - 1]. The counts
-            # are converted to float64 once, for it and for the weights.
-            filled = min(b + reach, m) - a
-            counts[:filled] = cells[a : a + filled]
-            np.cumsum(counts[:filled], out=running[:filled])
-            running[filled : b - a + reach] = running[filled - 1]
-            for slot, k in enumerate(ks):
-                total[slot] += np.dot(counts[: b - a], running[k - 1 : k - 1 + b - a])
-    return sums
+    def __init__(self, width: float, lags: list[int], coarser: _Lattice | None) -> None:
+        self.width, self.lags, self.coarser = width, lags, coarser
+        self.ratio = round(coarser.width / width) if coarser is not None else 0
+        self.sums = np.zeros(len(lags))
+        # The cells before the next block, as many as the longest lag
+        # reaches back over, and the pieces of that block.
+        self.before = np.zeros(lags[-1] - 1)
+        self.queue: list[np.ndarray] = []
+        self.queued = 0
+        # Cells worked so far, and the photons of the coarser width's
+        # unfinished run among them.
+        self.cells, self.run = 0, 0.0
+        # Of the photons: the first cell not yet queued, which later
+        # photons may still join, and its photons so far.
+        self.cell, self.open = 0, 0
+
+    def add_times(self, times: np.ndarray) -> None:
+        """Take the next photons, sorted: queue the cells below the last
+        one's, in pieces of at most ``_BLOCK`` cells, so a gap in the
+        record grows no temporary."""
+        index = (times * (1.0 / self.width)).astype(np.int64)
+        end, at = int(index[-1]), 0
+        while self.cell < end:
+            stop = min(self.cell + _BLOCK, end)
+            cut = int(np.searchsorted(index, stop))
+            cells = np.bincount(index[at:cut] - self.cell, minlength=stop - self.cell).astype(np.float64)
+            cells[0] += self.open
+            self.add(cells)
+            self.cell, self.open, at = stop, 0, cut
+        self.open += index.size - at
+
+    def add(self, cells: np.ndarray) -> None:
+        """Take the next cells, as photon counts, at most ``_BLOCK``."""
+        self.queue.append(cells)
+        self.queued += cells.size
+        if self.queued >= _BLOCK:
+            self._work()
+
+    def close(self) -> None:
+        """Work what is still held; the record has no further cell."""
+        if self.open:
+            self.add(np.array([float(self.open)]))
+        self._work()
+        if self.coarser is not None:
+            if self.cells % self.ratio:
+                self.coarser.add(np.array([self.run]))
+            self.coarser.close()
+
+    def _work(self) -> None:
+        if not self.queued:
+            return
+        reach = self.before.size
+        held = np.concatenate([self.before, *self.queue])
+        cells = held[reach:]
+        self.queue, self.queued = [], 0
+        # running[x] = photons in the first x held cells, the cells before
+        # the block and then the block, so cell q of the block has the
+        # photons at least k cells before it in running[reach + q + 1 - k].
+        running = np.zeros(held.size + 1)
+        np.cumsum(held, out=running[1:])
+        for slot, k in enumerate(self.lags):
+            self.sums[slot] -= np.dot(cells, running[reach + 1 - k : reach + 1 - k + cells.size])
+        if self.coarser is not None:
+            # Runs end where the count of cells is a multiple of the ratio:
+            # first the unfinished run, whose photons so far lie below
+            # running[reach], then every ratio-th cell.
+            first = -self.cells % self.ratio
+            ends = running[reach + first :: self.ratio]
+            if first:
+                ends = np.concatenate([[running[reach] - self.run], ends])
+            if ends.size > 1:
+                self.coarser.add(np.diff(ends))
+            self.run = running[-1] - ends[-1]
+        self.cells += cells.size
+        self.before = held[cells.size :].copy()
 
 
 def _cores() -> int:
@@ -807,45 +966,32 @@ def read_trajectory(path: str) -> Trajectory:
 
     The leading ``#`` lines are read one at a time. If the rest of the file
     is whole 23-byte rows as ``'%.16e\\n'`` writes them, one array is sized
-    from the file's size and filled by blocks of rows, parsed on one thread
-    per core the process may run on by an integer kernel that proves each
-    time equal to what ``float()`` reads; the calling thread takes the
-    blocks in file order and reads a row the kernel leaves unproven, such
-    as zero, with ``float()``. Any other file, such as one with a ``#`` or
-    blank line after the first time, is read one line at a time with
-    ``float()``. So every time has the bits ``float()`` gives it.
+    from the file's size and filled by the blocks of :func:`_row_blocks`,
+    parsed on one thread per core the process may run on and taken in file
+    order. Any other file, such as one with a ``#`` or blank line after the
+    first time, is read one line at a time with ``float()``. So every time
+    has the bits ``float()`` gives it.
     """
     header: dict[str, float | int] = {}
     with open(path, "rb") as handle:
-        leading = []
-        while (line := handle.readline()).startswith(b"#"):
-            leading.append(line)
-        list(_parse_lines(leading, 0, path, header))
-        start = handle.tell() - len(line)
-        rows, extra = divmod(os.fstat(handle.fileno()).st_size - start, _ROW.itemsize)
-        times, filled, whole = np.empty(rows), 0, len(line) == _ROW.itemsize and not extra
+        leading, start, rows = _read_header(handle, path, header)
+        times, filled = np.empty(rows or 0), 0
 
-        def parse(text: bytes) -> tuple[bytes, np.ndarray, np.ndarray]:
-            return (text, *_parse_times(text))
-
-        def take(parsed: tuple[bytes, np.ndarray, np.ndarray]) -> None:
-            nonlocal filled, whole
-            text, values, proven = parsed
-            for i in np.flatnonzero(~proven).tolist():
-                row = text[i * _ROW.itemsize : (i + 1) * _ROW.itemsize]
-                if not _ROW_TEXT.fullmatch(row):
-                    whole = False
-                    return
-                values[i] = float(row)
-            times[filled : filled + values.size] = values
-            filled += values.size
+        def take(values: np.ndarray | None) -> None:
+            nonlocal rows, filled
+            if values is None:
+                rows = None
+            elif rows is not None:
+                times[filled : filled + values.size] = values
+                filled += values.size
 
         # A row of another shape stops the blocks, and the file is read line by line.
-        handle.seek(start)
-        _in_order(parse, iter(lambda: handle.read(_WRITE_BLOCK * _ROW.itemsize) if whole else b"", b""), take)
-        if not whole:
+        if rows:
+            texts = _row_blocks(handle, rows)
+            _in_order(_parse_rows, iter(lambda: next(texts, None) if rows is not None else None, None), take)
+        if rows is None:
             handle.seek(start)
-            times = np.fromiter(_parse_lines(handle, len(leading), path, header), float)
+            times = np.fromiter(_parse_lines(handle, leading, path, header), float)
             filled = times.size
     if "duration" not in header:
         raise ValueError(f"{path}: missing '# duration = ...' header")
@@ -857,6 +1003,73 @@ def read_trajectory(path: str) -> Trajectory:
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _estimate_record(path: str, edges: np.ndarray) -> tuple[CorrelationSeries, int, float, int | None] | None:
+    """:func:`estimate_g` of the trajectory file at ``path`` on ``edges``,
+    with the file's photon count, the delay where the exact stage stops and
+    the seed, streamed from the file: its blocks of rows go from
+    :func:`_row_blocks` to the correlator and no array of all times is
+    made. The photon count comes from the file's size, the duration from
+    its header.
+
+    Returns None where :func:`read_trajectory` and :func:`estimate_g` are
+    to do the work, and raise what they raise: a file that is not whole
+    rows after its header, a header :class:`Trajectory` refuses, a block
+    it would refuse in the record, and a record or edges the correlator
+    refuses. What was streamed by then is thrown away.
+    """
+    header: dict[str, float | int] = {}
+    with open(path, "rb") as handle:
+        _, _, rows = _read_header(handle, path, header)
+        if not rows or "duration" not in header:
+            return None
+        try:
+            record = Trajectory(times=np.empty(0), duration=header["duration"], seed=header.get("seed"))
+            correlator = _Correlator(rows, record.duration, edges)
+        except ValueError:
+            return None
+        if not correlator.run(_row_blocks(handle, rows), _parse_rows):
+            return None
+    return correlator.series(), rows, correlator.limit, record.seed
+
+
+def _read_header(handle: BinaryIO, path: str, header: dict[str, float | int]) -> tuple[int, int, int | None]:
+    """Read the leading ``#`` lines of the trajectory file open as
+    ``handle`` into ``header``, and leave the handle at the first time.
+    Returns the number of those lines, the offset of the first time and,
+    if the rest of the file is whole 23-byte rows, their number, else
+    None."""
+    leading = []
+    while (line := handle.readline()).startswith(b"#"):
+        leading.append(line)
+    list(_parse_lines(leading, 0, path, header))
+    start = handle.tell() - len(line)
+    rows, extra = divmod(os.fstat(handle.fileno()).st_size - start, _ROW.itemsize)
+    handle.seek(start)
+    return len(leading), start, rows if len(line) == _ROW.itemsize and not extra else None
+
+
+def _row_blocks(handle: BinaryIO, rows: int) -> Iterator[bytes]:
+    """The texts of the ``rows`` rows at the position of ``handle``,
+    ``_WRITE_BLOCK`` rows each, each read when it is drawn."""
+    for _ in range(0, rows, _WRITE_BLOCK):
+        yield handle.read(_WRITE_BLOCK * _ROW.itemsize)
+
+
+def _parse_rows(text: bytes) -> np.ndarray | None:
+    """The times of the 23-byte rows of ``text``, or None if a row is not
+    one that ``'%.16e\\n'`` writes. An integer kernel
+    (:func:`_parse_times`) reads each row and proves its time equal to what
+    ``float()`` reads; a row it leaves unproven, such as zero, is read with
+    ``float()``."""
+    values, proven = _parse_times(text)
+    for i in np.flatnonzero(~proven).tolist():
+        row = text[i * _ROW.itemsize : (i + 1) * _ROW.itemsize]
+        if not _ROW_TEXT.fullmatch(row):
+            return None
+        values[i] = float(row)
+    return values
 
 
 def _parse_lines(

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -373,6 +374,37 @@ def test_rates_that_are_not_finite_are_a_numerical_error(tmp_path, capsys, rates
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "rates, warned, message",
+    [
+        # Dark rates of the smallest subnormal: q underflows to zero, and
+        # P_L = p_DL_1 p_DL_2 / q ended in a ZeroDivisionError.
+        (
+            dict(A32_1=0.3, A21_1=0.3, A32_2=5e-324, A21_2=5e-324),
+            [],
+            "p_DL_2 = 5e-324 underflows the light fraction P_L = p_DL_1 * p_DL_2 / q",
+        ),
+        # A dark rate of 1e308: q overflows, and P_L = inf / inf made g NaN,
+        # refused as "tau and g must be finite".
+        (
+            dict(A21_2=1e308),
+            [HierarchyWarning],
+            "p_DL_2 = 1e+308 overflows the product of the relaxation rates q = mu1 * mu2",
+        ),
+    ],
+    ids=["q-underflows", "q-overflows"],
+)
+def test_relaxation_out_of_float64_range_is_an_input_error(tmp_path, capsys, rates, warned, message):
+    values = dict(line.split(" = ") for line in SLOW_PARAMS_TEXT.splitlines())
+    values.update((key, repr(value)) for key, value in rates.items())
+    path = tmp_path / "params.txt"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    out = tmp_path / "curve.csv"
+    code, err, seen = run_refused(["eval", "--params", str(path), "--out", str(out)], capsys)
+    assert (code, err, seen) == (2, f"error: {message}\n", warned)
+    assert not out.exists()
+
+
 def test_simulate_deterministic(tmp_path, slow_params_file):
     out_a = str(tmp_path / "a.txt")
     out_b = str(tmp_path / "b.txt")
@@ -402,15 +434,16 @@ def test_simulate_rejects_bad_duration(tmp_path, slow_params_file):
 
 
 def record_exact_limits(monkeypatch):
-    """Last edge of each exact-stage call of estimate_g, as the CLI prints it."""
+    """Last edge of each exact stage the correlator sets up, once per
+    estimate that has one, as the CLI prints it."""
     limits = []
-    exact_counts = simulate._exact_counts
+    pair_counter = simulate._pair_counter
 
-    def recorded(times, edges):
+    def recorded(edges, duration):
         limits.append(f"{edges[-1]:g}")
-        return exact_counts(times, edges)
+        return pair_counter(edges, duration)
 
-    monkeypatch.setattr(simulate, "_exact_counts", recorded)
+    monkeypatch.setattr(simulate, "_pair_counter", recorded)
     return limits
 
 
@@ -533,6 +566,98 @@ def test_estimate_g_out_of_float64_range(tmp_path, capsys, record, grid):
     err = capsys.readouterr().err
     assert err.startswith("error: g(tau) of this record on these bins is out of float64 range")
     assert not os.path.exists(out)
+
+
+def streamed_records():
+    """Records over 1 s, by name: with ties, with a gap of 0.8 s, with more
+    than 255 photons in one lattice cell, and of 40 photons, fewer than
+    one block of rows."""
+    rng = np.random.Generator(np.random.Philox(key=[8, 7]))
+    poisson = np.sort(rng.uniform(0.0, 1.0, 3000))
+    return {
+        "ties": np.sort(np.concatenate([poisson, np.repeat(poisson[::10], 3)])),
+        "gap": np.concatenate([poisson[poisson < 0.1], 0.9 + poisson[poisson < 0.1]]),
+        "crowded-cell": np.sort(np.concatenate([poisson, np.full(300, 0.5)])),
+        "short": poisson[:40],
+    }
+
+
+def run_estimate(path, out, capsys):
+    """stdout, output and manifest of ``estimate-g`` on ``path``."""
+    assert main(["estimate-g", "--traj", path, "--grid", "1e-6:1e-1:5", "--out", out]) == 0
+    with open(out, "rb") as series, open(out + ".manifest.json", "rb") as manifest:
+        return capsys.readouterr().out, series.read(), manifest.read()
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_estimate_g_streams_what_the_record_read_whole_gives(tmp_path, capsys, monkeypatch, cores):
+    # Blocks of 50 rows and pieces of 256 lattice cells; the streamed
+    # route reads no record whole, and its stdout, estimate and manifest
+    # are those of the route that reads it whole, byte for byte.
+    monkeypatch.setattr(simulate, "_WRITE_BLOCK", 50)
+    monkeypatch.setattr(simulate, "_BLOCK", 256)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    read_whole = []
+    monkeypatch.setattr(cli, "read_trajectory", lambda path: read_whole.append(path) or simulate.read_trajectory(path))
+    for name, times in streamed_records().items():
+        path, out = str(tmp_path / f"{name}.traj"), str(tmp_path / f"{name}.csv")
+        write_trajectory(Trajectory(times=times, duration=1.0, seed=8), path)
+        streamed = run_estimate(path, out, capsys)
+        assert read_whole == []
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "_estimate_record", lambda path, edges: None)
+            assert run_estimate(path, out, capsys) == streamed, name
+        assert read_whole == [path]
+        read_whole.clear()
+
+
+@pytest.mark.parametrize(
+    "row, lineno, message",
+    [
+        (b"0.5 0.6", -3, ":{lineno}: bad arrival time"),
+        (b"nan", -1, ":{lineno}: bad arrival time"),
+        (b"%.16e" % 0.25, -3, ": arrival times must be sorted"),
+        (b"%.16e" % 1.5, -1, ": arrival times must lie within [0, duration]"),
+    ],
+    ids=["malformed", "not-finite", "unsorted", "out-of-range"],
+)
+def test_estimate_g_refuses_a_bad_row_of_the_last_block(tmp_path, capsys, monkeypatch, row, lineno, message):
+    # The last block of rows is streamed after the others were counted;
+    # its bad row is refused with the exit code and the message of the
+    # reader, and nothing is written.
+    monkeypatch.setattr(simulate, "_WRITE_BLOCK", 50)
+    lines = [b"# duration = 1.0"] + [b"%.16e" % t for t in streamed_records()["ties"].tolist()]
+    lines[lineno] = row.ljust(22)
+    path, out = tmp_path / "traj.txt", str(tmp_path / "g.csv")
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    code, err, _ = run_refused(["estimate-g", "--traj", str(path), "--out", out], capsys)
+    assert (code, err) == (2, f"error: {path}" + message.format(lineno=len(lines) + 1 + lineno) + "\n")
+    assert not os.path.exists(out)
+
+
+def test_estimate_g_memory_does_not_grow_with_the_record(tmp_path, monkeypatch):
+    # Records of 4 s and 8 s at the benchmark record's rate, 8.6 and 17 MB,
+    # on a grid that ends below a tenth of either: the streamed estimate's
+    # allocation peak is the same for both, where reading the record whole
+    # grew it by the 3 MB more times. On one core, so the peak does not
+    # depend on how the blocks in flight overlap, and after a first run
+    # that does the imports.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    rng = np.random.Generator(np.random.Philox(key=[8, 8]))
+    peaks = []
+    for seconds in (4.0, 4.0, 8.0):
+        path = str(tmp_path / f"{seconds}.traj")
+        if not os.path.exists(path):
+            times = np.sort(rng.uniform(0.0, seconds, int(9.3e4 * seconds)))
+            write_trajectory(Trajectory(times=times, duration=seconds), path)
+            del times
+        tracemalloc.start()
+        try:
+            assert main(["estimate-g", "--traj", path, "--grid", "1e-9:1e-2:20", "--out", str(tmp_path / "g.csv")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[2] - peaks[1]) < 0.1 * peaks[1], peaks
 
 
 @pytest.mark.parametrize(

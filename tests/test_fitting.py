@@ -716,6 +716,29 @@ def test_flat_series_raises_degenerate():
         fit_slow(flat)
 
 
+@pytest.mark.parametrize("split_tau", [1e-9, 1e-7, 1e-4])
+def test_split_inside_the_antibunching_dip_is_named(split_tau):
+    # The benchmark's slowed emitter, noise-free, with 1% sigmas: a split
+    # delay inside its antibunching dip leaves the slow model a rise it
+    # cannot follow, and the error used to call the emitter non-blinking.
+    params = PhotoPhysicalParams(A31=3.3e5, Omega31=2.9e5, A32=(34.0, 249.0), A21=(430.0, 2400.0), I_sc=0.0)
+    g = eval_curve(params, log_grid(1e-9, 1e-1, 20))
+    series = CorrelationSeries(g.tau, g.g, 0.01 * g.g)
+    config = FitConfig(split_tau=split_tau)
+    if split_tau > 1e-5:
+        slow = fit_slow(series, config)
+        assert slow.values["T_L"] == pytest.approx(statistics_from_params(params).T_L, rel=1e-3)
+        return
+    message = (
+        f"no resolvable bunching above the split delay split_tau = {split_tau:g} s: the emitter does not "
+        "blink on these delays, or the split lies inside the antibunching dip, whose rise the slow model "
+        "cannot follow"
+    )
+    with pytest.raises(DegenerateFitError) as info:
+        fit_slow(series, config)
+    assert str(info.value) == message
+
+
 def test_insufficient_points():
     tau = log_grid(1e-6, 1e-3, 2)
     series = CorrelationSeries(tau, np.ones(tau.size))

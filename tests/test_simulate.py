@@ -565,13 +565,13 @@ def test_estimate_g_split_follows_the_rate_not_the_length(monkeypatch):
     # records of one rate split at one delay whatever their length. A fixed
     # pair budget split these two at 1.4e-2 and 1.4e-3 s.
     limits = []
-    exact_counts = simulate._exact_counts
+    pair_counter = simulate._pair_counter
 
-    def recorded(times, edges):
+    def recorded(edges, duration):
         limits.append(edges[-1])
-        return exact_counts(times, edges)
+        return pair_counter(edges, duration)
 
-    monkeypatch.setattr(simulate, "_exact_counts", recorded)
+    monkeypatch.setattr(simulate, "_pair_counter", recorded)
     edges = log_grid(1e-9, 1e-1, 20)
     for duration in (1.0, 10.0):
         series = estimate_g(poisson_trajectory(1e5, duration, 21), edges)
@@ -658,6 +658,27 @@ def brute_force_pairs(times, edges):
     return np.bincount(which, minlength=edges.size - 1)
 
 
+def exact_counts(times, edges):
+    """The exact stage's pair counts per bin of ``edges``, every bin counted
+    exactly, by the correlator fed ``times`` in blocks of ``_BLOCK``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_exact_bins", all_exact)
+        correlator = simulate._Correlator(times.size, max(times[-1], 10.0 * edges[-1]), edges)
+    assert correlator.run(times[start : start + simulate._BLOCK] for start in range(0, times.size, simulate._BLOCK))
+    return correlator.pairs[1:-1]
+
+
+def lattice_sums(times, lags):
+    """The lattice stage's boundary sums per width of ``lags``, its
+    lattices fed ``times`` in blocks of ``_BLOCK``."""
+    lattices = simulate._lattices(lags)
+    finest = lattices[min(lags)]
+    for start in range(0, times.size, simulate._BLOCK):
+        finest.add_times(times[start : start + simulate._BLOCK])
+    finest.close()
+    return {width: lattice.sums for width, lattice in lattices.items()}
+
+
 def lattice_reference(times, duration, edges):
     """Quantized windows and pair counts by one np.dot per lattice lag."""
     bins = []
@@ -724,7 +745,7 @@ def test_exact_counts_of_a_tied_record(monkeypatch, block):
     monkeypatch.setattr(simulate, "_BLOCK", block)
     for cores in (1, 2, 3):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-        assert np.array_equal(simulate._exact_counts(times, edges), brute_force_pairs(times, edges))
+        assert np.array_equal(exact_counts(times, edges), brute_force_pairs(times, edges))
 
 
 def test_estimate_g_tied_record_is_not_quadratic():
@@ -758,26 +779,35 @@ def test_estimate_g_same_bytes_on_any_core_count(monkeypatch):
 
 @pytest.mark.parametrize("failing", [1, 2])
 def test_exact_counts_failing_block_leaves_no_thread(monkeypatch, failing):
-    # On two cores the second block is a worker's and the third the
-    # calling thread's; either error ends the count with no thread left.
+    # On two cores the counts of the blocks go two to a group, the first
+    # on the calling thread: the second block's count is a worker's and
+    # the third's the calling thread's; either error ends the estimate with
+    # no thread left.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(simulate, "_BLOCK", 7)
-    in_order = simulate._in_order
-
-    def failing_block(work, blocks, take):
-        def fail(start):
-            if start == 7 * failing:
-                raise OSError("block failed")
-            return work(start)
-
-        in_order(fail, blocks, take)
-
-    monkeypatch.setattr(simulate, "_in_order", failing_block)
+    monkeypatch.setattr(simulate, "_exact_bins", all_exact)
     times = np.linspace(0.0, 1.0, 50)
+    pair_counter, counted = simulate._pair_counter, []
+
+    def failing_block(edges, duration):
+        count = pair_counter(edges, duration)
+
+        def fail(window, sources):
+            counted.append((window[0], threading.get_ident()))
+            if window[0] == times[7 * failing]:
+                raise OSError("block failed")
+            return count(window, sources)
+
+        return fail
+
+    monkeypatch.setattr(simulate, "_pair_counter", failing_block)
     threads = threading.active_count()
     with pytest.raises(OSError, match="block failed"):
-        simulate._exact_counts(times, log_grid(1e-3, 1e-1, 5))
+        estimate_g(Trajectory(times=times, duration=1.0), log_grid(1e-3, 1e-1, 5))
     assert threading.active_count() == threads
+    # The counts of a group run at once, so they are looked up by window.
+    thread = dict(counted)[times[7 * failing]]
+    assert (thread == threading.get_ident()) == (failing == 2)
 
 
 def test_exact_counts_working_set():
@@ -791,7 +821,7 @@ def test_exact_counts_working_set():
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        simulate._exact_counts(times, edges)
+        simulate._pair_counter(edges, times[-1])(times, times.size)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -840,17 +870,19 @@ def test_lattice_stage_bins_a_gappy_record_in_one_pass(monkeypatch):
     assert np.array_equal(windows, want_windows)
     np.testing.assert_allclose(series.g, counts / (rate * rate * norms), rtol=1e-12, atol=0.0)
 
+    # No lattice is held whole, although the finest has a million cells:
+    # a lattice works blocks of up to 2 * _BLOCK cells, as float64, with
+    # their running sums.
     lags = {5e-6: [20, 200], 5e-5: [20, 200], 5e-4: [20, 200]}
-    lattices = sum(int(times[-1] / width) + 1 for width in lags)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        simulate._lattice_sums(times, lags)
+        lattice_sums(times, lags)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak - lattices <= 80 * simulate._BLOCK
+    assert peak <= 160 * simulate._BLOCK
 
 
 def test_lattice_stage_nests_coarse_cells_in_fine_ones():
@@ -862,7 +894,7 @@ def test_lattice_stage_nests_coarse_cells_in_fine_ones():
     # cell 0, although 5e-05 * (1 / 5e-05) = 1.0.
     times = np.arange(1, 11) * 5e-05
     lags = {5e-6: [1, 10, 20], 5e-5: [1, 2, 5], 5e-4: [1, 2]}
-    sums = simulate._lattice_sums(times, lags)
+    sums = lattice_sums(times, lags)
     fine = (times * (1 / 5e-06)).astype(int)
     for (width, ks), ratio in zip(lags.items(), (1, 10, 100)):
         cells = np.bincount(fine // ratio).astype(float)
@@ -1166,6 +1198,82 @@ def test_read_trajectory_never_parses_ordinary_times_one_by_one(tmp_path, monkey
         assert np.array_equal(again.times.view(np.int64), times.view(np.int64))
         assert line_wise == [0]
     assert len(unproven) > 2 and not any(unproven)
+
+
+def streamed_records():
+    """Records over 1 s for the streamed estimate, by name: with ties, with
+    a gap of 0.8 s, with more than 255 photons in one lattice cell, and of
+    40 photons, fewer than one block of rows."""
+    rng = np.random.Generator(np.random.Philox(key=[8, 6]))
+    poisson = np.sort(rng.uniform(0.0, 1.0, 3000))
+    return {
+        "ties": np.sort(np.concatenate([poisson, np.repeat(poisson[::10], 3)])),
+        "gap": np.concatenate([poisson[poisson < 0.1], 0.9 + poisson[poisson < 0.1]]),
+        "crowded-cell": np.sort(np.concatenate([poisson, np.full(300, 0.5)])),
+        "short": poisson[:40],
+    }
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_streamed_estimate_equals_the_record_read_whole(tmp_path, monkeypatch, cores):
+    # Blocks of 50 rows and pieces of 256 lattice cells, so each record
+    # but the short one spans many blocks of both stages, and the gap many
+    # pieces; whatever the number of cores.
+    monkeypatch.setattr(simulate, "_WRITE_BLOCK", 50)
+    monkeypatch.setattr(simulate, "_BLOCK", 256)
+    parse_on_cores(monkeypatch, cores)
+    edges = log_grid(1e-6, 1e-1, 5)
+    for name, times in streamed_records().items():
+        path = str(tmp_path / f"{name}.traj")
+        write_trajectory(Trajectory(times=times, duration=1.0, seed=3), path)
+        series, photons, limit, seed = simulate._estimate_record(path, edges)
+        whole = read_trajectory(path)
+        expected = estimate_g(whole, edges)
+        assert [series.tau.tobytes(), series.g.tobytes(), series.sigma.tobytes()] == [
+            expected.tau.tobytes(), expected.g.tobytes(), expected.sigma.tobytes()
+        ], name
+        assert (photons, limit, seed) == (len(whole), simulate._exact_limit(whole, edges), 3), name
+        # Both stages run, but on the short record.
+        assert (edges[0] < limit < edges[-1]) == (name != "short"), (name, limit)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        "malformed", "unsorted", "out-of-range", "not-finite", "comment", "percent-17g",
+        "no-duration", "one-photon", "too-short",
+    ],
+)
+def test_streamed_estimate_leaves_to_the_reader_what_it_refuses(tmp_path, monkeypatch, edit):
+    # A row of the last block the reader or Trajectory refuses, a file that
+    # is not whole rows after its header, and a record or edges the
+    # correlator refuses: the streamed estimate gives None, and the file is
+    # read whole.
+    monkeypatch.setattr(simulate, "_WRITE_BLOCK", 50)
+    times = streamed_records()["ties"]
+    lines = [b"# duration = 1.0"] + [b"%.16e" % t for t in times.tolist()]
+    edges = log_grid(1e-6, 1e-1, 5)
+    if edit == "malformed":
+        lines[-3] = b"0.5 0.6".ljust(22)
+    elif edit == "unsorted":
+        lines[-3] = b"%.16e" % 0.25
+    elif edit == "out-of-range":
+        lines[-1] = b"%.16e" % 1.5
+    elif edit == "not-finite":
+        lines[-1] = b"nan".ljust(22)
+    elif edit == "comment":
+        lines[-3:-3] = [b"# seed = 4".ljust(22)]
+    elif edit == "percent-17g":
+        lines[1:] = [b"%.17g" % t for t in times.tolist()]
+    elif edit == "no-duration":
+        lines[0] = b"# seed = 4".ljust(22)
+    elif edit == "one-photon":
+        lines[2:] = []
+    else:
+        edges = log_grid(0.2, 0.5, 5)
+    path = tmp_path / "traj.txt"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert simulate._estimate_record(str(path), edges) is None
 
 
 @pytest.mark.parametrize("failing", [1, 2])
