@@ -18,15 +18,18 @@ paths relative to it, so that the manifests are reproducible too:
   ``--json-out`` and ``--curve-out``), ``estimate-g`` of criterion 6's
   record on a grid above its antibunching, ``1e-4:1e-1:20``, and ``fit``
   of that estimate with ``split_tau`` below every delay (the partial,
-  slow-stage-only report), ``fit`` of the reference curve, and
-  ``selftest``.
+  slow-stage-only report), ``fit`` of the reference curve,
+  ``selftest``, ``simulate`` of criterion 6 as in the first line but
+  without ``--g-out`` (the route that streams the record to the file,
+  whose record's digest equals the first line's), and ``simulate`` of
+  criterion 6's emitter with a background of ``I_sc = 1e4`` for 10 s.
 
 The first three lines are those digests. Then, for every command (the
 three above included), one line for its stdout and one for each output
 file and its ``.manifest.json``. The outputs are fixed by the seeds, so
 equal digests show that a change kept the records, the correlator, the
 fitter, the reports and the manifests byte for byte. The script compares
-its 47 lines with scripts/record_digests.txt, prints the lines that
+its 53 lines with scripts/record_digests.txt, prints the lines that
 differ and then exits with 1 (see scripts/recorded.py). Run from the
 root of a checkout: the program is imported from ./src and the generator
 from ./perfbench. It takes about 10 s and 0.5 GB of memory on a 2-core
@@ -61,6 +64,7 @@ SLOW_GRID = "1e-4:1e-1:20"
 PARTIAL_FIT = {"split_tau": 1e-9}
 INPUTS = {
     "criterion6.txt": CRITERION_6,
+    "background.txt": CRITERION_6.replace("I_sc = 0.0", "I_sc = 1e4"),
     "reference.txt": REFERENCE,
     "chain.txt": CHAIN,
     "fit.cfg": "".join(f"{key} = {value}\n" for key, value in ANALYSE_FIT.items()),
@@ -79,6 +83,9 @@ COMMANDS = [
     ("fit", "--data", "slow-g.csv", "--config", "partial.cfg", "--out", "partial.txt", "--json-out", "partial.json"),
     ("fit", "--data", "eval.csv", "--out", "eval-fit.txt", "--json-out", "eval-fit.json"),
     ("selftest",),
+    ("simulate", "--params", "criterion6.txt", "--duration", str(SECONDS), "--seed", str(SEED),
+     "--out", "streamed.traj"),
+    ("simulate", "--params", "background.txt", "--duration", "10.0", "--seed", str(SEED), "--out", "background.traj"),
 ]
 OUTPUT_FLAGS = ("--out", "--g-out", "--json-out", "--curve-out")
 

@@ -61,14 +61,14 @@ from .params import (
 )
 from .simulate import (
     _EmissionSampler,
+    _estimate_blocks,
     _estimate_record,
     _exact_limit,
+    _simulate_record,
     estimate_g,
     light_fraction,
     read_trajectory,
     simulate_periods,
-    simulate_photons,
-    write_trajectory,
 )
 
 _DEFAULT_EVAL_GRID = "1e-10:1:60"
@@ -211,16 +211,18 @@ def _cmd_simulate(args: argparse.Namespace, argv: list[str], inputs: Future[dict
     params = read_params(args.params)
     stats = statistics_from_params(params)
     periods = simulate_periods(stats, args.duration, args.seed)
-    trajectory = simulate_photons(periods, params, args.seed)
-    write_trajectory(trajectory, args.out)
+    # The record is written block by block as the sampler draws it; the
+    # estimate, which needs the photon count first, takes the kept blocks.
+    photons, blocks = _simulate_record(periods, params, args.seed, args.out, keep=args.g_out is not None)
     print(
-        f"simulated {len(trajectory)} photons over {trajectory.duration:g} s "
+        f"simulated {photons.count} photons over {photons.duration:g} s "
         f"({len(periods)} periods, light fraction {light_fraction(periods):.4f})"
     )
     outputs = [args.out]
     if args.g_out is not None:
         edges = _parse_grid(args.grid)
-        _write_estimate(estimate_g(trajectory, edges), len(trajectory), _exact_limit(trajectory, edges), args.g_out)
+        series, limit = _estimate_blocks(blocks, photons.count, photons.duration, edges)
+        _write_estimate(series, photons.count, limit, args.g_out)
         outputs.append(args.g_out)
     _write_manifests(
         "simulate", argv, inputs, outputs, params.as_dict(), args.seed

@@ -192,7 +192,8 @@ def _blink_factor(tau: np.ndarray, ld1, ld2, dl1, dl2) -> np.ndarray:
     one row of ``m`` by ``tau.size`` each. Sets with near-degenerate
     eigenvalues take the matrix exponential one at a time; the propagator's
     :class:`DegenerateInputError` there is raised for floats, and turns
-    that set's row into NaN for columns."""
+    that set's row into NaN for columns. For floats, closed-form
+    coefficients that overflow raise it too."""
     mu1, mu2, p_l = _relaxation(ld1, ld2, dl1, dl2)
     degenerate = _is_degenerate(mu1, mu2)
     if not isinstance(degenerate, np.ndarray):
@@ -229,6 +230,12 @@ def _closed_factor(tau, ld1, ld2, dl1, dl2, mu1, mu2) -> np.ndarray:
     )
     c_plus = 0.5 * alpha + 0.25 * beta / gamma
     c_minus = 0.5 * alpha - 0.25 * beta / gamma
+    # Rates far apart overflow beta's products; floats do so silently.
+    if not isinstance(c_plus, np.ndarray) and not (math.isfinite(c_plus) and math.isfinite(c_minus)):
+        raise DegenerateInputError(
+            f"the blink factor is out of float64 range at p_LD = ({ld1!r}, {ld2!r}), p_DL = ({dl1!r}, {dl2!r}): "
+            f"its coefficients are c_plus = {c_plus!r}, c_minus = {c_minus!r}"
+        )
     # 1 + c_plus e^(mu1 tau) + c_minus e^(mu2 tau), summed in that order, in
     # place: a wide stack's temporaries outgrow the cache.
     out = np.asarray(mu1 * tau)

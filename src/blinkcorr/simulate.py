@@ -57,6 +57,8 @@ _BLOCK = 1 << 16
 # is also a block of sources of its exact stage.
 _WRITE_BLOCK = 1 << 15
 _TABLE_BITS = 8
+# The largest double whose square is finite.
+_SQUARE_MAX = math.sqrt(np.finfo(float).max)
 # Header keys a trajectory file sets, with the converters of their values.
 _HEADER_FIELDS = {"duration": float, "seed": int}
 
@@ -143,11 +145,20 @@ class _EmissionSampler:
     that step departs from the dense table by more than one grid step
     (the tail and sharp knees of the curve) are served by the dense
     table, so every draw lies within one grid step of it.
+
+    The dense table and the check of the coarse one are worked in blocks
+    of ``_TABLE_BLOCK`` points, so the set-up holds the tables (about
+    9.5 MB) and the dense grid, and no temporary of the survival kernel
+    spans the grid. A drive so weak that the table reaches past about
+    1e154 s still gives finite entries, and waits that no light period
+    holds; a table whose end or drive phase leaves float64's range
+    raises :class:`DegenerateInputError`.
     """
 
     _POINTS = 1 << 19
     _CELLS = 1 << 16
     _TAIL = 1e-26
+    _TABLE_BLOCK = 1 << 15
 
     def __init__(self, A31: float, Omega31: float) -> None:
         self.A31 = float(A31)
@@ -162,18 +173,31 @@ class _EmissionSampler:
         if not math.isfinite(self.mean_wait):
             raise DegenerateInputError(f"no photon can be drawn at A31 = {a!r}, Omega31 = {w!r}: no finite mean wait")
 
+        # The drive's phase 0.5 g t, with g below Omega31, and the table's
+        # end must stay finite.
         t_max = 8.0 * self.mean_wait
-        while self._survival(np.array([t_max]))[0] > self._TAIL:
+        while math.isfinite(2.0 * w * t_max) and self._survival(np.array([t_max]))[0] > self._TAIL:
             t_max *= 2.0
             if t_max > 1e9 * self.mean_wait:  # pragma: no cover
                 break
+        if not math.isfinite(w * t_max):
+            raise DegenerateInputError(
+                f"no photon can be drawn at A31 = {a!r}, Omega31 = {w!r}: the waits' table ends past float64's range"
+            )
         grid = np.linspace(0.0, t_max, self._POINTS)
         self.grid_step = float(grid[1])
-        surv = self._survival(grid)
-        surv = np.minimum.accumulate(surv)
-        # Reverse so the abscissa is increasing for interpolation.
-        self._surv_rev = surv[::-1].copy()
+        # The running minimum of the survival, reversed so the abscissa is
+        # increasing for interpolation.
+        self._surv_rev = np.empty(self._POINTS)
+        floor = math.inf
+        for start in range(0, self._POINTS, self._TABLE_BLOCK):
+            surv = self._survival(grid[start : start + self._TABLE_BLOCK])
+            np.minimum.accumulate(surv, out=surv)
+            np.minimum(surv, floor, out=surv)
+            floor = surv[-1]
+            self._surv_rev[self._POINTS - start - surv.size : self._POINTS - start] = surv[::-1]
         self._grid_rev = grid[::-1].copy()
+        del grid
 
         coarse = self.table_waits(np.arange(self._CELLS + 1) / self._CELLS)
         self._base = coarse[:-1]
@@ -182,9 +206,13 @@ class _EmissionSampler:
         # so inside a cell they lie furthest apart at a dense node. With no
         # cell flagged yet, waits() is the coarse table alone.
         self._flagged = np.zeros(self._CELLS, dtype=bool)
-        far = np.abs(self.waits(self._surv_rev) - self._grid_rev) > self.grid_step
-        cell = (self._surv_rev[far] * self._CELLS).astype(np.intp)
-        self._flagged[np.minimum(cell, self._CELLS - 1)] = True
+        flagged = np.zeros(self._CELLS, dtype=bool)
+        for start in range(0, self._POINTS, self._TABLE_BLOCK):
+            surv = self._surv_rev[start : start + self._TABLE_BLOCK]
+            far = np.abs(self.waits(surv) - self._grid_rev[start : start + self._TABLE_BLOCK]) > self.grid_step
+            cell = (surv[far] * self._CELLS).astype(np.intp)
+            flagged[np.minimum(cell, self._CELLS - 1)] = True
+        self._flagged = flagged
 
     def _survival(self, t: np.ndarray) -> np.ndarray:
         a, w = self.A31, self.Omega31
@@ -204,7 +232,16 @@ class _EmissionSampler:
             x = 0.5 * g * t
             sinc = _sinc(x)
             c1 = decay * (np.cos(x) + (0.25 * a * t) * sinc)
-            c3_sq = decay**2 * (0.5 * w * t) ** 2 * sinc**2
+            # Past t of about 1e154 / Omega31 the square of 0.5 Omega31 t
+            # overflows, while c3 = 0.5 Omega31 t sinc(x) stays below
+            # Omega31 / g; there c3 is squared whole.
+            wide = 0.5 * w * t > _SQUARE_MAX
+            if not wide.any():
+                return c1 * c1 + decay**2 * (0.5 * w * t) ** 2 * sinc**2
+            c3_sq = np.empty_like(t)
+            narrow = ~wide
+            c3_sq[narrow] = decay[narrow] ** 2 * (0.5 * w * t[narrow]) ** 2 * sinc[narrow] ** 2
+            c3_sq[wide] = (decay[wide] * (0.5 * w * t[wide]) * sinc[wide]) ** 2
             return c1 * c1 + c3_sq
         # Near the critical drive both branches collapse onto polynomials.
         c1 = decay * (1.0 + 0.25 * a * t)
@@ -232,7 +269,11 @@ def _sinc(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < 1e-6
     safe = np.where(small, 1.0, x)
-    return np.where(small, 1.0 - x * x / 6.0, np.sin(safe) / safe)
+    out = np.sin(safe)
+    out /= safe
+    # The series only where it is taken: the square of a large x overflows.
+    out[small] = 1.0 - x[small] * x[small] / 6.0
+    return out
 
 
 def simulate_periods(
@@ -306,103 +347,166 @@ def simulate_photons(
     Poisson process at ``params.I_sc`` over the whole record and are
     merged in.
 
-    The arrivals fill one array sized from the expected count, which
-    grows by a copy only when a record outruns it. The waits come in
-    chunks of ``_BLOCK``, one chunk per core at a time: the calling
-    thread draws each chunk's uniforms in stream order, every core turns
-    one chunk into waits, and the calling thread walks the periods
-    through them in order. One stable sort (timsort) ends it: it passes
-    over the molecule photons, which come out of the walk in order, in
-    linear time and merges the background photons in. A record whose
-    expected count of times no array can index raises
+    The record comes from :class:`_Photons` as sorted blocks, the ones
+    ``blinkcorr simulate`` writes as they come; here they fill one array
+    sized from the expected count, which grows by a copy only when a
+    record outruns it. A block :class:`Trajectory` would refuse in the
+    record raises its :class:`ValueError`, and a record whose expected
+    count of times no array can index raises
     :class:`DegenerateInputError` before a photon is drawn.
     """
-    periods = np.asarray(periods, dtype=float)
-    if periods.ndim != 2 or periods.shape[1] != 3 or periods.shape[0] == 0:
-        raise ValueError("periods must be a non-empty (n, 3) record")
-    duration = float(periods[-1, 2])
-
-    rng_mol = _stream_rng(seed, _STREAM_MOLECULE)
-    rng_bg = _stream_rng(seed, _STREAM_BACKGROUND)
-
-    sampler = _EmissionSampler(params.A31, params.Omega31)
-    light = periods[(periods[:, 0] == 0.0) & (periods[:, 2] > periods[:, 1])]
-    starts = light[:, 1]
-    spans = light[:, 2] - starts
-
-    expected = spans.sum() / sampler.mean_wait
-    # A record whose times no array can index is refused up front, by its
-    # count, before a draw or an allocation.
-    count = expected + params.I_sc * duration
-    if not 8.0 * (count + 4.0 * math.sqrt(count) + _BLOCK) < np.iinfo(np.intp).max:
-        raise DegenerateInputError(f"a record of about {count:.3g} photons holds more times than an array can index")
-    n_bg = rng_bg.poisson(params.I_sc * duration) if params.I_sc > 0.0 else 0
-    times = np.empty(int(expected + 4.0 * math.sqrt(expected)) + _BLOCK + n_bg)
+    photons = _Photons(periods, params, seed)
+    times = np.empty(int(photons.expected + 4.0 * math.sqrt(photons.expected)) + _BLOCK + photons.background.size)
     filled = 0
 
-    # Waits come in chunks, one running sum per chunk. A light period
-    # keeps the waits whose running sum from its own start stays below
-    # its span, drops the wait that crosses it, and the next period
-    # starts on the wait after; a period that outlasts the chunk carries
-    # the time it has run into the next one.
-    k = 0
-    elapsed = 0.0
+    def take(block: np.ndarray) -> None:
+        nonlocal times, filled
+        end = filled + block.size
+        if end > times.size:
+            grown = np.empty(2 * end)
+            grown[:filled] = times[:filled]
+            times = grown
+        times[filled:end] = block
+        filled = end
 
-    def chunks() -> Iterator[np.ndarray]:
-        # Drawn ahead of the walk; the walk skips chunks drawn after the
-        # last period, which use up a stream nothing else reads.
-        while k < spans.size:
-            yield rng_mol.random(_BLOCK)
+    _run_jobs(photons.jobs(take))
+    return Trajectory(times=times[:filled], duration=photons.duration, seed=seed)
 
-    def running_sum(u: np.ndarray) -> np.ndarray:
-        return np.cumsum(sampler.waits(u))
 
-    def walk(total: np.ndarray) -> None:
-        nonlocal k, elapsed, filled, times
-        if k == spans.size:
+class _Photons:
+    """The photons :func:`simulate_photons` emits along ``periods``, as
+    blocks of sorted times that the jobs of :meth:`jobs` pass on in record
+    order.
+
+    The waits come in chunks of ``_BLOCK``: the calling thread draws each
+    chunk's uniforms in stream order, a pool job turns them into waits and
+    their running sum, and the job's handler walks the periods through
+    them in order. Each chunk's arrivals, in order but for a rare one-ulp
+    swap at a light period's end, then pass on up to a bound that no
+    later arrival undercuts: the last arrival of a light period that runs
+    on into the next chunk, or else the start of the next light period
+    (the least start of the periods left, for a record whose light
+    periods overlap). The times above it are held back and merged into
+    the next block.
+
+    The background draws are made, and sorted, up front, and each block
+    takes those below its bound: they are all that is held besides a
+    chunk or two, so the memory grows with the background count only.
+    Tied times are equal floats, so which of them comes first changes no
+    byte. The record is the one the whole list of times, sorted, gives.
+    """
+
+    def __init__(self, periods: np.ndarray, params: PhotoPhysicalParams, seed: int) -> None:
+        periods = np.asarray(periods, dtype=float)
+        if periods.ndim != 2 or periods.shape[1] != 3 or periods.shape[0] == 0:
+            raise ValueError("periods must be a non-empty (n, 3) record")
+        self.duration = float(periods[-1, 2])
+
+        self.rng = _stream_rng(seed, _STREAM_MOLECULE)
+        rng_bg = _stream_rng(seed, _STREAM_BACKGROUND)
+
+        self.sampler = _EmissionSampler(params.A31, params.Omega31)
+        light = periods[(periods[:, 0] == 0.0) & (periods[:, 2] > periods[:, 1])]
+        self.starts = light[:, 1]
+        self.spans = light[:, 2] - self.starts
+        # No arrival of light period k or a later one lies below floor[k].
+        self.floor = np.append(np.minimum.accumulate(self.starts[::-1])[::-1], math.inf)
+
+        self.expected = self.spans.sum() / self.sampler.mean_wait
+        # A record whose times no array can index is refused up front, by its
+        # count, before a draw or an allocation.
+        count = self.expected + params.I_sc * self.duration
+        if not 8.0 * (count + 4.0 * math.sqrt(count) + _BLOCK) < np.iinfo(np.intp).max:
+            raise DegenerateInputError(
+                f"a record of about {count:.3g} photons holds more times than an array can index"
+            )
+        n_bg = rng_bg.poisson(params.I_sc * self.duration) if params.I_sc > 0.0 else 0
+        self.background = rng_bg.uniform(0.0, self.duration, n_bg)
+        self.background.sort()
+
+        # The walk: the next light period, and the time it has run before
+        # the next chunk. The blocks: the times held back, the background
+        # times merged so far, and the last time passed on.
+        self.k, self.elapsed = 0, 0.0
+        self.held, self.merged, self.last = np.empty(0), 0, -math.inf
+        self.count = 0
+
+    def jobs(self, emit: Callable[[np.ndarray], None]) -> Iterator[tuple[Callable[[Any], None], Callable[[], Any]]]:
+        """The record's jobs for :func:`_run_jobs`, whose handlers pass its
+        blocks to ``emit`` in order. A record without a light period is
+        passed on as they are drawn; the others are drawn while a light
+        period is left to walk."""
+        self.emit = emit
+        if not self.spans.size:
+            self._pass(np.empty(0), math.inf)
+        while self.k < self.spans.size:
+            # Drawn ahead of the walk; the walk skips chunks drawn after the
+            # last period, which use up a stream nothing else reads.
+            u = self.rng.random(_BLOCK)
+            yield self._walk, lambda u=u: np.cumsum(self.sampler.waits(u))
+
+    def _walk(self, total: np.ndarray) -> None:
+        # A light period keeps the waits whose running sum from its own
+        # start stays below its span, drops the wait that crosses it, and
+        # the next period starts on the wait after; a period that outlasts
+        # the chunk carries the time it has run into the next one.
+        if self.k == self.spans.size:
             return
         # Per period met in this chunk, from the first: the end of its
         # kept waits, which start one past the previous period's end, and
         # the running sum its arrivals count from.
-        first = k
+        first = self.k
         stop, origin = [], []
         p = 0
-        while k < spans.size and p < total.size:
-            base = (total[p - 1] if p else 0.0) - elapsed
-            q = max(int(total.searchsorted(base + spans[k])), p)
+        while self.k < self.spans.size and p < total.size:
+            base = (total[p - 1] if p else 0.0) - self.elapsed
+            q = max(int(total.searchsorted(base + self.spans[self.k])), p)
             stop.append(q)
             origin.append(base)
             if q == total.size:
-                elapsed = total[-1] - base
+                self.elapsed = total[-1] - base
             else:
-                elapsed = 0.0
-                k += 1
+                self.elapsed = 0.0
+                self.k += 1
             p = q + 1
         # The waits that ended a period are dropped.
         counts = np.diff(stop, prepend=-1) - 1
         kept = np.ones(stop[-1], dtype=bool)
         kept[stop[:-1]] = False
-        end = filled + int(counts.sum())
-        if end + n_bg > times.size:
-            grown = np.empty(2 * (end + n_bg))
-            grown[:filled] = times[:filled]
-            times = grown
-        arrivals = times[filled:end]
-        np.compress(kept, total[: stop[-1]], out=arrivals)
+        arrivals = np.compress(kept, total[: stop[-1]])
         arrivals -= np.repeat(origin, counts)
-        arrivals += np.repeat(starts[first : first + len(stop)], counts)
-        filled = end
+        arrivals += np.repeat(self.starts[first : first + len(stop)], counts)
+        # Within a period the arrivals grow, also across chunks, and none
+        # lies before its start.
+        bound = float(self.floor[self.k])
+        if stop[-1] == total.size:
+            bound = min(float(arrivals[-1]), float(self.floor[self.k + 1]))
+        self._pass(arrivals, bound)
 
-    _in_order(running_sum, chunks(), walk)
-
-    times = times[: filled + n_bg]
-    if n_bg:
-        times[filled:] = rng_bg.uniform(0.0, duration, n_bg)
-    # The walk gives the molecule photons in order, but for a rare one-ulp
-    # swap at a period's end, so timsort passes over them in linear time
-    # and merges the background draws in.
-    times.sort(kind="stable")
-    return Trajectory(times=times, duration=duration, seed=seed)
+    def _pass(self, arrivals: np.ndarray, bound: float) -> None:
+        """Pass on the times held back, ``arrivals`` and the background
+        times up to ``bound``, sorted, and hold back the rest; all of them
+        at the end of the record, ``bound`` inf."""
+        cut = int(self.background.searchsorted(bound, side="right"))
+        block = arrivals
+        if self.held.size or cut > self.merged:
+            block = np.concatenate([self.held, arrivals, self.background[self.merged : cut]])
+            self.merged = cut
+        # Timsort: one pass over a block in order, and a merge of the runs
+        # of the rest.
+        block.sort(kind="stable")
+        cut = block.size if bound == math.inf else int(block.searchsorted(bound, side="right"))
+        self.held = block[cut:].copy()
+        block = block[:cut]
+        refusal = _refusal(block, self.duration, self.last)
+        if refusal is not None:
+            raise ValueError(refusal)
+        if block.size:
+            self.count += block.size
+            self.last = float(block[-1])
+        # In pieces of a chunk at most, which the background can outgrow.
+        for start in range(0, block.size, _BLOCK):
+            self.emit(block[start : start + _BLOCK])
 
 
 def estimate_g(
@@ -575,9 +679,7 @@ class _Correlator:
             while self.ready:
                 yield self.pairs.__iadd__, self.ready.pop(0)
 
-        # Each job is the handler of its result on the calling thread and
-        # the task that makes that result.
-        _in_order(lambda job: (job[0], job[1]()), jobs(), lambda done: done[0](done[1]))
+        _run_jobs(jobs())
         if self.refused or self.seen != self.n:
             return False
         self._dispatch(end=True)
@@ -935,6 +1037,13 @@ def _in_order(work: Callable[[Any], Any], blocks: Iterable[Any], take: Callable[
             group = list(itertools.islice(blocks, workers))
 
 
+def _run_jobs(jobs: Iterable[tuple[Callable[[Any], object], Callable[[], Any]]]) -> None:
+    """Run ``jobs`` through :func:`_in_order`: each job is the handler of
+    its result, run on the calling thread in job order, and the task that
+    makes that result."""
+    _in_order(lambda job: (job[0], job[1]()), jobs, lambda done: done[0](done[1]))
+
+
 def write_trajectory(trajectory: Trajectory, path: str) -> None:
     """Write arrival times as text, one per line, after a short header.
 
@@ -943,15 +1052,78 @@ def write_trajectory(trajectory: Trajectory, path: str) -> None:
     The times are formatted in blocks on one thread per core the process
     may run on, and the texts go to the file in block order; at most one
     block per core is in flight, so the text is never held whole in memory.
+    ``blinkcorr simulate`` writes its record through the same writer
+    (:func:`_write_times`) as the blocks come from the photon sampler, and
+    holds no array of all times.
     """
-    header = f"# duration = {format_float(trajectory.duration)}\n"
-    if trajectory.seed is not None:
-        header += f"# seed = {trajectory.seed}\n"
-    times = trajectory.times
-    blocks = (times[start : start + _WRITE_BLOCK] for start in range(0, times.size, _WRITE_BLOCK))
+    _write_times(path, trajectory.duration, trajectory.seed, [trajectory.times])
+
+
+def _write_times(
+    path: str, duration: float, seed: int | None, ready: list[np.ndarray], jobs: Iterable[Any] = ()
+) -> None:
+    """Write the trajectory file of the blocks of sorted times in
+    ``ready``, in order: those in it at the start and those the handlers
+    of ``jobs`` (:func:`_run_jobs`) append to it. The blocks are formatted
+    in pieces of ``_WRITE_BLOCK`` times by pool jobs among ``jobs``, and
+    each is written, and dropped from ``ready``, on the calling thread."""
+    header = f"# duration = {format_float(duration)}\n"
+    if seed is not None:
+        header += f"# seed = {seed}\n"
     with _atomic_open(path) as handle:
+
+        def formats() -> Iterator[tuple[Callable[[bytes], object], Callable[[], bytes]]]:
+            while ready:
+                block = ready.pop(0)
+                for start in range(0, block.size, _WRITE_BLOCK):
+                    yield handle.write, lambda piece=block[start : start + _WRITE_BLOCK]: _format_times(piece)
+
+        def all_jobs() -> Iterator[tuple[Callable[[Any], object], Callable[[], Any]]]:
+            for job in jobs:
+                yield job
+                yield from formats()
+            yield from formats()
+
         handle.write(header.encode())
-        _in_order(_format_times, blocks, handle.write)
+        _run_jobs(all_jobs())
+        # The blocks of the takes of the last group.
+        for write, text in formats():
+            write(text())
+
+
+def _simulate_record(
+    periods: np.ndarray, params: PhotoPhysicalParams, seed: int, path: str, keep: bool
+) -> tuple[_Photons, list[np.ndarray]]:
+    """Write :func:`simulate_photons` of ``periods``, ``params`` and
+    ``seed`` to ``path`` as :func:`write_trajectory` would, byte for byte,
+    each block as it comes from the sampler: the waits' chunks and the
+    blocks' texts are jobs of one :func:`_in_order`. Returns the photons,
+    whose ``count`` and ``duration`` are the record's, and, with ``keep``,
+    the record's times as blocks in order; without, each block is dropped
+    once written."""
+    photons = _Photons(periods, params, seed)
+    ready: list[np.ndarray] = []
+    kept: list[np.ndarray] = []
+
+    def emit(block: np.ndarray) -> None:
+        ready.append(block)
+        if keep:
+            kept.append(block)
+
+    _write_times(path, photons.duration, seed, ready, photons.jobs(emit))
+    return photons, kept
+
+
+def _estimate_blocks(
+    blocks: list[np.ndarray], n: int, duration: float, edges: np.ndarray
+) -> tuple[CorrelationSeries, float]:
+    """:func:`estimate_g` of the record of ``n`` times over ``duration``
+    whose sorted ``blocks`` hold its times in order, and the delay where
+    its exact stage stops; each block leaves ``blocks`` once it is fed to
+    the correlator."""
+    correlator = _Correlator(n, duration, edges)
+    correlator.run(blocks.pop(0) for _ in range(len(blocks)))
+    return correlator.series(), correlator.limit
 
 
 def read_trajectory(path: str) -> Trajectory:

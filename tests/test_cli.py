@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -470,6 +471,190 @@ def test_simulate_with_estimate(tmp_path, slow_params_file, capsys, monkeypatch)
     assert len(series) > 10
     doc = read_manifest(g_out)
     assert set(doc["outputs"]) == {out, g_out}
+
+
+def slow_params_with(path, **values):
+    """Writes SLOW_PARAMS_TEXT with the named values, given as text, to
+    ``path``, and returns ``path`` as a string."""
+    fields = dict(line.split(" = ") for line in SLOW_PARAMS_TEXT.splitlines())
+    fields.update(values)
+    path.write_text("".join(f"{key} = {value}\n" for key, value in fields.items()))
+    return str(path)
+
+
+def simulate_whole(periods, params, seed, path, keep):
+    """``cli._simulate_record`` by the record drawn whole by
+    simulate_photons and then written by write_trajectory: the reference
+    for the streamed record."""
+    trajectory = simulate.simulate_photons(periods, params, seed)
+    write_trajectory(trajectory, path)
+    photons = types.SimpleNamespace(count=len(trajectory), duration=trajectory.duration)
+    return photons, [trajectory.times] if keep else []
+
+
+def on_grid(values, step):
+    return np.round(np.asarray(values) / step) * step
+
+
+# Light periods that overlap the one before, so a period's first arrivals
+# lie below the last ones of the period before; in the refused record the
+# second runs past the record's end.
+OVERLAPPING = [[0.0, 0.0, 0.02], [0.0, 0.015, 0.035], [0.0, 0.03, 0.045], [1.0, 0.045, 0.05]]
+PAST_THE_END = [[0.0, 0.0, 0.02], [0.0, 0.015, 0.07], [1.0, 0.02, 0.05]]
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("case", ["ties", "overlapping", "dark", "no-photon", "refused"])
+def test_simulate_streams_what_simulate_photons_and_write_trajectory_give(
+    tmp_path, capsys, monkeypatch, cores, case
+):
+    # Chunks of 7 waits and texts of 5 rows. The streamed record, stdout,
+    # manifests, exit code and, in two cases, estimate are those of the
+    # record drawn whole and then written, byte for byte: with background
+    # photons that tie with each other and with the molecule's, light
+    # periods whose arrivals interleave across chunks, a record of
+    # background photons alone, one of no photon (whose estimate is
+    # refused), and one whose later block runs past the record's end.
+    monkeypatch.setattr(simulate, "_BLOCK", 7)
+    monkeypatch.setattr(simulate, "_WRITE_BLOCK", 5)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    values = {}
+    periods = cli.simulate_periods
+    if case == "ties":
+        # Waits on a grid of 2**-16 s, periods and background on one of 2**-10 s.
+        values["I_sc"] = "2e4"
+        waits, stream_rng = simulate._EmissionSampler.waits, simulate._stream_rng
+
+        class Coarse:
+            def __init__(self, rng):
+                self.poisson, self.rng = rng.poisson, rng
+
+            def uniform(self, low, high, size):
+                return on_grid(self.rng.uniform(low, high, size), 2.0**-10)
+
+        monkeypatch.setattr(simulate._EmissionSampler, "waits", lambda self, u: on_grid(waits(self, u), 2.0**-16))
+        background = simulate._STREAM_BACKGROUND
+        monkeypatch.setattr(
+            simulate,
+            "_stream_rng",
+            lambda seed, stream: Coarse(stream_rng(seed, stream)) if stream == background else stream_rng(seed, stream),
+        )
+        monkeypatch.setattr(cli, "simulate_periods", lambda *args: on_grid(periods(*args), 2.0**-10))
+    elif case in ("overlapping", "refused"):
+        record = np.array(OVERLAPPING if case == "overlapping" else PAST_THE_END)
+        monkeypatch.setattr(cli, "simulate_periods", lambda *args: record)
+    elif case == "dark":
+        values["I_sc"] = "2e4"
+        monkeypatch.setattr(cli, "simulate_periods", lambda *args: np.array([[1.0, 0.0, 0.05]]))
+    else:
+        values["A31"] = "1e-30"
+    params = slow_params_with(tmp_path / "params.txt", **values)
+    out, g_out = str(tmp_path / "traj.txt"), str(tmp_path / "g.csv")
+    argv = ["simulate", "--params", params, "--duration", "0.05", "--seed", "3", "--out", out]
+    if case in ("ties", "no-photon"):
+        argv += ["--g-out", g_out, "--grid", "1e-5:1e-3:5"]
+
+    def run():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", HierarchyWarning)
+            code = main(argv)
+        files = []
+        for path in (out, out + ".manifest.json", g_out, g_out + ".manifest.json"):
+            files.append(open(path, "rb").read() if os.path.exists(path) else None)
+            if os.path.exists(path):
+                os.remove(path)
+        return (code, *capsys.readouterr(), *files)
+
+    streamed = run()
+    monkeypatch.setattr(cli, "_simulate_record", simulate_whole)
+    assert run() == streamed
+    code, stdout, err, record = streamed[:4]
+    expected = {"ties": 0, "overlapping": 0, "dark": 0, "no-photon": 1, "refused": 2}[case]
+    assert code == expected, err
+    if case == "refused":
+        assert (err, record) == ("error: arrival times must lie within [0, duration]\n", None)
+        return
+    times = np.array([float(line) for line in record.split(b"\n")[2:-1]])
+    assert simulated_photons(stdout) == times.size
+    if case == "ties":
+        assert np.unique(times).size < times.size - 100
+    elif case == "overlapping":
+        assert times.size > 1000
+    elif case == "dark":
+        assert 600 < times.size < 1400
+    else:
+        assert times.size == 0 and err == "error: need at least two photons to correlate\n"
+
+
+def test_simulate_memory_does_not_grow_with_the_record(tmp_path, monkeypatch, slow_params_file):
+    # Records of 4 s and 8 s of the benchmark emitter, about 370,000 and
+    # 740,000 photons: the streamed record's allocation peak is the same
+    # for both (5.7 and 5.8 MB on a 2-core x86-64 VM), where drawing the
+    # record whole grew it by the 3 MB more times and a half (8.1 to 11.2 MB). The sampler's
+    # dense table has 2**14 points, so its set-up, 13 MB at 2**19 points,
+    # does not hide the times. On one core, so the peak does not depend on
+    # how the blocks in flight overlap, and after a first run that does
+    # the imports.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(simulate._EmissionSampler, "_POINTS", 1 << 14)
+    peaks = []
+    for seconds in ("4", "4", "8"):
+        tracemalloc.start()
+        try:
+            argv = ["simulate", "--params", slow_params_file, "--duration", seconds, "--seed", "2"]
+            assert main(argv + ["--out", str(tmp_path / "traj.txt")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[2] - peaks[1]) < 0.1 * peaks[1], peaks
+
+
+@pytest.mark.parametrize("a31", ["1e-100", "1e-200", "1e-250", "1e-280", "1e-300"])
+def test_simulate_whose_drive_overflows_its_squares_writes_an_empty_record(tmp_path, capsys, a31):
+    # Below A31 of about 1e-150 the sampler's table reaches so far that
+    # the square of 0.5 Omega31 t overflowed and the survival came out NaN
+    # or inf: RuntimeWarnings, and from 1e-200 an IndexError in the lookup.
+    # The table is finite now, its waits swamp every light period, and the
+    # record holds no photon, as at A31 = 1e-30.
+    path = slow_params_with(tmp_path / "params.txt", A31=a31)
+    out = tmp_path / "traj.txt"
+    argv = ["simulate", "--params", path, "--duration", "0.01", "--seed", "1", "--out", str(out)]
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    assert [w.category for w in seen] == [HierarchyWarning]
+    stdout, err = capsys.readouterr()
+    assert stdout.startswith("simulated 0 photons over 0.01 s")
+    assert err == ""
+    assert len(blinkcorr.read_trajectory(str(out))) == 0
+
+
+def test_simulate_whose_waits_table_ends_past_float64_is_a_numerical_error(tmp_path, capsys):
+    # At A31 = 1e-303 the mean wait, 7e302 s, is finite, but the drive's
+    # phase over the table's end is not.
+    path = slow_params_with(tmp_path / "params.txt", A31="1e-303")
+    out = tmp_path / "traj.txt"
+    argv = ["simulate", "--params", path, "--duration", "0.01", "--seed", "1", "--out", str(out)]
+    code, err, seen = run_refused(argv, capsys)
+    assert (code, seen) == (1, [HierarchyWarning])
+    assert err == (
+        "error: no photon can be drawn at A31 = 1e-303, Omega31 = 290000.0: the waits' table ends past float64's range\n"
+    )
+    assert not out.exists()
+
+
+def test_blink_factor_out_of_float64_range_is_a_numerical_error(tmp_path, capsys):
+    # A32_1 = 1e154 against A21_1 = 0.0013: beta's product alpha * sigma_L
+    # overflows, so c_plus = -inf and c_minus = inf; the curve came out
+    # NaN after RuntimeWarnings and was refused as an input error, "tau
+    # and g must be finite".
+    path = slow_params_with(tmp_path / "params.txt", A32_1="1e154", A21_1="0.0013")
+    out = tmp_path / "curve.csv"
+    code, err, seen = run_refused(["eval", "--params", path, "--out", str(out)], capsys)
+    assert (code, seen) == (1, [HierarchyWarning])
+    assert err.startswith("error: the blink factor is out of float64 range at p_LD = (4.357512953367876e+153, ")
+    assert err.endswith("its coefficients are c_plus = -inf, c_minus = inf\n")
+    assert not out.exists()
 
 
 def test_written_files_get_the_mode_open_gives(tmp_path, slow_params_file):

@@ -26,7 +26,7 @@ from blinkcorr import (
     statistics_from_params,
     write_trajectory,
 )
-from blinkcorr.errors import DegenerateInputError, InsufficientDataError
+from blinkcorr.errors import DegenerateInputError, HierarchyWarning, InsufficientDataError
 from blinkcorr.simulate import _EmissionSampler
 
 
@@ -213,6 +213,63 @@ def test_emission_sampler_rarely_falls_back_to_table(monkeypatch):
     assert sum(served) < 0.01 * (1 << 20)
 
 
+# Overdamped, underdamped (the benchmark emitter and a strong drive) and
+# critical; in the default blocks and in blocks that leave a short last one.
+# The survival of these emitters never rises between grid points, so a
+# ripple on the benchmark emitter's makes the running minimum carry across
+# blocks.
+@pytest.mark.parametrize(
+    "a, w, ripple", [(1e6, 1e4, 0.0), (3.3e5, 2.9e5, 0.0), (1e5, 1e7, 0.0), (2.0, 1.0, 0.0), (3.3e5, 2.9e5, 1e-3)]
+)
+@pytest.mark.parametrize("block", [_EmissionSampler._TABLE_BLOCK, 1000])
+def test_emission_sampler_tables_in_blocks_equal_the_whole_build(monkeypatch, a, w, ripple, block):
+    monkeypatch.setattr(_EmissionSampler, "_TABLE_BLOCK", block)
+    survival = _EmissionSampler._survival
+    monkeypatch.setattr(
+        _EmissionSampler,
+        "_survival",
+        lambda self, t: survival(self, t) * (1.0 + ripple * np.sin(t * (997.0 / self.mean_wait))),
+    )
+    sampler = _EmissionSampler(a, w)
+    points, cells = _EmissionSampler._POINTS, _EmissionSampler._CELLS
+    grid = np.linspace(0.0, sampler._grid_rev[0], points)
+    surv = np.minimum.accumulate(sampler._survival(grid))[::-1]
+    coarse = np.interp(np.arange(cells + 1) / cells, surv, grid[::-1])
+    whole = object.__new__(_EmissionSampler)
+    whole._base, whole._slope, whole._flagged = coarse[:-1], np.diff(coarse), np.zeros(cells, dtype=bool)
+    whole._surv_rev, whole._grid_rev = surv, grid[::-1]
+    far = np.abs(whole.waits(surv) - grid[::-1]) > grid[1]
+    flagged = np.zeros(cells, dtype=bool)
+    flagged[np.minimum((surv[far] * cells).astype(np.intp), cells - 1)] = True
+    assert sampler.grid_step == grid[1]
+    for built, expected in [
+        (sampler._surv_rev, surv),
+        (sampler._grid_rev, grid[::-1]),
+        (sampler._base, coarse[:-1]),
+        (sampler._slope, np.diff(coarse)),
+        (sampler._flagged, flagged),
+    ]:
+        assert built.tobytes() == expected.tobytes()
+    assert 0 < flagged.sum() < cells
+
+
+def test_emission_sampler_set_up_holds_little_beside_its_tables():
+    # The tables are about 9.5 MB; their set-up held 38.9 MB at its peak
+    # when the survival kernel and the check of the coarse table ran over
+    # the whole grid at once.
+    _EmissionSampler(3.3e5, 2.9e5)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        sampler = _EmissionSampler(3.3e5, 2.9e5)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    tables = sum(a.nbytes for a in vars(sampler).values() if isinstance(a, np.ndarray))
+    assert peak < tables + 6e6, (peak, tables)
+
+
 def record_molecule_draws(monkeypatch):
     """The chunks of uniforms simulate_photons draws from its molecule
     stream, in draw order; the waits are these uniforms' waits."""
@@ -387,6 +444,87 @@ def test_photons_working_set(reference_stats, monkeypatch):
         tracemalloc.stop()
     assert len(traj) > 3_000_000
     assert peak <= 1.4 * traj.times.nbytes + tables + chunks
+
+
+def on_grid(step):
+    """Rounds values to whole multiples of ``step``, a power of two."""
+    return lambda values: np.round(np.asarray(values) / step) * step
+
+
+class CoarseBackground:
+    """A background stream whose draws lie on a grid of about 1 ms, so
+    many tie with each other and with molecule photons on a finer grid."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def poisson(self, lam):
+        return self.rng.poisson(lam)
+
+    def uniform(self, low, high, size):
+        return on_grid(2.0**-10)(self.rng.uniform(low, high, size))
+
+
+def tie_photons(monkeypatch):
+    """Waits on a grid of 2**-16 s and background draws on one of 2**-10
+    s; along periods on the coarse grid, arrivals tie with each other
+    and with the background."""
+    stream_rng = simulate._stream_rng
+    waits = _EmissionSampler.waits
+    monkeypatch.setattr(_EmissionSampler, "waits", lambda self, u: on_grid(2.0**-16)(waits(self, u)))
+    monkeypatch.setattr(
+        simulate,
+        "_stream_rng",
+        lambda seed, stream: CoarseBackground(stream_rng(seed, stream))
+        if stream == simulate._STREAM_BACKGROUND
+        else stream_rng(seed, stream),
+    )
+
+
+# Light periods that overlap the one before, so a period's first arrivals
+# lie below the last ones of the period before, across chunks.
+OVERLAPPING = np.array([[0.0, 0.0, 0.02], [0.0, 0.015, 0.035], [0.0, 0.03, 0.045], [1.0, 0.045, 0.05]])
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("case", ["ties", "overlapping", "dark", "no-photon"])
+def test_photons_pass_on_the_sorted_record(reference_stats, monkeypatch, cores, case):
+    # Chunks of 7 waits. The record is the arrivals of the walk, which the
+    # hold-back logic sees in walk order, and the background draws, sorted
+    # whole: byte for byte, whatever the ties, the overlaps and the cores.
+    monkeypatch.setattr(simulate, "_BLOCK", 7)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    p = slowed_params(I_sc=2e4)
+    rec = on_grid(2.0**-10)(simulate_periods(reference_stats, 0.05, seed=18))
+    if case == "ties":
+        tie_photons(monkeypatch)
+    elif case == "overlapping":
+        p, rec = slowed_params(), OVERLAPPING
+    elif case == "dark":
+        rec = np.array([[1.0, 0.0, 0.05]])
+    else:
+        with pytest.warns(HierarchyWarning):
+            p = PhotoPhysicalParams(A31=1e-30, Omega31=2.9e5, A32=(34.0, 249.0), A21=(430.0, 2400.0), I_sc=0.0)
+    walked = []
+    pass_on = simulate._Photons._pass
+
+    def recorded(self, arrivals, bound):
+        walked.append(arrivals.copy())
+        return pass_on(self, arrivals, bound)
+
+    monkeypatch.setattr(simulate._Photons, "_pass", recorded)
+    traj = simulate_photons(rec, p, seed=18)
+    rng, duration = simulate._stream_rng(18, simulate._STREAM_BACKGROUND), rec[-1, 2]
+    background = rng.uniform(0.0, duration, rng.poisson(p.I_sc * duration)) if p.I_sc else np.empty(0)
+    expected = np.sort(np.concatenate(walked + [background]))
+    assert traj.times.tobytes() == expected.tobytes()
+    molecule = sum(block.size for block in walked)
+    if case == "ties":
+        assert np.unique(traj.times).size < traj.times.size - 100
+        assert np.intersect1d(np.concatenate(walked), background).size > 10
+    if case == "overlapping":
+        assert molecule > 1000 and np.any(np.diff(np.concatenate(walked)) < 0.0)
+    assert (molecule == 0) == (case in ("dark", "no-photon"))
 
 
 def test_photons_only_in_light_periods(reference_params, reference_stats):
@@ -1016,6 +1154,20 @@ def test_write_trajectory_failing_block_leaves_nothing_behind(tmp_path, monkeypa
     assert path.read_bytes() == b"old record\n"
     assert list(tmp_path.glob(".tmp-*~")) == []
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_writer_writes_a_block_the_last_job_adds(tmp_path, monkeypatch, cores):
+    # On two cores the jobs run out while their one job is still in
+    # flight; the block its handler adds is written after it, in order.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    monkeypatch.setattr(simulate, "_WRITE_BLOCK", 7)
+    times = np.linspace(0.0, 1.0, 50)
+    ready = []
+    streamed, whole = tmp_path / "streamed.traj", tmp_path / "whole.traj"
+    simulate._write_times(str(streamed), 1.0, 4, ready, [(ready.append, lambda: times)])
+    write_trajectory(Trajectory(times=times, duration=1.0, seed=4), str(whole))
+    assert streamed.read_bytes() == whole.read_bytes()
 
 
 def test_format_times_working_set():
