@@ -22,14 +22,18 @@ paths relative to it, so that the manifests are reproducible too:
   ``selftest``, ``simulate`` of criterion 6 as in the first line but
   without ``--g-out`` (the route that streams the record to the file,
   whose record's digest equals the first line's), and ``simulate`` of
-  criterion 6's emitter with a background of ``I_sc = 1e4`` for 10 s.
+  criterion 6's emitter with a background of ``I_sc = 1e4`` for 10 s;
+- ``estimate-g`` on two rewrites of that 10 s record that the reader
+  takes line by line: its times as ``'%.17g'`` lines, as records were
+  written before the fixed-width rows, and its rows with a 23-byte
+  ``# seed = ...`` row in the middle.
 
 The first three lines are those digests. Then, for every command (the
 three above included), one line for its stdout and one for each output
 file and its ``.manifest.json``. The outputs are fixed by the seeds, so
 equal digests show that a change kept the records, the correlator, the
 fitter, the reports and the manifests byte for byte. The script compares
-its 53 lines with scripts/record_digests.txt, prints the lines that
+its 59 lines with scripts/record_digests.txt, prints the lines that
 differ and then exits with 1 (see scripts/recorded.py). Run from the
 root of a checkout: the program is imported from ./src and the generator
 from ./perfbench. It takes about 10 s and 0.5 GB of memory on a 2-core
@@ -87,6 +91,11 @@ COMMANDS = [
      "--out", "streamed.traj"),
     ("simulate", "--params", "background.txt", "--duration", "10.0", "--seed", str(SEED), "--out", "background.traj"),
 ]
+# The rewrites of background.traj, and estimate-g on each.
+LINE_ROUTE = [
+    ("estimate-g", "--traj", "background-17g.traj", "--out", "background-17g-g.csv"),
+    ("estimate-g", "--traj", "background-comment.traj", "--out", "background-comment-g.csv"),
+]
 OUTPUT_FLAGS = ("--out", "--g-out", "--json-out", "--curve-out")
 
 
@@ -96,6 +105,19 @@ def sha256(path: str) -> str:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def rewrite_record(path: str) -> None:
+    """Write the rewrites of the record at ``path`` that LINE_ROUTE reads."""
+    with open(path, "rb") as handle:
+        lines = handle.read().splitlines(keepends=True)
+    header = [line for line in lines if line.startswith(b"#")]
+    rows = lines[len(header) :]
+    with open("background-17g.traj", "wb") as handle:
+        handle.writelines(header + [b"%.17g\n" % float(row) for row in rows])
+    middle = len(rows) // 2
+    with open("background-comment.traj", "wb") as handle:
+        handle.writelines(header + rows[:middle] + [(b"# seed = %d" % SEED).ljust(22) + b"\n"] + rows[middle:])
 
 
 def run(*argv: str) -> tuple[tuple[str, ...], str]:
@@ -129,6 +151,8 @@ def main() -> int:
         lines.append(f"{sha256('analyse-g.csv')}  estimate-g on analyse_record's record")
 
         runs += [run(*argv) for argv in COMMANDS]
+        rewrite_record("background.traj")
+        runs += [run(*argv) for argv in LINE_ROUTE]
         for argv, stdout in runs:
             command = " ".join(argv)
             lines.append(f"{hashlib.sha256(stdout.encode()).hexdigest()}  stdout of {command}")

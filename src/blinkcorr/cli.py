@@ -61,11 +61,9 @@ from .params import (
 )
 from .simulate import (
     _EmissionSampler,
-    _estimate_blocks,
+    _correlate,
     _estimate_record,
-    _exact_limit,
     _simulate_record,
-    estimate_g,
     light_fraction,
     read_trajectory,
     simulate_periods,
@@ -209,19 +207,20 @@ def _cmd_rates(args: argparse.Namespace, argv: list[str], inputs: Future[dict[st
 
 def _cmd_simulate(args: argparse.Namespace, argv: list[str], inputs: Future[dict[str, str]]) -> int:
     params = read_params(args.params)
+    # A bad grid for the estimate is refused before anything is drawn or written.
+    edges = None if args.g_out is None else _parse_grid(args.grid)
     stats = statistics_from_params(params)
     periods = simulate_periods(stats, args.duration, args.seed)
     # The record is written block by block as the sampler draws it; the
     # estimate, which needs the photon count first, takes the kept blocks.
-    photons, blocks = _simulate_record(periods, params, args.seed, args.out, keep=args.g_out is not None)
+    photons, blocks = _simulate_record(periods, params, args.seed, args.out, keep=edges is not None)
     print(
         f"simulated {photons.count} photons over {photons.duration:g} s "
         f"({len(periods)} periods, light fraction {light_fraction(periods):.4f})"
     )
     outputs = [args.out]
-    if args.g_out is not None:
-        edges = _parse_grid(args.grid)
-        series, limit = _estimate_blocks(blocks, photons.count, photons.duration, edges)
+    if edges is not None:
+        series, limit = _correlate(photons.count, photons.duration, edges, blocks)
         _write_estimate(series, photons.count, limit, args.g_out)
         outputs.append(args.g_out)
     _write_manifests(
@@ -245,14 +244,7 @@ def _cmd_estimate_g(args: argparse.Namespace, argv: list[str], inputs: Future[di
         # A record the reader refuses is named first, as it is read first.
         read_trajectory(args.traj)
         raise
-    # The record is streamed through the correlator; a file that is not
-    # whole rows, or that the reader or the correlator refuses, is read
-    # whole, and the refusal raised from there.
-    estimate = _estimate_record(args.traj, edges)
-    if estimate is None:
-        trajectory = read_trajectory(args.traj)
-        estimate = estimate_g(trajectory, edges), len(trajectory), _exact_limit(trajectory, edges), trajectory.seed
-    series, photons, limit, seed = estimate
+    series, limit, photons, seed = _estimate_record(args.traj, edges)
     _write_estimate(series, photons, limit, args.out)
     _write_manifests("estimate-g", argv, inputs, [args.out], seed=seed)
     return 0

@@ -100,34 +100,31 @@ class Trajectory:
             raise ValueError("duration must be positive and finite")
         if self.seed is not None:
             object.__setattr__(self, "seed", _checked_seed(self.seed))
-        refusal = _refusal(times, duration)
-        if refusal is not None:
-            raise ValueError(refusal)
+        _check_times(times, duration)
 
     def __len__(self) -> int:
         return int(self.times.size)
 
 
-def _refusal(times: np.ndarray, duration: float, previous: float = -math.inf) -> str | None:
-    """Why :class:`Trajectory` refuses the vector ``times`` over
-    ``duration``, or None; for a block of a record, ``previous`` is the
-    time before it."""
+def _check_times(times: np.ndarray, duration: float, previous: float = -math.inf, where: str = "") -> None:
+    """Raise the :class:`ValueError` with which :class:`Trajectory` refuses
+    the vector ``times`` over ``duration``, its message after ``where``, if
+    it does; for a block of a record, ``previous`` is the time before it."""
     if not times.size:
-        return None
+        return
     # min and max are NaN if a time is.
     first, last = float(times.min()), float(times.max())
     if not (math.isfinite(first) and math.isfinite(last)):
-        return "arrival times must be finite"
+        raise ValueError(f"{where}arrival times must be finite")
     if times[0] < previous:
-        return "arrival times must be sorted"
+        raise ValueError(f"{where}arrival times must be sorted")
     # In blocks, so no temporary grows with the record.
     for start in range(0, times.size - 1, _BLOCK):
         later = times[start + 1 : start + _BLOCK + 1]
         if np.any(later < times[start : start + later.size]):
-            return "arrival times must be sorted"
+            raise ValueError(f"{where}arrival times must be sorted")
     if first < 0.0 or last > duration:
-        return "arrival times must lie within [0, duration]"
-    return None
+        raise ValueError(f"{where}arrival times must lie within [0, duration]")
 
 
 class _EmissionSampler:
@@ -498,9 +495,7 @@ class _Photons:
         cut = block.size if bound == math.inf else int(block.searchsorted(bound, side="right"))
         self.held = block[cut:].copy()
         block = block[:cut]
-        refusal = _refusal(block, self.duration, self.last)
-        if refusal is not None:
-            raise ValueError(refusal)
+        _check_times(block, self.duration, self.last)
         if block.size:
             self.count += block.size
             self.last = float(block[-1])
@@ -509,11 +504,7 @@ class _Photons:
             self.emit(block[start : start + _BLOCK])
 
 
-def estimate_g(
-    trajectory: Trajectory,
-    edges: np.ndarray,
-    with_windows: bool = False,
-):
+def estimate_g(trajectory: Trajectory, edges: np.ndarray, with_windows: bool = False):
     """Estimate the normalized intensity correlation from arrival times.
 
     Counts ordered photon pairs per delay bin and normalizes by the pair
@@ -563,9 +554,31 @@ def estimate_g(
     :class:`DegenerateInputError`.
     """
     times = trajectory.times
-    correlator = _Correlator(times.size, trajectory.duration, edges)
-    correlator.run(times[start : start + _BLOCK] for start in range(0, times.size, _BLOCK))
-    return correlator.series(with_windows)
+    return _correlate(times.size, trajectory.duration, edges, _blocks(times), with_windows=with_windows)[0]
+
+
+def _blocks(times: np.ndarray) -> Iterator[np.ndarray]:
+    """``times`` in blocks of ``_BLOCK``."""
+    return (times[start : start + _BLOCK] for start in range(0, times.size, _BLOCK))
+
+
+def _correlate(
+    n: int, duration: float, edges: np.ndarray, blocks: Iterable[Any], parse=None, check=None, with_windows=False
+) -> tuple[Any, float]:
+    """:func:`estimate_g` of the record of ``n`` times over ``duration``
+    that :meth:`_Correlator.run` takes as ``blocks``, ``parse`` and
+    ``check``, and the delay where its exact stage stops. Where the
+    correlator refuses ``n`` or ``edges`` as too few, the blocks of a
+    ``parse`` are parsed and checked first, so a refusal of the record
+    comes before it."""
+    try:
+        correlator = _Correlator(n, duration, edges)
+    except InsufficientDataError:
+        if parse is not None:
+            _in_order(parse, blocks, check)
+        raise
+    correlator.run(blocks, parse, check)
+    return correlator.series(with_windows), correlator.limit
 
 
 # Blocks of equal length whose photon counts give the spread of the rate.
@@ -575,7 +588,7 @@ _RATE_BLOCKS = 64
 class _Correlator:
     """:func:`estimate_g` of a record of ``n`` photons over ``duration`` on
     ``edges``, fed the record's times one sorted block at a time by
-    :meth:`run`.
+    :meth:`run`, which takes them as the record's: no block is checked.
 
     No stage holds the record. The exact stage counts each block's
     sources in a window: the block and the later times that lie less than
@@ -640,63 +653,47 @@ class _Correlator:
         self.ready: list[Callable[[], np.ndarray]] = []
         self.inner = np.linspace(0.0, duration, _RATE_BLOCKS + 1)[1:-1]
         self.rate_counts = np.zeros(_RATE_BLOCKS, dtype=np.int64)
-        self.seen, self.last, self.refused = 0, -math.inf, False
+        self.seen, self.last = 0, -math.inf
 
-    def run(self, blocks: Iterable[Any], parse: Callable[[Any], np.ndarray | None] | None = None) -> bool:
-        """Feed the record in order, as ``blocks`` of times or, with
-        ``parse``, as what ``parse`` turns each of ``blocks`` into. True
-        once all ``n`` times have come.
+    def run(self, blocks: Iterable[Any], parse=None, check=None) -> None:
+        """Feed the record's ``n`` times in order, as ``blocks`` of times
+        or, with ``parse``, as what ``parse`` turns each of ``blocks`` into
+        and ``check`` passes on; no block is empty.
 
         The parses and the exact stage's counts run through one
         :func:`_in_order`, on one thread per core the process may run on;
-        the rest runs on the calling thread, as each block is taken. The
-        counts of the windows that reach the end of the record run there
-        after the last block, if a parse took it. A parse that returns
-        None, a block that :class:`Trajectory` would refuse in the record,
-        or a count of times other than ``n`` ends the record: no further
-        block is drawn, and run returns False.
+        the rest, ``check`` among it, runs on the calling thread, as each
+        block is taken. The counts of the windows that reach the end of the
+        record run there after the last block, if a parse took it. What a
+        parse or ``check`` raises ends the run.
         """
-        blocks = iter(blocks)
 
         def jobs() -> Iterator[tuple[Callable[[Any], None], Callable[[], Any]]]:
             # The counts made ready so far go after the next block's parse,
             # so the calling thread parses and takes the block while the
             # workers count.
-            while True:
+            for block in blocks:
                 ready, self.ready = self.ready, []
-                if self.refused or (block := next(blocks, None)) is None:
-                    break
                 if parse is None:
                     self._add(block)
                 else:
-                    yield self._add, lambda block=block: parse(block)
+                    yield (lambda times: self._add(check(times))), lambda block=block: parse(block)
                 yield from ((self.pairs.__iadd__, count) for count in ready)
             # Unless the last block is in the group being drawn, it was
             # taken; a take may still queue counts while these are drawn.
-            self.ready[:0] = ready
             if self.seen == self.n:
                 self._dispatch(end=True)
             while self.ready:
                 yield self.pairs.__iadd__, self.ready.pop(0)
 
         _run_jobs(jobs())
-        if self.refused or self.seen != self.n:
-            return False
         self._dispatch(end=True)
         while self.ready:
             self.pairs += self.ready.pop(0)()
         if self.finest is not None:
             self.finest.close()
-        return True
 
-    def _add(self, block: np.ndarray | None) -> None:
-        if self.refused:
-            return
-        if block is None or _refusal(block, self.duration, self.last) is not None:
-            self.refused = True
-            return
-        if not block.size:
-            return
+    def _add(self, block: np.ndarray) -> None:
         self.seen += block.size
         self.last = float(block[-1])
         self.rate_counts += np.diff(np.searchsorted(block, self.inner), prepend=0, append=block.size)
@@ -726,7 +723,7 @@ class _Correlator:
             del self.sources[0]
 
     def series(self, with_windows: bool = False):
-        """The estimate, once :meth:`run` has returned True; see
+        """The estimate, once :meth:`run` has fed the record; see
         :func:`estimate_g`."""
         t_total, n = self.duration, self.n
         counts = np.zeros(self.edges.size - 1)
@@ -802,12 +799,6 @@ def _exact_bins(n: int, t_total: float, edges: np.ndarray) -> int:
     cost = _PAIR_COST * n * (n / t_total * edges + 1.0) + np.append(lattice, 0.0)
     cost[0] = lattice[0]
     return int(np.flatnonzero(cost == cost.min())[-1])
-
-
-def _exact_limit(trajectory: Trajectory, edges: np.ndarray) -> float:
-    """Delay where :func:`estimate_g`'s exact stage stops on valid ``edges``."""
-    edges = edges[edges <= 0.1 * trajectory.duration]
-    return float(edges[_exact_bins(len(trajectory), trajectory.duration, edges)])
 
 
 def _pair_counter(edges: np.ndarray, duration: float) -> Callable[[np.ndarray, int], np.ndarray]:
@@ -1093,14 +1084,14 @@ def _write_times(
 
 def _simulate_record(
     periods: np.ndarray, params: PhotoPhysicalParams, seed: int, path: str, keep: bool
-) -> tuple[_Photons, list[np.ndarray]]:
+) -> tuple[_Photons, Iterator[np.ndarray]]:
     """Write :func:`simulate_photons` of ``periods``, ``params`` and
     ``seed`` to ``path`` as :func:`write_trajectory` would, byte for byte,
     each block as it comes from the sampler: the waits' chunks and the
     blocks' texts are jobs of one :func:`_in_order`. Returns the photons,
     whose ``count`` and ``duration`` are the record's, and, with ``keep``,
-    the record's times as blocks in order; without, each block is dropped
-    once written."""
+    the record's times as blocks in order, each dropped once it is drawn;
+    without, each block is dropped once written."""
     photons = _Photons(periods, params, seed)
     ready: list[np.ndarray] = []
     kept: list[np.ndarray] = []
@@ -1111,19 +1102,7 @@ def _simulate_record(
             kept.append(block)
 
     _write_times(path, photons.duration, seed, ready, photons.jobs(emit))
-    return photons, kept
-
-
-def _estimate_blocks(
-    blocks: list[np.ndarray], n: int, duration: float, edges: np.ndarray
-) -> tuple[CorrelationSeries, float]:
-    """:func:`estimate_g` of the record of ``n`` times over ``duration``
-    whose sorted ``blocks`` hold its times in order, and the delay where
-    its exact stage stops; each block leaves ``blocks`` once it is fed to
-    the correlator."""
-    correlator = _Correlator(n, duration, edges)
-    correlator.run(blocks.pop(0) for _ in range(len(blocks)))
-    return correlator.series(), correlator.limit
+    return photons, (kept.pop(0) for _ in range(len(kept)))
 
 
 def read_trajectory(path: str) -> Trajectory:
@@ -1136,112 +1115,153 @@ def read_trajectory(path: str) -> Trajectory:
     duration or a seed that :class:`Trajectory` refuses raise it naming
     ``path``.
 
-    The leading ``#`` lines are read one at a time. If the rest of the file
-    is whole 23-byte rows as ``'%.16e\\n'`` writes them, one array is sized
-    from the file's size and filled by the blocks of :func:`_row_blocks`,
-    parsed on one thread per core the process may run on and taken in file
-    order. Any other file, such as one with a ``#`` or blank line after the
-    first time, is read one line at a time with ``float()``. So every time
-    has the bits ``float()`` gives it.
+    A file whose times are whole 23-byte rows as ``'%.16e\\n'`` writes them
+    fills one array sized from the file's size with the blocks of
+    :class:`_RecordFile`, parsed on one thread per core the process may run
+    on and checked in file order; its first fault is raised where it is
+    found. Any other file, such as a ``'%.17g'`` record or one with a ``#``
+    or blank line among its times, is read one line at a time with
+    ``float()`` (:func:`_read_record`). So every time has the bits
+    ``float()`` gives it.
     """
-    header: dict[str, float | int] = {}
+
+    def fill(record: _RecordFile) -> Trajectory:
+        times, filled = np.empty(record.rows), 0
+
+        def take(block: np.ndarray) -> None:
+            nonlocal filled
+            times[filled : filled + block.size] = record.check(block)
+            filled += block.size
+
+        _in_order(record.parse, record.texts(), take)
+        return _trajectory(path, times, record.header)
+
+    return _read_record(path, fill, lambda trajectory: trajectory)
+
+
+def _estimate_record(path: str, edges: np.ndarray) -> tuple[CorrelationSeries, float, int, int | None]:
+    """:func:`estimate_g` of the trajectory file at ``path`` on ``edges``,
+    with the delay where the exact stage stops, the file's photon count and
+    the seed. A file of rows is streamed: the blocks of its
+    :class:`_RecordFile` go to the correlator, and no array of all times is
+    made; the photon count comes from the file's size. Any other file is
+    read by the line rule, then correlated (:func:`_read_record`). What the
+    reader refuses is raised where it is found, and what the correlator
+    refuses of a file of rows after its rows are checked.
+    """
+
+    def stream(record: _RecordFile) -> tuple[CorrelationSeries, float, int, int | None]:
+        series, limit = _correlate(record.rows, record.duration, edges, record.texts(), record.parse, record.check)
+        return series, limit, record.rows, record.seed
+
+    def whole(trajectory: Trajectory) -> tuple[CorrelationSeries, float, int, int | None]:
+        series, limit = _correlate(len(trajectory), trajectory.duration, edges, _blocks(trajectory.times))
+        return series, limit, len(trajectory), trajectory.seed
+
+    return _read_record(path, stream, whole)
+
+
+class _LineRoute(Exception):
+    """A row of a trajectory file that ``'%.16e\\n'`` does not write and
+    the line rule does not refuse, or that is not one line: the file is
+    read line by line."""
+
+
+def _read_record(path: str, stream: Callable[[_RecordFile], Any], whole: Callable[[Trajectory], Any]) -> Any:
+    """``stream`` of the trajectory file at ``path`` open as a
+    :class:`_RecordFile`, if its times are whole ``'%.16e'`` rows, else
+    ``whole`` of the trajectory that :func:`_parse_lines` reads from it.
+
+    The file's layout chooses the route here and nowhere else. A file that
+    is not whole 23-byte rows after its leading ``#`` lines goes to the
+    line route at once; a file whose rows hold one that ``'%.16e'`` does
+    not write goes there at the first such row, and what was streamed
+    until then is dropped.
+    """
     with open(path, "rb") as handle:
-        leading, start, rows = _read_header(handle, path, header)
-        times, filled = np.empty(rows or 0), 0
+        record = _RecordFile(handle, path)
+        if record.rows is not None:
+            try:
+                return stream(record)
+            except _LineRoute:
+                pass
+        handle.seek(record.start)
+        times = np.fromiter(_parse_lines(handle, record.leading, path, record.header), float)
+    return whole(_trajectory(path, times, record.header))
 
-        def take(values: np.ndarray | None) -> None:
-            nonlocal rows, filled
-            if values is None:
-                rows = None
-            elif rows is not None:
-                times[filled : filled + values.size] = values
-                filled += values.size
 
-        # A row of another shape stops the blocks, and the file is read line by line.
-        if rows:
-            texts = _row_blocks(handle, rows)
-            _in_order(_parse_rows, iter(lambda: next(texts, None) if rows is not None else None, None), take)
-        if rows is None:
-            handle.seek(start)
-            times = np.fromiter(_parse_lines(handle, leading, path, header), float)
-            filled = times.size
+def _trajectory(path: str, times: np.ndarray, header: dict[str, float | int]) -> Trajectory:
+    """The trajectory of ``times`` and of ``header``, read from the file at
+    ``path``; a refusal names ``path``."""
     if "duration" not in header:
         raise ValueError(f"{path}: missing '# duration = ...' header")
     try:
-        return Trajectory(
-            times=times[:filled],
-            duration=header["duration"],
-            seed=header.get("seed"),
-        )
+        return Trajectory(times=times, duration=header["duration"], seed=header.get("seed"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _estimate_record(path: str, edges: np.ndarray) -> tuple[CorrelationSeries, int, float, int | None] | None:
-    """:func:`estimate_g` of the trajectory file at ``path`` on ``edges``,
-    with the file's photon count, the delay where the exact stage stops and
-    the seed, streamed from the file: its blocks of rows go from
-    :func:`_row_blocks` to the correlator and no array of all times is
-    made. The photon count comes from the file's size, the duration from
-    its header.
+class _RecordFile:
+    """The one source of blocks of times of the trajectory file open as
+    ``handle``, in file order.
 
-    Returns None where :func:`read_trajectory` and :func:`estimate_g` are
-    to do the work, and raise what they raise: a file that is not whole
-    rows after its header, a header :class:`Trajectory` refuses, a block
-    it would refuse in the record, and a record or edges the correlator
-    refuses. What was streamed by then is thrown away.
+    The leading ``#`` lines are read once, into ``header``. If the rest of
+    the file is whole 23-byte rows, ``rows`` is their number, and the
+    header's duration and seed are checked at once, as :class:`Trajectory`
+    checks them; else ``rows`` is None and the file is left to the line
+    route of :func:`_read_record`. The rows go out as texts of
+    ``_WRITE_BLOCK`` rows (:meth:`texts`), read as they are drawn, which
+    :meth:`parse` turns into times on any thread and :meth:`check` checks
+    on the calling thread, in file order. So every refusal is raised where
+    it is found, with the message of :func:`read_trajectory`.
     """
-    header: dict[str, float | int] = {}
-    with open(path, "rb") as handle:
-        _, _, rows = _read_header(handle, path, header)
-        if not rows or "duration" not in header:
-            return None
-        try:
-            record = Trajectory(times=np.empty(0), duration=header["duration"], seed=header.get("seed"))
-            correlator = _Correlator(rows, record.duration, edges)
-        except ValueError:
-            return None
-        if not correlator.run(_row_blocks(handle, rows), _parse_rows):
-            return None
-    return correlator.series(), rows, correlator.limit, record.seed
 
+    def __init__(self, handle: BinaryIO, path: str) -> None:
+        self.handle, self.path, self.header = handle, path, {}
+        leading = []
+        while (line := handle.readline()).startswith(b"#"):
+            leading.append(line)
+        list(_parse_lines(leading, 0, path, self.header))
+        self.leading, self.start = len(leading), handle.tell() - len(line)
+        rows, extra = divmod(os.fstat(handle.fileno()).st_size - self.start, _ROW.itemsize)
+        self.rows = rows if len(line) == _ROW.itemsize and not extra else None
+        handle.seek(self.start)
+        if self.rows is not None:
+            record = _trajectory(path, np.empty(0), self.header)
+            self.duration, self.seed, self.last = record.duration, record.seed, -math.inf
 
-def _read_header(handle: BinaryIO, path: str, header: dict[str, float | int]) -> tuple[int, int, int | None]:
-    """Read the leading ``#`` lines of the trajectory file open as
-    ``handle`` into ``header``, and leave the handle at the first time.
-    Returns the number of those lines, the offset of the first time and,
-    if the rest of the file is whole 23-byte rows, their number, else
-    None."""
-    leading = []
-    while (line := handle.readline()).startswith(b"#"):
-        leading.append(line)
-    list(_parse_lines(leading, 0, path, header))
-    start = handle.tell() - len(line)
-    rows, extra = divmod(os.fstat(handle.fileno()).st_size - start, _ROW.itemsize)
-    handle.seek(start)
-    return len(leading), start, rows if len(line) == _ROW.itemsize and not extra else None
+    def texts(self) -> Iterator[tuple[int, bytes]]:
+        """The rows in texts of ``_WRITE_BLOCK``, each with the index of its
+        first row."""
+        for first in range(0, self.rows, _WRITE_BLOCK):
+            yield first, self.handle.read(_WRITE_BLOCK * _ROW.itemsize)
 
+    def parse(self, text: tuple[int, bytes]) -> np.ndarray:
+        """The times of a text of :meth:`texts`. An integer kernel
+        (:func:`_parse_times`) reads each row and proves its time equal to
+        what ``float()`` reads; a row it leaves unproven, such as zero, is
+        read with ``float()`` if ``'%.16e'`` writes it. Any other row that is
+        one line goes to the line rule, which raises on a bad one, naming its
+        line; past such a row, or one that is not one line, the file is not
+        rows, and :class:`_LineRoute` is raised."""
+        first, rows = text
+        values, proven = _parse_times(rows)
+        for i in np.flatnonzero(~proven).tolist():
+            row = rows[i * _ROW.itemsize : (i + 1) * _ROW.itemsize]
+            if not _ROW_TEXT.fullmatch(row):
+                if row.find(b"\n") == _ROW.itemsize - 1:
+                    list(_parse_lines([row], self.leading + first + i, self.path, {}))
+                raise _LineRoute
+            values[i] = float(row)
+        return values
 
-def _row_blocks(handle: BinaryIO, rows: int) -> Iterator[bytes]:
-    """The texts of the ``rows`` rows at the position of ``handle``,
-    ``_WRITE_BLOCK`` rows each, each read when it is drawn."""
-    for _ in range(0, rows, _WRITE_BLOCK):
-        yield handle.read(_WRITE_BLOCK * _ROW.itemsize)
-
-
-def _parse_rows(text: bytes) -> np.ndarray | None:
-    """The times of the 23-byte rows of ``text``, or None if a row is not
-    one that ``'%.16e\\n'`` writes. An integer kernel
-    (:func:`_parse_times`) reads each row and proves its time equal to what
-    ``float()`` reads; a row it leaves unproven, such as zero, is read with
-    ``float()``."""
-    values, proven = _parse_times(text)
-    for i in np.flatnonzero(~proven).tolist():
-        row = text[i * _ROW.itemsize : (i + 1) * _ROW.itemsize]
-        if not _ROW_TEXT.fullmatch(row):
-            return None
-        values[i] = float(row)
-    return values
+    def check(self, times: np.ndarray) -> np.ndarray:
+        """``times``, the next block of the record, unless
+        :class:`Trajectory` would refuse them in the record, which raises
+        its :class:`ValueError` naming the file."""
+        _check_times(times, self.duration, self.last, f"{self.path}: ")
+        self.last = float(times[-1])
+        return times
 
 
 def _parse_lines(

@@ -20,6 +20,7 @@ from blinkcorr import (
     log_grid,
     read_series,
     transition_rates,
+    write_series,
     write_trajectory,
 )
 from blinkcorr import cli, simulate
@@ -428,6 +429,21 @@ def test_simulate_requires_seed(tmp_path, slow_params_file):
     assert info.value.code == 2
 
 
+def test_simulate_refuses_the_grid_before_it_draws(tmp_path, slow_params_file, capsys, monkeypatch):
+    # A --grid the estimate of --g-out refuses is refused before a period
+    # or a photon is drawn: no record, no estimate and no manifest.
+    def drawn(*args):
+        raise AssertionError("a period was drawn")
+
+    monkeypatch.setattr(cli, "simulate_periods", drawn)
+    out, g_out = str(tmp_path / "traj.txt"), str(tmp_path / "g.csv")
+    argv = ["simulate", "--params", slow_params_file, "--duration", "0.5", "--seed", "1", "--out", out,
+            "--g-out", g_out, "--grid", "1e-3:1e-4:5"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: grid bounds must satisfy 0 < MIN < MAX\n")
+    assert sorted(os.listdir(tmp_path)) == ["slow.txt"]
+
+
 def test_simulate_rejects_bad_duration(tmp_path, slow_params_file):
     out = str(tmp_path / "x.txt")
     assert main(["simulate", "--params", slow_params_file, "--duration", "-1",
@@ -778,46 +794,124 @@ def run_estimate(path, out, capsys):
 def test_estimate_g_streams_what_the_record_read_whole_gives(tmp_path, capsys, monkeypatch, cores):
     # Blocks of 50 rows and pieces of 256 lattice cells; the streamed
     # route reads no record whole, and its stdout, estimate and manifest
-    # are those of the route that reads it whole, byte for byte.
+    # are those of estimate_g on the record read whole in process, byte for
+    # byte.
     monkeypatch.setattr(simulate, "_WRITE_BLOCK", 50)
     monkeypatch.setattr(simulate, "_BLOCK", 256)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
     read_whole = []
     monkeypatch.setattr(cli, "read_trajectory", lambda path: read_whole.append(path) or simulate.read_trajectory(path))
+    edges = cli._parse_grid("1e-6:1e-1:5")
     for name, times in streamed_records().items():
         path, out = str(tmp_path / f"{name}.traj"), str(tmp_path / f"{name}.csv")
         write_trajectory(Trajectory(times=times, duration=1.0, seed=8), path)
-        streamed = run_estimate(path, out, capsys)
+        stdout, written, manifest = run_estimate(path, out, capsys)
         assert read_whole == []
-        with monkeypatch.context() as mp:
-            mp.setattr(cli, "_estimate_record", lambda path, edges: None)
-            assert run_estimate(path, out, capsys) == streamed, name
-        assert read_whole == [path]
-        read_whole.clear()
+        whole = simulate.read_trajectory(path)
+        expected = simulate.estimate_g(whole, edges)
+        limit = simulate._correlate(len(whole), whole.duration, edges, [whole.times])[1]
+        write_series(expected, str(tmp_path / "expected.csv"))
+        assert written == (tmp_path / "expected.csv").read_bytes(), name
+        assert stdout == (
+            f"estimated {len(expected)} bins from {len(whole)} arrivals, pairs counted exactly below {limit:g} s\n"
+        ), name
+        with open(path, "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
+        doc = json.loads(manifest)
+        assert (doc["subcommand"], doc["inputs"], doc["outputs"]) == ("estimate-g", {path: digest}, [out])
+        assert doc["seed"] == 8
+
+
+# Bad rows of the ties record by kind, each the one fault of its record,
+# as (index in its lines, row): in the first block, a middle one and the
+# last. The middle one is the first row of a block of 50, so a time out of
+# order there is out of order only with the block before. A time out of
+# range can be the one fault only at either end; the negative one is no
+# '%.16e' row, so its record takes the line route.
+BAD_ROWS = {
+    "malformed": [(3, b"0.5 0.6"), (1951, b"0.5 0.6"), (-3, b"0.5 0.6")],
+    "not-finite": [(3, b"nan"), (1951, b"nan"), (-1, b"nan")],
+    "unsorted": [(3, 0.25), (1951, 0.25), (-3, 0.25)],
+    "out-of-range": [(1, -1e-3), (-1, 1.5)],
+}
+
+
+def bad_record(layout, index, row):
+    """The ties record over 1 s as ``layout`` lines after its header, with
+    ``row`` at ``index`` of its lines, a row of the fixed width if the
+    layout is '%.16e'; and the line number of that row."""
+    lines = [b"# duration = 1.0"] + [layout % t for t in streamed_records()["ties"].tolist()]
+    bad = layout % row if isinstance(row, float) else row
+    lines[index] = bad.ljust(22) if layout == b"%.16e" else bad
+    return b"\n".join(lines) + b"\n", index % len(lines) + 1
 
 
 @pytest.mark.parametrize(
-    "row, lineno, message",
+    "kind, message",
     [
-        (b"0.5 0.6", -3, ":{lineno}: bad arrival time"),
-        (b"nan", -1, ":{lineno}: bad arrival time"),
-        (b"%.16e" % 0.25, -3, ": arrival times must be sorted"),
-        (b"%.16e" % 1.5, -1, ": arrival times must lie within [0, duration]"),
+        ("malformed", ":{lineno}: bad arrival time"),
+        ("not-finite", ":{lineno}: bad arrival time"),
+        ("unsorted", ": arrival times must be sorted"),
+        ("out-of-range", ": arrival times must lie within [0, duration]"),
     ],
     ids=["malformed", "not-finite", "unsorted", "out-of-range"],
 )
-def test_estimate_g_refuses_a_bad_row_of_the_last_block(tmp_path, capsys, monkeypatch, row, lineno, message):
-    # The last block of rows is streamed after the others were counted;
-    # its bad row is refused with the exit code and the message of the
-    # reader, and nothing is written.
+def test_estimate_g_refuses_a_bad_row_of_the_last_block(tmp_path, capsys, monkeypatch, kind, message):
+    # The last block of rows is streamed after the others were counted, the
+    # first before any; a bad row in either, or in a block between, is
+    # refused with the exit code and the message of the reader, nothing is
+    # written and no thread is left, whatever the number of cores. So is
+    # the same row among '%.17g' lines, which take the line route, and so
+    # it is on a grid whose every delay the estimator refuses as beyond a
+    # tenth of the record: the rows are checked first.
     monkeypatch.setattr(simulate, "_WRITE_BLOCK", 50)
-    lines = [b"# duration = 1.0"] + [b"%.16e" % t for t in streamed_records()["ties"].tolist()]
-    lines[lineno] = row.ljust(22)
     path, out = tmp_path / "traj.txt", str(tmp_path / "g.csv")
-    path.write_bytes(b"\n".join(lines) + b"\n")
-    code, err, _ = run_refused(["estimate-g", "--traj", str(path), "--out", out], capsys)
-    assert (code, err) == (2, f"error: {path}" + message.format(lineno=len(lines) + 1 + lineno) + "\n")
-    assert not os.path.exists(out)
+    for layout in (b"%.16e", b"%.17g"):
+        for index, row in BAD_ROWS[kind]:
+            text, lineno = bad_record(layout, index, row)
+            path.write_bytes(text)
+            for cores, grid in [(1, "0.2:0.5:5"), (1, None), (2, None), (3, None)]:
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+                threads = threading.active_count()
+                argv = ["estimate-g", "--traj", str(path), "--out", out] + (["--grid", grid] if grid else [])
+                code, err, _ = run_refused(argv, capsys)
+                expected = f"error: {path}" + message.format(lineno=lineno) + "\n"
+                assert (code, err) == (2, expected), (layout, index, grid)
+                assert threading.active_count() == threads
+                assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("kind", ["malformed", "unsorted", "out-of-range"])
+def test_estimate_g_reads_a_refused_record_once(tmp_path, capsys, monkeypatch, kind):
+    # A bad row in the last of 78 blocks of rows: the stream that refuses
+    # it parses each block once, and the record is not read again, whole or
+    # line by line, to raise the message, whatever the number of cores. The
+    # line rule reads the header and the bad row alone.
+    monkeypatch.setattr(simulate, "_WRITE_BLOCK", 50)
+    index, row = BAD_ROWS[kind][-1]
+    text, _ = bad_record(b"%.16e", index, row)
+    path = tmp_path / "traj.txt"
+    path.write_bytes(text)
+    parse_times, parse_lines = simulate._parse_times, simulate._parse_lines
+    parsed, line_reads, read_whole = [], [], []
+    monkeypatch.setattr(simulate, "_parse_times", lambda rows: parsed.append(rows) or parse_times(rows))
+    # What the line rule reads: a list of the header's lines or of a bad
+    # row, or the open file on the line route.
+    monkeypatch.setattr(
+        simulate, "_parse_lines", lambda lines, *args: line_reads.append(type(lines)) or parse_lines(lines, *args)
+    )
+    monkeypatch.setattr(cli, "read_trajectory", lambda path: read_whole.append(path) or simulate.read_trajectory(path))
+    # The rows after the header line.
+    blocks = -(-(text.count(b"\n") - 1) // 50)
+    assert blocks == 78
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        parsed.clear()
+        line_reads.clear()
+        code, _, _ = run_refused(["estimate-g", "--traj", str(path), "--out", str(tmp_path / "g.csv")], capsys)
+        assert code == 2
+        assert (len(parsed), len(set(parsed)), read_whole) == (blocks, blocks, [])
+        assert set(line_reads) == {list}
 
 
 def test_estimate_g_memory_does_not_grow_with_the_record(tmp_path, monkeypatch):

@@ -789,6 +789,12 @@ def delay_edges(draw, smallest):
     return np.array(sorted(values))
 
 
+def exact_limit(traj, edges):
+    """The delay where estimate_g's exact stage stops, as the correlator's
+    helper gives it."""
+    return simulate._correlate(len(traj), traj.duration, edges, [traj.times])[1]
+
+
 def brute_force_pairs(times, edges):
     """Pair counts per bin by the exact stage's rule, over all n^2 pairs."""
     d = times[None, :] - times[:, None]
@@ -802,7 +808,7 @@ def exact_counts(times, edges):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "_exact_bins", all_exact)
         correlator = simulate._Correlator(times.size, max(times[-1], 10.0 * edges[-1]), edges)
-    assert correlator.run(times[start : start + simulate._BLOCK] for start in range(0, times.size, simulate._BLOCK))
+    correlator.run(times[start : start + simulate._BLOCK] for start in range(0, times.size, simulate._BLOCK))
     return correlator.pairs[1:-1]
 
 
@@ -895,7 +901,7 @@ def test_estimate_g_tied_record_is_not_quadratic():
     started = time.perf_counter()
     series = estimate_g(traj, edges)
     assert time.perf_counter() - started < 1.0
-    assert simulate._exact_limit(traj, edges) > edges[0]
+    assert exact_limit(traj, edges) > edges[0]
     assert np.all(series.g[series.tau < 0.1] == 0.0)
 
 
@@ -909,7 +915,7 @@ def test_estimate_g_same_bytes_on_any_core_count(monkeypatch):
     for cores in (1, 2, 3):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
         series = estimate_g(traj, edges)
-        limit = simulate._exact_limit(traj, edges)
+        limit = exact_limit(traj, edges)
         outputs.append((series.tau.tobytes(), series.g.tobytes(), series.sigma.tobytes(), limit))
     assert edges[0] < outputs[0][3] < 1e-3
     assert outputs[0] == outputs[1] == outputs[2]
@@ -1378,13 +1384,13 @@ def test_streamed_estimate_equals_the_record_read_whole(tmp_path, monkeypatch, c
     for name, times in streamed_records().items():
         path = str(tmp_path / f"{name}.traj")
         write_trajectory(Trajectory(times=times, duration=1.0, seed=3), path)
-        series, photons, limit, seed = simulate._estimate_record(path, edges)
+        series, limit, photons, seed = simulate._estimate_record(path, edges)
         whole = read_trajectory(path)
         expected = estimate_g(whole, edges)
         assert [series.tau.tobytes(), series.g.tobytes(), series.sigma.tobytes()] == [
             expected.tau.tobytes(), expected.g.tobytes(), expected.sigma.tobytes()
         ], name
-        assert (photons, limit, seed) == (len(whole), simulate._exact_limit(whole, edges), 3), name
+        assert (photons, limit, seed) == (len(whole), exact_limit(whole, edges), 3), name
         # Both stages run, but on the short record.
         assert (edges[0] < limit < edges[-1]) == (name != "short"), (name, limit)
 
@@ -1397,10 +1403,13 @@ def test_streamed_estimate_equals_the_record_read_whole(tmp_path, monkeypatch, c
     ],
 )
 def test_streamed_estimate_leaves_to_the_reader_what_it_refuses(tmp_path, monkeypatch, edit):
-    # A row of the last block the reader or Trajectory refuses, a file that
-    # is not whole rows after its header, and a record or edges the
-    # correlator refuses: the streamed estimate gives None, and the file is
-    # read whole.
+    # A row of the last block the reader or Trajectory refuses, a header
+    # without a duration, and a record or edges the correlator refuses:
+    # the estimate raises the error that read_trajectory or estimate_g
+    # raises, of the same type and with the same message. A file that is
+    # not whole '%.16e' rows after its header, with a '# seed' row among its
+    # rows or written as '%.17g' lines, takes the line route and gives what
+    # the record read whole gives, the seed of its last '# seed' line too.
     monkeypatch.setattr(simulate, "_WRITE_BLOCK", 50)
     times = streamed_records()["ties"]
     lines = [b"# duration = 1.0"] + [b"%.16e" % t for t in times.tolist()]
@@ -1423,9 +1432,26 @@ def test_streamed_estimate_leaves_to_the_reader_what_it_refuses(tmp_path, monkey
         lines[2:] = []
     else:
         edges = log_grid(0.2, 0.5, 5)
-    path = tmp_path / "traj.txt"
-    path.write_bytes(b"\n".join(lines) + b"\n")
-    assert simulate._estimate_record(str(path), edges) is None
+    (tmp_path / "traj.txt").write_bytes(b"\n".join(lines) + b"\n")
+    path = str(tmp_path / "traj.txt")
+    if edit in ("comment", "percent-17g"):
+        whole = read_trajectory(path)
+        expected = estimate_g(whole, edges)
+        series, limit, photons, seed = simulate._estimate_record(path, edges)
+        assert [series.tau.tobytes(), series.g.tobytes(), series.sigma.tobytes()] == [
+            expected.tau.tobytes(), expected.g.tobytes(), expected.sigma.tobytes()
+        ]
+        assert (limit, photons, seed) == (exact_limit(whole, edges), len(whole), whole.seed)
+        assert seed == (4 if edit == "comment" else None)
+        return
+    with pytest.raises(ValueError) as reference:
+        estimate_g(read_trajectory(path), edges)
+    refused = InsufficientDataError if edit in ("one-photon", "too-short") else ValueError
+    assert type(reference.value) is refused
+    with pytest.raises(refused) as raised:
+        simulate._estimate_record(path, edges)
+    assert type(raised.value) is refused
+    assert str(raised.value) == str(reference.value)
 
 
 @pytest.mark.parametrize("failing", [1, 2])
