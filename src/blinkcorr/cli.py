@@ -60,6 +60,7 @@ from .params import (
     write_params,
 )
 from .simulate import (
+    _check_record,
     _EmissionSampler,
     _correlate,
     _estimate_record,
@@ -242,7 +243,7 @@ def _cmd_estimate_g(args: argparse.Namespace, argv: list[str], inputs: Future[di
         edges = _parse_grid(args.grid)
     except ValueError:
         # A record the reader refuses is named first, as it is read first.
-        read_trajectory(args.traj)
+        _check_record(args.traj)
         raise
     series, limit, photons, seed = _estimate_record(args.traj, edges)
     _write_estimate(series, photons, limit, args.out)

@@ -73,23 +73,90 @@ def _g2(tau: np.ndarray, A, W) -> np.ndarray:
     """:func:`g2` on checked delays and rates (``A > 0``, ``W >= 0``). The
     rates are floats, or columns of shape ``(m, 1)`` holding m rate pairs,
     which give one row of ``m`` by ``tau.size`` each."""
-    r = 0.75 * A
-    disc = 16.0 * W * W - A * A
-    scale = 16.0 * W * W + A * A
-    critical = abs(disc) <= 1e-12 * scale
+    r, disc = 0.75 * A, 16.0 * W * W - A * A
     if not isinstance(disc, np.ndarray):
-        regime = "critical" if critical else "under" if disc > 0.0 else "over"
-        return 1.0 - _envelope(tau, r, disc, regime)
+        return 1.0 - _envelope(tau, r, disc, _regimes(A, W)[0][0])
     out = np.empty((disc.shape[0], tau.size))
-    for regime, rows in (
-        ("critical", critical),
-        ("under", ~critical & (disc > 0.0)),
-        ("over", ~critical & (disc <= 0.0)),
-    ):
-        rows = rows[:, 0]
-        if rows.any():
-            out[rows] = 1.0 - _envelope(tau, r[rows], disc[rows], regime)
+    for regime, rows in _regimes(A, W):
+        out[rows] = 1.0 - _envelope(tau, r[rows], disc[rows], regime)
     return out
+
+
+def _regimes(A, W) -> list:
+    """The regimes of ``disc = 16 W^2 - A^2`` that rates of :func:`_g2`
+    fall in, each with its rows: the regime alone for floats, and for
+    columns each with the mask of its rows, or with every row when it holds
+    them all."""
+    disc = 16.0 * W * W - A * A
+    critical = abs(disc) <= 1e-12 * (16.0 * W * W + A * A)
+    if not isinstance(disc, np.ndarray):
+        return [("critical" if critical else "under" if disc > 0.0 else "over", None)]
+    regimes = (("critical", critical), ("under", ~critical & (disc > 0.0)), ("over", ~critical & (disc <= 0.0)))
+    regimes = [(regime, rows[:, 0]) for regime, rows in regimes if rows.any()]
+    return [(regimes[0][0], slice(None))] if len(regimes) == 1 else regimes
+
+
+def _g2_slopes(tau: np.ndarray, A: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """``1 - g2``, the damped envelope of :func:`_g2`, at columns of rates
+    ``(m, 1)``, and the envelope's logarithmic derivatives ``A dE/dA`` and
+    ``W dE/dW``: ``(m, 3, tau.size)``. The envelope depends on ``r = 3A/4``
+    and on ``gamma^2 = disc / 16 = W^2 - A^2 / 16`` (see
+    :func:`_envelope_slopes`)."""
+    r, disc = 0.75 * A, 16.0 * W * W - A * A
+    out = np.empty((disc.shape[0], 3, tau.size))
+    for regime, rows in _regimes(A, W):
+        envelope, d_r, d_g = _envelope_slopes(tau, r[rows], disc[rows], regime)
+        d_r *= r[rows]
+        d_r -= (0.125 * A[rows] * A[rows]) * d_g
+        d_g *= 2.0 * W[rows] * W[rows]
+        out[rows, 0], out[rows, 1], out[rows, 2] = envelope, d_r, d_g
+    return out
+
+
+def _envelope_slopes(tau: np.ndarray, r, disc, regime: str) -> tuple:
+    """:func:`_envelope` and its derivatives in ``r`` and in ``gamma^2 =
+    disc / 16``, negative when overdamped, in one regime of ``disc``.
+
+    Both oscillating forms are ``e^(-r tau) (C + r S)`` with ``C = cos(gamma
+    tau)`` and ``S = sin(gamma tau) / gamma``, or their hyperbolic twins, so
+    ``dC/dgamma^2 = -tau S / 2`` and ``dS/dgamma^2 = tau^3 phi / 2`` in either,
+    where ``phi = (x cos x - sin x) / x^3`` of ``x^2 = gamma^2 tau^2``. Where
+    that cancels, ``phi`` is its series; the near-critical regime takes the
+    series of the whole envelope to first order in ``gamma^2``, and far out
+    the overdamped branch differentiates its single exponential."""
+    decay = np.exp(-r * tau)
+    if regime == "critical":
+        rt = r * tau
+        return decay * (1.0 + rt), -rt * tau * decay, -(tau * tau) * decay * (0.5 + rt / 6.0)
+    if regime == "under":
+        gamma = 0.25 * np.sqrt(disc)
+        C, S = np.cos(gamma * tau), np.sin(gamma * tau) / gamma
+    else:
+        kappa = 0.25 * np.sqrt(-disc)
+        x = np.minimum(kappa * tau, 20.0)
+        C, S = np.cosh(x), np.sinh(x) / kappa
+    envelope = C + r * S
+    envelope *= decay
+    x2 = (disc / 16.0) * (tau * tau)
+    phi = (tau * C - S) / (x2 * tau)
+    small = np.abs(x2) < 1e-2
+    if small.any():
+        x2 = x2[small]
+        phi[small] = -1.0 / 3.0 + x2 * (1.0 / 30.0 - x2 * (1.0 / 840.0 - x2 / 45360.0))
+    d_r = decay * S - tau * envelope
+    d_g = (r * (tau * tau)) * phi - S
+    d_g *= (0.5 * tau) * decay
+    if regime == "over":
+        # Far out, 0.5 (1 + c) e^((kappa - r) tau) with c = r / kappa and
+        # dkappa/dgamma^2 = -1 / (2 kappa).
+        far = kappa * tau >= 20.0
+        if far.any():
+            c = r / kappa
+            grow = np.exp((kappa - r) * tau)
+            envelope = np.where(far, 0.5 * (1.0 + c) * grow, envelope)
+            d_r = np.where(far, 0.5 * grow * (1.0 / kappa - (1.0 + c) * tau), d_r)
+            d_g = np.where(far, 0.25 * grow * (c / kappa - (1.0 + c) * tau) / kappa, d_g)
+    return envelope, d_r, d_g
 
 
 def _envelope(tau: np.ndarray, r, disc, regime: str) -> np.ndarray:
@@ -218,18 +285,51 @@ def _degenerate_factor(tau, ld1, ld2, dl1, dl2, p_l) -> np.ndarray:
     return _three_state_pll_expm(tau, stats) / p_l
 
 
-def _closed_factor(tau, ld1, ld2, dl1, dl2, mu1, mu2) -> np.ndarray:
+def _closed_coefficients(ld1, ld2, dl1, dl2, mu1, mu2) -> tuple:
+    """``(c+, c-, gamma, alpha, beta)`` of the closed blink factor ``1 + c+
+    e^(mu1 tau) + c- e^(mu2 tau)``, where ``c+- = alpha / 2 +- beta / (4
+    gamma)`` and ``gamma = (mu1 - mu2) / 2``."""
     gamma = 0.5 * (mu1 - mu2)
     sigma_l = ld1 + ld2
     alpha = ld1 / dl1 + ld2 / dl2
-    beta = (
-        ld1 * dl2 / dl1
-        + ld2 * dl1 / dl2
-        - alpha * sigma_l
-        - sigma_l
+    beta = ld1 * dl2 / dl1 + ld2 * dl1 / dl2 - alpha * sigma_l - sigma_l
+    return 0.5 * alpha + 0.25 * beta / gamma, 0.5 * alpha - 0.25 * beta / gamma, gamma, alpha, beta
+
+
+def _closed_slopes(rates, mu1, mu2, terms, shift) -> tuple:
+    """The derivatives ``(dmu1, dmu2, dc+, dc-)`` of the closed blink factor's
+    scalars along a shift ``(dld1, dld2, ddl1, ddl2)`` of the switching
+    ``rates``, with ``terms`` of :func:`_closed_coefficients`: floats for a
+    float shift, or the shift's shape for columns of rates and ``(m, k)``
+    shifts.
+
+    The roots of ``mu^2 + s mu + q`` move by ``-(ds mu + dq) / (2 mu + s)``,
+    and ``2 mu + s = +-(mu1 - mu2) = +-2 gamma``; ``c+-`` follow from
+    ``alpha``, ``beta`` and ``gamma``."""
+    (ld1, ld2), (dl1, dl2) = rates
+    _, _, gamma, alpha, beta = terms
+    a1, a2, b1, b2 = shift
+    ds = a1 + a2 + b1 + b2
+    dq = a1 * dl2 + ld1 * b2 + b1 * ld2 + dl1 * a2 + b1 * dl2 + dl1 * b2
+    d_mu1 = -(ds * mu1 + dq) / (2.0 * gamma)
+    d_mu2 = (ds * mu2 + dq) / (2.0 * gamma)
+    d_gamma = 0.5 * (d_mu1 - d_mu2)
+    u, v = ld1 * dl2 / dl1, ld2 * dl1 / dl2
+    d_alpha = (a1 - ld1 * b1 / dl1) / dl1 + (a2 - ld2 * b2 / dl2) / dl2
+    d_sigma = a1 + a2
+    d_beta = (
+        (a1 * dl2 + ld1 * b2 - u * b1) / dl1
+        + (a2 * dl1 + ld2 * b1 - v * b2) / dl2
+        - d_alpha * (ld1 + ld2)
+        - alpha * d_sigma
+        - d_sigma
     )
-    c_plus = 0.5 * alpha + 0.25 * beta / gamma
-    c_minus = 0.5 * alpha - 0.25 * beta / gamma
+    d_split = 0.25 * (d_beta - beta * d_gamma / gamma) / gamma
+    return d_mu1, d_mu2, 0.5 * d_alpha + d_split, 0.5 * d_alpha - d_split
+
+
+def _closed_factor(tau, ld1, ld2, dl1, dl2, mu1, mu2) -> np.ndarray:
+    c_plus, c_minus = _closed_coefficients(ld1, ld2, dl1, dl2, mu1, mu2)[:2]
     # Rates far apart overflow beta's products; floats do so silently.
     if not isinstance(c_plus, np.ndarray) and not (math.isfinite(c_plus) and math.isfinite(c_minus)):
         raise DegenerateInputError(

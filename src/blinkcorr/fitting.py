@@ -17,19 +17,21 @@ runs three stages:
 
 :func:`fit_full` chains the stages and optionally wraps them in a
 residual bootstrap for uncertainties. The optimizer is a small damped
-least-squares routine with box bounds and forward-difference Jacobians
-(Levenberg-Marquardt damping, More, Lect. Notes Math. 630, 105 (1978));
-it is deliberately self-contained so its behaviour is fully pinned by the
-tests in this package. A coordinate that sits on its bound while the
-gradient pushes it outward takes no step (the active-set rule of
-bounded-variable least squares, Stark & Parker, Comput. Stat. 10, 129
-(1995)), so a background ratio that fits to zero stops there instead of
-crawling along its bound. It solves a stack of problems at once, each row
-with its own damping, pins and stop: a stage's starts are one stack over
-its curve, and the bootstrap solves all refits of a stage as one stack,
-with one model call for every Jacobian probe of the stack and one batched
-solve per damping step. A row's arithmetic is the same in any stack, the
-same as :func:`least_squares` gives it alone.
+least-squares routine with box bounds (Levenberg-Marquardt damping, More,
+Lect. Notes Math. 630, 105 (1978)); it is deliberately self-contained so
+its behaviour is fully pinned by the tests in this package. The stage
+fits and their covariances take each stage model's exact Jacobian, which
+shares the model's exponentials across its columns; :func:`least_squares`
+takes forward differences of the residual it is given. A coordinate that
+sits on its bound while the gradient pushes it outward takes no step (the
+active-set rule of bounded-variable least squares, Stark & Parker,
+Comput. Stat. 10, 129 (1995)), so a background ratio that fits to zero
+stops there instead of crawling along its bound. It solves a stack of
+problems at once, each row with its own damping, pins and stop: a
+stage's starts are one stack over its curve, and the bootstrap solves all
+refits of a stage as one stack, with one Jacobian call for the stack and
+one batched solve per damping step. A row's arithmetic is the same in any
+stack, the same as it gets alone.
 """
 
 from __future__ import annotations
@@ -39,7 +41,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlation import CorrelationSeries, _blink_factor, _g2, blink_factor, g_total
+from .correlation import (
+    CorrelationSeries,
+    _blink_factor,
+    _closed_coefficients,
+    _closed_slopes,
+    _g2,
+    _g2_slopes,
+    _is_degenerate,
+    blink_factor,
+    g_total,
+)
 from .errors import (
     DegenerateFitError,
     DegenerateInputError,
@@ -103,6 +115,7 @@ _REL_TOL = 1e-10
 _REFIT_TOL = 1e-3
 # The widest stack whose rows a stage's model takes one at a time.
 _NARROW = 4
+_LN10 = math.log(10.0)
 
 
 def _is_real(value) -> bool:
@@ -258,7 +271,7 @@ def _best_row(residual, x0, lo, hi, max_iterations, refit=False, strict=False) -
         # a row that stopped on one, or on a cost that is not, needs none.
         cov = np.full((npar, npar), np.nan)
         if stops[i] != _NOT_FINITE:
-            jac = _jacobian(residual, x[row], r[row], np.array([i]), lo, hi)[0]
+            jac = _derivative(residual)(x[row], r[row], np.array([i]), lo, hi)[0]
             if np.isfinite(jac).all():
                 cov = np.linalg.pinv(jac.T @ jac) * (cost[i] / max(r.shape[1] - npar, 1))
     return LeastSquaresResult(x[i], float(cost[i]), cov, int(iterations[i]), converged, message)
@@ -308,6 +321,14 @@ def _jacobian(residual, x, r, rows, lo, hi) -> np.ndarray:
     return np.ascontiguousarray(diff.transpose(0, 2, 1))
 
 
+def _derivative(residual):
+    """The Jacobian routine of a stacked residual, called as
+    :func:`_jacobian` is without the residual: the residual's own
+    ``jacobian`` (a stage's, see :func:`_stacked`), or else forward
+    differences."""
+    return getattr(residual, "jacobian", None) or (lambda *args: _jacobian(residual, *args))
+
+
 def _solve_stack(residual, x0, lo, hi, max_iterations, refit):
     """:func:`least_squares` on a stack of problems in one run.
 
@@ -321,13 +342,16 @@ def _solve_stack(residual, x0, lo, hi, max_iterations, refit):
     from the stack's ``J^T J``: a pinned coordinate gets the identity's row
     and column and a zero right-hand side and damping, so it takes no step
     and the free ones are solved without it, and a stopped row gets the
-    whole identity. The Jacobian probes, normal equations, damped solves
-    and trial residuals of the stack are one numpy call each; each row's
+    whole identity. The Jacobian is the residual's own ``jacobian`` (a
+    stage's exact one, see :func:`_stacked`), or else forward differences
+    (:func:`_jacobian`); it, the normal equations, damped solves and trial
+    residuals of the stack are one call each; each row's
     control runs on Python floats, which for a handful of coordinates
     costs less than numpy calls on tiny arrays. Returns ``[x, r, cost,
     iterations, stops]``, the last indexing ``_STOPS``.
     """
     nrow, npar = x0.shape
+    jacobian = _derivative(residual)
     ids = np.arange(nrow)
     x = x0.copy()
     r = residual(x, ids)
@@ -351,7 +375,7 @@ def _solve_stack(residual, x0, lo, hi, max_iterations, refit):
         m = ids.size
         if not m or it == max_iterations:
             break
-        jac = _jacobian(residual, x, r, ids, lo, hi)
+        jac = jacobian(x, r, ids, lo, hi)
         jt = jac.transpose(0, 2, 1)
         # A sum that overflows is not finite, and its row stops below.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -522,10 +546,9 @@ def _stage(
     lo, hi = _bounds(table)
     on_bound = bool(np.any((best.x == lo) | (best.x == hi)))
     sigma = {}
-    ln10 = math.log(10.0)
     for pos, (name, log, _, _) in enumerate(table):
         sd = math.sqrt(max(best.cov[pos, pos], 0.0))
-        sigma[name] = values[name] * ln10 * sd if log else sd
+        sigma[name] = values[name] * _LN10 * sd if log else sd
     sigma.update(_propagated_sigma(propagated, best.x, best.cov))
     return FitStage(
         values, sigma, best.cost, best.iterations, best.converged, best.message, n_points, on_bound
@@ -614,7 +637,16 @@ def _isc_values(rates, sat: float) -> dict:
 
 def _slow_residual(tau: np.ndarray, w, y: np.ndarray, free_amp: bool):
     """The slow stage's weighted residual ``residual(theta, rows)`` of a
-    stack's coordinate rows against the curves ``y[rows]``."""
+    stack's coordinate rows against the curves ``y[rows]``, with its exact
+    Jacobian.
+
+    The model is ``1 + c+ e1 + c- e2`` with ``e_i = exp(mu_i tau)``, times the
+    amplitude when it is free, so its column in coordinate ``j`` is ``dc+_j e1
+    + dc-_j e2 + tau (c+ dmu1_j e1 + c- dmu2_j e2)`` (see
+    :func:`_slow_scalars`): one pair of exponentials for all columns. The
+    scalars of a narrow stack's rows are taken on floats, as its residual's
+    are, with the same bits. A row on :func:`_blink_factor`'s expm route is
+    left to differences."""
 
     def model(theta: np.ndarray, rows) -> np.ndarray:
         (ld1, ld2), (dl1, dl2) = _slow_rates(theta)
@@ -623,14 +655,88 @@ def _slow_residual(tau: np.ndarray, w, y: np.ndarray, free_amp: bool):
             out *= _coords(theta)[4]
         return out
 
-    return _stacked(model, w, y)
+    def slopes(theta: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Columns (m, 1) of mu1, mu2, c+ and c-, and each row's (4, 4)
+        # coefficients of the basis e1, tau e1, e2, tau e2 in each coordinate.
+        if len(rows) > _NARROW:
+            exact, (mu1, mu2, c_plus, c_minus, d_mu1, d_mu2, d_plus, d_minus) = _slow_scalars(theta)
+            coef = np.stack([d_plus, c_plus * d_mu1, d_minus, c_minus * d_mu2], axis=2)
+        else:
+            each = [_slow_scalars(t) for t in theta]
+            exact = np.array([v is not None for v in each])
+            if not exact.any():
+                return np.empty((0, theta.shape[1], tau.size)), exact
+            flat = np.array([
+                [mu1, mu2, c_plus, c_minus, *(c for j in range(4) for c in (dp[j], c_plus * d1[j], dm[j], c_minus * d2[j]))]
+                for mu1, mu2, c_plus, c_minus, d1, d2, dp, dm in filter(None, each)
+            ])
+            mu1, mu2, c_plus, c_minus = flat[:, :4, None].transpose(1, 0, 2)
+            coef = flat[:, 4:].reshape(-1, 4, 4)
+        if free_amp:
+            coef *= theta[exact, 4:, None]
+            zero = np.zeros_like(c_plus)
+            coef = np.concatenate([coef, np.stack([c_plus, zero, c_minus, zero], axis=2)], axis=1)
+        basis = np.empty((len(mu1), 4, tau.size))
+        np.exp(mu1 * tau, out=basis[:, 0])
+        np.exp(mu2 * tau, out=basis[:, 2])
+        np.multiply(basis[:, 0::2], tau, out=basis[:, 1::2])
+        part = coef @ basis
+        if free_amp:
+            part[:, 4] += 1.0
+        return part, exact
+
+    return _stacked(model, slopes, w, y)
 
 
-def _stacked(model, w, y: np.ndarray):
+def _slow_scalars(theta: np.ndarray):
+    """The closed blink factor's ``(mu1, mu2, c+, c-)`` and their slopes
+    ``(dmu1, dmu2, dc+, dc-)`` in the four period coordinates (see
+    :func:`_closed_slopes`). For a coordinate vector: floats and 4-tuples,
+    or None where :func:`_blink_factor` takes the expm route. For a stack:
+    the mask of the rows that take the closed form, and ``(m, 1)`` and
+    ``(m, 4)`` columns of those rows.
+
+    ``log10 T_L`` scales both light-to-dark rates by ``-ln 10``, each ``log10
+    T_D`` its dark-to-light rate, and ``p1`` moves the light-to-dark rates
+    apart by ``1 / T_L`` each."""
+    (ld1, ld2), (dl1, dl2) = _slow_rates(theta)
+    mu1, mu2, _ = _relaxation(ld1, ld2, dl1, dl2)
+    degenerate = _is_degenerate(mu1, mu2)
+    if theta.ndim == 1 and degenerate:
+        return None
+    if theta.ndim == 2:
+        closed = ~degenerate[:, 0]
+        if not closed.all():
+            ld1, ld2, dl1, dl2, mu1, mu2 = (v[closed] for v in (ld1, ld2, dl1, dl2, mu1, mu2))
+    rates = (ld1, ld2), (dl1, dl2)
+    terms = _closed_coefficients(ld1, ld2, dl1, dl2, mu1, mu2)
+    sigma, zero = ld1 + ld2, 0.0 * ld1
+    # Each coordinate's shift of (ld1, ld2, dl1, dl2).
+    shifts = (
+        (-_LN10 * ld1, -_LN10 * ld2, zero, zero),
+        (zero, zero, -_LN10 * dl1, zero),
+        (zero, zero, zero, -_LN10 * dl2),
+        (sigma, -sigma, zero, zero),
+    )
+    if theta.ndim == 1:
+        slopes = zip(*(_closed_slopes(rates, mu1, mu2, terms, shift) for shift in shifts))
+        return (mu1, mu2, *terms[:2], *slopes)
+    slopes = _closed_slopes(rates, mu1, mu2, terms, [np.hstack(rate) for rate in zip(*shifts)])
+    return closed, (mu1, mu2, *terms[:2], *slopes)
+
+
+def _stacked(model, slopes, w, y: np.ndarray):
     """``w * (model(theta, rows) - y[rows])`` for a stack's rows, a row the
     model refuses as NaN. The model takes the rows as columns, except in
     stacks of at most ``_NARROW`` rows, where its float route is faster
-    and gives the same bits."""
+    and gives the same bits.
+
+    The residual's ``jacobian(theta, r, rows, lo, hi)``, ``(m, n, k)``, is
+    ``w`` times ``slopes(theta, rows)``: the model's derivative, ``(m, k,
+    n)`` for the rows it takes, whose bits do not depend on the stack, and
+    the mask of those rows. The other rows are forward differences of the
+    residual (:func:`_jacobian`). Every row is laid out the same, so its
+    normal equations are too."""
 
     def residual(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
         if len(rows) > _NARROW:
@@ -646,6 +752,17 @@ def _stacked(model, w, y: np.ndarray):
                 out[j] = np.nan
         return out
 
+    def jacobian(theta: np.ndarray, r: np.ndarray, rows: np.ndarray, lo, hi) -> np.ndarray:
+        part, exact = slopes(theta, rows)
+        part *= w
+        if not exact.all():
+            whole = np.empty((len(rows), *part.shape[1:]))
+            whole[exact], rest = part, ~exact
+            whole[rest] = _jacobian(residual, theta[rest], r[rest], rows[rest], lo, hi).transpose(0, 2, 1)
+            part = whole
+        return part.transpose(0, 2, 1)
+
+    residual.jacobian = jacobian
     return residual
 
 
@@ -729,13 +846,25 @@ def _fast_start(init: dict[str, float]) -> np.ndarray:
 
 def _fast_residual(tau: np.ndarray, w: np.ndarray, envelope: np.ndarray, y: np.ndarray):
     """The fast stage's weighted residual, as :func:`_slow_residual`'s: the
-    two-level shape over ``envelope[rows]``."""
+    two-level shape over ``envelope[rows]``, ``envelope (g2 + ratio) / (1 +
+    ratio)``. Its Jacobian takes ``g2``'s slopes in ``log10 A31`` and ``log10
+    Omega31`` from :func:`_g2_slopes`, on columns for any stack, and in the
+    ratio it is ``envelope (1 - g2) / (1 + ratio)^2``."""
 
     def model(theta: np.ndarray, rows) -> np.ndarray:
         log_a, log_omega, ratio = _coords(theta)
         return envelope[rows] * (_g2(tau, _pow10(log_a), _pow10(log_omega)) + ratio) / (1.0 + ratio)
 
-    return _stacked(model, w, y)
+    def slopes(theta: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        log_a, log_omega, ratio = _coords(theta)
+        # g2 = 1 - E: columns -ln10 A dE/dA, -ln10 W dE/dW and E / (1 + ratio).
+        jac = _g2_slopes(tau, _pow10(log_a), _pow10(log_omega))[:, [1, 2, 0]]
+        jac[:, :2] *= -_LN10
+        jac[:, 2] *= 1.0 / (1.0 + ratio)
+        jac *= (envelope[rows] / (1.0 + ratio))[:, None, :]
+        return jac, np.ones(len(rows), dtype=bool)
+
+    return _stacked(model, slopes, w, y)
 
 
 def fit_fast(

@@ -1161,6 +1161,14 @@ def _estimate_record(path: str, edges: np.ndarray) -> tuple[CorrelationSeries, f
     return _read_record(path, stream, whole)
 
 
+def _check_record(path: str) -> None:
+    """Raise what :func:`read_trajectory` raises of the trajectory file at
+    ``path``, if anything. A file of rows is checked block by block through
+    its :class:`_RecordFile`, with no array of all its times; any other
+    file is read by the line rule (:func:`_read_record`)."""
+    _read_record(path, lambda record: _in_order(record.parse, record.texts(), record.check), lambda trajectory: None)
+
+
 class _LineRoute(Exception):
     """A row of a trajectory file that ``'%.16e\\n'`` does not write and
     the line rule does not refuse, or that is not one line: the file is

@@ -914,6 +914,42 @@ def test_estimate_g_reads_a_refused_record_once(tmp_path, capsys, monkeypatch, k
         assert set(line_reads) == {list}
 
 
+def test_estimate_g_checks_the_record_before_a_bad_grid_in_bounded_memory(tmp_path, capsys, monkeypatch):
+    # A grid that --grid refuses is named after the record's own fault, as
+    # the record is read first; the record is checked block by block and
+    # never read whole. Records of 4 s and 8 s, 8.6 and 17 MB, with a good
+    # record: the refusal's allocation peak does not grow with the record,
+    # where reading it whole grew it by the 3 MB more times.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    for module in (cli, simulate):
+        monkeypatch.setattr(module, "read_trajectory", lambda path: pytest.fail("the record was read whole"))
+    out, grid = str(tmp_path / "g.csv"), ["--grid", "1e-3:1e-4:5"]
+    for layout, (index, row) in [(b"%.16e", BAD_ROWS["unsorted"][-1]), (b"%.17g", BAD_ROWS["malformed"][0])]:
+        text, lineno = bad_record(layout, index, row)
+        path = tmp_path / "bad.traj"
+        path.write_bytes(text)
+        message = "arrival times must be sorted" if layout == b"%.16e" else f":{lineno}: bad arrival time"
+        code, err, _ = run_refused(["estimate-g", "--traj", str(path), "--out", out] + grid, capsys)
+        assert code == 2 and err.startswith(f"error: {path}") and message in err, err
+    rng = np.random.Generator(np.random.Philox(key=[8, 8]))
+    peaks = []
+    for seconds in (4.0, 4.0, 8.0):
+        path = str(tmp_path / f"{seconds}.traj")
+        if not os.path.exists(path):
+            times = np.sort(rng.uniform(0.0, seconds, int(9.3e4 * seconds)))
+            write_trajectory(Trajectory(times=times, duration=seconds), path)
+            del times
+        tracemalloc.start()
+        try:
+            code, err, _ = run_refused(["estimate-g", "--traj", path, "--out", out] + grid, capsys)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (2, "error: grid bounds must satisfy 0 < MIN < MAX\n")
+        assert not os.path.exists(out)
+    assert abs(peaks[2] - peaks[1]) < 0.1 * peaks[1], peaks
+
+
 def test_estimate_g_memory_does_not_grow_with_the_record(tmp_path, monkeypatch):
     # Records of 4 s and 8 s at the benchmark record's rate, 8.6 and 17 MB,
     # on a grid that ends below a tenth of either: the streamed estimate's

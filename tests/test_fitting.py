@@ -13,6 +13,7 @@ from scipy.optimize import lsq_linear
 from blinkcorr import (
     CorrelationSeries,
     PhotoPhysicalParams,
+    correlation,
     eval_curve,
     fitting,
     light_intensity,
@@ -397,6 +398,93 @@ def test_stacked_kernels_at_the_corners_of_their_boxes(free_amp):
         # miss unit sum.
         refused = corners[~finite]
         assert np.all(refused[:, :3] == [5.0, -8.0, -8.0])
+        # The Jacobian is finite, or NaN where the residual row is, the
+        # same on both routes, and nothing warns.
+        lo, hi = fitting._bounds(table)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            jac = residual.jacobian(corners, wide, rows, lo, hi)
+            narrow = np.concatenate(
+                [residual.jacobian(corners[i : i + 2], wide[i : i + 2], rows[i : i + 2], lo, hi) for i in range(0, len(rows), 2)]
+            )
+        assert np.isfinite(jac[finite]).all() and np.isnan(jac[~finite]).all()
+        assert np.array_equal(jac, narrow, equal_nan=True)
+
+
+def stage_residual(stage, m=1):
+    """A stage's residual on criterion 7's delays, against a flat curve."""
+    tau = np.geomspace(1e-10, 1.0, 300)
+    if stage == "fast":
+        fast = tau[tau < 1e-7]
+        return fitting._FAST, fitting._fast_residual(fast, 1.0, np.full((m, fast.size), 1.3), np.ones((m, fast.size)))
+    slow, free_amp = tau[tau > 1e-7], stage == "slow-amplitude"
+    table = fitting._SLOW + fitting._AMPLITUDE if free_amp else fitting._SLOW
+    return table, fitting._slow_residual(slow, 1.0, np.ones((m, slow.size)), free_amp)
+
+
+@st.composite
+def stage_points(draw):
+    """A stage and a point of its box: anywhere, or with p1 within 1e-3 of
+    a bound, T_D1 close to T_D2, no background, or A31 and Omega31 near the
+    critical line 16 Omega31^2 = A31^2 (on it, or off it by down to 1e-12)."""
+    stage = draw(st.sampled_from(["slow", "slow-amplitude", "fast"]))
+    table, _ = stage_residual(stage)
+    lo, hi = fitting._bounds(table)
+    x = lo + (hi - lo) * np.array([draw(st.floats(0.0, 1.0)) for _ in table])
+    near = draw(st.floats(1e-12, 1e-2)) * draw(st.sampled_from([-1.0, 1.0]))
+    case = draw(st.sampled_from(["anywhere", "edge", "close"]))
+    if stage != "fast" and case == "edge":
+        x[3] = draw(st.sampled_from([lo[3], hi[3] - 1e-3])) + draw(st.floats(0.0, 1e-3))
+    elif stage != "fast" and case == "close":
+        x[2] = x[1] + near
+    elif stage == "fast" and case == "edge":
+        x[2] = 0.0
+    elif stage == "fast" and case == "close":
+        x[1] = x[0] - math.log10(4.0) + draw(st.sampled_from([0.0, near]))
+    return stage, np.clip(x, lo, hi)
+
+
+@given(stage_points())
+@example(("fast", np.array([8.0, 8.0 - math.log10(4.0), 0.0])))
+@example(("slow", np.array([-2.2, -2.8, -2.8, 1.0 - 1e-4])))
+@example(("slow-amplitude", np.array([5.0, -8.0, -8.0, 0.5, 1.0])))
+@example(("slow", np.array([4.0, -7.0, -7.0, 0.5])))
+def test_stage_jacobians_are_the_derivatives_of_their_models(point):
+    # Each stage's exact Jacobian against central differences of its
+    # residual, extrapolated (Richardson) over steps from 1e-2 to 1e-9,
+    # inside the box. A difference of step h errs by its rounding, about
+    # eps * M / h, where M is the size of the terms the model sums: 1 +
+    # |c+| + |c-| times the amplitude for the slow model, which cancels
+    # near coincident eigenvalues, the envelope for the fast one. Each
+    # column agrees to 1e-6 of its size at some step. A row on the expm
+    # route keeps the forward differences of its residual.
+    stage, x = point
+    table, residual = stage_residual(stage)
+    lo, hi = fitting._bounds(table)
+    one = np.zeros(1, dtype=int)
+    r = residual(x[None], one)
+    jac = residual.jacobian(x[None], r, one, lo, hi)[0]
+    size = 1.3
+    if stage != "fast":
+        (ld1, ld2), (dl1, dl2) = fitting._slow_rates(x)
+        mu1, mu2, _ = fitting._relaxation(ld1, ld2, dl1, dl2)
+        if correlation._is_degenerate(mu1, mu2):
+            assert np.array_equal(jac, fitting._jacobian(residual, x[None], r, one, lo, hi)[0], equal_nan=True)
+            return
+        c_plus, c_minus = correlation._closed_coefficients(ld1, ld2, dl1, dl2, mu1, mu2)[:2]
+        size = (1.0 + abs(c_plus) + abs(c_minus)) * (x[4] if x.size > 4 else 1.0)
+    assert np.isfinite(jac).all()
+    for j in range(x.size):
+        unit = np.eye(x.size)[j]
+        room = min(x[j] - lo[j], hi[j] - x[j]) + 1e-4
+        misses = []
+        for h in [h for h in 10.0 ** -np.arange(2.0, 10.0) if h < room]:
+            probes = x + np.outer([h, -h, h / 2, -h / 2], unit)
+            far, near_ = np.split(residual(probes, np.zeros(4, dtype=int)), 2)
+            central = (4.0 * (near_[0] - near_[1]) / h - (far[0] - far[1]) / (2.0 * h)) / 3.0
+            bound = 1e-6 * np.abs(jac[:, j]).max() + 1e3 * np.finfo(float).eps * size / h
+            misses.append(np.abs(central - jac[:, j]).max() / bound)
+        assert min(misses) <= 1.0, (stage, x.tolist(), j, misses)
 
 
 def test_least_squares_validation():
@@ -989,9 +1077,9 @@ def test_guessing_every_coordinate_leaves_one_start(reference_params, monkeypatc
 
 @pytest.mark.parametrize("free_amp", [False, True])
 def test_stage_keeps_the_best_start_solved_alone(reference_params, monkeypatch, free_amp):
-    # Each stage ends, in float hex, where least_squares leaves the start
-    # of least cost, every start solved alone on the stage's residual: the
-    # same point, cost, covariance, iterations and stop.
+    # Each stage ends, in float hex, where its solver leaves the start of
+    # least cost, every start solved alone on the stage's residual and exact
+    # Jacobian: the same point, cost, covariance, iterations and stop.
     outcomes = []
     best_row = fitting._best_row
 
@@ -1010,10 +1098,7 @@ def test_stage_keeps_the_best_start_solved_alone(reference_params, monkeypatch, 
         return [list(map(float.hex, a.ravel().tolist())) for a in (res.x, np.array(res.cost), res.cov)]
 
     for residual, x0, bounds, max_iterations, stage in outcomes:
-        alone = [
-            least_squares(lambda v: residual(v[None], np.zeros(1, dtype=int))[0], start, bounds, max_iterations=max_iterations)
-            for start in x0
-        ]
+        alone = [fitting._best_row(residual, start[None], *bounds, max_iterations) for start in x0]
         best = min(alone, key=lambda res: res.cost)
         assert hexed(stage) == hexed(best)
         assert (stage.iterations, stage.converged, stage.message) == (best.iterations, best.converged, best.message)
@@ -1062,14 +1147,14 @@ def test_bootstrap_leaves_the_main_fit_alone(reference_params, seed):
 def test_bootstrap_counts_refits_on_a_bound(reference_params, monkeypatch):
     # On criterion 7's seed 13 some refits' slow stage ends with T_D2 on
     # its 1e-8 s floor. The slow stage runs one stack of a row per refit;
-    # the seven failed refits stop at the iteration cap in that stack.
+    # the four failed refits stop at the iteration cap in that stack.
     data = criterion7_curve(reference_params, seed=13)
     stacks = record_stacks(monkeypatch)
     res = fit_full(data, FitConfig(bootstrap_resamples=50))
     ends = [end for x0, _, refit, rows in stacks if refit and x0.shape[1] == 4 for end in rows]
     assert len(ends) == 50
-    assert res.diagnostics["bootstrap_failures"] == sum(not ok for ok, *_ in ends) == 7
-    assert [message for ok, _, message in ends if not ok] == ["maximum iterations reached"] * 7
+    assert res.diagnostics["bootstrap_failures"] == sum(not ok for ok, *_ in ends) == 4
+    assert [message for ok, _, message in ends if not ok] == ["maximum iterations reached"] * 4
     on_bound = sum(ok and edge for ok, edge, _ in ends)
     assert res.diagnostics["bootstrap_on_bound"] == on_bound > 0
 
@@ -1108,7 +1193,7 @@ def test_bootstrap_draws_equal_refits_through_the_stages(reference_params, monke
         edges += slow.on_bound
         alone = {"slow": slow, "fast": fast, "isc": fit_isc(slow, fast)}
         rows.append([alone[name].values[key] for name, keys in fitting.STAGE_KEYS.items() for key in keys])
-    assert (failures, on_bound) == (cfg.bootstrap_resamples - len(rows), edges) == (7, edges)
+    assert (failures, on_bound) == (cfg.bootstrap_resamples - len(rows), edges) == (4, edges)
     assert edges > 0
     assert [list(map(float.hex, row)) for row in draws.tolist()] == [list(map(float.hex, row)) for row in rows]
 
