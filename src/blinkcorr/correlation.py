@@ -73,90 +73,23 @@ def _g2(tau: np.ndarray, A, W) -> np.ndarray:
     """:func:`g2` on checked delays and rates (``A > 0``, ``W >= 0``). The
     rates are floats, or columns of shape ``(m, 1)`` holding m rate pairs,
     which give one row of ``m`` by ``tau.size`` each."""
-    r, disc = 0.75 * A, 16.0 * W * W - A * A
-    if not isinstance(disc, np.ndarray):
-        return 1.0 - _envelope(tau, r, disc, _regimes(A, W)[0][0])
-    out = np.empty((disc.shape[0], tau.size))
-    for regime, rows in _regimes(A, W):
-        out[rows] = 1.0 - _envelope(tau, r[rows], disc[rows], regime)
-    return out
-
-
-def _regimes(A, W) -> list:
-    """The regimes of ``disc = 16 W^2 - A^2`` that rates of :func:`_g2`
-    fall in, each with its rows: the regime alone for floats, and for
-    columns each with the mask of its rows, or with every row when it holds
-    them all."""
+    r = 0.75 * A
     disc = 16.0 * W * W - A * A
-    critical = abs(disc) <= 1e-12 * (16.0 * W * W + A * A)
+    scale = 16.0 * W * W + A * A
+    critical = abs(disc) <= 1e-12 * scale
     if not isinstance(disc, np.ndarray):
-        return [("critical" if critical else "under" if disc > 0.0 else "over", None)]
-    regimes = (("critical", critical), ("under", ~critical & (disc > 0.0)), ("over", ~critical & (disc <= 0.0)))
-    regimes = [(regime, rows[:, 0]) for regime, rows in regimes if rows.any()]
-    return [(regimes[0][0], slice(None))] if len(regimes) == 1 else regimes
-
-
-def _g2_slopes(tau: np.ndarray, A: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """``1 - g2``, the damped envelope of :func:`_g2`, at columns of rates
-    ``(m, 1)``, and the envelope's logarithmic derivatives ``A dE/dA`` and
-    ``W dE/dW``: ``(m, 3, tau.size)``. The envelope depends on ``r = 3A/4``
-    and on ``gamma^2 = disc / 16 = W^2 - A^2 / 16`` (see
-    :func:`_envelope_slopes`)."""
-    r, disc = 0.75 * A, 16.0 * W * W - A * A
-    out = np.empty((disc.shape[0], 3, tau.size))
-    for regime, rows in _regimes(A, W):
-        envelope, d_r, d_g = _envelope_slopes(tau, r[rows], disc[rows], regime)
-        d_r *= r[rows]
-        d_r -= (0.125 * A[rows] * A[rows]) * d_g
-        d_g *= 2.0 * W[rows] * W[rows]
-        out[rows, 0], out[rows, 1], out[rows, 2] = envelope, d_r, d_g
+        regime = "critical" if critical else "under" if disc > 0.0 else "over"
+        return 1.0 - _envelope(tau, r, disc, regime)
+    out = np.empty((disc.shape[0], tau.size))
+    for regime, rows in (
+        ("critical", critical),
+        ("under", ~critical & (disc > 0.0)),
+        ("over", ~critical & (disc <= 0.0)),
+    ):
+        rows = rows[:, 0]
+        if rows.any():
+            out[rows] = 1.0 - _envelope(tau, r[rows], disc[rows], regime)
     return out
-
-
-def _envelope_slopes(tau: np.ndarray, r, disc, regime: str) -> tuple:
-    """:func:`_envelope` and its derivatives in ``r`` and in ``gamma^2 =
-    disc / 16``, negative when overdamped, in one regime of ``disc``.
-
-    Both oscillating forms are ``e^(-r tau) (C + r S)`` with ``C = cos(gamma
-    tau)`` and ``S = sin(gamma tau) / gamma``, or their hyperbolic twins, so
-    ``dC/dgamma^2 = -tau S / 2`` and ``dS/dgamma^2 = tau^3 phi / 2`` in either,
-    where ``phi = (x cos x - sin x) / x^3`` of ``x^2 = gamma^2 tau^2``. Where
-    that cancels, ``phi`` is its series; the near-critical regime takes the
-    series of the whole envelope to first order in ``gamma^2``, and far out
-    the overdamped branch differentiates its single exponential."""
-    decay = np.exp(-r * tau)
-    if regime == "critical":
-        rt = r * tau
-        return decay * (1.0 + rt), -rt * tau * decay, -(tau * tau) * decay * (0.5 + rt / 6.0)
-    if regime == "under":
-        gamma = 0.25 * np.sqrt(disc)
-        C, S = np.cos(gamma * tau), np.sin(gamma * tau) / gamma
-    else:
-        kappa = 0.25 * np.sqrt(-disc)
-        x = np.minimum(kappa * tau, 20.0)
-        C, S = np.cosh(x), np.sinh(x) / kappa
-    envelope = C + r * S
-    envelope *= decay
-    x2 = (disc / 16.0) * (tau * tau)
-    phi = (tau * C - S) / (x2 * tau)
-    small = np.abs(x2) < 1e-2
-    if small.any():
-        x2 = x2[small]
-        phi[small] = -1.0 / 3.0 + x2 * (1.0 / 30.0 - x2 * (1.0 / 840.0 - x2 / 45360.0))
-    d_r = decay * S - tau * envelope
-    d_g = (r * (tau * tau)) * phi - S
-    d_g *= (0.5 * tau) * decay
-    if regime == "over":
-        # Far out, 0.5 (1 + c) e^((kappa - r) tau) with c = r / kappa and
-        # dkappa/dgamma^2 = -1 / (2 kappa).
-        far = kappa * tau >= 20.0
-        if far.any():
-            c = r / kappa
-            grow = np.exp((kappa - r) * tau)
-            envelope = np.where(far, 0.5 * (1.0 + c) * grow, envelope)
-            d_r = np.where(far, 0.5 * grow * (1.0 / kappa - (1.0 + c) * tau), d_r)
-            d_g = np.where(far, 0.25 * grow * (c / kappa - (1.0 + c) * tau) / kappa, d_g)
-    return envelope, d_r, d_g
 
 
 def _envelope(tau: np.ndarray, r, disc, regime: str) -> np.ndarray:
@@ -292,7 +225,12 @@ def _closed_coefficients(ld1, ld2, dl1, dl2, mu1, mu2) -> tuple:
     gamma = 0.5 * (mu1 - mu2)
     sigma_l = ld1 + ld2
     alpha = ld1 / dl1 + ld2 / dl2
-    beta = ld1 * dl2 / dl1 + ld2 * dl1 / dl2 - alpha * sigma_l - sigma_l
+    beta = (
+        ld1 * dl2 / dl1
+        + ld2 * dl1 / dl2
+        - alpha * sigma_l
+        - sigma_l
+    )
     return 0.5 * alpha + 0.25 * beta / gamma, 0.5 * alpha - 0.25 * beta / gamma, gamma, alpha, beta
 
 

@@ -17,21 +17,22 @@ runs three stages:
 
 :func:`fit_full` chains the stages and optionally wraps them in a
 residual bootstrap for uncertainties. The optimizer is a small damped
-least-squares routine with box bounds (Levenberg-Marquardt damping, More,
-Lect. Notes Math. 630, 105 (1978)); it is deliberately self-contained so
-its behaviour is fully pinned by the tests in this package. The stage
-fits and their covariances take each stage model's exact Jacobian, which
-shares the model's exponentials across its columns; :func:`least_squares`
-takes forward differences of the residual it is given. A coordinate that
-sits on its bound while the gradient pushes it outward takes no step (the
-active-set rule of bounded-variable least squares, Stark & Parker,
-Comput. Stat. 10, 129 (1995)), so a background ratio that fits to zero
-stops there instead of crawling along its bound. It solves a stack of
-problems at once, each row with its own damping, pins and stop: a
-stage's starts are one stack over its curve, and the bootstrap solves all
-refits of a stage as one stack, with one Jacobian call for the stack and
-one batched solve per damping step. A row's arithmetic is the same in any
-stack, the same as it gets alone.
+least-squares routine with box bounds (Levenberg-Marquardt damping with
+the gain-ratio update, More, Lect. Notes Math. 630, 105 (1978)); it is
+deliberately self-contained so its behaviour is fully pinned by the tests
+in this package. The slow stage and its covariance take the slow model's
+exact Jacobian, which shares the model's exponentials across its columns;
+the fast stage and :func:`least_squares` take forward differences. A
+coordinate that sits on its bound while the gradient pushes it outward
+takes no step (the active-set rule of bounded-variable least squares,
+Stark & Parker, Comput. Stat. 10, 129 (1995)), so a background ratio that
+fits to zero stops there instead of crawling along its bound. It solves a
+stack of problems at once, each row with its own damping, pins and stop:
+a stage's starts are one stack over its curve, and the bootstrap solves
+all refits of a stage as one stack, with one Jacobian call for the stack
+(one model call per probe where it is differenced) and one batched solve
+per damping step. A row's arithmetic is the same in any stack, the same
+as it gets alone.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .correlation import (
     _closed_coefficients,
     _closed_slopes,
     _g2,
-    _g2_slopes,
     _is_degenerate,
     blink_factor,
     g_total,
@@ -202,10 +202,12 @@ def least_squares(
     its squared norm. Each iteration pins every coordinate that sits on its
     bound while the gradient points out of the box (the active-set rule
     of bounded-variable least squares); the damped normal equations are
-    solved over the free ones. Candidates are clipped into the bounds, the
-    damping shrinks on accepted steps and grows on rejected ones; a
-    candidate whose residual raises :class:`DegenerateInputError` is
-    rejected like one that raises the cost. Convergence requires the
+    solved over the free ones. Candidates are clipped into the bounds. The
+    damping grows tenfold on a rejected step and on an accepted one that
+    gains less than a quarter of the decrease the linearised residual
+    predicts for it (the gain-ratio rule), and shrinks threefold on the
+    others; a candidate whose residual raises :class:`DegenerateInputError`
+    is rejected like one that raises the cost. Convergence requires the
     relative step and cost change below 1e-10; no damping that improves,
     or every coordinate pinned, also counts as converged. A residual that
     is not finite at the iterate or a Jacobian probe stops unconverged, and
@@ -324,8 +326,8 @@ def _jacobian(residual, x, r, rows, lo, hi) -> np.ndarray:
 def _derivative(residual):
     """The Jacobian routine of a stacked residual, called as
     :func:`_jacobian` is without the residual: the residual's own
-    ``jacobian`` (a stage's, see :func:`_stacked`), or else forward
-    differences."""
+    ``jacobian`` (the slow stage's, see :func:`_slow_residual`), or else
+    forward differences."""
     return getattr(residual, "jacobian", None) or (lambda *args: _jacobian(residual, *args))
 
 
@@ -342,12 +344,12 @@ def _solve_stack(residual, x0, lo, hi, max_iterations, refit):
     from the stack's ``J^T J``: a pinned coordinate gets the identity's row
     and column and a zero right-hand side and damping, so it takes no step
     and the free ones are solved without it, and a stopped row gets the
-    whole identity. The Jacobian is the residual's own ``jacobian`` (a
-    stage's exact one, see :func:`_stacked`), or else forward differences
+    whole identity. The Jacobian is the residual's own ``jacobian`` (the
+    slow stage's exact one), or else forward differences
     (:func:`_jacobian`); it, the normal equations, damped solves and trial
-    residuals of the stack are one call each; each row's
-    control runs on Python floats, which for a handful of coordinates
-    costs less than numpy calls on tiny arrays. Returns ``[x, r, cost,
+    residuals of the stack are one call each; each row's damping and stop
+    run on Python floats, which for a handful of coordinates costs less
+    than numpy calls on tiny arrays. Returns ``[x, r, cost,
     iterations, stops]``, the last indexing ``_STOPS``.
     """
     nrow, npar = x0.shape
@@ -440,11 +442,17 @@ def _solve_stack(residual, x0, lo, hi, max_iterations, refit):
                 lam[i] *= 10.0
             searching = [i for i in searching if lam[i] <= _MAX_DAMPING]
 
-        step_rel = np.maximum.reduce(np.abs(x_new - x) / _typical(x_new), axis=1).tolist()
-        for i in range(m):
+        moved_by = x_new - x
+        step_rel = np.maximum.reduce(np.abs(moved_by) / _typical(x_new), axis=1).tolist()
+        # The decrease the linearised residual predicts for the step taken.
+        predicted = 2.0 * (rhs * moved_by).sum(axis=1) - (moved_by[:, None, :] @ jtj @ moved_by[:, :, None])[:, 0, 0]
+        for i, predicted_i in enumerate(predicted.tolist()):
             if moved[i]:
-                lam[i] = max(lam[i] / 3.0, 1e-12)
-                cost_rel = (cost[i] - cost_new[i]) / max(cost[i], 1e-300)
+                # A step that gains less than a quarter of its prediction
+                # overshoots; the damping grows as after a refused step.
+                gain = cost[i] - cost_new[i]
+                lam[i] = lam[i] * 10.0 if gain < 0.25 * predicted_i else max(lam[i] / 3.0, 1e-12)
+                cost_rel = gain / max(cost[i], 1e-300)
                 if step_rel[i] < _REL_TOL and cost_rel < _REL_TOL:
                     stop[i] = _TOLERANCE
             elif not stop[i]:
@@ -685,7 +693,7 @@ def _slow_residual(tau: np.ndarray, w, y: np.ndarray, free_amp: bool):
             part[:, 4] += 1.0
         return part, exact
 
-    return _stacked(model, slopes, w, y)
+    return _stacked(model, w, y, slopes)
 
 
 def _slow_scalars(theta: np.ndarray):
@@ -725,18 +733,18 @@ def _slow_scalars(theta: np.ndarray):
     return closed, (mu1, mu2, *terms[:2], *slopes)
 
 
-def _stacked(model, slopes, w, y: np.ndarray):
+def _stacked(model, w, y: np.ndarray, slopes=None):
     """``w * (model(theta, rows) - y[rows])`` for a stack's rows, a row the
     model refuses as NaN. The model takes the rows as columns, except in
     stacks of at most ``_NARROW`` rows, where its float route is faster
     and gives the same bits.
 
-    The residual's ``jacobian(theta, r, rows, lo, hi)``, ``(m, n, k)``, is
-    ``w`` times ``slopes(theta, rows)``: the model's derivative, ``(m, k,
-    n)`` for the rows it takes, whose bits do not depend on the stack, and
-    the mask of those rows. The other rows are forward differences of the
-    residual (:func:`_jacobian`). Every row is laid out the same, so its
-    normal equations are too."""
+    With ``slopes``, the residual carries ``jacobian(theta, r, rows, lo,
+    hi)``, ``(m, n, k)``: ``w`` times ``slopes(theta, rows)``, which gives
+    the model's derivative, ``(m, k, n)`` for the rows it takes, whose bits
+    do not depend on the stack, and the mask of those rows. The other rows
+    are forward differences of the residual (:func:`_jacobian`). Every row
+    is laid out the same, so its normal equations are too."""
 
     def residual(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
         if len(rows) > _NARROW:
@@ -762,7 +770,8 @@ def _stacked(model, slopes, w, y: np.ndarray):
             part = whole
         return part.transpose(0, 2, 1)
 
-    residual.jacobian = jacobian
+    if slopes is not None:
+        residual.jacobian = jacobian
     return residual
 
 
@@ -846,25 +855,13 @@ def _fast_start(init: dict[str, float]) -> np.ndarray:
 
 def _fast_residual(tau: np.ndarray, w: np.ndarray, envelope: np.ndarray, y: np.ndarray):
     """The fast stage's weighted residual, as :func:`_slow_residual`'s: the
-    two-level shape over ``envelope[rows]``, ``envelope (g2 + ratio) / (1 +
-    ratio)``. Its Jacobian takes ``g2``'s slopes in ``log10 A31`` and ``log10
-    Omega31`` from :func:`_g2_slopes`, on columns for any stack, and in the
-    ratio it is ``envelope (1 - g2) / (1 + ratio)^2``."""
+    two-level shape over ``envelope[rows]``."""
 
     def model(theta: np.ndarray, rows) -> np.ndarray:
         log_a, log_omega, ratio = _coords(theta)
         return envelope[rows] * (_g2(tau, _pow10(log_a), _pow10(log_omega)) + ratio) / (1.0 + ratio)
 
-    def slopes(theta: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        log_a, log_omega, ratio = _coords(theta)
-        # g2 = 1 - E: columns -ln10 A dE/dA, -ln10 W dE/dW and E / (1 + ratio).
-        jac = _g2_slopes(tau, _pow10(log_a), _pow10(log_omega))[:, [1, 2, 0]]
-        jac[:, :2] *= -_LN10
-        jac[:, 2] *= 1.0 / (1.0 + ratio)
-        jac *= (envelope[rows] / (1.0 + ratio))[:, None, :]
-        return jac, np.ones(len(rows), dtype=bool)
-
-    return _stacked(model, slopes, w, y)
+    return _stacked(model, w, y)
 
 
 def fit_fast(

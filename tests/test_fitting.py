@@ -398,81 +398,71 @@ def test_stacked_kernels_at_the_corners_of_their_boxes(free_amp):
         # miss unit sum.
         refused = corners[~finite]
         assert np.all(refused[:, :3] == [5.0, -8.0, -8.0])
-        # The Jacobian is finite, or NaN where the residual row is, the
+        # The Jacobian (the slow stage's exact one, the fast stage's
+        # differences) is finite, or NaN where the residual row is, the
         # same on both routes, and nothing warns.
         lo, hi = fitting._bounds(table)
+        jacobian = fitting._derivative(residual)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            jac = residual.jacobian(corners, wide, rows, lo, hi)
+            jac = jacobian(corners, wide, rows, lo, hi)
             narrow = np.concatenate(
-                [residual.jacobian(corners[i : i + 2], wide[i : i + 2], rows[i : i + 2], lo, hi) for i in range(0, len(rows), 2)]
+                [jacobian(corners[i : i + 2], wide[i : i + 2], rows[i : i + 2], lo, hi) for i in range(0, len(rows), 2)]
             )
         assert np.isfinite(jac[finite]).all() and np.isnan(jac[~finite]).all()
         assert np.array_equal(jac, narrow, equal_nan=True)
 
 
-def stage_residual(stage, m=1):
-    """A stage's residual on criterion 7's delays, against a flat curve."""
+def stage_residual(stage):
+    """The slow stage's residual on criterion 7's delays, against a flat
+    curve, with a free amplitude for ``slow-amplitude``."""
     tau = np.geomspace(1e-10, 1.0, 300)
-    if stage == "fast":
-        fast = tau[tau < 1e-7]
-        return fitting._FAST, fitting._fast_residual(fast, 1.0, np.full((m, fast.size), 1.3), np.ones((m, fast.size)))
     slow, free_amp = tau[tau > 1e-7], stage == "slow-amplitude"
     table = fitting._SLOW + fitting._AMPLITUDE if free_amp else fitting._SLOW
-    return table, fitting._slow_residual(slow, 1.0, np.ones((m, slow.size)), free_amp)
+    return table, fitting._slow_residual(slow, 1.0, np.ones((1, slow.size)), free_amp)
 
 
 @st.composite
-def stage_points(draw):
-    """A stage and a point of its box: anywhere, or with p1 within 1e-3 of
-    a bound, T_D1 close to T_D2, no background, or A31 and Omega31 near the
-    critical line 16 Omega31^2 = A31^2 (on it, or off it by down to 1e-12)."""
-    stage = draw(st.sampled_from(["slow", "slow-amplitude", "fast"]))
+def slow_points(draw):
+    """A slow stage, with or without free amplitude, and a point of its box:
+    anywhere, with p1 within 1e-3 of a bound, or with T_D1 close to T_D2."""
+    stage = draw(st.sampled_from(["slow", "slow-amplitude"]))
     table, _ = stage_residual(stage)
     lo, hi = fitting._bounds(table)
     x = lo + (hi - lo) * np.array([draw(st.floats(0.0, 1.0)) for _ in table])
-    near = draw(st.floats(1e-12, 1e-2)) * draw(st.sampled_from([-1.0, 1.0]))
     case = draw(st.sampled_from(["anywhere", "edge", "close"]))
-    if stage != "fast" and case == "edge":
+    if case == "edge":
         x[3] = draw(st.sampled_from([lo[3], hi[3] - 1e-3])) + draw(st.floats(0.0, 1e-3))
-    elif stage != "fast" and case == "close":
-        x[2] = x[1] + near
-    elif stage == "fast" and case == "edge":
-        x[2] = 0.0
-    elif stage == "fast" and case == "close":
-        x[1] = x[0] - math.log10(4.0) + draw(st.sampled_from([0.0, near]))
+    elif case == "close":
+        x[2] = x[1] + draw(st.floats(1e-12, 1e-2)) * draw(st.sampled_from([-1.0, 1.0]))
     return stage, np.clip(x, lo, hi)
 
 
-@given(stage_points())
-@example(("fast", np.array([8.0, 8.0 - math.log10(4.0), 0.0])))
+@given(slow_points())
 @example(("slow", np.array([-2.2, -2.8, -2.8, 1.0 - 1e-4])))
 @example(("slow-amplitude", np.array([5.0, -8.0, -8.0, 0.5, 1.0])))
 @example(("slow", np.array([4.0, -7.0, -7.0, 0.5])))
-def test_stage_jacobians_are_the_derivatives_of_their_models(point):
-    # Each stage's exact Jacobian against central differences of its
+def test_slow_jacobian_is_the_derivative_of_its_model(point):
+    # The slow stage's exact Jacobian against central differences of its
     # residual, extrapolated (Richardson) over steps from 1e-2 to 1e-9,
     # inside the box. A difference of step h errs by its rounding, about
-    # eps * M / h, where M is the size of the terms the model sums: 1 +
-    # |c+| + |c-| times the amplitude for the slow model, which cancels
-    # near coincident eigenvalues, the envelope for the fast one. Each
-    # column agrees to 1e-6 of its size at some step. A row on the expm
-    # route keeps the forward differences of its residual.
+    # eps * M / h, where M = (1 + |c+| + |c-|) times the amplitude is the
+    # size of the terms the model sums, which cancel near coincident
+    # eigenvalues. Each column agrees to 1e-6 of its size at some step. A
+    # row on the expm route keeps the forward differences of its residual.
     stage, x = point
     table, residual = stage_residual(stage)
     lo, hi = fitting._bounds(table)
     one = np.zeros(1, dtype=int)
     r = residual(x[None], one)
     jac = residual.jacobian(x[None], r, one, lo, hi)[0]
-    size = 1.3
-    if stage != "fast":
-        (ld1, ld2), (dl1, dl2) = fitting._slow_rates(x)
-        mu1, mu2, _ = fitting._relaxation(ld1, ld2, dl1, dl2)
-        if correlation._is_degenerate(mu1, mu2):
-            assert np.array_equal(jac, fitting._jacobian(residual, x[None], r, one, lo, hi)[0], equal_nan=True)
-            return
-        c_plus, c_minus = correlation._closed_coefficients(ld1, ld2, dl1, dl2, mu1, mu2)[:2]
-        size = (1.0 + abs(c_plus) + abs(c_minus)) * (x[4] if x.size > 4 else 1.0)
+    (ld1, ld2), (dl1, dl2) = fitting._slow_rates(x)
+    mu1, mu2, _ = fitting._relaxation(ld1, ld2, dl1, dl2)
+    if correlation._is_degenerate(mu1, mu2):
+        assert np.array_equal(jac, fitting._jacobian(residual, x[None], r, one, lo, hi)[0], equal_nan=True)
+        return
+    c_plus, c_minus = correlation._closed_coefficients(ld1, ld2, dl1, dl2, mu1, mu2)[:2]
+    size = (1.0 + abs(c_plus) + abs(c_minus)) * (x[4] if x.size > 4 else 1.0)
     assert np.isfinite(jac).all()
     for j in range(x.size):
         unit = np.eye(x.size)[j]
@@ -480,8 +470,8 @@ def test_stage_jacobians_are_the_derivatives_of_their_models(point):
         misses = []
         for h in [h for h in 10.0 ** -np.arange(2.0, 10.0) if h < room]:
             probes = x + np.outer([h, -h, h / 2, -h / 2], unit)
-            far, near_ = np.split(residual(probes, np.zeros(4, dtype=int)), 2)
-            central = (4.0 * (near_[0] - near_[1]) / h - (far[0] - far[1]) / (2.0 * h)) / 3.0
+            far, near = np.split(residual(probes, np.zeros(4, dtype=int)), 2)
+            central = (4.0 * (near[0] - near[1]) / h - (far[0] - far[1]) / (2.0 * h)) / 3.0
             bound = 1e-6 * np.abs(jac[:, j]).max() + 1e3 * np.finfo(float).eps * size / h
             misses.append(np.abs(central - jac[:, j]).max() / bound)
         assert min(misses) <= 1.0, (stage, x.tolist(), j, misses)
@@ -960,6 +950,18 @@ def test_reported_sigmas_non_negative():
     assert set(RESULT_KEYS) <= set(res.sigma)
 
 
+@pytest.mark.parametrize(("seed", "free_amp"), [(35, False), (63, False), (74, False), (118, False), (173, True)])
+def test_slow_stage_converges_where_gauss_newton_overshoots(reference_params, seed, free_amp):
+    # On these criterion-7 curves the cost curves about twice as much as
+    # J^T J says along one direction, so an undamped step overshoots the
+    # minimum and the error falls by a few percent per iteration. A step
+    # that gains less than a quarter of its predicted decrease grows the
+    # damping, and the stage ends on the step test well inside the cap.
+    slow = fit_slow(criterion7_curve(reference_params, seed), FitConfig(free_amplitude=free_amp))
+    assert slow.converged and slow.message == "step and cost change below tolerance"
+    assert slow.iterations <= 50
+
+
 def test_zero_background_fits_converge(reference_params):
     # With no background the fast stage's ratio fits to its zero bound or
     # just inside it; either way every fit must converge quickly.
@@ -1078,7 +1080,7 @@ def test_guessing_every_coordinate_leaves_one_start(reference_params, monkeypatc
 @pytest.mark.parametrize("free_amp", [False, True])
 def test_stage_keeps_the_best_start_solved_alone(reference_params, monkeypatch, free_amp):
     # Each stage ends, in float hex, where its solver leaves the start of
-    # least cost, every start solved alone on the stage's residual and exact
+    # least cost, every start solved alone on the stage's residual and its
     # Jacobian: the same point, cost, covariance, iterations and stop.
     outcomes = []
     best_row = fitting._best_row
@@ -1147,14 +1149,14 @@ def test_bootstrap_leaves_the_main_fit_alone(reference_params, seed):
 def test_bootstrap_counts_refits_on_a_bound(reference_params, monkeypatch):
     # On criterion 7's seed 13 some refits' slow stage ends with T_D2 on
     # its 1e-8 s floor. The slow stage runs one stack of a row per refit;
-    # the four failed refits stop at the iteration cap in that stack.
+    # the eleven failed refits stop at the iteration cap in that stack.
     data = criterion7_curve(reference_params, seed=13)
     stacks = record_stacks(monkeypatch)
     res = fit_full(data, FitConfig(bootstrap_resamples=50))
     ends = [end for x0, _, refit, rows in stacks if refit and x0.shape[1] == 4 for end in rows]
     assert len(ends) == 50
-    assert res.diagnostics["bootstrap_failures"] == sum(not ok for ok, *_ in ends) == 4
-    assert [message for ok, _, message in ends if not ok] == ["maximum iterations reached"] * 4
+    assert res.diagnostics["bootstrap_failures"] == sum(not ok for ok, *_ in ends) == 11
+    assert [message for ok, _, message in ends if not ok] == ["maximum iterations reached"] * 11
     on_bound = sum(ok and edge for ok, edge, _ in ends)
     assert res.diagnostics["bootstrap_on_bound"] == on_bound > 0
 
@@ -1193,7 +1195,7 @@ def test_bootstrap_draws_equal_refits_through_the_stages(reference_params, monke
         edges += slow.on_bound
         alone = {"slow": slow, "fast": fast, "isc": fit_isc(slow, fast)}
         rows.append([alone[name].values[key] for name, keys in fitting.STAGE_KEYS.items() for key in keys])
-    assert (failures, on_bound) == (cfg.bootstrap_resamples - len(rows), edges) == (4, edges)
+    assert (failures, on_bound) == (cfg.bootstrap_resamples - len(rows), edges) == (11, edges)
     assert edges > 0
     assert [list(map(float.hex, row)) for row in draws.tolist()] == [list(map(float.hex, row)) for row in rows]
 
