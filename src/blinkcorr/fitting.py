@@ -798,7 +798,7 @@ def fit_slow(
     :func:`fit_isc` turns into its own. Raises
     :class:`DegenerateFitError` when the data show no bunching to fit,
     which a split delay inside the antibunching dip also gives.
-    ``init`` replaces the four heuristic starts by one at its values. It
+    ``init`` replaces the three heuristic starts by one at its values. It
     must name ``T_L``, ``T_D1``, ``T_D2``, ``p1``, and ``amplitude`` under
     ``free_amplitude``, all finite and the periods positive, or
     :class:`ValueError` names the key; other keys are ignored.
@@ -819,7 +819,7 @@ def fit_slow(
         below = np.nonzero(y < target)[0]
         tau_e = float(tau[below[0]]) if below.size else float(np.median(tau))
         starts = []
-        for f1, f2, p in ((1.0, 0.2, 0.3), (2.0, 0.5, 0.1), (0.5, 0.1, 0.5), (3.0, 1.0, 0.15)):
+        for f1, f2, p in ((1.0, 0.2, 0.3), (2.0, 0.5, 0.1), (3.0, 1.0, 0.15)):
             t_d1 = f1 * tau_e
             t_d2 = f2 * tau_e
             t_l = (p * t_d1 + (1.0 - p) * t_d2) / amp

@@ -318,7 +318,8 @@ def perturbative_rates(
     optical transients and short against the blinking, with one
     Richardson step to cancel the leading bias; it requires a clean
     timescale separation and raises :class:`HierarchyError` without one.
-    A rate that is not finite raises :class:`DegenerateInputError`.
+    A rate that is not finite raises :class:`DegenerateInputError`, which
+    names the largest input rate.
     """
     if method not in ("resolvent", "finite_dt"):
         raise ValueError(
@@ -331,5 +332,6 @@ def perturbative_rates(
     with np.errstate(over="ignore", invalid="ignore"):
         rates = _rates_resolvent(params) if method == "resolvent" else _rates_finite_dt(params)
     if not all(math.isfinite(rate) for pair in rates for rate in pair):
-        raise DegenerateInputError(f"switching rates by {method} are not finite, the generator overflows: {rates}")
+        largest = "{} = {!r}".format(*max(params.as_dict().items(), key=lambda item: item[1]))
+        raise DegenerateInputError(f"switching rates by {method} are not finite, the generator overflows at {largest}")
     return rates

@@ -1134,7 +1134,10 @@ def read_trajectory(path: str) -> Trajectory:
             filled += block.size
 
         _in_order(record.parse, record.texts(), take)
-        return _trajectory(path, times, record.header)
+        # Each block was checked as it was taken: the header's trajectory
+        # takes the times without Trajectory's pass over them all.
+        object.__setattr__(record.trajectory, "times", times)
+        return record.trajectory
 
     return _read_record(path, fill, lambda trajectory: trajectory)
 
@@ -1215,13 +1218,14 @@ class _RecordFile:
 
     The leading ``#`` lines are read once, into ``header``. If the rest of
     the file is whole 23-byte rows, ``rows`` is their number, and the
-    header's duration and seed are checked at once, as :class:`Trajectory`
-    checks them; else ``rows`` is None and the file is left to the line
-    route of :func:`_read_record`. The rows go out as texts of
-    ``_WRITE_BLOCK`` rows (:meth:`texts`), read as they are drawn, which
-    :meth:`parse` turns into times on any thread and :meth:`check` checks
-    on the calling thread, in file order. So every refusal is raised where
-    it is found, with the message of :func:`read_trajectory`.
+    header's duration and seed are checked at once, as ``trajectory``, a
+    :class:`Trajectory` with no times yet; else ``rows`` is None and the
+    file is left to the line route of :func:`_read_record`. The rows go
+    out as texts of ``_WRITE_BLOCK`` rows (:meth:`texts`), read as they are
+    drawn, which :meth:`parse` turns into times on any thread and
+    :meth:`check` checks on the calling thread, in file order. So every
+    refusal is raised where it is found, with the message of
+    :func:`read_trajectory`.
     """
 
     def __init__(self, handle: BinaryIO, path: str) -> None:
@@ -1235,7 +1239,7 @@ class _RecordFile:
         self.rows = rows if len(line) == _ROW.itemsize and not extra else None
         handle.seek(self.start)
         if self.rows is not None:
-            record = _trajectory(path, np.empty(0), self.header)
+            self.trajectory = record = _trajectory(path, np.empty(0), self.header)
             self.duration, self.seed, self.last = record.duration, record.seed, -math.inf
 
     def texts(self) -> Iterator[tuple[int, bytes]]:

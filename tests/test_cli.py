@@ -355,24 +355,26 @@ def test_drive_that_underflows_is_a_numerical_error(tmp_path, capsys, command, r
 
 
 @pytest.mark.parametrize(
-    "rates, warned",
+    "rates, warned, largest",
     [
         # Optical rates of 1e154 overflow the generator's products: the
         # rates came out NaN, printed with exit code 0.
-        (dict(A31=1e154, Omega31=1e154, A32_1=1e151, A32_2=1e150, A21_1=1e151, A21_2=1e150), []),
+        (dict(A31=1e154, Omega31=1e154, A32_1=1e151, A32_2=1e150, A21_1=1e151, A21_2=1e150), [], "A31 = 1e+154"),
         # A dark rate of 1e308: inf and NaN after a RuntimeWarning, and the
         # hierarchy warning these rates call for.
-        (dict(A21_2=1e308), [HierarchyWarning]),
+        (dict(A21_2=1e308), [HierarchyWarning], "A21_2 = 1e+308"),
     ],
     ids=["1e154", "A21_2-1e308"],
 )
-def test_rates_that_are_not_finite_are_a_numerical_error(tmp_path, capsys, rates, warned):
+def test_rates_that_are_not_finite_are_a_numerical_error(tmp_path, capsys, rates, warned, largest):
+    # The message names the largest of the seven input rates.
     path = tmp_path / "params.txt"
     path.write_text(params_text(**rates))
     out = tmp_path / "rates.txt"
     code, err, seen = run_refused(["rates", "--params", str(path), "--out", str(out)], capsys)
     assert (code, seen) == (1, warned)
     assert err.startswith("error: switching rates by resolvent are not finite")
+    assert err.rstrip("\n").endswith(f", the generator overflows at {largest}")
     assert not out.exists()
 
 

@@ -1041,9 +1041,23 @@ def record_stacks(monkeypatch):
     return stacks
 
 
+@pytest.mark.parametrize("free_amp", [False, True])
+def test_main_slow_starts_stop_before_the_cap(reference_params, monkeypatch, free_amp):
+    # A stage's stack runs until its slowest start stops, so a start that
+    # runs to the iteration cap costs the whole stack's iterations. On
+    # criterion 7's curves every start of the main slow stage stops first.
+    stacks = record_stacks(monkeypatch)
+    for seed in range(20):
+        fit_slow(criterion7_curve(reference_params, seed), FitConfig(free_amplitude=free_amp))
+    assert len(stacks) == 20
+    cap = fitting._STOPS[fitting._CAP][0]
+    assert [(seed, message) for seed, (*_, ends) in enumerate(stacks) for *_, message in ends if message == cap] == []
+
+
 def test_stages_try_their_starts(reference_params, monkeypatch):
-    # Slow and fast stage solve their four heuristic starts as one stack
-    # each and call no least_squares; the isc stage runs no optimizer.
+    # Slow and fast stage solve their three and four heuristic starts as
+    # one stack each and call no least_squares; the isc stage runs no
+    # optimizer.
     def refuse(*args, **kwargs):
         raise AssertionError("a stage called least_squares")
 
@@ -1051,7 +1065,7 @@ def test_stages_try_their_starts(reference_params, monkeypatch):
     stacks = record_stacks(monkeypatch)
     monkeypatch.setattr(fitting, "least_squares", refuse)
     fit_full(series, FitConfig(bootstrap_resamples=0))
-    assert [(x0.shape, refit) for x0, _, refit, _ in stacks] == [((4, 4), False), ((4, 3), False)]
+    assert [(x0.shape, refit) for x0, _, refit, _ in stacks] == [((3, 4), False), ((4, 3), False)]
 
 
 def test_guessing_every_coordinate_leaves_one_start(reference_params, monkeypatch):
@@ -1093,7 +1107,7 @@ def test_stage_keeps_the_best_start_solved_alone(reference_params, monkeypatch, 
     monkeypatch.setattr(fitting, "_best_row", recording)
     for seed in (0, 13):
         fit_full(criterion7_curve(reference_params, seed), FitConfig(bootstrap_resamples=0, free_amplitude=free_amp))
-    assert [x0.shape[0] for _, x0, *_ in outcomes] == [4] * 4
+    assert [x0.shape[0] for _, x0, *_ in outcomes] == [3, 4] * 2
     monkeypatch.undo()
 
     def hexed(res):
@@ -1107,17 +1121,17 @@ def test_stage_keeps_the_best_start_solved_alone(reference_params, monkeypatch, 
 
 
 def test_bootstrap_refits_only_the_slow_and_fast_stages(reference_params, monkeypatch):
-    # The main fit solves each stage's four starts as one stack without
-    # the refit rule. The bootstrap then solves the slow and the fast stage
-    # once each, as a stack of one row per refit: every row starts from the
-    # original fit's values and stops within 1e-3 standard errors; the
-    # isc block is derived without an optimizer.
+    # The main fit solves each stage's starts, three slow and four fast,
+    # as one stack without the refit rule. The bootstrap then solves the
+    # slow and the fast stage once each, as a stack of one row per refit:
+    # every row starts from the original fit's values and stops within
+    # 1e-3 standard errors; the isc block is derived without an optimizer.
     data = criterion7_curve(reference_params, seed=0)
     stacks = record_stacks(monkeypatch)
     res = fit_full(data, FitConfig(bootstrap_resamples=3))
     assert res.diagnostics["bootstrap_failures"] == 0
     assert [(x0.shape, refit) for x0, _, refit, _ in stacks] == (
-        [((4, 4), False), ((4, 3), False), ((3, 4), True), ((3, 3), True)]
+        [((3, 4), False), ((4, 3), False), ((3, 4), True), ((3, 3), True)]
     )
     slow, fast = res.stages["slow"].values, res.stages["fast"].values
     log10 = math.log10
@@ -1223,7 +1237,7 @@ def test_bounds_apply_to_stage_coordinates(reference_params, monkeypatch):
     series = eval_curve(reference_params, log_grid(1e-10, 1.0, 30))
     stacks = record_stacks(monkeypatch)
     fit_full(series, FitConfig(bootstrap_resamples=0, free_amplitude=True))
-    assert [x0.shape for x0, *_ in stacks] == [(4, 5), (4, 3)]
+    assert [x0.shape for x0, *_ in stacks] == [(3, 5), (4, 3)]
     (_, (lo, hi), *_), (_, (lo_fast, hi_fast), *_) = stacks
     assert lo.tolist() == [-8.0, -8.0, -8.0, 1e-4, 0.1]
     assert hi.tolist() == [5.0, 5.0, 5.0, 1.0 - 1e-4, 10.0]

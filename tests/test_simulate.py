@@ -1228,6 +1228,36 @@ def test_read_trajectory_across_blocks(tmp_path, monkeypatch):
         assert (traj.duration, traj.seed) == (6.5, 17)
 
 
+def test_read_trajectory_checks_each_time_once(tmp_path, monkeypatch):
+    # A file of rows is checked block by block as it is read, and the
+    # trajectory it gives is not checked whole again; a '%.17g' record is
+    # checked whole once. An unsorted pair across a block boundary is
+    # still refused, naming the file.
+    monkeypatch.setattr(simulate, "_WRITE_BLOCK", 7)
+    check_times, seen = simulate._check_times, []
+
+    def counted(times, *args):
+        seen.append(times.size)
+        return check_times(times, *args)
+
+    monkeypatch.setattr(simulate, "_check_times", counted)
+    times = [k / 40.0 for k in range(30)]
+    path = tmp_path / "traj.txt"
+    for row in (b"%.16e", b"%.17g"):
+        for cores in (1, 2):
+            parse_on_cores(monkeypatch, cores)
+            path.write_bytes(b"# duration = 1\n# seed = 3\n" + b"".join(row % t + b"\n" for t in times))
+            seen.clear()
+            traj = read_trajectory(str(path))
+            assert np.array_equal(traj.times, times)
+            assert (traj.duration, traj.seed) == (1.0, 3)
+            assert sum(seen) == len(times)
+            unsorted = times[:6] + [times[7], times[6]] + times[8:]
+            path.write_bytes(b"# duration = 1\n" + b"".join(row % t + b"\n" for t in unsorted))
+            with pytest.raises(ValueError, match=r"traj\.txt: arrival times must be sorted$"):
+                read_trajectory(str(path))
+
+
 def test_read_trajectory_reads_percent_17g_records(tmp_path, monkeypatch):
     # Records written as '%.17g' text, before the fixed-width rows, read
     # back bit for bit, with comments and blank lines among their times,
